@@ -7,16 +7,16 @@ algorithm — which cannot see the degradation — violates the delay bound;
 wrapping it in a :class:`~repro.faults.HeadroomPolicy` that requests
 ``2 x`` its decision rides the episode out, at the price of utilization.
 
-Soft invariant monitoring records the violations instead of aborting, so
-both runs complete and can be compared.
+Both runs complete; replaying each trace through the certificate checker
+(:mod:`repro.verify`) lists the late deliveries, first slot first.
 
 Run:  python examples/fault_tolerance.py
 """
 
 from repro import HeadroomPolicy, SingleSessionOnline, run_single_session
 from repro.faults import FaultPlan, LinkDegradation
-from repro.sim.invariants import DelayMonitor, soften
 from repro.traffic import figure1_demand
+from repro.verify import TheoremBounds, certify_single
 
 B_A, D_O, U_O, W = 64, 8, 0.25, 16
 DELAY_BOUND = 2 * D_O
@@ -25,19 +25,25 @@ DELAY_BOUND = 2 * D_O
 PLAN = FaultPlan((LinkDegradation(t0=800, t1=1100, factor=0.5),), seed=0)
 
 
+#: The delay bound to certify (the other bounds are not read here).
+BOUNDS = TheoremBounds(
+    variant="single", offline_bandwidth=B_A, offline_delay=D_O,
+    online_delay=DELAY_BOUND,
+)
+
+
 def run_one(label: str, policy):
-    monitor = DelayMonitor(DELAY_BOUND)
-    log = soften([monitor])
-    trace = run_single_session(
-        policy, ARRIVALS, faults=PLAN, monitors=[monitor]
-    )
-    verdict = "HELD" if trace.max_delay <= DELAY_BOUND else "VIOLATED"
-    print(f"{label:28s} max delay {trace.max_delay:3d} "
-          f"(bound {DELAY_BOUND}) -> {verdict}")
+    trace = run_single_session(policy, ARRIVALS, faults=PLAN)
+    (delay,) = [c for c in certify_single(trace, BOUNDS).checks
+                if c.name == "lemma3"]
+    verdict = "HELD" if delay.passed else "VIOLATED"
+    print(f"{label:28s} {verdict}: {delay.detail}")
     print(f"{'':28s} changes {trace.change_count}, "
-          f"utilization {trace.total_arrived / trace.allocation.sum():.2f}, "
-          f"delay violations recorded {log.count()}"
-          + (f" (first at t={log.first_time()})" if log else ""))
+          f"utilization {trace.total_arrived / trace.allocation.sum():.2f}")
+    if delay.counterexamples:
+        first = delay.counterexamples[0]
+        print(f"{'':28s} first late delivery at t={first.t} "
+              f"(delay {first.values['delay']:.0f})")
     return trace
 
 

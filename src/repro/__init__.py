@@ -40,7 +40,6 @@ from repro.errors import (
     ConfigError,
     ExperimentError,
     FeasibilityError,
-    InvariantViolation,
     ReproError,
     SignalingError,
     SimulationError,
@@ -53,7 +52,7 @@ from repro.faults import (
     UnreliableSignaling,
 )
 from repro.params import OfflineConstraints, OnlineGuarantees
-from repro.sim import ViolationLog, run_multi_session, run_single_session
+from repro.sim import run_multi_session, run_single_session
 from repro.version import __version__
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "FaultPlan",
     "FeasibilityError",
     "HeadroomPolicy",
-    "InvariantViolation",
     "ModifiedSingleSessionOnline",
     "MultiSessionPolicy",
     "OfflineConstraints",
@@ -84,7 +82,6 @@ __all__ = [
     "StoreAndForwardMultiSession",
     "UnreliableMultiSignaling",
     "UnreliableSignaling",
-    "ViolationLog",
     "__version__",
     "multi_stage_lower_bound",
     "run_multi_session",

@@ -3,7 +3,7 @@
 Reads what ``repro-bandwidth simulate --telemetry DIR`` (or ``run
 --telemetry DIR``) wrote — ``spans.jsonl`` plus ``manifest.json`` — and
 prints a span summary grouped by kind, the profiling throughput, and the
-manifest's provenance/violation highlights::
+manifest's provenance highlights::
 
     repro-bandwidth trace out/telemetry
     repro-bandwidth trace out/telemetry/spans.jsonl --kind signaling --spans 20
@@ -140,19 +140,6 @@ def run_trace(args) -> int:
                 f"{profile['seconds']:.4f}s "
                 f"({profile['slots_per_sec']:,.0f} slots/sec)"
             )
-        violations = {
-            name.rsplit(".", 1)[-1]: value
-            for name, value in manifest.get("metrics", {})
-            .get("counters", {})
-            .items()
-            if name.startswith("invariants.violations.")
-        }
-        if violations:
-            rendered = ", ".join(
-                f"{monitor}={count:g}"
-                for monitor, count in sorted(violations.items())
-            )
-            print(f"  soft invariant violations: {rendered}")
 
     if args.spans > 0:
         print()

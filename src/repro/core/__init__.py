@@ -27,11 +27,6 @@ from repro.core.maxminfair import (
     water_level,
 )
 from repro.core.modified_single import ModifiedSingleSessionOnline
-from repro.core.offline_greedy import (
-    GreedyScheduleResult,
-    best_offline_schedule,
-    greedy_offline_schedule,
-)
 from repro.core.opt_bruteforce import (
     iter_schedules,
     min_changes_bruteforce,
@@ -68,9 +63,6 @@ __all__ = [
     "ClampedQuantizer",
     "EagerResetSingleSession",
     "NonMonotoneSingleSession",
-    "GreedyScheduleResult",
-    "best_offline_schedule",
-    "greedy_offline_schedule",
     "iter_schedules",
     "min_changes_bruteforce",
     "min_changes_bruteforce_multi",

@@ -27,7 +27,7 @@ Our reconstruction handles the young-stage window (``t < ts + W``, where
 * utilization: during the young window the allocation may overshoot
   ``low`` by a factor ``1/U_O`` instead of 2, costing a factor ``Θ(U_O)``
   in the guarantee for windows that end inside a young stage — the
-  documented trade of this reconstruction.  Experiment E-T7 monitors the
+  documented trade of this reconstruction.  Experiment E-T7 measures the
   realized utilization alongside the change counts.
 
 With ``U_O >= 1/2`` the coarse base degenerates to 2 and the algorithm

@@ -8,7 +8,7 @@ keep:
   stage's envelope starts immediately after ``high < low`` while the old
   backlog is flushed at ``B_A`` alongside.  Saves the idle wait but starts
   stages with a dirty queue, so Claim 2's clean induction no longer
-  applies; the delay monitor shows how much is actually lost.
+  applies; the trace's delay histogram shows how much is actually lost.
 * :class:`NonMonotoneSingleSession` — allows the allocation to *drop* to
   the quantized ``low`` mid-stage instead of only rising.  Better
   utilization on falling demand, but every drop is an extra change and

@@ -28,16 +28,6 @@ class SimulationError(ReproError, RuntimeError):
     """The simulation engine detected an impossible state (internal bug)."""
 
 
-class InvariantViolation(SimulationError):
-    """A monitored theorem invariant (e.g. Claim 2, Lemma 10) was violated."""
-
-    def __init__(self, name: str, t: int, detail: str):
-        self.name = name
-        self.t = t
-        self.detail = detail
-        super().__init__(f"invariant {name!r} violated at t={t}: {detail}")
-
-
 class SignalingError(ReproError, RuntimeError):
     """An allocation request was abandoned by the signaling plane.
 

@@ -113,7 +113,7 @@ def run_point(point, index: int, seed: int = 0, scale: float = 1.0) -> dict:
     local_stages = max(1, policy.local_stage_count + 1)
     online_delay = 2 * _DELAY
     # Combined delay in our discretization can exceed 2·D_O by the
-    # global-overflow hand-off; monitor against the documented slack.
+    # global-overflow hand-off; check against the documented slack.
     bandwidth_slack = 7.0 if inner == "phased" else 8.0
     row = [
         f"{k}/{inner[:4]}",

@@ -28,7 +28,6 @@ from repro.experiments.common import ExperimentResult, fmt, scaled
 from repro.experiments.registry import register
 from repro.network.shaper import is_conforming
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.invariants import Claim2Monitor
 from repro.traffic import (
     CompoundPoisson,
     MarkovModulatedPoisson,
@@ -40,6 +39,7 @@ from repro.traffic import (
 )
 from repro.traffic.diurnal import staggered_diurnal_sessions
 from repro.traffic.multi import independent_processes_workload
+from repro.verify.certificates import claim2_margins
 
 #: The shared robustness contract (E-ROB and E-FAULT must agree on these
 #: so the E-FAULT zero-intensity column reproduces E-ROB exactly).
@@ -96,26 +96,20 @@ def run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     for name, process in robustness_zoo().items():
         arrivals = zoo_arrivals(process, horizon, seed)
         policy = SingleSessionOnline(_B_A, _D_O, _U_O, _W)
-        claim2 = Claim2Monitor(online_delay=2 * _D_O)
-        try:
-            trace = run_single_session(
-                policy, arrivals, monitors=[claim2], max_drain_slots=100_000
-            )
-        except Exception:  # pragma: no cover - claim2 is unconditional
-            claim2_always = False
-            continue
+        trace = run_single_session(policy, arrivals, max_drain_slots=100_000)
+        claim2_min = float(claim2_margins(trace, 2 * _D_O)[0].min(initial=np.inf))
         # The Claim 9 envelope is exactly token-bucket conformance with
         # rate B_O and burst D_O·B_O.
         claim9_ok = is_conforming(arrivals, _B_A, _D_O * _B_A)
         exist = min_existential_window_utilization(
             trace.arrivals, trace.allocation, _W + 5 * _D_O
         )
-        claim2_always &= claim2.min_margin >= -1e-6
+        claim2_always &= claim2_min >= -1e-6
         rows.append(
             [
                 name,
                 "yes" if claim9_ok else "NO",
-                fmt(claim2.min_margin, 1),
+                fmt(claim2_min, 1),
                 str(trace.max_delay),
                 "yes" if trace.max_delay <= 2 * _D_O else "NO",
                 fmt(exist, 3),

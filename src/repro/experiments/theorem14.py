@@ -28,7 +28,7 @@ from repro.experiments.common import ExperimentResult, fmt, scaled
 from repro.experiments.registry import register_sweep
 from repro.runner.cache import cached_multi_feasible
 from repro.sim.engine import run_multi_session
-from repro.sim.invariants import OverflowBoundMonitor
+from repro.verify.certificates import peak, session_sums
 
 _HEADERS = [
     "k",
@@ -85,10 +85,8 @@ def make_sweep(
             burstiness="blocks",
         )
         policy = policy_factory(k, offline_bandwidth, offline_delay)
-        overflow_monitor = OverflowBoundMonitor(offline_bandwidth, overflow_slack)
-        trace = run_multi_session(
-            policy, workload.arrivals, monitors=[overflow_monitor]
-        )
+        trace = run_multi_session(policy, workload.arrivals)
+        overflow_peak = peak(session_sums(trace.overflow_allocation))
         report = bracket(
             online_changes=trace.local_change_count,
             opt_lower=multi_stage_lower_bound(
@@ -112,7 +110,7 @@ def make_sweep(
             str(trace.max_delay),
             str(online_delay),
             fmt(trace.max_total_allocation / offline_bandwidth),
-            fmt(overflow_monitor.max_seen / offline_bandwidth),
+            fmt(overflow_peak / offline_bandwidth),
         ]
         return {
             "k": k,
@@ -123,6 +121,8 @@ def make_sweep(
             "alloc_ok": bool(
                 trace.max_total_allocation
                 <= bandwidth_slack * offline_bandwidth * (1 + 1e-9)
+                and overflow_peak
+                <= overflow_slack * offline_bandwidth * (1 + 1e-6) + 1e-6
             ),
         }
 

@@ -14,9 +14,8 @@ assumptions so the degradation of each guarantee can be *measured*:
   :class:`UnreliableMultiSignaling` policy wrappers, and
   :class:`HeadroomPolicy` (over-request to absorb signaling latency).
 
-Soft invariant monitoring (:class:`~repro.sim.invariants.ViolationLog`,
-``monitor.soften()``) lives in :mod:`repro.sim.invariants` and is
-re-exported here for convenience.
+The engines take a plan via ``faults=``; what the faults cost is measured
+afterwards by replaying the trace through :mod:`repro.verify.certificates`.
 """
 
 from repro.faults.plan import (
@@ -36,7 +35,6 @@ from repro.faults.signaling import (
     UnreliableMultiSignaling,
     UnreliableSignaling,
 )
-from repro.sim.invariants import Violation, ViolationLog, soften
 
 __all__ = [
     "FaultPlan",
@@ -51,8 +49,5 @@ __all__ = [
     "UnreliableLink",
     "UnreliableMultiSignaling",
     "UnreliableSignaling",
-    "Violation",
-    "ViolationLog",
-    "soften",
     "standard_plan",
 ]

@@ -60,6 +60,20 @@ class SeededStream:
             self._blocks[key] = cached
         return float(cached[offset])
 
+    def uniforms(self, start: int, stop: int, lane: int = 0) -> np.ndarray:
+        """:meth:`uniform` for every slot of ``[start, stop)``, as one array."""
+        if start < 0:
+            raise ConfigError(f"slot must be >= 0, got {start!r}")
+        if stop <= start:
+            return np.empty(0)
+        first = start // _BLOCK
+        blocks = []
+        for block in range(first, (stop - 1) // _BLOCK + 1):
+            self.uniform(block * _BLOCK, lane)  # fills the block cache
+            blocks.append(self._blocks[(block, int(lane))])
+        offset = first * _BLOCK
+        return np.concatenate(blocks)[start - offset : stop - offset]
+
 
 def _check_probability(name: str, p: float) -> float:
     if not 0.0 <= p <= 1.0:
@@ -224,6 +238,27 @@ class FaultPlan:
         for event, stream in self._drops:
             if stream.uniform(t) < event.p:
                 keep *= 1.0 - event.fraction
+        return keep
+
+    def capacity_factors(self, start: int, stop: int) -> np.ndarray:
+        """:meth:`capacity_factor` for every slot of ``[start, stop)``.
+
+        Multiplies the active factors in event order, so every value is
+        bit-identical to the per-slot query.
+        """
+        factors = np.ones(max(0, stop - start))
+        for event in self._degradations:
+            lo, hi = max(event.t0, start), min(event.t1, stop)
+            if lo < hi:
+                factors[lo - start : hi - start] *= event.factor
+        return factors
+
+    def ingress_factors(self, start: int, stop: int) -> np.ndarray:
+        """:meth:`ingress_factor` for every slot of ``[start, stop)``."""
+        keep = np.ones(max(0, stop - start))
+        for event, stream in self._drops:
+            hit = stream.uniforms(start, stop) < event.p
+            keep[hit] *= 1.0 - event.fraction
         return keep
 
     def drop_request(self, t: int, channel: int = 0, attempt: int = 0) -> bool:

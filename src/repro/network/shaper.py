@@ -65,7 +65,7 @@ def is_conforming(arrivals: np.ndarray, rate: float, burst: float) -> bool:
     """Does the series satisfy ``IN(any window of w slots) <= rate·w + burst``?
 
     Checked in O(T) via the running-minimum transform (same algebra as the
-    Claim 9 monitor).
+    Claim 9 certificate).
     """
     arrivals = np.asarray(arrivals, dtype=float)
     cumulative = 0.0

@@ -87,17 +87,6 @@ class RunManifest:
             "metrics": self.metrics,
         }
 
-    @property
-    def violation_counters(self) -> dict[str, float]:
-        """Per-invariant soft-violation counts recorded by the monitors."""
-        prefix = "invariants.violations."
-        counters = self.metrics.get("counters", {})
-        return {
-            name[len(prefix):]: value
-            for name, value in counters.items()
-            if name.startswith(prefix)
-        }
-
 
 def build_manifest(
     telemetry: Telemetry,

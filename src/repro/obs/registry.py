@@ -1,8 +1,8 @@
 """The metrics registry: counters, gauges, and value histograms.
 
 The registry is the single sink for everything the instrumented layers
-emit — engine run loops, the core algorithms' stage/phase machinery, the
-fault signaling plane, and the soft invariant monitors.  Instruments are
+emit — the engine, the core algorithms' stage/phase machinery, and the
+fault signaling plane.  Instruments are
 get-or-created by name (``registry.counter("engine.single.slots")``), so
 emitters never coordinate and a snapshot is one dict.
 
@@ -374,6 +374,43 @@ class MetricsRegistry:
                     continue
 
 
+    def histogram_totals(self) -> dict[str, float]:
+        """Every histogram's ``total`` (the base for a later refold)."""
+        with self._merge_lock:
+            return {
+                name: histogram.total
+                for name, histogram in list(self._histograms.items())
+            }
+
+    def refold_histogram_totals(self, base: dict[str, float], snapshots) -> None:
+        """Re-sum histogram totals as ``base`` plus each snapshot, in order.
+
+        Float addition is not associative, so after a completion-order
+        merge a ``total`` depends on which shard finished first.  Given the
+        totals from before the merge and the snapshots in submission
+        order, this recomputes every total the snapshots touched exactly
+        as an in-order merge would.  Counts, buckets, min and max are
+        left alone (they are order-independent).
+        """
+        with self._merge_lock:
+            totals: dict[str, float] = {}
+            for snapshot in snapshots:
+                if not isinstance(snapshot, dict):
+                    continue
+                for name, raw in (snapshot.get("histograms") or {}).items():
+                    if not isinstance(raw, dict):
+                        continue
+                    try:
+                        if int(raw.get("count", 0)) <= 0:
+                            continue
+                        total = float(raw.get("total", 0.0))
+                    except (TypeError, ValueError):
+                        continue
+                    totals[name] = totals.get(name, base.get(name, 0.0)) + total
+            for name, total in totals.items():
+                self.histogram(name).total = total
+
+
 class NullRegistry:
     """The telemetry-off registry: every instrument is a shared no-op."""
 
@@ -398,6 +435,12 @@ class NullRegistry:
         pass
 
     def refold_gauge_values(self, snapshot: dict) -> None:
+        pass
+
+    def histogram_totals(self) -> dict[str, float]:
+        return {}
+
+    def refold_histogram_totals(self, base: dict[str, float], snapshots) -> None:
         pass
 
 

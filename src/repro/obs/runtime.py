@@ -1,11 +1,11 @@
 """The telemetry runtime: one current :class:`Telemetry` per process.
 
-The instrumented layers (engine, core algorithms, fault plane, invariant
-monitors) read the *current* telemetry through :func:`get_telemetry` at
+The instrumented layers (engine, core algorithms, fault plane) read the
+*current* telemetry through :func:`get_telemetry` at
 their entry points.  By default it is :data:`DISABLED` — a telemetry whose
 registry, tracer, and profiler are all shared no-ops — so an uninstrumented
 run pays one attribute check per emission site and nothing per slot (the
-engine hoists ``enabled`` out of its loop).  Telemetry never feeds back
+engine checks ``enabled`` once per ``step`` call and once per run).  Telemetry never feeds back
 into a simulation, so traces are bit-identical with it on or off.
 
 Enable it for one scope::
@@ -19,7 +19,7 @@ Enable it for one scope::
     tele.profiles                     # slots/sec timings
 
 or process-wide with :func:`set_telemetry`.  Sparse emitters (stage
-starts, violations, signaling events) can use the module-level
+starts, signaling events) can use the module-level
 :func:`count` / :func:`observe` helpers, which are no-ops when disabled.
 """
 

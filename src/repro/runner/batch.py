@@ -124,7 +124,9 @@ def _shard_key(experiment_id: str, point, index: int, seed: int, scale: float) -
 
 def _worker_setup(cache_root: str | None, telemetry: bool) -> None:
     use_cache(cache_root)
-    if telemetry and not get_telemetry().enabled:
+    if telemetry:
+        # A fresh registry per job: a worker that runs several jobs must
+        # return each job's own snapshot, not a running total.
         set_telemetry(Telemetry(enabled=True))
 
 
@@ -560,6 +562,7 @@ def _run_pool(
     # gauge's last value is order-dependent, which the refold pass below
     # re-asserts in submission order once the sweep is done.
     parent_registry = get_telemetry().registry
+    base_totals = parent_registry.histogram_totals()
 
     def on_snapshot(job: Job, snapshot: dict | None) -> None:
         if snapshot is not None:
@@ -577,15 +580,17 @@ def _run_pool(
     report.corrupt_payloads += stats.corrupt_payloads
     report.pool_rebuilds += stats.pool_rebuilds
 
-    # Deterministic gauge refold in submission (seq) order: the final
-    # registry state is byte-identical to the old end-only merge.
-    for job in work:
-        hit = results.get(job.key)
-        if hit is None:
-            continue
-        _, snapshot = hit
-        if snapshot is not None:
-            parent_registry.refold_gauge_values(snapshot)
+    # Deterministic refold in submission (seq) order of what completion
+    # order could change: gauge last-values and histogram float totals.
+    # The final registry state equals an end-only submission-order merge.
+    snapshots = [
+        results[job.key][1]
+        for job in work
+        if job.key in results and results[job.key][1] is not None
+    ]
+    for snapshot in snapshots:
+        parent_registry.refold_gauge_values(snapshot)
+    parent_registry.refold_histogram_totals(base_totals, snapshots)
 
     def payload_for(key: str) -> dict | None:
         if key in reused:

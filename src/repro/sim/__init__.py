@@ -1,21 +1,7 @@
-"""Simulation kernel: clock, events, engine, recorder, invariant monitors."""
+"""Simulation kernel: events, engine, recorder, trace serialization."""
 
-from repro.sim.clock import Clock
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.sim.events import EventQueue
-from repro.sim.invariants import (
-    Claim2Monitor,
-    Claim9Monitor,
-    DelayMonitor,
-    MaxBandwidthMonitor,
-    Monitor,
-    MonitorSummary,
-    OverflowBoundMonitor,
-    RegularBoundMonitor,
-    Violation,
-    ViolationLog,
-    soften,
-)
 from repro.sim.serialize import (
     load_multi_trace,
     load_single_trace,
@@ -30,23 +16,11 @@ from repro.sim.recorder import (
 )
 
 __all__ = [
-    "Claim2Monitor",
-    "Claim9Monitor",
-    "Clock",
-    "DelayMonitor",
     "EventQueue",
-    "MaxBandwidthMonitor",
-    "Monitor",
-    "MonitorSummary",
     "MultiSessionRecorder",
     "MultiSessionTrace",
-    "OverflowBoundMonitor",
-    "RegularBoundMonitor",
     "SingleSessionRecorder",
     "SingleSessionTrace",
-    "Violation",
-    "ViolationLog",
-    "soften",
     "run_multi_session",
     "run_single_session",
     "load_multi_trace",

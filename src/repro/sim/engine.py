@@ -1,20 +1,22 @@
-"""The simulation run loops.
+"""The simulation entry points.
 
-Two entry points:
+Two entry points, both thin wrappers over the incremental engine in
+:mod:`repro.sim.vector`:
 
 * :func:`run_single_session` — engine owns a FIFO queue; each slot it pushes
   arrivals, asks the :class:`~repro.core.allocator.BandwidthPolicy` for a
-  bandwidth, serves, and records.
+  bandwidth, serves, and records (:class:`~repro.sim.vector.EngineState`).
 * :func:`run_multi_session` — the
   :class:`~repro.core.allocator.MultiSessionPolicy` owns its queues; the
-  engine feeds the arrival vector and records what the policy did.
+  engine feeds the arrival vector and records what the policy did
+  (:class:`~repro.sim.vector.MultiEngineState`).
 
-Both loops optionally *drain*: after the arrival horizon they keep stepping
-with zero arrivals until all queues empty, so every bit's delay is measured.
-A policy that fails to drain (allocates nothing forever) trips a hard cap
-and raises :class:`~repro.errors.SimulationError` instead of spinning.
+Both optionally *drain*: after the arrival horizon they keep stepping with
+zero arrivals until all queues empty, so every bit's delay is measured.  A
+policy that fails to drain (allocates nothing forever) trips a hard cap and
+raises :class:`~repro.errors.SimulationError` instead of spinning.
 
-Both loops accept ``faults=``, a :class:`~repro.faults.plan.FaultPlan`:
+Both accept ``faults=``, a :class:`~repro.faults.plan.FaultPlan`:
 
 * **link degradation** — serving uses the *effective* bandwidth
   ``granted × capacity_factor(t)``; the allocation (and its change
@@ -26,52 +28,34 @@ Both loops accept ``faults=``, a :class:`~repro.faults.plan.FaultPlan`:
   :class:`~repro.faults.signaling.UnreliableSignaling` wrapper.
 
 Passing ``faults=None`` (or an empty plan) reproduces the fault-free
-simulation bit-for-bit.
+simulation bit-for-bit.  Slots where a fault acts take the engine's scalar
+step; the rest of a faulted run may still bulk-commit.
 
-Both loops are instrumented for :mod:`repro.obs`: when a telemetry session
-is active they sample queue depth and allocation into registry histograms
-each slot, count slots/changes/stages/drops, time themselves with a
-profiling hook (slots/sec), and synthesize stage/phase spans from the
-policy's event lists after the loop.  Telemetry never feeds back into the
-simulation, so traces are bit-identical whether it is on or off, and with
-it off (the default) the loops pay one hoisted boolean check per slot.
+Both are instrumented for :mod:`repro.obs`: when a telemetry session is
+active they time themselves with a profiling hook (slots/sec), and after
+the run fill the queue-depth and allocation histograms from the finished
+trace (slot by slot, so counts and totals equal per-slot sampling), count
+slots/changes/stages/drops, and synthesize stage/phase spans from the
+policy's event lists.  Telemetry never feeds back into the simulation, so
+traces are bit-identical whether it is on or off, and the run itself
+takes the same code path either way.
 
-**Fast path.**  The common case — no faults, no monitors, telemetry off —
-runs a dedicated tight loop in both engines: the per-slot fault/monitor/
-telemetry branches are hoisted out entirely and the arrival rows are
-pre-converted to plain Python floats once (instead of
-``[float(x) for x in array[t]]`` per slot).  The fast path performs the
-exact same queue/policy/recorder operations in the same order, so its
-traces are bit-identical to the general loop's; ``fast_path=False`` forces
-the general loop (the bit-identity tests compare the two).
+The one reference switch is ``vector=False``: it turns off the bulk
+fast-forward so every slot takes the scalar step.  Traces are
+bit-identical either way; the identity tests compare the two.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.allocator import BandwidthPolicy, MultiSessionPolicy
-from repro.errors import ConfigError, SimulationError
-from repro.network.queue import BitQueue
+from repro.errors import SimulationError
 from repro.obs.runtime import Telemetry, get_telemetry
-from repro.sim.invariants import Monitor, MultiSlotView, SingleSlotView
-from repro.sim.recorder import (
-    MultiSessionRecorder,
-    MultiSessionTrace,
-    SingleSessionRecorder,
-    SingleSessionTrace,
-)
-from repro.sim.vector import (
-    EngineState,
-    MultiEngineState,
-    _as_array,
-    multi_local_changes,
-    multi_vector_capable,
-    vector_capable,
-)
+from repro.sim.recorder import MultiSessionTrace, SingleSessionTrace
+from repro.sim.vector import EngineState, MultiEngineState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.plan import FaultPlan
@@ -83,10 +67,8 @@ def run_single_session(
     *,
     drain: bool = True,
     max_drain_slots: int | None = None,
-    monitors: Iterable[Monitor] = (),
     queue_capacity: float | None = None,
     faults: "FaultPlan | None" = None,
-    fast_path: bool | None = None,
     vector: bool | None = None,
 ) -> SingleSessionTrace:
     """Simulate one session under ``policy``; return the finalized trace.
@@ -97,150 +79,45 @@ def run_single_session(
         drain: keep simulating with zero arrivals until the queue empties.
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * T + 1000``).
-        monitors: invariant monitors to run each slot.
         queue_capacity: finite ingress buffer in bits (None = the paper's
             unbounded-queue model); overflow is tail-dropped and recorded
             in the trace's ``dropped`` series.
         faults: a :class:`~repro.faults.plan.FaultPlan` injecting link
             degradation and ingress drops (None = fault-free).
-        fast_path: force (``True``) or suppress (``False``) the tight
-            no-faults/no-monitors/telemetry-off loop; ``None`` (default)
-            auto-selects it when eligible.  Traces are bit-identical
-            either way — the knob exists for the identity tests.
         vector: force (``True``) or suppress (``False``) the event-sliced
-            vectorized fast-forward inside the fast path; ``None``
-            (default) auto-selects it when the fast path is selected, the
-            queue is unbounded, and the policy supports it
+            vectorized fast-forward; ``None`` (default) auto-selects it
+            when the queue is unbounded and the policy supports it
             (:class:`~repro.core.single_session.SingleSessionOnline` in
             kernel mode, :class:`~repro.core.baselines.StaticAllocator`).
             Traces are bit-identical either way.
     """
-    array = _as_array(arrivals, ndim=1)
-    horizon = len(array)
-    cap = max_drain_slots if max_drain_slots is not None else 4 * horizon + 1000
-    monitor_list = list(monitors)
-    plan = faults if faults is not None and not faults.is_null else None
-
+    state = EngineState(
+        policy,
+        arrivals,
+        drain=drain,
+        max_drain_slots=max_drain_slots,
+        queue_capacity=queue_capacity,
+        faults=faults,
+        vector=vector,
+    )
     tele = get_telemetry()
-    obs_on = tele.enabled
-    if obs_on:
-        depth_hist = tele.registry.histogram("engine.single.queue_depth")
-        alloc_hist = tele.registry.histogram("engine.single.allocation")
-    timer = tele.profile("engine.run_single_session")
-
-    use_fast = plan is None and not monitor_list and not obs_on
-    if fast_path is not None:
-        if fast_path and not use_fast:
-            raise ConfigError(
-                "fast_path=True requires no faults, no monitors, and "
-                "telemetry off"
-            )
-        use_fast = bool(fast_path)
-    if vector and not use_fast:
-        raise ConfigError(
-            "vector=True requires the fast path: no faults, no monitors, "
-            "telemetry off, and fast_path not forced off"
-        )
-
-    if use_fast:
-        # The fast path is a thin wrapper over the incremental engine:
-        # identical per-slot operations, plus (when ``vector`` resolves
-        # on) the event-sliced bulk fast-forward for quiet slices.
-        state = EngineState(
-            policy,
-            array,
-            drain=drain,
-            max_drain_slots=cap,
-            queue_capacity=queue_capacity,
-            vector=vector,
-        )
-        with timer:
+    try:
+        with tele.profile("engine.run_single_session") as timer:
             state.run()
             timer.slots = state.t
-        return state.finalize()
-
-    queue = BitQueue("session", capacity=queue_capacity)
-    recorder = SingleSessionRecorder()
-    t = 0
-    with timer:
-        while t < horizon or (drain and not queue.is_empty):
-            if t >= horizon + cap:
-                raise SimulationError(
-                    f"queue failed to drain within {cap} extra slots "
-                    f"(backlog {queue.size:.3f})"
-                )
-            offered = float(array[t]) if t < horizon else 0.0
-            slot_arrivals = offered
-            fault_dropped = 0.0
-            if plan is not None and slot_arrivals > 0.0:
-                keep = plan.ingress_factor(t)
-                if keep < 1.0:
-                    fault_dropped = slot_arrivals * (1.0 - keep)
-                    slot_arrivals -= fault_dropped
-            backlog = queue.size
-            lost = queue.push(t, slot_arrivals)
-            bandwidth = policy.decide(t, slot_arrivals, backlog)
-            if not math.isfinite(bandwidth):
-                raise SimulationError(
-                    f"policy returned non-finite bandwidth {bandwidth!r} at t={t}"
-                )
-            if bandwidth < 0:
-                raise SimulationError(
-                    f"policy returned negative bandwidth at t={t}"
-                )
-            if plan is None:
-                requested = None
-                effective = bandwidth
-                record_effective = None
-            else:
-                requested = getattr(policy, "requested_bandwidth", bandwidth)
-                effective = bandwidth * plan.capacity_factor(t)
-                record_effective = effective
-            queue_before = queue.size
-            result = queue.serve(t, effective)
-            # The trace records the *offered* load; ``dropped`` holds both
-            # ingress-fault losses and finite-buffer tail drops, so
-            # delivered + final backlog + dropped == offered.
-            recorder.record(
-                t,
-                offered,
-                bandwidth,
-                result,
-                queue.size,
-                dropped=lost + fault_dropped,
-                requested=requested,
-                effective=record_effective,
-            )
-            if monitor_list:
-                view = SingleSlotView(
-                    t=t,
-                    arrivals=slot_arrivals,
-                    allocation=bandwidth,
-                    queue_before_serve=queue_before,
-                    queue_after_serve=queue.size,
-                    result=result,
-                )
-                for monitor in monitor_list:
-                    monitor.on_single_slot(view)
-            if obs_on:
-                depth_hist.observe(queue.size)
-                alloc_hist.observe(bandwidth)
-            t += 1
-        timer.slots = t
-
-    trace = recorder.finalize(
-        changes=policy.changes,
-        stage_starts=policy.stage_starts,
-        resets=policy.resets,
-        horizon=horizon,
-    )
-    if obs_on:
+    except SimulationError:
+        if tele.enabled:
+            _observe_single(tele, state.finalize())
+        raise
+    trace = state.finalize()
+    if tele.enabled:
+        _observe_single(tele, trace)
         _emit_run_telemetry(
             tele,
             prefix="engine.single",
             run_name="run_single_session",
             slots=trace.slots,
-            horizon=horizon,
+            horizon=trace.horizon,
             changes=trace.change_count,
             stage_starts=trace.stage_starts,
             resets=trace.resets,
@@ -256,9 +133,7 @@ def run_multi_session(
     *,
     drain: bool = True,
     max_drain_slots: int | None = None,
-    monitors: Iterable[Monitor] = (),
     faults: "FaultPlan | None" = None,
-    fast_path: bool | None = None,
     vector: bool | None = None,
 ) -> MultiSessionTrace:
     """Simulate ``k`` sessions under ``policy``; return the finalized trace.
@@ -268,191 +143,94 @@ def run_multi_session(
         arrivals: array of shape ``(T, k)`` — bits per slot per session.
         drain: keep stepping with zero arrivals until all queues empty.
         max_drain_slots: hard cap on extra drain slots.
-        monitors: invariant monitors to run each slot.
         faults: a :class:`~repro.faults.plan.FaultPlan`; link degradation
             scales each session's effective serving capacity, ingress drops
             remove arriving bits before they reach the policy.  (The
             combined algorithm's global channel is served inside the policy
             and is not degraded.)
-        fast_path: force (``True``) or suppress (``False``) the tight
-            no-faults/no-monitors/telemetry-off loop; ``None`` (default)
-            auto-selects it when eligible.  Traces are bit-identical
-            either way.
         vector: force (``True``) or suppress (``False``) the event-sliced
-            bulk fast-forward inside the fast path (supported for policy
-            types registered via
+            bulk fast-forward (supported for policy types registered via
             :func:`~repro.sim.vector.register_multi_vector` — stock
             :class:`~repro.core.phased.PhasedMultiSession` and the
             epoch-driven arena allocators: quiet slices between event
             boundaries commit in bulk); ``None`` (default) auto-selects
             it.  Traces are bit-identical either way.
     """
-    array = _as_array(arrivals, ndim=2)
-    horizon, k = array.shape
-    if k != policy.k:
-        raise ConfigError(f"arrivals have k={k} but policy has k={policy.k}")
-    cap = max_drain_slots if max_drain_slots is not None else 4 * horizon + 1000
-    monitor_list = list(monitors)
-    zero = [0.0] * k
-    plan = faults if faults is not None and not faults.is_null else None
-
+    state = MultiEngineState(
+        policy,
+        arrivals,
+        drain=drain,
+        max_drain_slots=max_drain_slots,
+        faults=faults,
+        vector=vector,
+    )
     tele = get_telemetry()
-    obs_on = tele.enabled
-    if obs_on:
-        depth_hist = tele.registry.histogram("engine.multi.queue_depth")
-        alloc_hist = tele.registry.histogram("engine.multi.allocation")
-    timer = tele.profile("engine.run_multi_session")
-
-    use_fast = plan is None and not monitor_list and not obs_on
-    if fast_path is not None:
-        if fast_path and not use_fast:
-            raise ConfigError(
-                "fast_path=True requires no faults, no monitors, and "
-                "telemetry off"
-            )
-        use_fast = bool(fast_path)
-    vector_ok = multi_vector_capable(policy)
-    if vector and not use_fast:
-        raise ConfigError(
-            "vector=True requires the fast path: no faults, no monitors, "
-            "telemetry off, and fast_path not forced off"
-        )
-    if vector and not vector_ok:
-        raise ConfigError(
-            "vector=True requires a vector-capable multi-session policy "
-            "(a register_multi_vector-ed type with no extra channel), got "
-            f"{type(policy).__name__}"
-        )
-    use_vector = vector_ok if vector is None else bool(vector)
-
-    if use_fast:
-        # The fast path is a thin wrapper over the incremental engine:
-        # identical per-slot operations, plus (with ``use_vector``) the
-        # event-sliced bulk commit for quiet slices.
-        state = MultiEngineState(
-            policy,
-            array,
-            drain=drain,
-            max_drain_slots=cap,
-            vector=use_vector,
-        )
-        with timer:
+    try:
+        with tele.profile("engine.run_multi_session") as timer:
             state.run()
             timer.slots = state.t
-        return state.finalize()
-
-    recorder = MultiSessionRecorder(k)
-    t = 0
-    # Pre-convert the arrival matrix once and resolve the per-session
-    # link chains up front: the general loop previously rebuilt
-    # `[float(x) for x in array[t]]` and walked
-    # `s.channels.regular_link` three times per session per slot.
-    rows = array.tolist()
-    sessions = policy.sessions
-    regular_links = [s.channels.regular_link for s in sessions]
-    overflow_links = [s.channels.overflow_link for s in sessions]
-    try:
-        with timer:
-            while t < horizon or (drain and policy.total_backlog > 0):
-                if t >= horizon + cap:
-                    raise SimulationError(
-                        f"queues failed to drain within {cap} extra slots "
-                        f"(backlog {policy.total_backlog:.3f})"
-                    )
-                offered = rows[t] if t < horizon else zero
-                slot_arrivals = offered
-                fault_dropped = 0.0
-                if plan is not None:
-                    factor = plan.capacity_factor(t)
-                    for session in sessions:
-                        session.channels.capacity_factor = factor
-                    keep = plan.ingress_factor(t)
-                    if keep < 1.0 and t < horizon:
-                        slot_arrivals = [x * keep for x in offered]
-                        fault_dropped = sum(offered) - sum(slot_arrivals)
-                results = policy.step(t, slot_arrivals)
-                if len(results) != k:
-                    raise SimulationError(
-                        f"policy returned {len(results)} results for k={k} at t={t}"
-                    )
-                regular = [link.bandwidth for link in regular_links]
-                overflow = [link.bandwidth for link in overflow_links]
-                extra = (
-                    policy.extra_link.bandwidth
-                    if policy.extra_link is not None
-                    else 0.0
-                )
-                for value in (*regular, *overflow, extra):
-                    if not math.isfinite(value):
-                        raise SimulationError(
-                            f"policy produced non-finite bandwidth {value!r} at t={t}"
-                        )
-                backlogs = [s.backlog for s in sessions]
-                recorder.record(
-                    t,
-                    offered,
-                    regular,
-                    overflow,
-                    results,
-                    backlogs,
-                    extra,
-                    requested_total=(
-                        policy.total_requested if plan is not None else None
-                    ),
-                    dropped=fault_dropped,
-                )
-                if monitor_list:
-                    view = MultiSlotView(
-                        t=t,
-                        arrivals=slot_arrivals,
-                        regular=regular,
-                        overflow=overflow,
-                        extra=extra,
-                        backlogs=backlogs,
-                        results=results,
-                    )
-                    for monitor in monitor_list:
-                        monitor.on_multi_slot(view)
-                if obs_on:
-                    depth_hist.observe(sum(backlogs))
-                    alloc_hist.observe(sum(regular) + sum(overflow) + extra)
-                t += 1
-            timer.slots = t
-    finally:
-        # A mid-run SimulationError must not leak degraded capacity
-        # into the sessions' next run.
-        if plan is not None:
-            for session in policy.sessions:
-                session.channels.capacity_factor = 1.0
-
-    local_changes = multi_local_changes(policy)
-    extra_changes = (
-        list(policy.extra_link.changes) if policy.extra_link is not None else []
-    )
-
-    trace = recorder.finalize(
-        local_changes=local_changes,
-        extra_changes=extra_changes,
-        stage_starts=policy.stage_starts,
-        resets=policy.resets,
-        horizon=horizon,
-    )
-    if obs_on:
+    except SimulationError:
+        if tele.enabled:
+            _observe_multi(tele, state.finalize())
+        raise
+    trace = state.finalize()
+    if tele.enabled:
+        _observe_multi(tele, trace)
         _emit_run_telemetry(
             tele,
             prefix="engine.multi",
             run_name="run_multi_session",
             slots=trace.slots,
-            horizon=horizon,
+            horizon=trace.horizon,
             changes=trace.change_count,
             stage_starts=trace.stage_starts,
             resets=trace.resets,
             dropped=float(trace.dropped.sum()),
             max_backlog=float(trace.backlog.sum(axis=1).max(initial=0.0)),
             phase_boundaries=getattr(policy, "phase_boundaries", None),
-            k=k,
+            k=trace.k,
         )
     return trace
+
+
+#: Trace slots converted to Python floats at a time for the histograms.
+_OBSERVE_BLOCK = 4096
+
+
+def _blocks(*arrays):
+    """Walk equally long arrays in blocks of Python values, slot by slot."""
+    for start in range(0, len(arrays[0]), _OBSERVE_BLOCK):
+        stop = start + _OBSERVE_BLOCK
+        yield from zip(*(array[start:stop].tolist() for array in arrays))
+
+
+def _observe_single(tele: Telemetry, trace: SingleSessionTrace) -> None:
+    """Per-slot queue depth and allocation histograms, in slot order."""
+    registry = tele.registry
+    depth = registry.histogram("engine.single.queue_depth").observe
+    allocation = registry.histogram("engine.single.allocation").observe
+    for backlog, granted in _blocks(trace.backlog, trace.allocation):
+        depth(backlog)
+        allocation(granted)
+
+
+def _observe_multi(tele: Telemetry, trace: MultiSessionTrace) -> None:
+    """Per-slot total queue depth and allocation histograms, in slot order.
+
+    Sums run in session order with Python ``sum``, as a per-slot sampler
+    over the live queues and links would compute them.
+    """
+    registry = tele.registry
+    depth = registry.histogram("engine.multi.queue_depth").observe
+    allocation = registry.histogram("engine.multi.allocation").observe
+    for backlogs, regular, overflow, extra in _blocks(
+        trace.backlog,
+        trace.regular_allocation,
+        trace.overflow_allocation,
+        trace.extra_allocation,
+    ):
+        depth(sum(backlogs))
+        allocation(sum(regular) + sum(overflow) + extra)
 
 
 def _emit_run_telemetry(
@@ -472,9 +250,8 @@ def _emit_run_telemetry(
 ) -> None:
     """Post-run summary metrics and stage/phase spans for one finished run.
 
-    Runs after the loop so the hot path stays untouched: stage and phase
-    spans are synthesized from the policy's (already maintained) event
-    lists instead of being tracked slot by slot.
+    Stage and phase spans are synthesized from the policy's (already
+    maintained) event lists instead of being tracked slot by slot.
     """
     registry = tele.registry
     registry.counter(prefix + ".runs").inc()

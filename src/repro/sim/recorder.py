@@ -282,37 +282,41 @@ class SingleSessionRecorder:
 
     def _columns(self) -> list[np.ndarray]:
         """Materialize the seven per-slot columns, splicing deferred
-        keep-up blocks between the scalar slots in commit order."""
-        scalar = [
-            np.asarray(values, dtype=float)
-            for values in (
-                self._arrivals,
-                self._allocation,
-                self._delivered,
-                self._backlog,
-                self._dropped,
-                self._requested,
-                self._effective,
-            )
-        ]
+        keep-up blocks between the scalar slots in commit order.
+
+        Each column is written once into its final array, so finalizing
+        holds the scalar lists plus one copy of the trace, never two.
+        """
+        scalar = (
+            self._arrivals,
+            self._allocation,
+            self._delivered,
+            self._backlog,
+            self._dropped,
+            self._requested,
+            self._effective,
+        )
         if not self._blocks:
-            return scalar
-        parts: list[list[np.ndarray]] = [[] for _ in range(7)]
-        previous = 0
+            return [np.asarray(values, dtype=float) for values in scalar]
+        total = len(self._arrivals) + sum(len(b[1]) for b in self._blocks)
+        columns = [np.empty(total) for _ in range(7)]
+        previous = 0  # scalar slots consumed
+        at = 0  # slots written
         for pos, arrivals, allocation, delivered in self._blocks:
-            for f in range(7):
-                parts[f].append(scalar[f][previous:pos])
+            run = pos - previous
+            for column, values in zip(columns, scalar):
+                column[at : at + run] = values[previous:pos]
+            at += run
             n = len(arrivals)
-            constant = np.full(n, allocation)
-            zeros = np.zeros(n)
-            for f, column in enumerate(
-                (arrivals, constant, delivered, zeros, zeros, constant, constant)
+            for f, value in enumerate(
+                (arrivals, allocation, delivered, 0.0, 0.0, allocation, allocation)
             ):
-                parts[f].append(column)
+                columns[f][at : at + n] = value
+            at += n
             previous = pos
-        for f in range(7):
-            parts[f].append(scalar[f][previous:])
-        return [np.concatenate(p) for p in parts]
+        for column, values in zip(columns, scalar):
+            column[at:] = values[previous:]
+        return columns
 
     def finalize(
         self,

@@ -1,8 +1,8 @@
-"""Event-sliced vectorized engine core and the incremental run API.
+"""The simulation engine: one incremental loop with event-sliced bulk commits.
 
-The scalar engine loops (:mod:`repro.sim.engine`) pay Python interpreter
-overhead for every slot even though the paper's policies change their
-allocation only O(log B_A) times per stage.  Between allocation events the
+A scalar step pays Python interpreter overhead for every slot even though
+the paper's policies change their allocation only O(log B_A) times per
+stage.  Between allocation events the
 slot dynamics are trivial: with an empty queue and per-slot arrivals at or
 below the constant allocation, every slot delivers its own arrivals with
 delay zero and the queue stays empty.  This module exploits that:
@@ -11,8 +11,9 @@ delay zero and the queue stays empty.  This module exploits that:
   the queue/policy/recorder triple and exposes ``step(n_slots)`` so
   callers can advance a simulation in bounded increments (streaming
   ingestion via :meth:`feed`, bounded-memory aggregation via
-  ``collect="summary"``).  ``run_single_session`` is a thin wrapper over
-  it for the fast and vectorized paths.
+  ``collect="summary"``).  :func:`~repro.sim.engine.run_single_session`
+  is a thin wrapper over it.  Fault plans fold in per slot: a slot whose
+  capacity or ingress factor is not 1 takes the scalar step.
 * The **vectorized fast-forward**: while the session is *quiet* (empty
   queue, arrivals ≤ allocation, and the policy guaranteed not to act) the
   engine bulk-commits whole arrival slices with a handful of numpy calls
@@ -21,13 +22,13 @@ delay zero and the queue stays empty.  This module exploits that:
   <repro.core.stagekernel.StageKernel.scan>`, whose accumulates are
   bitwise-identical to the scalar per-slot updates; the first *event*
   slot (stage end, ladder rung, backlog onset) is always re-run through
-  the ordinary scalar step, so traces are bit-identical to the scalar
-  loops by construction.
+  the ordinary scalar step, so traces are bit-identical to an all-scalar
+  run (``vector=False``) by construction.
 * :func:`run_batched` — advance many independent sessions over one
   validated ``(n, T)`` arrival matrix, each on the vectorized path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
-  owns the policy/recorder pair behind ``run_multi_session``'s fast
-  path, exposes the same ``step(n_slots)`` slicing contract, and
+  owns the policy/recorder pair behind ``run_multi_session``, exposes
+  the same ``step(n_slots)`` slicing contract, and
   bulk-commits quiet in-phase slices for policies registered via
   :func:`register_multi_vector` (stock: ``PhasedMultiSession`` and the
   epoch-driven arena allocators).  A capable policy declares its own
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -67,6 +68,9 @@ from repro.sim.recorder import (
     SingleSessionRecorder,
     SingleSessionTrace,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.faults.plan import FaultPlan
 
 #: Largest quiet slice committed per bulk step.  Bounds transient memory
 #: (a few float64 arrays of this length) while amortizing numpy call
@@ -99,7 +103,7 @@ def vector_capable(policy) -> bool:
 
     Exact-type checks on purpose: subclasses may override decision
     machinery in ways the bulk commit cannot see, so they stay on the
-    scalar paths.
+    scalar step.
     """
     if type(policy) is SingleSessionOnline:
         return policy.kernel_mode
@@ -164,6 +168,44 @@ def multi_local_changes(policy) -> list[tuple[int, str, object]]:
             local_changes.append((session.index, "overflow", change))
     local_changes.sort(key=lambda item: item[2].t)
     return local_changes
+
+
+class _FaultSchedule:
+    """A fault plan's per-slot factors, precomputed over the horizon.
+
+    The engines read these arrays instead of querying the plan slot by
+    slot; values are bit-identical to :meth:`FaultPlan.capacity_factor`
+    and :meth:`FaultPlan.ingress_factor`, and are handed out as Python
+    floats so no numpy scalar reaches a trace.  Drain slots past the
+    horizon query the plan's capacity directly (they carry no arrivals).
+    """
+
+    def __init__(self, plan: "FaultPlan | None"):
+        self.plan = plan if plan is not None and not plan.is_null else None
+        self.capacity = np.empty(0)
+        self.ingress = np.empty(0)
+        #: Slots where a fault acts (a factor is not 1): scalar steps only.
+        self.hot = np.empty(0, dtype=bool)
+
+    def extend(self, horizon: int) -> None:
+        """Precompute every slot up to ``horizon``."""
+        if self.plan is not None:
+            start = len(self.capacity)
+            capacity = self.plan.capacity_factors(start, horizon)
+            ingress = self.plan.ingress_factors(start, horizon)
+            self.capacity = np.concatenate((self.capacity, capacity))
+            self.ingress = np.concatenate((self.ingress, ingress))
+            self.hot = np.concatenate(
+                (self.hot, (capacity != 1.0) | (ingress != 1.0))
+            )
+
+    def capacity_at(self, t: int) -> float:
+        if t < len(self.capacity):
+            return float(self.capacity[t])
+        return self.plan.capacity_factor(t)
+
+    def ingress_at(self, t: int) -> float:
+        return float(self.ingress[t])
 
 
 @dataclass
@@ -259,10 +301,9 @@ class _SummaryCollector:
 class EngineState:
     """Incremental single-session engine: advance in ``step(n_slots)`` bites.
 
-    Performs exactly the same queue/policy/recorder operations in the same
-    order as the engine's fast loop, so traces are bit-identical regardless
-    of how the run is sliced into ``step`` calls — and, with ``vector``
-    enabled, regardless of how many slots each bulk commit covers.
+    Traces are bit-identical regardless of how the run is sliced into
+    ``step`` calls — and, with ``vector`` enabled, regardless of how many
+    slots each bulk commit covers.
 
     Args:
         policy: the allocation policy (drives one
@@ -274,6 +315,9 @@ class EngineState:
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * horizon + 1000``, evaluated at :meth:`close` time).
         queue_capacity: finite ingress buffer (None = unbounded).
+        faults: a :class:`~repro.faults.plan.FaultPlan` (None = fault-free).
+            A slot whose capacity or ingress factor is not 1 always takes
+            the scalar step; fault-free stretches still bulk-commit.
         vector: force (``True``) / suppress (``False``) the vectorized
             quiet fast-forward; ``None`` auto-selects it for
             :func:`vector_capable` policies with an unbounded queue.
@@ -292,6 +336,7 @@ class EngineState:
         drain: bool = True,
         max_drain_slots: int | None = None,
         queue_capacity: float | None = None,
+        faults: "FaultPlan | None" = None,
         vector: bool | None = None,
         collect: str = "trace",
         closed: bool = True,
@@ -305,10 +350,12 @@ class EngineState:
         )
         self.drain = bool(drain)
         self._max_drain_slots = max_drain_slots
-        self._array = _as_array(arrivals, ndim=1)
-        self._values: list[float] = self._array.tolist()
+        self._array = np.empty(0)
+        self._values: list[float] = []
+        self._faults = _FaultSchedule(faults)
         self.t = 0
         self.closed = False
+        self._append(_as_array(arrivals, ndim=1))
 
         capable = vector_capable(policy) and queue_capacity is None
         if vector is None:
@@ -351,14 +398,20 @@ class EngineState:
             return False
         return not (self.drain and not self.queue.is_empty)
 
+    def _append(self, chunk: np.ndarray) -> None:
+        self._array = (
+            np.concatenate((self._array, chunk)) if len(self._array) else chunk
+        )
+        self._values.extend(chunk.tolist())
+        self._faults.extend(len(self._values))
+
     def feed(self, arrivals: Sequence[float] | np.ndarray) -> None:
         """Append more arrival slots (streaming ingestion)."""
         if self.closed:
             raise ConfigError("cannot feed a closed EngineState")
         chunk = _as_array(arrivals, ndim=1)
         if chunk.size:
-            self._array = np.concatenate((self._array, chunk))
-            self._values.extend(chunk.tolist())
+            self._append(chunk)
             tele = get_telemetry()
             if tele.enabled:
                 tele.registry.counter("engine.stream.fed_slots").inc(chunk.size)
@@ -399,6 +452,7 @@ class EngineState:
         push = queue.push
         serve = queue.serve
         record = recorder.record
+        faults = self._faults if self._faults.plan is not None else None
         processed = 0
         t = self.t
         cooldown = self._cooldown
@@ -435,9 +489,16 @@ class EngineState:
                     offered = 0.0
                 else:
                     break
+                kept = offered
+                fault_dropped = 0.0
+                if faults is not None and offered > 0.0:
+                    keep = faults.ingress_at(t)
+                    if keep < 1.0:
+                        fault_dropped = offered * (1.0 - keep)
+                        kept = offered - fault_dropped
                 backlog = queue.size
-                lost = push(t, offered)
-                bandwidth = decide(t, offered, backlog)
+                lost = push(t, kept)
+                bandwidth = decide(t, kept, backlog)
                 if not isfinite(bandwidth):
                     raise SimulationError(
                         f"policy returned non-finite bandwidth {bandwidth!r} at t={t}"
@@ -446,17 +507,24 @@ class EngineState:
                     raise SimulationError(
                         f"policy returned negative bandwidth at t={t}"
                     )
-                result = serve(t, bandwidth)
-                record(
-                    t,
-                    offered,
-                    bandwidth,
-                    result,
-                    queue.size,
-                    dropped=lost,
-                    requested=None,
-                    effective=None,
-                )
+                if faults is None:
+                    result = serve(t, bandwidth)
+                    record(t, offered, bandwidth, result, queue.size, dropped=lost)
+                else:
+                    # Link degradation: the wire serves less than granted.
+                    requested = getattr(policy, "requested_bandwidth", bandwidth)
+                    effective = bandwidth * faults.capacity_at(t)
+                    result = serve(t, effective)
+                    record(
+                        t,
+                        offered,
+                        bandwidth,
+                        result,
+                        queue.size,
+                        dropped=lost + fault_dropped,
+                        requested=requested,
+                        effective=effective,
+                    )
                 t += 1
                 processed += 1
         finally:
@@ -488,12 +556,16 @@ class EngineState:
         else:  # StaticAllocator: quiet once the link is primed.
             if allocation != policy.bandwidth:
                 return 0
-        if self._values[t] > allocation:
+        hot = self._faults.hot if self._faults.plan is not None else None
+        if self._values[t] > allocation or (hot is not None and hot[t]):
             # Cheap scalar pre-check: the very next slot overloads the
-            # link, so there is no quiet prefix to commit.
+            # link (or is a fault slot), so there is no quiet prefix.
             return 0
         chunk = self._array[t : t + budget]
-        over = np.nonzero(chunk > allocation)[0]
+        loud = chunk > allocation
+        if hot is not None:
+            loud |= hot[t : t + budget]
+        over = np.nonzero(loud)[0]
         limit = int(over[0]) if over.size else len(chunk)
         if limit == 0:
             return 0
@@ -529,9 +601,7 @@ class MultiEngineState:
     """Incremental multi-session engine: advance in ``step(n_slots)`` bites.
 
     The multi-session twin of :class:`EngineState` and the implementation
-    behind ``run_multi_session``'s fast path: identical queue/policy/
-    recorder operations in the same order as the general loop with no
-    faults/monitors/telemetry, so traces are bit-identical regardless of
+    behind ``run_multi_session``: traces are bit-identical regardless of
     how the run is sliced into ``step`` calls — and, with ``vector``
     enabled, regardless of how many slots each bulk commit covers.
 
@@ -541,6 +611,13 @@ class MultiEngineState:
         drain: keep stepping with zero arrivals until all queues empty.
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * T + 1000``).
+        faults: a :class:`~repro.faults.plan.FaultPlan`; link degradation
+            scales each session's effective serving capacity (set on the
+            session channels for the slot and reset to 1 when ``step``
+            returns), ingress drops remove arriving bits before they reach
+            the policy.  The combined algorithm's global channel is served
+            inside the policy and is not degraded.  Fault slots always
+            take the scalar step.
         vector: force (``True``) / suppress (``False``) the quiet bulk
             fast-forward; ``None`` auto-selects it for
             :func:`multi_vector_capable` policies.
@@ -553,6 +630,7 @@ class MultiEngineState:
         *,
         drain: bool = True,
         max_drain_slots: int | None = None,
+        faults: "FaultPlan | None" = None,
         vector: bool | None = None,
     ):
         array = _as_array(arrivals, ndim=2)
@@ -569,6 +647,9 @@ class MultiEngineState:
         cap = max_drain_slots if max_drain_slots is not None else 4 * horizon + 1000
         self._cap = cap
         self._limit = horizon + cap
+        self._faults = _FaultSchedule(faults)
+        self._faults.extend(horizon)
+        self._hot = None if self._faults.plan is None else self._faults.hot.tolist()
         self.t = 0
 
         capable = multi_vector_capable(policy)
@@ -577,9 +658,9 @@ class MultiEngineState:
         elif vector:
             if not capable:
                 raise ConfigError(
-                    "vector=True requires a register_multi_vector-ed policy "
-                    f"type with no extra channel ({type(policy).__name__} "
-                    "is not capable)"
+                    "vector=True requires a vector-capable multi-session "
+                    "policy (a register_multi_vector-ed type with no extra "
+                    f"channel), got {type(policy).__name__}"
                 )
             self._vector = True
         else:
@@ -607,6 +688,7 @@ class MultiEngineState:
         policy_step = policy.step
         record = recorder.record
         isfinite = math.isfinite
+        faults = self._faults if self._faults.plan is not None else None
         processed = 0
         t = self.t
         try:
@@ -628,7 +710,18 @@ class MultiEngineState:
                     offered = self._zero
                 else:
                     break
-                results = policy_step(t, offered)
+                kept = offered
+                fault_dropped = 0.0
+                if faults is not None:
+                    factor = faults.capacity_at(t)
+                    for session in sessions:
+                        session.channels.capacity_factor = factor
+                    if t < horizon:
+                        keep = faults.ingress_at(t)
+                        if keep < 1.0:
+                            kept = [x * keep for x in offered]
+                            fault_dropped = sum(offered) - sum(kept)
+                results = policy_step(t, kept)
                 if len(results) != k:
                     raise SimulationError(
                         f"policy returned {len(results)} results for k={k} at t={t}"
@@ -654,13 +747,20 @@ class MultiEngineState:
                     results,
                     backlogs,
                     extra,
-                    requested_total=None,
-                    dropped=0.0,
+                    requested_total=(
+                        policy.total_requested if faults is not None else None
+                    ),
+                    dropped=fault_dropped,
                 )
                 t += 1
                 processed += 1
         finally:
             self.t = t
+            if faults is not None:
+                # A mid-run SimulationError must not leak degraded capacity
+                # into the sessions' next run.
+                for session in sessions:
+                    session.channels.capacity_factor = 1.0
             tele = get_telemetry()
             if tele.enabled and processed:
                 registry = tele.registry
@@ -690,6 +790,7 @@ class MultiEngineState:
         if quiet == 0 or not policy.queues_exactly_empty():
             return 0
         rows = self._rows
+        hot = self._hot
         sessions = policy.sessions
         stop = min(t + quiet, self.horizon, t + budget)
         regular = [s.channels.regular_link.bandwidth for s in sessions]
@@ -697,6 +798,8 @@ class MultiEngineState:
         k = len(regular)
         end = t
         while end < stop:
+            if hot is not None and hot[end]:
+                break
             row = rows[end]
             ok = True
             for i in range(k):
@@ -709,8 +812,12 @@ class MultiEngineState:
         if end == t:
             return 0
         block = rows[t:end]
-        # Matches the recorder's own fold for requested_total=None rows.
-        requested_total = sum(regular) + sum(overflow) + 0.0
+        if hot is None:
+            # Matches the recorder's own fold for requested_total=None rows.
+            requested_total = sum(regular) + sum(overflow) + 0.0
+        else:
+            # What a faulted scalar step records (constant: no link moves).
+            requested_total = policy.total_requested
         self.recorder.record_keepup_block(block, regular, overflow, 0.0, requested_total)
         for i, session in enumerate(sessions):
             arrived = session.bits_arrived

@@ -7,23 +7,31 @@ code in :mod:`repro.core`), :mod:`repro.verify.oracle` computes exact
 offline change-count optima by DP, :mod:`repro.verify.scenarios` maps
 every registered experiment to certifiable traces, and
 :mod:`repro.verify.differential` hosts the hypothesis-driven harness
-that cross-checks engines, fast paths, and fault configurations against
+that cross-checks engines, bulk commits, and fault configurations against
 the certificates and the oracle.
 """
 
 from repro.verify.certificates import (
+    FifoService,
     TheoremBounds,
     best_window_utilizations,
     certify,
     certify_multi,
     certify_single,
+    claim2_margins,
+    claim2_violations,
     claim9_excess,
+    claim9_series,
+    claim9_violations,
     combined_bounds,
     continuous_bounds,
     lindley_backlog,
+    peak,
     phased_bounds,
     raw_single_bounds,
     replay_fifo_delays,
+    replay_fifo_service,
+    session_sums,
     single_session_bounds,
     switch_count,
 )
@@ -47,6 +55,7 @@ __all__ = [
     "CertificateCheck",
     "CertificateReport",
     "Counterexample",
+    "FifoService",
     "OracleResult",
     "RATIO_FINITE",
     "RATIO_NO_STATEMENT",
@@ -60,7 +69,11 @@ __all__ = [
     "certify_multi",
     "certify_single",
     "certify_tier_trace",
+    "claim2_margins",
+    "claim2_violations",
     "claim9_excess",
+    "claim9_series",
+    "claim9_violations",
     "classify_ratio",
     "combined_bounds",
     "competitive_ratio",
@@ -68,10 +81,13 @@ __all__ = [
     "default_levels",
     "lindley_backlog",
     "min_changes_oracle",
+    "peak",
     "phased_bounds",
     "ratio_rank_key",
     "raw_single_bounds",
     "replay_fifo_delays",
+    "replay_fifo_service",
+    "session_sums",
     "single_session_bounds",
     "switch_count",
 ]

@@ -16,8 +16,10 @@ conservation   ``q(t) = q(t-1) + kept(t) - delivered(t)`` matches the
                bandwidth (accounting honesty, not a theorem)
 claim2         Claim 2: ``B_on >= q / D_A`` after arrivals, before serve
 lemma3         Lemma 3 / 11 / 15: every bit delivered within ``D_A``
-delay-replay   the recorded delay histogram matches an independent FIFO
-               replay of (arrivals, delivered)
+delay-replay   the recorded deliveries and delay histogram match an
+               independent FIFO replay (single session: of arrivals served
+               at the effective bandwidth; multi-session: of arrivals and
+               the delivered series)
 corollary4     Corollary 4: ``q_online <= q_offline + B_O·D_O`` against
                a certificate profile
 lemma5         Lemma 5: some window of ``<= W + 5·D_O`` slots ending at
@@ -39,13 +41,20 @@ replay, its own Lindley recursion, its own window scans).  A bug shared
 between the engine and its checker would certify garbage; two
 implementations must now agree slot by slot.
 
-Conditional vs unconditional bounds: Claim 2, the overflow/regular/total
-bandwidth caps, and change-log consistency are invariants of the online
-algorithms and are always checked.  The delay, utilization, Corollary 4,
-and Claim 9 bounds are theorems *about feasible workloads*; they are
-checked only when :attr:`TheoremBounds.assume_feasible` is set (the
-workload carries a feasibility certificate) and reported as skipped
-otherwise.
+Conditional vs unconditional bounds: the overflow/regular/total bandwidth
+caps and change-log consistency are invariants of the online algorithms
+and are always checked.  Claim 2 and the delay, utilization, Corollary 4,
+and Claim 9 bounds are checked only when
+:attr:`TheoremBounds.assume_feasible` is set (the workload carries a
+feasibility certificate) and reported as skipped otherwise.
+
+**Narrow helpers.**  Experiments that only need one margin call the
+series helpers the checks themselves use — :func:`claim2_margins`,
+:func:`claim9_series`, :func:`session_sums` with :func:`peak`, and
+:func:`replay_fifo_service` for late deliveries and the max delay —
+instead of a full :func:`certify`.  Each failing check lists its first
+violating slots as counterexamples, so a certificate pinpoints the slot
+where an invariant first broke.
 """
 
 from __future__ import annotations
@@ -69,7 +78,7 @@ from repro.params import (
 )
 from repro.verify.report import CertificateReport, Counterexample
 
-#: Relative tolerance of every bound check (mirrors the engine monitors).
+#: Relative tolerance of every bound check.
 _EPS = 1e-6
 
 #: Bits below this are floating-point dust (the queue's convention).
@@ -80,6 +89,9 @@ _CHANGE_EPS = 1e-9
 
 #: Cap on counterexamples collected per check.
 _MAX_EXAMPLES = 25
+
+#: Slots converted to Python floats at a time by the FIFO replay.
+_REPLAY_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -271,6 +283,77 @@ def replay_fifo_delays(
     return histogram, excess
 
 
+@dataclass(frozen=True)
+class FifoService:
+    """What a FIFO queue served, replayed from its inputs and capacities."""
+
+    #: Bits delivered per slot.
+    delivered: np.ndarray
+    #: Bits-weighted delay histogram (every delivery's delay is a key).
+    histogram: dict[int, float]
+    #: ``(slot, delay)`` of every delivery later than the replay's bound,
+    #: one per chunk served late, in service order.
+    late: list[tuple[int, int]]
+
+    @property
+    def max_delay(self) -> int:
+        return max(self.histogram, default=0)
+
+
+def replay_fifo_service(
+    kept: np.ndarray, capacity: np.ndarray, bound: int | None = None
+) -> FifoService:
+    """Replay a FIFO bit queue fed ``kept[t]`` and served ``capacity[t]``.
+
+    Mirrors the fluid queue's conventions exactly: arrivals at or below
+    dust are not enqueued, service continues while any capacity remains,
+    a chunk is popped once served to within dust, and dust left in an
+    otherwise drained queue is cleared.  Given the bits a run enqueued
+    and the effective bandwidth it served with, the replay therefore
+    reproduces every delivery — and so every late one, for ``bound``.
+    """
+    kept = np.asarray(kept, dtype=float)
+    capacity = np.asarray(capacity, dtype=float)
+    if kept.shape != capacity.shape:
+        raise ConfigError("kept and capacity must have equal shape")
+    chunks: deque[list] = deque()  # [arrival_slot, bits]
+    size = 0.0
+    histogram: dict[int, float] = {}
+    late: list[tuple[int, int]] = []
+    delivered = np.empty(len(kept))
+    # Python floats in bounded blocks: fast scalar arithmetic without a
+    # whole-trace list in memory.
+    for start in range(0, len(kept), _REPLAY_BLOCK):
+        stop = start + _REPLAY_BLOCK
+        served_block = []
+        pairs = zip(kept[start:stop].tolist(), capacity[start:stop].tolist())
+        for t, (bits_in, remaining) in enumerate(pairs, start):
+            if bits_in > _DUST:
+                chunks.append([t, bits_in])
+                size += bits_in
+            served = 0.0
+            while remaining > 0.0 and chunks:
+                arrival, bits = chunks[0]
+                take = bits if bits <= remaining else remaining
+                delay = t - arrival
+                histogram[delay] = histogram.get(delay, 0.0) + take
+                if bound is not None and delay > bound:
+                    late.append((t, delay))
+                served += take
+                remaining -= take
+                size -= take
+                if take >= bits - _DUST:
+                    chunks.popleft()
+                else:
+                    chunks[0][1] = bits - take
+            if not chunks or size < _DUST:
+                size = 0.0
+                chunks.clear()
+            served_block.append(served)
+        delivered[start:stop] = served_block
+    return FifoService(delivered, histogram, late)
+
+
 def lindley_backlog(arrivals: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     """End-of-slot queue of a work-conserving server: the Lindley recursion."""
     arrivals = np.asarray(arrivals, dtype=float)
@@ -311,30 +394,76 @@ def best_window_utilizations(
     return best
 
 
-def claim9_excess(
+def claim9_series(
     arrivals: np.ndarray, offline_bandwidth: float, offline_delay: int
-) -> tuple[float, int]:
-    """Worst excess over the Claim 9 envelope and the slot it peaked.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot excess over the Claim 9 envelope, and cumulative arrivals.
 
     Claim 9 bounds the bits of any interval of length Δ by
     ``(Δ + D_O)·B_O``; with ``G(t) = C(t) - B_O·t`` this is
-    ``G(t) - min_{u<t} G(u) <= D_O·B_O``, one running minimum.
+    ``G(t) - min_{u<t} G(u) <= D_O·B_O``, one running minimum.  The
+    excess at slot ``t`` is the left side minus ``D_O·B_O``.
     """
-    cumulative = 0.0
-    min_g = 0.0
-    worst = -math.inf
-    worst_t = -1
-    budget = offline_delay * offline_bandwidth
-    for t, bits in enumerate(np.asarray(arrivals, dtype=float)):
-        cumulative += float(bits)
-        g = cumulative - offline_bandwidth * (t + 1)
-        excess = g - min_g - budget
-        if excess > worst:
-            worst = excess
-            worst_t = t
-        if g < min_g:
-            min_g = g
-    return worst, worst_t
+    arrivals = np.asarray(arrivals, dtype=float)
+    cumulative = np.cumsum(arrivals)
+    g = cumulative - offline_bandwidth * np.arange(1, len(arrivals) + 1)
+    previous_min = np.minimum.accumulate(np.concatenate(([0.0], g[:-1])))
+    excess = g - previous_min - offline_delay * offline_bandwidth
+    return excess, cumulative
+
+
+def claim9_violations(excess: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
+    """Slots whose Claim 9 excess is beyond float noise."""
+    return np.flatnonzero(excess > _EPS * np.maximum(1.0, cumulative))
+
+
+def claim9_excess(
+    arrivals: np.ndarray, offline_bandwidth: float, offline_delay: int
+) -> tuple[float, int]:
+    """Worst excess over the Claim 9 envelope and the first slot it peaked."""
+    excess, _ = claim9_series(arrivals, offline_bandwidth, offline_delay)
+    if not excess.size:
+        return -math.inf, -1
+    worst_t = int(np.argmax(excess))
+    return float(excess[worst_t]), worst_t
+
+
+def claim2_margins(trace, online_delay: int) -> tuple[np.ndarray, np.ndarray]:
+    """Claim 2 slack ``B_on·D_A - q`` per slot, and the queue ``q``.
+
+    ``q`` is the queue after the slot's arrivals, before service, under
+    the queue's dust conventions: arrivals at or below dust are not
+    enqueued and a dust-sized queue reads as empty.  Computed for any
+    trace, certified workload or not.
+    """
+    backlog = np.asarray(trace.backlog, dtype=float)
+    kept = np.asarray(trace.arrivals, dtype=float) - np.asarray(
+        trace.dropped, dtype=float
+    )
+    previous = np.concatenate(([0.0], backlog[:-1]))
+    queue = np.where(kept > _DUST, previous + kept, previous)
+    queue = np.where(queue > _DUST, queue, 0.0)
+    allocation = np.asarray(trace.allocation, dtype=float)
+    return allocation * online_delay - queue, queue
+
+
+def claim2_violations(margin: np.ndarray, queue: np.ndarray) -> np.ndarray:
+    """Slots where the Claim 2 slack is negative beyond float noise."""
+    return np.flatnonzero(margin < -_EPS * np.maximum(1.0, queue))
+
+
+def session_sums(series: np.ndarray) -> np.ndarray:
+    """Per-slot sum across sessions, in session order.
+
+    Python ``sum`` over each row, so a total equals what a per-slot loop
+    over the session links computes, bit for bit.
+    """
+    return np.asarray([sum(row) for row in np.asarray(series).tolist()], dtype=float)
+
+
+def peak(series: np.ndarray) -> float:
+    """Largest value of a per-slot series (0 for an empty or negative one)."""
+    return float(np.asarray(series, dtype=float).max(initial=0.0))
 
 
 def switch_count(series: np.ndarray) -> int:
@@ -427,9 +556,8 @@ def certify_single(
     # B_A·D_A, at which point no allocation under the cap can satisfy it
     # (that regime is exactly what E-ROB measures).
     if bounds.assume_feasible:
-        queue_pre = np.concatenate([[0.0], backlog[:-1]]) + kept
-        margin = allocation * bounds.online_delay - queue_pre
-        bad = np.flatnonzero(margin < -_EPS * np.maximum(1.0, queue_pre))
+        margin, queue_pre = claim2_margins(trace, bounds.online_delay)
+        bad = claim2_violations(margin, queue_pre)
         report.add(
             "claim2",
             "Claim 2",
@@ -460,7 +588,8 @@ def certify_single(
         )
 
     # -- delay: independent FIFO replay ---------------------------------------
-    replay_hist, replay_excess = replay_fifo_delays(kept, delivered)
+    service = replay_fifo_service(kept, effective, bounds.online_delay)
+    replay_hist = service.histogram
     recorded_hist = {
         int(d): float(b) for d, b in dict(trace.delay_histogram).items()
     }
@@ -471,14 +600,19 @@ def certify_single(
         if abs(replay_hist.get(d, 0.0) - recorded_hist.get(d, 0.0))
         > _EPS * max(1.0, replay_hist.get(d, 0.0), recorded_hist.get(d, 0.0))
     ]
+    served_gap = np.abs(service.delivered - delivered)
+    served_bad = int(
+        np.count_nonzero(served_gap > _EPS * np.maximum(1.0, delivered))
+    )
     report.add(
         "delay-replay",
         "recorder honesty",
-        bool(not hist_bad and replay_excess <= _EPS),
-        "recorded delay histogram matches an independent FIFO replay"
-        if not hist_bad and replay_excess <= _EPS
-        else f"histograms disagree at delays {hist_bad[:8]} "
-        f"(replay excess {replay_excess:.3g} bits)",
+        bool(not hist_bad and not served_bad),
+        "recorded deliveries and delay histogram match an independent "
+        "FIFO replay"
+        if not hist_bad and not served_bad
+        else f"histograms disagree at delays {hist_bad[:8]}, "
+        f"deliveries at {served_bad} slots",
         counterexamples=tuple(
             Counterexample(
                 d,
@@ -492,7 +626,7 @@ def certify_single(
         ),
     )
 
-    replay_max = max(replay_hist, default=0)
+    replay_max = service.max_delay
     if bounds.assume_feasible:
         passed = replay_max <= bounds.online_delay
         report.add(
@@ -501,8 +635,13 @@ def certify_single(
             passed,
             f"replayed max bit delay {replay_max} <= D_A={bounds.online_delay}"
             if passed
-            else f"replayed max bit delay {replay_max} > D_A={bounds.online_delay}",
+            else f"replayed max bit delay {replay_max} > D_A={bounds.online_delay} "
+            f"({len(service.late)} late deliveries)",
             margin=float(bounds.online_delay - replay_max),
+            counterexamples=tuple(
+                Counterexample(t, "bits delivered after D_A", {"delay": float(d)})
+                for t, d in service.late[:_MAX_EXAMPLES]
+            ),
         )
     else:
         report.add(
@@ -601,22 +740,57 @@ def certify_single(
     return report
 
 
+def _check_claim9(
+    report: CertificateReport, offered: np.ndarray, bounds: TheoremBounds
+) -> None:
+    if not bounds.assume_feasible:
+        report.add(
+            "claim9",
+            "Claim 9",
+            None,
+            "skipped: workload carries no feasibility certificate",
+        )
+        return
+    excess, cumulative = claim9_series(
+        offered, bounds.offline_bandwidth, bounds.offline_delay
+    )
+    worst = float(excess.max(initial=-math.inf))
+    bad = claim9_violations(excess, cumulative)
+    report.add(
+        "claim9",
+        "Claim 9",
+        bool(bad.size == 0),
+        "arrivals respect the (Δ + D_O)·B_O interval envelope"
+        if bad.size == 0
+        else f"envelope exceeded at {bad.size} slots (worst {worst:.4f} bits)",
+        margin=-worst,
+        counterexamples=_collect(
+            bad,
+            lambda t: Counterexample(
+                t,
+                "arrivals exceed the Claim 9 envelope",
+                {"excess": float(excess[t])},
+            ),
+        ),
+    )
+
+
 def _check_max_bandwidth(
     report: CertificateReport, totals: np.ndarray, bounds: TheoremBounds
 ) -> None:
     if bounds.max_bandwidth is None:
         report.add("max-bandwidth", "model", None, "skipped: no B_A supplied")
         return
-    peak = float(totals.max(initial=0.0))
+    top = peak(totals)
     bad = np.flatnonzero(totals > bounds.max_bandwidth * (1 + _EPS) + _EPS)
     report.add(
         "max-bandwidth",
         "model",
         bool(bad.size == 0),
-        f"total allocation peak {peak:.4f} <= B_A={bounds.max_bandwidth:.4f}"
+        f"total allocation peak {top:.4f} <= B_A={bounds.max_bandwidth:.4f}"
         if bad.size == 0
-        else f"allocation exceeds B_A at {bad.size} slots (peak {peak:.4f})",
-        margin=bounds.max_bandwidth - peak,
+        else f"allocation exceeds B_A at {bad.size} slots (peak {top:.4f})",
+        margin=bounds.max_bandwidth - top,
         counterexamples=_collect(
             bad,
             lambda t: Counterexample(
@@ -803,43 +977,23 @@ def certify_multi(
         )
 
     # -- Claim 9 arrival envelope --------------------------------------------
-    if bounds.assume_feasible:
-        excess, worst_t = claim9_excess(
-            offered_totals, bounds.offline_bandwidth, bounds.offline_delay
-        )
-        passed = excess <= _EPS * max(1.0, float(offered_totals.sum()))
-        report.add(
-            "claim9",
-            "Claim 9",
-            passed,
-            "arrivals respect the (Δ + D_O)·B_O interval envelope"
-            if passed
-            else f"envelope exceeded by {excess:.4f} bits at t={worst_t}",
-            margin=-excess,
-        )
-    else:
-        report.add(
-            "claim9",
-            "Claim 9",
-            None,
-            "skipped: workload carries no feasibility certificate",
-        )
+    _check_claim9(report, offered_totals, bounds)
 
     # -- Lemma 10 / 16 overflow bound ----------------------------------------
-    overflow_totals = overflow.sum(axis=1)
+    overflow_totals = session_sums(overflow)
     if bounds.overflow_factor is not None:
         cap = bounds.overflow_factor * bounds.offline_bandwidth
-        peak = float(overflow_totals.max(initial=0.0))
+        overflow_peak = peak(overflow_totals)
         bad = np.flatnonzero(overflow_totals > cap * (1 + _EPS) + _EPS)
         report.add(
             "lemma10-16",
             "Lemma 10 / 16",
             bool(bad.size == 0),
-            f"overflow channel peak {peak:.4f} <= "
+            f"overflow channel peak {overflow_peak:.4f} <= "
             f"{bounds.overflow_factor:g}·B_O = {cap:.4f}"
             if bad.size == 0
             else f"overflow channel exceeds {cap:.4f} at {bad.size} slots",
-            margin=cap - peak,
+            margin=cap - overflow_peak,
             counterexamples=_collect(
                 bad,
                 lambda t: Counterexample(
@@ -858,20 +1012,31 @@ def certify_multi(
         )
 
     # -- regular-channel cap ---------------------------------------------------
-    regular_totals = regular.sum(axis=1)
+    regular_totals = session_sums(regular)
     if bounds.regular_bound is not None:
-        peak = float(regular_totals.max(initial=0.0))
+        regular_peak = peak(regular_totals)
         bad = np.flatnonzero(regular_totals > bounds.regular_bound * (1 + _EPS) + _EPS)
         report.add(
             "regular-cap",
             "phase invariant",
             bool(bad.size == 0),
-            f"regular channel peak {peak:.4f} <= 2·B_O + B_O/k = "
+            f"regular channel peak {regular_peak:.4f} <= 2·B_O + B_O/k = "
             f"{bounds.regular_bound:.4f}"
             if bad.size == 0
             else f"regular channel exceeds {bounds.regular_bound:.4f} "
             f"at {bad.size} slots",
-            margin=bounds.regular_bound - peak,
+            margin=bounds.regular_bound - regular_peak,
+            counterexamples=_collect(
+                bad,
+                lambda t: Counterexample(
+                    t,
+                    "regular channel above its cap",
+                    {
+                        "regular": float(regular_totals[t]),
+                        "cap": float(bounds.regular_bound),
+                    },
+                ),
+            ),
         )
     else:
         report.add(

@@ -6,8 +6,8 @@ stay hypothesis-free so the harness is importable anywhere:
 
 * :func:`certified_single_run` / :func:`certified_multi_run` — run an
   engine configuration and certify the trace in one step;
-* :func:`fast_path_mismatch_single` / :func:`fast_path_mismatch_multi`
-  — the engine's fast-path/slow-path bit-identity differential;
+* :func:`vector_mismatch_single` / :func:`vector_mismatch_multi` — the
+  engine's bulk-commit/scalar-step bit-identity differential;
 * :func:`oracle_ratio_check` — online change count vs the DP-exact
   offline optimum;
 * :func:`assert_certified` — raise with the fully rendered report, so a
@@ -63,7 +63,7 @@ def certified_single_run(
     when the workload carries a certificate, e.g. came out of
     ``generate_feasible_stream``); ``feasible=False`` restricts to the
     unconditional accounting checks.  Extra ``engine_kwargs`` (``faults``,
-    ``fast_path``, ``queue_capacity``, ``drain``) pass through to
+    ``vector``, ``queue_capacity``, ``drain``) pass through to
     :func:`~repro.sim.engine.run_single_session`.
     """
     trace = run_single_session(
@@ -151,35 +151,32 @@ def _trace_mismatch(a, b, arrays: tuple[str, ...]) -> str | None:
     return None
 
 
-def fast_path_mismatch_single(
+def vector_mismatch_single(
     policy_factory, arrivals: np.ndarray, **engine_kwargs
 ) -> str | None:
-    """Run the fast and slow single-session loops; describe any divergence.
+    """Run the engine with and without the bulk fast-forward; describe any
+    divergence.
 
     ``policy_factory`` must return a *fresh* policy per call (policies are
     stateful).  Returns ``None`` when the traces are bit-identical — the
     engine's documented guarantee.
     """
-    fast = run_single_session(
-        policy_factory(), arrivals, fast_path=True, **engine_kwargs
+    bulk = run_single_session(policy_factory(), arrivals, **engine_kwargs)
+    scalar = run_single_session(
+        policy_factory(), arrivals, vector=False, **engine_kwargs
     )
-    slow = run_single_session(
-        policy_factory(), arrivals, fast_path=False, **engine_kwargs
-    )
-    return _trace_mismatch(fast, slow, _SINGLE_ARRAYS)
+    return _trace_mismatch(bulk, scalar, _SINGLE_ARRAYS)
 
 
-def fast_path_mismatch_multi(
+def vector_mismatch_multi(
     policy_factory, arrivals: np.ndarray, **engine_kwargs
 ) -> str | None:
-    """Multi-session fast/slow differential (see the single variant)."""
-    fast = run_multi_session(
-        policy_factory(), arrivals, fast_path=True, **engine_kwargs
+    """Multi-session bulk/scalar differential (see the single variant)."""
+    bulk = run_multi_session(policy_factory(), arrivals, **engine_kwargs)
+    scalar = run_multi_session(
+        policy_factory(), arrivals, vector=False, **engine_kwargs
     )
-    slow = run_multi_session(
-        policy_factory(), arrivals, fast_path=False, **engine_kwargs
-    )
-    return _trace_mismatch(fast, slow, _MULTI_ARRAYS)
+    return _trace_mismatch(bulk, scalar, _MULTI_ARRAYS)
 
 
 def certified_attack_run(

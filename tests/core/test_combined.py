@@ -6,10 +6,10 @@ import pytest
 from repro.core.combined import CombinedMultiSession
 from repro.errors import ConfigError
 from repro.sim.engine import run_multi_session
-from repro.sim.invariants import DelayMonitor, MaxBandwidthMonitor
 from repro.traffic.base import make_rng
 from repro.traffic.feasible import generate_feasible_stream
 from repro.params import OfflineConstraints
+from repro.verify.certificates import TheoremBounds, certify_multi
 
 B_O = 64.0
 D_O = 4
@@ -136,13 +136,18 @@ class TestSection4Guarantees:
         arrivals = certified_split_workload(seed=seed)
         policy = make_policy(inner=inner)
         slack = 7.0 if inner == "phased" else 8.0
-        monitors = [
-            MaxBandwidthMonitor(slack * B_O),
+        trace = run_multi_session(policy, arrivals)
+        bounds = TheoremBounds(
+            variant="combined",
+            offline_bandwidth=B_O,
+            offline_delay=D_O,
             # Documented discretization: the global-overflow hand-off can
             # add up to D_O slots beyond the paper's 2·D_O.
-            DelayMonitor(online_delay=2 * D_O, slack_slots=D_O),
-        ]
-        trace = run_multi_session(policy, arrivals, monitors=monitors)
+            online_delay=2 * D_O + D_O,
+            max_bandwidth=slack * B_O,
+        )
+        report = certify_multi(trace, bounds)
+        assert report.certified, report.render()
         assert trace.total_delivered == pytest.approx(trace.total_arrived)
         assert trace.max_total_allocation <= slack * B_O + 1e-6
 

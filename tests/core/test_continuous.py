@@ -6,12 +6,8 @@ import pytest
 from repro.core.continuous import ContinuousMultiSession
 from repro.errors import ConfigError
 from repro.sim.engine import run_multi_session
-from repro.sim.invariants import (
-    DelayMonitor,
-    MaxBandwidthMonitor,
-    OverflowBoundMonitor,
-)
 from repro.traffic.multi import generate_multi_feasible
+from repro.verify.certificates import certify_multi, continuous_bounds
 
 B_O = 32.0
 D_O = 4
@@ -121,12 +117,12 @@ class TestTheorem17Guarantees:
     def test_guarantees_on_certified_workloads(self, seed):
         workload = certified_workload(seed=seed)
         policy = make_policy()
-        monitors = [
-            DelayMonitor(online_delay=2 * D_O),
-            MaxBandwidthMonitor(5 * B_O),
-            OverflowBoundMonitor(B_O, factor=3.0),
-        ]
-        trace = run_multi_session(policy, workload.arrivals, monitors=monitors)
+        trace = run_multi_session(policy, workload.arrivals)
+        # Delay 2·D_O, B_A = 5·B_O, overflow <= 3·B_O, regular cap, Claim 9.
+        report = certify_multi(
+            trace, continuous_bounds(B_O, D_O, K), profiles=workload.profiles
+        )
+        assert report.certified, report.render()
         assert trace.max_delay <= 2 * D_O
         assert trace.max_total_allocation <= 5 * B_O + 1e-6
 
@@ -152,7 +148,6 @@ class TestTheorem17Guarantees:
     def test_fifo_mode(self):
         workload = certified_workload(seed=3)
         policy = make_policy(fifo=True)
-        trace = run_multi_session(
-            policy, workload.arrivals, monitors=[DelayMonitor(2 * D_O)]
-        )
+        trace = run_multi_session(policy, workload.arrivals)
+        assert trace.max_delay <= 2 * D_O
         assert trace.total_delivered == pytest.approx(trace.total_arrived)

@@ -9,8 +9,8 @@ from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.single_session import SingleSessionOnline
 from repro.params import OfflineConstraints
 from repro.sim.engine import run_single_session
-from repro.sim.invariants import DelayMonitor, MaxBandwidthMonitor
 from repro.traffic.feasible import generate_feasible_stream
+from repro.verify.certificates import TheoremBounds, certify_single
 
 B_A = 1024.0
 D_O = 4
@@ -78,14 +78,17 @@ class TestBudgetAndGuarantees:
         )
         stream = generate_feasible_stream(offline, horizon=2000, segments=6, seed=3)
         policy = make_modified(1 / 16)
-        run_single_session(
-            policy,
-            stream.arrivals,
-            monitors=[
-                DelayMonitor(online_delay=2 * D_O),
-                MaxBandwidthMonitor(B_A),
-            ],
+        trace = run_single_session(policy, stream.arrivals)
+        bounds = TheoremBounds(
+            variant="single",
+            offline_bandwidth=B_A,
+            offline_delay=D_O,
+            online_delay=2 * D_O,
+            max_bandwidth=B_A,
         )
+        checks = {c.name: c for c in certify_single(trace, bounds).checks}
+        assert checks["lemma3"].passed
+        assert checks["max-bandwidth"].passed
 
     def test_never_worse_than_fig3_on_doubling_burst(self):
         """The coarse early ladder pays fewer changes on a cold-start burst

@@ -8,13 +8,8 @@ from repro.core.phased import PhasedMultiSession
 from repro.errors import ConfigError
 from repro.network.queue import EPSILON
 from repro.sim.engine import run_multi_session
-from repro.sim.invariants import (
-    DelayMonitor,
-    MaxBandwidthMonitor,
-    OverflowBoundMonitor,
-    RegularBoundMonitor,
-)
 from repro.traffic.multi import generate_multi_feasible
+from repro.verify.certificates import certify_multi, phased_bounds
 
 B_O = 32.0
 D_O = 4
@@ -139,13 +134,12 @@ class TestTheorem14Guarantees:
     def test_guarantees_on_certified_workloads(self, seed):
         workload = certified_workload(seed=seed)
         policy = make_policy()
-        monitors = [
-            DelayMonitor(online_delay=2 * D_O),
-            MaxBandwidthMonitor(4 * B_O),
-            OverflowBoundMonitor(B_O, factor=2.0),
-            RegularBoundMonitor(B_O, k=K),
-        ]
-        trace = run_multi_session(policy, workload.arrivals, monitors=monitors)
+        trace = run_multi_session(policy, workload.arrivals)
+        # Delay 2·D_O, B_A = 4·B_O, overflow <= 2·B_O, regular cap, Claim 9.
+        report = certify_multi(
+            trace, phased_bounds(B_O, D_O, K), profiles=workload.profiles
+        )
+        assert report.certified, report.render()
         assert trace.max_delay <= 2 * D_O
         assert trace.max_total_allocation <= 4 * B_O + 1e-6
 
@@ -177,8 +171,6 @@ class TestFifoMode:
     def test_fifo_preserves_delay_bound_and_order(self):
         workload = certified_workload(seed=5)
         policy = make_policy(fifo=True)
-        trace = run_multi_session(
-            policy, workload.arrivals, monitors=[DelayMonitor(2 * D_O)]
-        )
+        trace = run_multi_session(policy, workload.arrivals)
         assert trace.max_delay <= 2 * D_O
         assert trace.total_delivered == pytest.approx(trace.total_arrived)

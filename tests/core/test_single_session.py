@@ -18,8 +18,13 @@ from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.sim.engine import run_single_session
-from repro.sim.invariants import Claim2Monitor, DelayMonitor, MaxBandwidthMonitor
 from repro.traffic.feasible import generate_feasible_stream
+from repro.verify.certificates import (
+    certify_single,
+    claim2_margins,
+    claim2_violations,
+    single_session_bounds,
+)
 
 B_A = 64.0
 D_O = 4
@@ -120,13 +125,12 @@ class TestTheorem6Guarantees:
             offline, horizon=2000, segments=6, seed=seed, burstiness=burstiness
         )
         policy = make_policy()
-        monitors = [
-            Claim2Monitor(online_delay=2 * D_O),
-            MaxBandwidthMonitor(B_A),
-            DelayMonitor(online_delay=2 * D_O),
-        ]
-        trace = run_single_session(policy, stream.arrivals, monitors=monitors)
-        # Lemma 3: delay <= 2 D_O (DelayMonitor already enforced it).
+        trace = run_single_session(policy, stream.arrivals)
+        # Claim 2, Lemma 3 (delay <= 2 D_O), the B_A cap, Claim 9, Lemma 5.
+        report = certify_single(
+            trace, single_session_bounds(offline), profile=stream.profile
+        )
+        assert report.certified, report.render()
         assert trace.max_delay <= 2 * D_O
         # Lemma 1: changes per stage <= log2(B_A) + 2.
         assert policy.max_changes_per_stage <= math.log2(B_A) + 2
@@ -163,9 +167,9 @@ class TestClaim2Property:
         # most (1 + D_O) * B_O bits (Claim 9 with Δ=1).
         arrivals = np.minimum(arrivals, (1 + D_O) * B_A)
         policy = make_policy()
-        run_single_session(
-            policy, arrivals, monitors=[Claim2Monitor(online_delay=2 * D_O)]
-        )
+        trace = run_single_session(policy, arrivals)
+        margin, queue = claim2_margins(trace, online_delay=2 * D_O)
+        assert claim2_violations(margin, queue).size == 0
 
 
 class TestDiagnostics:

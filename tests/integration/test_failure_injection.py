@@ -2,8 +2,8 @@
 
 The paper assumes every input stream is feasible (footnote 1).  These
 tests deliberately violate that and verify the library fails *loudly and
-safely*: the Claim 9 monitor pinpoints the violation, policies never crash
-or lose bits, and the delay guarantees are the only casualties.
+safely*: the Claim 9 certificate pinpoints the violation, policies never
+crash or lose bits, and the delay guarantees are the only casualties.
 """
 
 import numpy as np
@@ -12,9 +12,13 @@ import pytest
 from repro.core.continuous import ContinuousMultiSession
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
-from repro.errors import InvariantViolation
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.invariants import Claim9Monitor, MaxBandwidthMonitor
+from repro.verify.certificates import (
+    certify_single,
+    claim9_series,
+    claim9_violations,
+    raw_single_bounds,
+)
 
 B_A = 64.0
 D_O = 4
@@ -32,11 +36,13 @@ class TestSingleSessionOverload:
         policy = SingleSessionOnline(
             max_bandwidth=B_A, offline_delay=D_O, offline_utilization=U_O, window=W
         )
-        monitor = Claim9Monitor(offline_bandwidth=B_A, offline_delay=D_O)
-        with pytest.raises(InvariantViolation) as excinfo:
-            run_single_session(policy, overload_stream(1.5), monitors=[monitor])
-        assert excinfo.value.name == "claim9"
-        assert excinfo.value.t >= 0
+        trace = run_single_session(policy, overload_stream(1.5))
+        excess, cumulative = claim9_series(trace.arrivals, B_A, D_O)
+        # 1.5·B_A per slot outruns the (Δ + D_O)·B_A envelope once
+        # 0.5·B_A·(t + 1) exceeds D_O·B_A: first at t = 8.
+        first = claim9_violations(excess, cumulative)[0]
+        assert first == 8
+        assert excess[first] == pytest.approx(32.0)
 
     def test_policy_survives_overload_without_monitor(self):
         """No crash, bits conserved, bandwidth cap respected — only the
@@ -45,9 +51,9 @@ class TestSingleSessionOverload:
             max_bandwidth=B_A, offline_delay=D_O, offline_utilization=U_O, window=W
         )
         arrivals = overload_stream(1.25, horizon=200)
-        trace = run_single_session(
-            policy, arrivals, monitors=[MaxBandwidthMonitor(B_A)]
-        )
+        trace = run_single_session(policy, arrivals)
+        report = certify_single(trace, raw_single_bounds(B_A, D_O))
+        assert report.certified  # the bandwidth cap among them
         assert trace.total_delivered == pytest.approx(trace.total_arrived)
         assert trace.max_delay > 2 * D_O  # the guarantee genuinely needed feasibility
 

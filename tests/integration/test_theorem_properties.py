@@ -21,15 +21,17 @@ from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.params import OfflineConstraints
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.invariants import (
-    Claim2Monitor,
-    Claim9Monitor,
-    DelayMonitor,
-    MaxBandwidthMonitor,
-    OverflowBoundMonitor,
-)
 from repro.traffic.feasible import generate_feasible_stream
 from repro.traffic.multi import generate_multi_feasible
+from repro.verify.certificates import (
+    TheoremBounds,
+    certify_multi,
+    certify_single,
+    continuous_bounds,
+    phased_bounds,
+    single_session_bounds,
+)
+from repro.verify.differential import assert_certified
 
 SLOW = settings(
     max_examples=25,
@@ -70,15 +72,12 @@ def test_theorem6_guarantees_hold(
         offline_utilization=utilization,
         window=window,
     )
-    trace = run_single_session(
-        policy,
-        stream.arrivals,
-        monitors=[
-            Claim2Monitor(online_delay=2 * delay),
-            Claim9Monitor(offline_bandwidth=bandwidth, offline_delay=delay),
-            MaxBandwidthMonitor(bandwidth),
-            DelayMonitor(online_delay=2 * delay),
-        ],
+    trace = run_single_session(policy, stream.arrivals)
+    # Claim 2, Claim 9, the B_A cap, Lemma 3's 2·D_O delay and Lemma 5.
+    assert_certified(
+        certify_single(
+            trace, single_session_bounds(offline), profile=stream.profile
+        )
     )
     assert trace.total_delivered == pytest.approx(trace.total_arrived)
     assert policy.max_changes_per_stage <= exponent + 2
@@ -117,22 +116,15 @@ def test_multi_session_guarantees_hold(
         policy = PhasedMultiSession(
             k, offline_bandwidth=bandwidth, offline_delay=delay, fifo=fifo
         )
-        slack, overflow_slack = 4.0, 2.0
+        bounds = phased_bounds(bandwidth, delay, k)
     else:
         policy = ContinuousMultiSession(
             k, offline_bandwidth=bandwidth, offline_delay=delay, fifo=fifo
         )
-        slack, overflow_slack = 5.0, 3.0
-    trace = run_multi_session(
-        policy,
-        workload.arrivals,
-        monitors=[
-            DelayMonitor(online_delay=2 * delay),
-            MaxBandwidthMonitor(slack * bandwidth),
-            OverflowBoundMonitor(bandwidth, factor=overflow_slack),
-            Claim9Monitor(offline_bandwidth=bandwidth, offline_delay=delay),
-        ],
-    )
+        bounds = continuous_bounds(bandwidth, delay, k)
+    trace = run_multi_session(policy, workload.arrivals)
+    # 2·D_O delay, the 4·B_O / 5·B_O cap, Lemma 10 / 16 and Claim 9.
+    assert_certified(certify_multi(trace, bounds, profiles=workload.profiles))
     assert trace.total_delivered == pytest.approx(trace.total_arrived)
     stages = trace.completed_stages + 1
     assert trace.local_change_count <= 8 * k * stages
@@ -169,14 +161,15 @@ def test_combined_guarantees_hold(seed, k, inner):
         inner=inner,
     )
     slack = 7.0 if inner == "phased" else 8.0
-    trace = run_multi_session(
-        policy,
-        arrivals,
-        monitors=[
-            MaxBandwidthMonitor(slack * bandwidth),
-            DelayMonitor(online_delay=2 * delay, slack_slots=delay),
-        ],
+    trace = run_multi_session(policy, arrivals)
+    bounds = TheoremBounds(
+        variant="combined",
+        offline_bandwidth=bandwidth,
+        offline_delay=delay,
+        online_delay=2 * delay + delay,  # documented hand-off slack
+        max_bandwidth=slack * bandwidth,
     )
+    assert_certified(certify_multi(trace, bounds))
     assert trace.total_delivered == pytest.approx(trace.total_arrived)
     global_stages = len(policy.resets) + 1
     assert policy.global_change_count <= (

@@ -19,7 +19,6 @@ from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.single_session import SingleSessionOnline
 from repro.core.variants import EagerResetSingleSession, NonMonotoneSingleSession
 from repro.sim.engine import run_single_session
-from repro.sim.invariants import Claim2Monitor, MaxBandwidthMonitor
 from repro.traffic import (
     CompoundPoisson,
     ConstantRate,
@@ -33,6 +32,7 @@ from repro.traffic import (
     SquareWave,
     figure1_demand,
 )
+from repro.verify.certificates import claim2_margins, claim2_violations
 
 B_A = 256.0
 D_O = 4
@@ -82,12 +82,10 @@ def test_policy_on_workload(workload_name, policy_name):
     # has its own failure-injection suite).
     arrivals = np.minimum(arrivals, B_A * (1 + D_O) / 2)
     policy = POLICIES[policy_name]()
-    monitors = [MaxBandwidthMonitor(B_A)]
+    trace = run_single_session(policy, arrivals, max_drain_slots=200_000)
     if policy_name in CLAIM2_POLICIES:
-        monitors.append(Claim2Monitor(online_delay=2 * D_O))
-    trace = run_single_session(
-        policy, arrivals, monitors=monitors, max_drain_slots=200_000
-    )
+        margin, queue = claim2_margins(trace, online_delay=2 * D_O)
+        assert claim2_violations(margin, queue).size == 0
     assert trace.total_delivered == pytest.approx(trace.total_arrived, rel=1e-9)
     assert trace.max_allocation <= B_A + 1e-9
     assert (trace.allocation >= 0).all()

@@ -43,7 +43,7 @@ class TestGitRevision:
 class TestManifest:
     def test_build_and_round_trip(self, tmp_path):
         telemetry = Telemetry()
-        telemetry.registry.counter("invariants.violations.claim2").inc(3)
+        telemetry.registry.counter("engine.single.runs").inc(3)
         telemetry.tracer.span("stage", 0, 5, kind="stage")
         with telemetry.profile("loop") as prof:
             prof.slots = 500
@@ -52,7 +52,6 @@ class TestManifest:
         )
         assert manifest.config_hash == config_hash({"seed": 7})
         assert manifest.span_count == 1
-        assert manifest.violation_counters == {"claim2": 3.0}
         assert manifest.profiles[0]["slots"] == 500
 
         path = tmp_path / "manifest.json"
@@ -61,7 +60,7 @@ class TestManifest:
         assert loaded["seed"] == 7
         assert loaded["config_hash"] == manifest.config_hash
         assert loaded["metrics"]["counters"] == {
-            "invariants.violations.claim2": 3.0
+            "engine.single.runs": 3.0
         }
 
     def test_load_rejects_non_manifest(self, tmp_path):

@@ -184,6 +184,36 @@ class TestTelemetryMerge:
 
         assert run() == run()
 
+    def test_parallel_batch_counts_match_inline(self):
+        """Each worker job reports its own registry: a jobs=2 batch counts
+        exactly what the inline batch counts (no cumulative snapshots)."""
+
+        def run(jobs):
+            with telemetry_session() as tele:
+                run_batch(
+                    ["E-T6", "E-T14"], seed=0, scale=SCALE, jobs=jobs,
+                    telemetry=True,
+                )
+            return tele.registry.snapshot()
+
+        inline, parallel = run(1), run(2)
+        assert parallel["counters"] == inline["counters"]
+        assert set(parallel["histograms"]) == set(inline["histograms"])
+        for name, histogram in inline["histograms"].items():
+            assert parallel["histograms"][name]["count"] == histogram["count"]
+            assert parallel["histograms"][name]["buckets"] == histogram["buckets"]
+
+    def test_refold_histogram_totals_follows_the_given_order(self):
+        shards = [
+            {"histograms": {"h": {"count": 1, "total": value}}}
+            for value in (1e16, 1.0, -1e16, 1.0)
+        ]
+        registry = MetricsRegistry()
+        for shard in reversed(shards):  # completion order
+            registry.merge_snapshot(shard)
+        registry.refold_histogram_totals({}, shards)
+        assert registry.histogram("h").total == ((1e16 + 1.0) - 1e16) + 1.0
+
 
 class TestReportCli:
     """`repro report` byte-identity across --jobs and cache states."""

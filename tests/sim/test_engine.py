@@ -1,12 +1,16 @@
-"""Engine tests: conservation, draining, monitor wiring, failure modes."""
+"""Engine tests: conservation, draining, certified invariants, failure modes."""
 
 import numpy as np
 import pytest
 
 from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
-from repro.errors import ConfigError, InvariantViolation, SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.invariants import DelayMonitor, MaxBandwidthMonitor
+from repro.verify.certificates import (
+    TheoremBounds,
+    certify_single,
+    raw_single_bounds,
+)
 
 
 class TestSingleSessionEngine:
@@ -39,16 +43,20 @@ class TestSingleSessionEngine:
             run_single_session(StaticAllocator(1.0), [[1.0], [2.0]])
 
     def test_monitor_sees_violation(self):
-        monitor = MaxBandwidthMonitor(max_bandwidth=2.0)
-        with pytest.raises(InvariantViolation):
-            run_single_session(StaticAllocator(4.0), [1.0], monitors=[monitor])
+        trace = run_single_session(StaticAllocator(4.0), [1.0])
+        report = certify_single(trace, raw_single_bounds(2.0, 1))
+        (check,) = [c for c in report.failures if c.name == "max-bandwidth"]
+        assert check.counterexamples[0].t == 0
 
     def test_delay_monitor_passes_on_fast_service(self):
-        monitor = DelayMonitor(online_delay=1)
-        trace = run_single_session(
-            StaticAllocator(100.0), [5.0, 5.0], monitors=[monitor]
+        trace = run_single_session(StaticAllocator(100.0), [5.0, 5.0])
+        bounds = TheoremBounds(
+            "single", offline_bandwidth=100.0, offline_delay=1, online_delay=1
         )
-        assert monitor.max_delay == 0
+        (lemma3,) = [
+            c for c in certify_single(trace, bounds).checks if c.name == "lemma3"
+        ]
+        assert lemma3.passed
         assert trace.max_delay == 0
 
     def test_empty_horizon(self):

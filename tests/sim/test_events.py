@@ -1,24 +1,9 @@
-"""Tests for the scheduled-event queue and clock."""
+"""Tests for the scheduled-event queue."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.clock import Clock
 from repro.sim.events import EventQueue
-
-
-class TestClock:
-    def test_tick(self):
-        c = Clock()
-        assert c.now == 0
-        assert c.tick() == 1
-        assert c.advance_to(10) == 10
-
-    def test_no_backwards(self):
-        c = Clock()
-        c.advance_to(5)
-        with pytest.raises(SimulationError):
-            c.advance_to(3)
 
 
 class TestEventQueue:

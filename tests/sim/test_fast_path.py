@@ -1,5 +1,6 @@
-"""Fast-path engine tests: bit-identity vs the general loop, eligibility
-gating, and the drain-slot cap behaving identically on both paths."""
+"""Engine path tests: bulk commits vs scalar steps (``vector=False``) are
+bit-identical — with telemetry on and under faults too — and the
+drain-slot cap behaves identically on both."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
 from repro.core.continuous import ContinuousMultiSession
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
+from repro.faults import standard_plan
 from repro.obs import telemetry_session
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.invariants import DelayMonitor
+from repro.sim.recorder import MultiSessionRecorder, SingleSessionRecorder
 from repro.traffic import generate_multi_feasible
 
 
@@ -31,34 +33,58 @@ def _assert_single_identical(first, second):
     np.testing.assert_array_equal(first.delivered, second.delivered)
     np.testing.assert_array_equal(first.backlog, second.backlog)
     np.testing.assert_array_equal(first.dropped, second.dropped)
+    np.testing.assert_array_equal(first.requested, second.requested)
+    np.testing.assert_array_equal(first.effective, second.effective)
     assert first.delay_histogram == second.delay_histogram
     assert first.changes == second.changes
     assert first.stage_starts == second.stage_starts
     assert first.resets == second.resets
 
 
+def _count_bulk_commits(monkeypatch, recorder_cls) -> list:
+    """Record the length of every bulk-committed slice."""
+    sizes = []
+    original = recorder_cls.record_keepup_block
+
+    def counting(self, block, *args):
+        sizes.append(len(block))
+        return original(self, block, *args)
+
+    monkeypatch.setattr(recorder_cls, "record_keepup_block", counting)
+    return sizes
+
+
 class TestSingleSessionBitIdentity:
     def test_fast_vs_general_loop(self):
         arrivals = _stream()
-        fast = run_single_session(_policy(), arrivals)
-        general = run_single_session(_policy(), arrivals, fast_path=False)
-        _assert_single_identical(fast, general)
+        bulk = run_single_session(_policy(), arrivals)
+        scalar = run_single_session(_policy(), arrivals, vector=False)
+        _assert_single_identical(bulk, scalar)
 
     def test_fast_vs_instrumented(self):
         arrivals = _stream(seed=21)
-        fast = run_single_session(_policy(), arrivals, fast_path=True)
+        plain = run_single_session(_policy(), arrivals, vector=False)
         with telemetry_session():
             instrumented = run_single_session(_policy(), arrivals)
-        _assert_single_identical(fast, instrumented)
+        _assert_single_identical(plain, instrumented)
+
+    def test_faulted_bulk_vs_scalar(self, monkeypatch):
+        arrivals = np.repeat(np.random.default_rng(4).uniform(1, 12, 12), 400)
+        plan = standard_plan(0.3, len(arrivals), seed=2)
+        bulk_sizes = _count_bulk_commits(monkeypatch, SingleSessionRecorder)
+        bulk = run_single_session(_policy(), arrivals, faults=plan, vector=True)
+        assert bulk_sizes, "fault-free stretches should still bulk-commit"
+        scalar = run_single_session(_policy(), arrivals, faults=plan, vector=False)
+        _assert_single_identical(bulk, scalar)
 
     def test_no_drain_and_capacity(self):
         arrivals = _stream(horizon=500, seed=3)
-        fast = run_single_session(StaticAllocator(4.0), arrivals, drain=False)
-        general = run_single_session(
-            StaticAllocator(4.0), arrivals, drain=False, fast_path=False
+        bulk = run_single_session(StaticAllocator(4.0), arrivals, drain=False)
+        scalar = run_single_session(
+            StaticAllocator(4.0), arrivals, drain=False, vector=False
         )
-        _assert_single_identical(fast, general)
-        assert fast.slots == 500
+        _assert_single_identical(bulk, scalar)
+        assert bulk.slots == 500
 
 
 class TestMultiSessionBitIdentity:
@@ -72,84 +98,88 @@ class TestMultiSessionBitIdentity:
             policy = cls(3, offline_bandwidth=48, offline_delay=8)
             return run_multi_session(policy, workload.arrivals, **kwargs)
 
-        fast = run(fast_path=True)
-        general = run(fast_path=False)
+        bulk = run()
+        scalar = run(vector=False)
         np.testing.assert_array_equal(
-            fast.regular_allocation, general.regular_allocation
+            bulk.regular_allocation, scalar.regular_allocation
         )
         np.testing.assert_array_equal(
-            fast.overflow_allocation, general.overflow_allocation
+            bulk.overflow_allocation, scalar.overflow_allocation
         )
-        np.testing.assert_array_equal(fast.delivered, general.delivered)
-        np.testing.assert_array_equal(fast.backlog, general.backlog)
-        assert fast.local_changes == general.local_changes
-        assert fast.stage_starts == general.stage_starts
-        assert fast.delay_histograms == general.delay_histograms
+        np.testing.assert_array_equal(bulk.delivered, scalar.delivered)
+        np.testing.assert_array_equal(bulk.backlog, scalar.backlog)
+        np.testing.assert_array_equal(bulk.requested_total, scalar.requested_total)
+        assert bulk.local_changes == scalar.local_changes
+        assert bulk.stage_starts == scalar.stage_starts
+        assert bulk.delay_histograms == scalar.delay_histograms
 
+    def test_faulted_phased_bulk_vs_scalar(self, monkeypatch):
+        bulk_sizes = _count_bulk_commits(monkeypatch, MultiSessionRecorder)
+        workload = generate_multi_feasible(
+            3, offline_bandwidth=64, offline_delay=8, horizon=1500, seed=6
+        )
+        plan = standard_plan(0.3, 1500, seed=1)
 
-class TestEligibilityGating:
-    def test_monitors_force_general_path(self):
-        with pytest.raises(ConfigError, match="fast_path"):
-            run_single_session(
-                _policy(), [1.0], monitors=[DelayMonitor(16)], fast_path=True
+        def run(vector):
+            policy = PhasedMultiSession(3, offline_bandwidth=64, offline_delay=8)
+            trace = run_multi_session(
+                policy, workload.arrivals, faults=plan, vector=vector, drain=False
             )
+            for session in policy.sessions:
+                assert session.channels.capacity_factor == 1.0
+            return trace
 
-    def test_telemetry_forces_general_path(self):
-        with telemetry_session():
-            with pytest.raises(ConfigError, match="fast_path"):
-                run_single_session(_policy(), [1.0], fast_path=True)
-
-    def test_multi_monitors_force_general_path(self):
-        policy = EqualSplitMultiSession(2, offline_bandwidth=2.0)
-        with pytest.raises(ConfigError, match="fast_path"):
-            run_multi_session(
-                policy, np.ones((3, 2)), monitors=[DelayMonitor(16)],
-                fast_path=True,
-            )
+        bulk = run(True)
+        assert bulk_sizes, "fault-free stretches should still bulk-commit"
+        scalar = run(False)
+        for name in ("regular_allocation", "overflow_allocation", "delivered",
+                     "backlog", "requested_total", "dropped"):
+            np.testing.assert_array_equal(getattr(bulk, name), getattr(scalar, name))
+        assert bulk.delay_histograms == scalar.delay_histograms
 
 
 class TestDrainCap:
     """max_drain_slots exhaustion raises SimulationError on both paths."""
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_single_session_cap_trips(self, fast_path):
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_single_session_cap_trips(self, vector):
         with pytest.raises(SimulationError, match="failed to drain"):
             run_single_session(
                 StaticAllocator(1e-9), [100.0],
-                max_drain_slots=10, fast_path=fast_path,
+                max_drain_slots=10, vector=vector,
             )
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_multi_session_cap_trips(self, fast_path):
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_multi_session_cap_trips(self, vector):
         policy = EqualSplitMultiSession(2, offline_bandwidth=1e-9)
         with pytest.raises(SimulationError, match="failed to drain"):
             run_multi_session(
                 policy, [[50.0, 50.0]],
-                max_drain_slots=10, fast_path=fast_path,
+                max_drain_slots=10, vector=None if vector else False,
             )
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_zero_length_horizon_with_zero_cap(self, fast_path):
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_zero_length_horizon_with_zero_cap(self, vector):
         """An empty horizon has nothing to drain: the cap never trips."""
         trace = run_single_session(
-            StaticAllocator(1.0), [], max_drain_slots=0, fast_path=fast_path
+            StaticAllocator(1.0), [], max_drain_slots=0, vector=vector
         )
         assert trace.slots == 0
         policy = EqualSplitMultiSession(2, offline_bandwidth=2.0)
         multi = run_multi_session(
-            policy, np.zeros((0, 2)), max_drain_slots=0, fast_path=fast_path
+            policy, np.zeros((0, 2)), max_drain_slots=0, vector=None if vector else False
         )
         assert multi.slots == 0
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_cap_exactly_sufficient(self, fast_path):
+    @pytest.mark.parametrize("vector", [True, False])
+    def test_cap_exactly_sufficient(self, vector):
         # 10 units at 1/slot: 9 extra slots drain what the horizon started.
         trace = run_single_session(
-            StaticAllocator(1.0), [10.0], max_drain_slots=9, fast_path=fast_path
+            StaticAllocator(1.0), [10.0], max_drain_slots=9, vector=vector
         )
         assert trace.backlog[-1] == pytest.approx(0.0)
         with pytest.raises(SimulationError, match="failed to drain"):
             run_single_session(
                 StaticAllocator(1.0), [10.0],
-                max_drain_slots=8, fast_path=fast_path,
+                max_drain_slots=8, vector=vector,
             )

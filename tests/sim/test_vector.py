@@ -1,12 +1,13 @@
 """Vectorized engine tests: bit-identity against the scalar paths.
 
 The event-sliced fast-forward (:mod:`repro.sim.vector`) must be invisible
-in every recorded float: the vectorized run, the scalar fast loop, and
-the general loop all produce byte-identical traces.  These tests drive
-that three-way equivalence over fixed edge cases (drain phases, zero
-horizons, dust accumulation) and randomized streams (hypothesis, with the
-budget driven by ``REPRO_FUZZ_EXAMPLES``), plus the gating semantics of
-the ``vector=`` knob.
+in every recorded float: the vectorized run and the all-scalar run
+(``vector=False``) produce byte-identical traces.  These tests drive that
+equivalence over fixed edge cases (drain phases, zero horizons, dust
+accumulation) and randomized streams (hypothesis, with the budget driven
+by ``REPRO_FUZZ_EXAMPLES``), plus the gating semantics of the ``vector=``
+knob.  (The ``ThreeWay`` names date from when a third, general loop was
+compared as well.)
 """
 
 import numpy as np
@@ -50,9 +51,7 @@ def _assert_single_identical(first, second):
 def _assert_three_way(arrivals, policy_factory=_policy):
     vector = run_single_session(policy_factory(), arrivals, vector=True)
     scalar = run_single_session(policy_factory(), arrivals, vector=False)
-    general = run_single_session(policy_factory(), arrivals, fast_path=False)
     _assert_single_identical(vector, scalar)
-    _assert_single_identical(vector, general)
     return vector
 
 
@@ -74,9 +73,16 @@ class TestVectorCapability:
         with pytest.raises(ConfigError, match="vector"):
             run_single_session(policy, [1.0, 2.0], vector=True)
 
-    def test_vector_true_rejects_disabled_fast_path(self):
-        with pytest.raises(ConfigError, match="fast path"):
-            run_single_session(_policy(), [1.0, 2.0], vector=True, fast_path=False)
+    def test_vector_true_accepts_faults_and_telemetry(self):
+        from repro.faults import standard_plan
+        from repro.obs import telemetry_session
+
+        arrivals = np.full(300, 4.0)
+        plan = standard_plan(0.3, 300, seed=1)
+        scalar = run_single_session(_policy(), arrivals, faults=plan, vector=False)
+        with telemetry_session():
+            vector = run_single_session(_policy(), arrivals, faults=plan, vector=True)
+        _assert_single_identical(vector, scalar)
 
     def test_vector_true_rejects_bounded_queue(self):
         with pytest.raises(ConfigError, match="vector"):
@@ -180,9 +186,7 @@ class TestMultiVector:
         arrivals = np.repeat(rng.uniform(0.5, 4.0, size=(5, 2)), 400, axis=0)
         vector = run_multi_session(self._multi_policy(), arrivals, vector=True)
         scalar = run_multi_session(self._multi_policy(), arrivals, vector=False)
-        general = run_multi_session(self._multi_policy(), arrivals, fast_path=False)
         self._assert_multi_identical(vector, scalar)
-        self._assert_multi_identical(vector, general)
 
     def test_multi_bursty(self):
         arrivals = np.random.default_rng(29).poisson(3, size=(1500, 3)).astype(float)

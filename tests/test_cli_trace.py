@@ -160,17 +160,3 @@ class TestTraceSubcommand:
             if event["ph"] in ("X", "i")
         )
 
-    def test_violation_counters_surfaced(self, tmp_path, capsys):
-        # A faulted run records soft violations only when monitors are
-        # softened; the simulate CLI doesn't do that, so synthesize the
-        # counter through a manual export instead.
-        from repro.obs import export_run, telemetry_session
-
-        with telemetry_session() as tele:
-            tele.tracer.span("stage", 0, 5, kind="stage")
-            tele.registry.counter("invariants.violations.claim2").inc(4)
-        export_run(
-            tmp_path / "t", tele, label="unit", config={}, seed=None
-        )
-        assert main(["trace", str(tmp_path / "t")]) == 0
-        assert "claim2=4" in capsys.readouterr().out

@@ -6,7 +6,6 @@ from repro.errors import (
     ConfigError,
     ExperimentError,
     FeasibilityError,
-    InvariantViolation,
     ReproError,
     SimulationError,
 )
@@ -26,16 +25,8 @@ class TestHierarchy:
     def test_simulation_error_is_runtime_error(self):
         assert issubclass(SimulationError, RuntimeError)
 
-    def test_invariant_violation_carries_context(self):
-        error = InvariantViolation("claim2", 42, "queue outran allocation")
-        assert error.name == "claim2"
-        assert error.t == 42
-        assert "claim2" in str(error)
-        assert "t=42" in str(error)
-        assert isinstance(error, SimulationError)
-
     def test_single_except_clause_catches_everything(self):
         for exc in (ConfigError("x"), FeasibilityError("y"),
-                    InvariantViolation("n", 0, "d")):
+                    SimulationError("z")):
             with pytest.raises(ReproError):
                 raise exc

@@ -22,8 +22,8 @@ from repro.verify.differential import (
     certified_multi_run,
     certified_single_run,
     default_policy,
-    fast_path_mismatch_multi,
-    fast_path_mismatch_single,
+    vector_mismatch_multi,
+    vector_mismatch_single,
     oracle_ratio_check,
 )
 from tests.strategies import (
@@ -126,14 +126,26 @@ class TestRawAndFaultedWorkloads:
 
 
 class TestFastPathDifferential:
-    """fast_path=True/False must be bit-identical — any divergence is a bug."""
+    """Bulk commits vs scalar steps (``vector=False``) must be bit-identical
+    — any divergence is a bug."""
 
     @_FUZZ
     @given(arrivals=arrival_streams())
     def test_single_session_bit_identity(self, arrivals):
-        mismatch = fast_path_mismatch_single(
+        mismatch = vector_mismatch_single(
             lambda: SingleSessionOnline(64.0, 8, 0.25, 16),
             arrivals,
+            max_drain_slots=500_000,
+        )
+        assert mismatch is None, mismatch
+
+    @_FUZZ_SLOW
+    @given(arrivals=arrival_streams(max_slots=150), plan=fault_plans(horizon=150))
+    def test_faulted_single_session_bit_identity(self, arrivals, plan):
+        mismatch = vector_mismatch_single(
+            lambda: SingleSessionOnline(64.0, 8, 0.25, 16),
+            arrivals,
+            faults=plan,
             max_drain_slots=500_000,
         )
         assert mismatch is None, mismatch
@@ -145,7 +157,7 @@ class TestFastPathDifferential:
         arrivals = rng.poisson(2, size=(int(rng.integers(20, 120)), 3)).astype(
             float
         )
-        mismatch = fast_path_mismatch_multi(
+        mismatch = vector_mismatch_multi(
             lambda: PhasedMultiSession(3, offline_bandwidth=32.0, offline_delay=4),
             arrivals,
             max_drain_slots=500_000,

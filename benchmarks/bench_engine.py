@@ -4,13 +4,16 @@ Not a paper artifact — this measures the ``repro.sim.vector`` engine core
 against the scalar fast loops it replaces, in slots/second:
 
 1. ``single_piecewise`` — one :class:`SingleSessionOnline` over a
-   piecewise-constant arrival stream (constant rate per segment), the
-   workload the event-sliced kernel is built for: long quiet runs between
-   allocation events.
-2. ``multi_k2`` / ``multi_k8`` — :class:`PhasedMultiSession` over calm
+   piecewise-constant arrival stream (constant rate per segment): long
+   quiet runs between allocation events.
+2. ``single_certified`` — the same policy over a certified feasible
+   stream (:func:`repro.traffic.feasible.generate_feasible_stream`), whose
+   queue is backlogged in a large share of slots: the policy-quiet slices
+   and their fused FIFO replay.
+3. ``multi_k2`` / ``multi_k8`` — :class:`PhasedMultiSession` over calm
    per-session piecewise-constant rates, exercising the in-phase keep-up
    bulk commit.
-3. ``batched_64`` — :func:`repro.sim.vector.run_batched` over a stacked
+4. ``batched_64`` — :func:`repro.sim.vector.run_batched` over a stacked
    ``(n, T)`` arrival matrix vs a per-session scalar loop.
 
 Every vectorized run must be **bit-identical** to its scalar twin (the
@@ -45,8 +48,10 @@ from repro.obs.history import (  # noqa: E402
     record_from_engine_bench,
 )
 from repro.obs.manifest import git_revision  # noqa: E402
+from repro.params import OfflineConstraints  # noqa: E402
 from repro.sim.engine import run_multi_session, run_single_session  # noqa: E402
 from repro.sim.vector import run_batched  # noqa: E402
+from repro.traffic.feasible import generate_feasible_stream  # noqa: E402
 from repro.version import __version__  # noqa: E402
 
 #: Constant-rate segment length of the piecewise-constant workloads.  Long
@@ -78,12 +83,15 @@ def _piecewise(rng: np.random.Generator, horizon: int, low: float, high: float,
 
 
 def _single_traces_equal(a, b) -> bool:
+    columns = (
+        "arrivals", "allocation", "delivered", "backlog", "dropped", "requested", "effective",
+    )
     return (
-        np.array_equal(a.allocation, b.allocation)
-        and np.array_equal(a.delivered, b.delivered)
-        and np.array_equal(a.backlog, b.backlog)
+        all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
         and a.delay_histogram == b.delay_histogram
         and a.changes == b.changes
+        and a.stage_starts == b.stage_starts
+        and a.resets == b.resets
     )
 
 
@@ -129,6 +137,22 @@ def bench_single(seed: int, scale: float) -> dict:
     slots = len(scalar.allocation)
     return _workload(
         "single_piecewise", slots, scalar_s, vector_s,
+        _single_traces_equal(scalar, vector),
+    )
+
+
+def bench_single_certified(seed: int, scale: float) -> dict:
+    horizon = max(SEGMENT, int(400_000 * scale))
+    offline = OfflineConstraints(64.0, 8, 0.25, 16)
+    arrivals = generate_feasible_stream(offline, horizon, seed=seed).arrivals
+    scalar, scalar_s = _best_of(
+        lambda: run_single_session(_single_policy(), arrivals, vector=False)
+    )
+    vector, vector_s = _best_of(
+        lambda: run_single_session(_single_policy(), arrivals, vector=True)
+    )
+    return _workload(
+        "single_certified", len(scalar.allocation), scalar_s, vector_s,
         _single_traces_equal(scalar, vector),
     )
 
@@ -181,6 +205,7 @@ def bench_batched(seed: int, scale: float, sessions: int = 64) -> dict:
 def run_bench(seed: int, scale: float, out: Path) -> dict:
     workloads = [
         bench_single(seed, scale),
+        bench_single_certified(seed, scale),
         bench_multi(seed, scale, 2),
         bench_multi(seed, scale, 8),
         bench_batched(seed, scale),

@@ -39,21 +39,21 @@ def simulate_fifo_delay(
 
     Returns ``(max_delay, leftover_bits)``.  FIFO equals EDF here because
     deadlines are ordered by arrival, so if any schedule with these
-    capacities meets the deadlines, this one does.
+    capacities meets the deadlines, this one does.  One
+    :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>` runs the
+    whole stream: the engine's queue kernel.
     """
+    arrivals = np.asarray(arrivals, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
     if len(arrivals) != len(capacities):
         raise ConfigError("arrivals and capacities must have equal length")
     queue = BitQueue("feasibility")
-    max_delay = 0
-    for t in range(len(arrivals)):
-        queue.push(t, float(arrivals[t]))
-        result = queue.serve(t, float(capacities[t]))
-        if result.deliveries:
-            max_delay = max(max_delay, result.max_delay)
-    if not queue.is_empty:
-        oldest = queue.oldest_arrival
-        if oldest is not None:
-            max_delay = max(max_delay, len(arrivals) - oldest)
+    histogram: dict[int, float] = {}
+    queue.replay(0, arrivals, capacities, histogram)
+    max_delay = max(histogram, default=0)
+    oldest = queue.oldest_arrival
+    if oldest is not None:
+        max_delay = max(max_delay, len(arrivals) - oldest)
     return max_delay, queue.size
 
 

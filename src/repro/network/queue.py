@@ -13,10 +13,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigError, SimulationError
 
 #: Bits below this threshold are treated as zero (floating-point dust).
 EPSILON = 1e-9
+
+#: Shortest keep-up stretch :meth:`BitQueue.replay` commits with numpy;
+#: shorter ones cost less per slot than the numpy calls.
+KEEPUP_RUN = 32
 
 
 @dataclass
@@ -144,6 +150,167 @@ class BitQueue:
             self._size = 0.0
             self._chunks.clear()
         return result
+
+    def replay(
+        self,
+        t: int,
+        arrivals: np.ndarray,
+        capacity: float | np.ndarray,
+        histogram: dict[int, float],
+        until_empty: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Run :meth:`push` then :meth:`serve` for slots ``t, t+1, ...``.
+
+        Slot ``t + i`` pushes ``arrivals[i]`` and serves ``capacity`` (a
+        float for every slot, or an array as long as ``arrivals``) with the
+        same float operations, in the same order, as the per-slot methods.
+        No :class:`ServeResult` or :class:`Delivery` is built: each delivery
+        folds into ``histogram`` (delay -> bits) in delivery order, which is
+        what folding every slot's ``serve`` result would do.
+
+        While the queue is exactly empty and arrivals stay at or below the
+        capacity, each slot delivers its own arrivals at delay 0 (dust
+        delivers nothing) and leaves the queue exactly empty.  Stretches of
+        at least :data:`KEEPUP_RUN` such slots are committed with numpy
+        (``np.add.accumulate`` sums in slot order, like the per-slot fold).
+
+        Args:
+            t: slot of ``arrivals[0]``.
+            arrivals: bits arriving per slot (1-D float array).
+            capacity: serving capacity per slot.
+            histogram: delay histogram the deliveries fold into.
+            until_empty: stop before the first slot whose pre-push backlog
+                is ``<= EPSILON``.
+
+        Returns:
+            ``(delivered, backlog)``: bits served and :attr:`size` after
+            each replayed slot.
+        """
+        if self.capacity is not None:
+            raise ConfigError("replay needs an unbounded queue")
+        arrivals = np.asarray(arrivals, dtype=float)
+        per_slot = np.ndim(capacity) > 0
+        if per_slot:
+            capacity = np.asarray(capacity, dtype=float)
+            if capacity.shape != arrivals.shape:
+                raise ConfigError("arrivals and capacities must have equal length")
+        # NaN fails both tests, so the numpy keep-up commit never sees one.
+        if not np.all(capacity >= 0):
+            raise ConfigError("capacity must be >= 0 (and not NaN)")
+        if not np.all(arrivals >= 0):
+            raise ConfigError("bits must be >= 0 (and not NaN)")
+        n = len(arrivals)
+        values = arrivals.tolist()
+        caps = capacity.tolist() if per_slot else [float(capacity)] * n
+        # Slots whose arrivals exceed the capacity, then a sentinel: a
+        # keep-up stretch from an empty queue runs to the next of them.
+        loud = [] if until_empty else np.flatnonzero(arrivals > capacity).tolist()
+        loud.append(n)
+        parts: list[tuple[np.ndarray, np.ndarray]] = []
+        served: list[float] = []
+        after: list[float] = []
+        chunks = self._chunks
+        size = self._size
+        i = 0  # next slot (index into arrivals)
+        j = 0  # index into loud
+        try:
+            while i < n:
+                if until_empty:
+                    if size <= EPSILON:
+                        break
+                    resume = i
+                elif not chunks and size == 0.0:
+                    while loud[j] < i:
+                        j += 1
+                    resume = loud[j]
+                    if resume - i >= KEEPUP_RUN:
+                        if served:
+                            parts.append((np.array(served), np.array(after)))
+                            served, after = [], []
+                        quiet = arrivals[i:resume]
+                        positive = quiet[quiet > EPSILON]
+                        if positive.size:
+                            histogram[0] = float(
+                                np.add.accumulate(
+                                    np.concatenate(([histogram.get(0, 0.0)], positive))
+                                )[-1]
+                            )
+                        parts.append(
+                            (np.where(quiet > EPSILON, quiet, 0.0), np.zeros(resume - i))
+                        )
+                        i = resume
+                        continue
+                else:
+                    resume = i
+                # Per slot until the queue is empty again at or past resume.
+                for k in range(i, n):
+                    if until_empty and size <= EPSILON:
+                        break
+                    bits = values[k]
+                    remaining = caps[k]
+                    if not chunks and bits <= remaining:
+                        # push + serve on an empty queue: the slot's own
+                        # bits (dust: none) go out at delay 0 and the queue
+                        # ends exactly empty.
+                        if bits > EPSILON:
+                            histogram[0] = histogram.get(0, 0.0) + bits
+                            served.append(bits)
+                        else:
+                            served.append(0.0)
+                        after.append(0.0)
+                        size = 0.0
+                        if k >= resume:
+                            k += 1
+                            break
+                        continue
+                    slot = t + k
+                    if bits > EPSILON:  # push
+                        if chunks and chunks[-1][0] >= slot:
+                            if chunks[-1][0] > slot:
+                                raise SimulationError(
+                                    f"push at t={slot} after chunk stamped {chunks[-1][0]}"
+                                )
+                            chunks[-1][1] += bits
+                        else:
+                            chunks.append([slot, bits])
+                        size += bits
+                    total = 0.0
+                    while remaining > 0.0 and chunks:  # serve
+                        chunk = chunks[0]
+                        arrival, queued = chunk
+                        take = queued if queued <= remaining else remaining
+                        delay = slot - arrival
+                        histogram[delay] = histogram.get(delay, 0.0) + take
+                        total += take
+                        remaining -= take
+                        size -= take
+                        if take >= queued - EPSILON:
+                            chunks.popleft()
+                        else:
+                            chunk[1] = queued - take
+                    if not chunks:
+                        size = 0.0
+                    elif size < EPSILON:
+                        size = 0.0
+                        chunks.clear()
+                    served.append(total)
+                    after.append(size if size > EPSILON else 0.0)
+                    if not chunks and k >= resume:
+                        k += 1
+                        break
+                else:
+                    k = n
+                i = k
+        finally:
+            self._size = size
+        if served or not parts:
+            parts.append((np.array(served, dtype=float), np.array(after, dtype=float)))
+        if len(parts) == 1:
+            return parts[0]
+        return (
+            np.concatenate([d for d, _ in parts]),
+            np.concatenate([b for _, b in parts]),
+        )
 
     def drain_to(self, other: "BitQueue") -> float:
         """Move all chunks to ``other`` preserving arrival order; return bits.

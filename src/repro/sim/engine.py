@@ -40,9 +40,10 @@ policy's event lists.  Telemetry never feeds back into the simulation, so
 traces are bit-identical whether it is on or off, and the run itself
 takes the same code path either way.
 
-The one reference switch is ``vector=False``: it turns off the bulk
-fast-forward so every slot takes the scalar step.  Traces are
-bit-identical either way; the identity tests compare the two.
+The one reference switch is ``vector=False``: it turns off the
+policy-quiet slices and bulk commits so every slot takes the scalar
+step.  Traces are bit-identical either way; the identity tests compare
+the two.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def run_single_session(
             in the trace's ``dropped`` series.
         faults: a :class:`~repro.faults.plan.FaultPlan` injecting link
             degradation and ingress drops (None = fault-free).
-        vector: force (``True``) or suppress (``False``) the event-sliced
-            vectorized fast-forward; ``None`` (default) auto-selects it
-            when the queue is unbounded and the policy supports it
+        vector: force (``True``) or suppress (``False``) policy-quiet
+            slices; ``None`` (default) auto-selects them
+            when the queue is unbounded and the policy supports them
             (:class:`~repro.core.single_session.SingleSessionOnline` in
             kernel mode, :class:`~repro.core.baselines.StaticAllocator`).
             Traces are bit-identical either way.

@@ -222,12 +222,15 @@ class SingleSessionRecorder:
         self._dropped: list[float] = []
         self._requested: list[float] = []
         self._effective: list[float] = []
-        self._histogram: dict[int, float] = {}
-        #: Deferred keep-up blocks: ``(pos, arrivals, allocation, delivered)``
-        #: where ``pos`` is the scalar-list length at commit time.  Blocks
-        #: are spliced between the scalar slots at :meth:`finalize`, so the
-        #: bulk path never pays per-slot list appends.
-        self._blocks: list[tuple[int, np.ndarray, float, np.ndarray]] = []
+        #: Bits-weighted delay histogram; :meth:`record` folds each slot's
+        #: deliveries into it, and the engine's bulk slices fold theirs
+        #: directly (:meth:`~repro.network.queue.BitQueue.replay`).
+        self.histogram: dict[int, float] = {}
+        #: Deferred bulk slices: ``(pos, arrivals, allocation, delivered,
+        #: backlog)`` where ``pos`` is the scalar-list length at commit
+        #: time.  Slices are spliced between the scalar slots at
+        #: :meth:`finalize`, so the bulk path never pays per-slot appends.
+        self._blocks: list[tuple[int, np.ndarray, float, np.ndarray, np.ndarray]] = []
 
     def record(
         self,
@@ -247,9 +250,10 @@ class SingleSessionRecorder:
         self._dropped.append(dropped)
         self._requested.append(allocation if requested is None else requested)
         self._effective.append(allocation if effective is None else effective)
+        histogram = self.histogram
         for delivery in result.deliveries:
-            self._histogram[delivery.delay] = (
-                self._histogram.get(delivery.delay, 0.0) + delivery.bits
+            histogram[delivery.delay] = (
+                histogram.get(delivery.delay, 0.0) + delivery.bits
             )
 
     def record_keepup_block(
@@ -257,32 +261,27 @@ class SingleSessionRecorder:
         arrivals: np.ndarray,
         allocation: float,
         delivered: np.ndarray,
+        backlog: np.ndarray,
     ) -> None:
-        """Bulk-append a quiet keep-up slice: constant allocation, empty
-        queue throughout, every slot's arrivals delivered at delay 0.
+        """Bulk-append a policy-quiet slice: a constant allocation over
+        ``len(arrivals)`` slots, whose queue was replayed by
+        :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>`.
 
         Equivalent to ``record`` once per slot with those outcomes:
-        ``delivered`` must hold ``arrivals`` where above the dust threshold
-        and ``0.0`` elsewhere (a sub-epsilon push delivers nothing), and
-        the delay-0 histogram bin accumulates the positive deliveries in
-        slot order (``np.add.accumulate`` reproduces the sequential sums
-        bit-for-bit).  The per-slot columns are deferred: the block is
-        spliced in at :meth:`finalize`, so this call is O(1) plus the
-        histogram fold.
+        ``delivered`` and ``backlog`` are the replay's per-slot bits served
+        and end-of-slot queue size, nothing is dropped, and requested and
+        effective bandwidth equal the allocation.  The replay has already
+        folded the slice's deliveries into :attr:`histogram` in delivery
+        order, so this call only defers the per-slot columns: the slice is
+        spliced in at :meth:`finalize`, which keeps it O(1).
         """
-        self._blocks.append((len(self._arrivals), arrivals, allocation, delivered))
-        positive = delivered[delivered > 0.0]
-        if positive.size:
-            histogram = self._histogram
-            histogram[0] = float(
-                np.add.accumulate(
-                    np.concatenate(([histogram.get(0, 0.0)], positive))
-                )[-1]
-            )
+        self._blocks.append(
+            (len(self._arrivals), arrivals, allocation, delivered, backlog)
+        )
 
     def _columns(self) -> list[np.ndarray]:
         """Materialize the seven per-slot columns, splicing deferred
-        keep-up blocks between the scalar slots in commit order.
+        bulk slices between the scalar slots in commit order.
 
         Each column is written once into its final array, so finalizing
         holds the scalar lists plus one copy of the trace, never two.
@@ -302,14 +301,14 @@ class SingleSessionRecorder:
         columns = [np.empty(total) for _ in range(7)]
         previous = 0  # scalar slots consumed
         at = 0  # slots written
-        for pos, arrivals, allocation, delivered in self._blocks:
+        for pos, arrivals, allocation, delivered, backlog in self._blocks:
             run = pos - previous
             for column, values in zip(columns, scalar):
                 column[at : at + run] = values[previous:pos]
             at += run
             n = len(arrivals)
             for f, value in enumerate(
-                (arrivals, allocation, delivered, 0.0, 0.0, allocation, allocation)
+                (arrivals, allocation, delivered, backlog, 0.0, allocation, allocation)
             ):
                 columns[f][at : at + n] = value
             at += n
@@ -333,7 +332,7 @@ class SingleSessionRecorder:
             allocation=allocation,
             delivered=delivered,
             backlog=backlog,
-            delay_histogram=self._histogram,
+            delay_histogram=self.histogram,
             changes=list(changes),
             stage_starts=list(stage_starts),
             resets=list(resets),

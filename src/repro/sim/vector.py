@@ -1,11 +1,10 @@
-"""The simulation engine: one incremental loop with event-sliced bulk commits.
+"""The simulation engine: one incremental loop with policy-quiet slices.
 
 A scalar step pays Python interpreter overhead for every slot even though
 the paper's policies change their allocation only O(log B_A) times per
-stage.  Between allocation events the
-slot dynamics are trivial: with an empty queue and per-slot arrivals at or
-below the constant allocation, every slot delivers its own arrivals with
-delay zero and the queue stays empty.  This module exploits that:
+stage.  Between those events the policy's per-slot work is a pure
+function of the arrivals, and the queue's is a FIFO replay at a constant
+capacity.  This module exploits that:
 
 * :class:`EngineState` — the incremental single-session engine.  It owns
   the queue/policy/recorder triple and exposes ``step(n_slots)`` so
@@ -14,18 +13,20 @@ delay zero and the queue stays empty.  This module exploits that:
   ``collect="summary"``).  :func:`~repro.sim.engine.run_single_session`
   is a thin wrapper over it.  Fault plans fold in per slot: a slot whose
   capacity or ingress factor is not 1 takes the scalar step.
-* The **vectorized fast-forward**: while the session is *quiet* (empty
-  queue, arrivals ≤ allocation, and the policy guaranteed not to act) the
-  engine bulk-commits whole arrival slices with a handful of numpy calls
-  instead of per-slot Python steps.  For :class:`SingleSessionOnline` the
-  policy-side guarantee comes from :meth:`StageKernel.scan
-  <repro.core.stagekernel.StageKernel.scan>`, whose accumulates are
-  bitwise-identical to the scalar per-slot updates; the first *event*
-  slot (stage end, ladder rung, backlog onset) is always re-run through
-  the ordinary scalar step, so traces are bit-identical to an all-scalar
-  run (``vector=False``) by construction.
+* **Policy-quiet slices**: a run of slots in which the policy provably
+  keeps its allocation and runs no decision that reads the queue.  For
+  :class:`SingleSessionOnline` in a stage, :meth:`StageKernel.scan
+  <repro.core.stagekernel.StageKernel.scan>` finds the next stage end or
+  rung climb over a galloping window (it starts small and doubles up to
+  :data:`CHUNK`); Figure 3 never reads the backlog mid-stage, so the
+  queue does not end the slice.  In RESET the slice holds ``B_A`` until
+  the pre-push backlog is ``<= EPSILON``.  A primed
+  :class:`StaticAllocator` is always quiet.  The slice's queue work is
+  one fused :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>`
+  and its columns one ``record_keepup_block`` call; the event slot after
+  it takes the ordinary scalar step.
 * :func:`run_batched` — advance many independent sessions over one
-  validated ``(n, T)`` arrival matrix, each on the vectorized path.
+  validated ``(n, T)`` arrival matrix, each on the slice path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
   owns the policy/recorder pair behind ``run_multi_session``, exposes
   the same ``step(n_slots)`` slicing contract, and
@@ -36,19 +37,27 @@ delay zero and the queue stays empty.  This module exploits that:
   ``queues_exactly_empty`` hooks, so new policy families opt in by
   registration instead of engine special-casing.
 
-Exactness of the bulk commit (why a quiet slot can be skipped): with the
-queue exactly empty and ``EPSILON < a <= c``, ``BitQueue.push`` enqueues
-one chunk and ``BitQueue.serve`` takes exactly ``a`` (``take = bits``
-branch), pops it, and clears the dust accumulator — delivered bits ``a``,
-delay 0, backlog exactly ``0.0``.  With ``a <= EPSILON`` the push is a
-no-op and nothing is delivered.  Either way the queue ends the slot in
-the same exactly-empty state it began, so the per-slot outputs are pure
-functions of the arrival value — which is what the bulk commit writes.
+Exactness of a slice rests on "same float operations, same order":
+
+* ``StageKernel.scan`` commits the kernel state repeated
+  ``StageKernel.advance`` calls would (its accumulates are sequential);
+* ``BitQueue.replay`` runs the per-slot ``push`` and ``serve`` float
+  operations in the per-slot order and folds deliveries into the delay
+  histogram in the order ``record`` would;
+* the recorded columns are the ones a scalar step records for a slot in
+  which the policy leaves the link alone: granted = requested =
+  effective, nothing dropped.
+
+So traces are bit-identical to an all-scalar run (``vector=False``) by
+construction; the identity tests check it.  The multi-session bulk
+commit still needs every queue exactly empty and arrivals at or below
+the allocation, where each slot delivers its own arrivals at delay 0.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -72,17 +81,13 @@ from repro.sim.recorder import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.plan import FaultPlan
 
-#: Largest quiet slice committed per bulk step.  Bounds transient memory
-#: (a few float64 arrays of this length) while amortizing numpy call
+#: Longest policy-quiet slice.  Bounds transient memory (a few float64
+#: arrays and Python lists of this length) while amortizing numpy call
 #: overhead over thousands of slots.
 CHUNK = 16384
 
-#: Bulk takes below this many slots don't pay for the numpy call overhead
-#: of the attempt; they trigger the scalar-step cooldown.
-_SMALL_TAKE = 64
-#: Cooldown bounds (slots stepped scalar before the next bulk attempt).
-_PENALTY_MIN = 16
-_PENALTY_MAX = 2048
+#: First window of a galloping search; each full window doubles the next.
+_FIRST_WINDOW = 32
 
 
 def _as_array(arrivals: Sequence[float] | np.ndarray, ndim: int) -> np.ndarray:
@@ -99,11 +104,11 @@ def _as_array(arrivals: Sequence[float] | np.ndarray, ndim: int) -> np.ndarray:
 
 
 def vector_capable(policy) -> bool:
-    """True when ``policy`` supports the vectorized quiet fast-forward.
+    """True when ``policy`` supports policy-quiet slices.
 
     Exact-type checks on purpose: subclasses may override decision
-    machinery in ways the bulk commit cannot see, so they stay on the
-    scalar step.
+    machinery in ways a slice cannot see, so they stay on the scalar
+    step.
     """
     if type(policy) is SingleSessionOnline:
         return policy.kernel_mode
@@ -170,6 +175,33 @@ def multi_local_changes(policy) -> list[tuple[int, str, object]]:
     return local_changes
 
 
+class _Column:
+    """A 1-D array that grows by doubling its capacity.
+
+    :attr:`view` is the filled prefix.  A reallocation copies into a new
+    array, so earlier views (slices handed to a recorder) never change; an
+    array passed to the constructor is adopted without a copy and never
+    written.
+    """
+
+    def __init__(self, initial: np.ndarray):
+        self._data = initial
+        self.size = len(initial)
+
+    @property
+    def view(self) -> np.ndarray:
+        return self._data[: self.size]
+
+    def extend(self, chunk: np.ndarray) -> None:
+        end = self.size + len(chunk)
+        if end > len(self._data):
+            grown = np.empty(max(end, 2 * len(self._data)), dtype=self._data.dtype)
+            grown[: self.size] = self._data[: self.size]
+            self._data = grown
+        self._data[self.size : end] = chunk
+        self.size = end
+
+
 class _FaultSchedule:
     """A fault plan's per-slot factors, precomputed over the horizon.
 
@@ -182,30 +214,42 @@ class _FaultSchedule:
 
     def __init__(self, plan: "FaultPlan | None"):
         self.plan = plan if plan is not None and not plan.is_null else None
-        self.capacity = np.empty(0)
-        self.ingress = np.empty(0)
-        #: Slots where a fault acts (a factor is not 1): scalar steps only.
-        self.hot = np.empty(0, dtype=bool)
+        self.capacity = _Column(np.empty(0))
+        self.ingress = _Column(np.empty(0))
+        #: Slots where a fault acts (a factor is not 1), ascending: they
+        #: take scalar steps only.
+        self.hot_slots: list[int] = []
+
+    @property
+    def hot(self) -> np.ndarray:
+        """Per-slot mask of :attr:`hot_slots` over the precomputed slots."""
+        mask = np.zeros(self.capacity.size, dtype=bool)
+        mask[self.hot_slots] = True
+        return mask
 
     def extend(self, horizon: int) -> None:
         """Precompute every slot up to ``horizon``."""
         if self.plan is not None:
-            start = len(self.capacity)
+            start = self.capacity.size
             capacity = self.plan.capacity_factors(start, horizon)
             ingress = self.plan.ingress_factors(start, horizon)
-            self.capacity = np.concatenate((self.capacity, capacity))
-            self.ingress = np.concatenate((self.ingress, ingress))
-            self.hot = np.concatenate(
-                (self.hot, (capacity != 1.0) | (ingress != 1.0))
-            )
+            self.capacity.extend(capacity)
+            self.ingress.extend(ingress)
+            hot = np.flatnonzero((capacity != 1.0) | (ingress != 1.0)) + start
+            self.hot_slots.extend(hot.tolist())
+
+    def next_hot(self, t: int) -> int | None:
+        """The first hot slot at or after ``t`` (None: no more)."""
+        i = bisect_left(self.hot_slots, t)
+        return self.hot_slots[i] if i < len(self.hot_slots) else None
 
     def capacity_at(self, t: int) -> float:
-        if t < len(self.capacity):
-            return float(self.capacity[t])
+        if t < self.capacity.size:
+            return float(self.capacity._data[t])
         return self.plan.capacity_factor(t)
 
     def ingress_at(self, t: int) -> float:
-        return float(self.ingress[t])
+        return float(self.ingress._data[t])
 
 
 @dataclass
@@ -271,16 +315,18 @@ class _SummaryCollector:
                 histogram.get(delivery.delay, 0.0) + delivery.bits
             )
 
-    def record_keepup_block(self, arrivals, allocation, delivered) -> None:
-        n = len(arrivals)
-        self.slots += n
-        self.total_arrived += float(arrivals.sum())
-        delivered_total = float(delivered.sum())
-        self.total_delivered += delivered_total
+    def record_keepup_block(self, arrivals, allocation, delivered, backlog) -> None:
+        # Sequential sums (np.add.accumulate), as the per-slot += would.
+        self.slots += len(arrivals)
+        self.total_arrived = float(
+            np.add.accumulate(np.concatenate(([self.total_arrived], arrivals)))[-1]
+        )
+        self.total_delivered = float(
+            np.add.accumulate(np.concatenate(([self.total_delivered], delivered)))[-1]
+        )
+        self.max_backlog = max(self.max_backlog, float(backlog.max(initial=0.0)))
         if allocation > self.max_allocation:
             self.max_allocation = allocation
-        if delivered_total > 0.0:
-            self.histogram[0] = self.histogram.get(0, 0.0) + delivered_total
 
     def finalize(self, changes, stage_starts, resets, horizon) -> SingleRunSummary:
         return SingleRunSummary(
@@ -298,12 +344,34 @@ class _SummaryCollector:
         )
 
 
+def _gallop(t: int, stop: int, advance, window: int) -> tuple[int, int]:
+    """Slots from ``t`` (before ``stop``) that ``advance`` reports quiet.
+
+    ``advance(at, width)`` consumes up to ``width`` slots from ``at`` and
+    returns how many were quiet; a short answer is an event and ends the
+    search.  Each full window doubles the next (up to :data:`CHUNK`), so
+    an event ``k`` slots away costs O(log k) calls.  Returns the quiet
+    slot count and the window to resume with: :data:`_FIRST_WINDOW` after
+    an event, the grown window when ``stop`` cut the search short.
+    """
+    n = 0
+    while t + n < stop:
+        width = min(window, stop - t - n)
+        quiet = advance(t + n, width)
+        n += quiet
+        if quiet < width:
+            return n, _FIRST_WINDOW
+        if width == window:
+            window = min(2 * window, CHUNK)
+    return n, window
+
+
 class EngineState:
     """Incremental single-session engine: advance in ``step(n_slots)`` bites.
 
     Traces are bit-identical regardless of how the run is sliced into
-    ``step`` calls — and, with ``vector`` enabled, regardless of how many
-    slots each bulk commit covers.
+    ``step`` calls — and, with ``vector`` enabled, regardless of where
+    policy-quiet slices begin and end.
 
     Args:
         policy: the allocation policy (drives one
@@ -317,9 +385,9 @@ class EngineState:
         queue_capacity: finite ingress buffer (None = unbounded).
         faults: a :class:`~repro.faults.plan.FaultPlan` (None = fault-free).
             A slot whose capacity or ingress factor is not 1 always takes
-            the scalar step; fault-free stretches still bulk-commit.
-        vector: force (``True``) / suppress (``False``) the vectorized
-            quiet fast-forward; ``None`` auto-selects it for
+            the scalar step and ends a policy-quiet slice.
+        vector: force (``True``) / suppress (``False``) policy-quiet
+            slices; ``None`` auto-selects them for
             :func:`vector_capable` policies with an unbounded queue.
         collect: ``"trace"`` records full per-slot arrays;
             ``"summary"`` keeps O(1) aggregates
@@ -350,12 +418,13 @@ class EngineState:
         )
         self.drain = bool(drain)
         self._max_drain_slots = max_drain_slots
-        self._array = np.empty(0)
-        self._values: list[float] = []
+        initial = _as_array(arrivals, ndim=1)
+        self._arrivals = _Column(initial)
+        self._values: list[float] = initial.tolist()
         self._faults = _FaultSchedule(faults)
+        self._faults.extend(len(initial))
         self.t = 0
         self.closed = False
-        self._append(_as_array(arrivals, ndim=1))
 
         capable = vector_capable(policy) and queue_capacity is None
         if vector is None:
@@ -370,14 +439,9 @@ class EngineState:
         else:
             self._vector = False
         self._kernel_policy = self._vector and type(policy) is SingleSessionOnline
-        # Adaptive backoff: on streams where quiet prefixes are short
-        # (bursty arrivals above the allocation), the bulk attempt itself
-        # costs more than the slots it saves.  After a small take the
-        # engine steps scalar for `_cooldown` slots before retrying, with
-        # the penalty doubling while small takes persist — worst case the
-        # vectorized path degrades to scalar speed instead of below it.
-        self._cooldown = 0
-        self._penalty = _PENALTY_MIN
+        #: Galloping window of the next slice search; it survives a slice
+        #: cut short by a ``step`` budget, not one ended by an event.
+        self._window = _FIRST_WINDOW
 
         if closed:
             self.close()
@@ -398,20 +462,15 @@ class EngineState:
             return False
         return not (self.drain and not self.queue.is_empty)
 
-    def _append(self, chunk: np.ndarray) -> None:
-        self._array = (
-            np.concatenate((self._array, chunk)) if len(self._array) else chunk
-        )
-        self._values.extend(chunk.tolist())
-        self._faults.extend(len(self._values))
-
     def feed(self, arrivals: Sequence[float] | np.ndarray) -> None:
         """Append more arrival slots (streaming ingestion)."""
         if self.closed:
             raise ConfigError("cannot feed a closed EngineState")
         chunk = _as_array(arrivals, ndim=1)
         if chunk.size:
-            self._append(chunk)
+            self._arrivals.extend(chunk)
+            self._values.extend(chunk.tolist())
+            self._faults.extend(len(self._values))
             tele = get_telemetry()
             if tele.enabled:
                 tele.registry.counter("engine.stream.fed_slots").inc(chunk.size)
@@ -455,28 +514,15 @@ class EngineState:
         faults = self._faults if self._faults.plan is not None else None
         processed = 0
         t = self.t
-        cooldown = self._cooldown
         try:
             while processed < n_slots:
                 if t < horizon:
-                    if (
-                        self._vector
-                        and cooldown == 0
-                        and queue._size == 0.0
-                        and not queue._chunks
-                    ):
-                        taken = self._bulk(t, min(n_slots - processed, CHUNK))
-                        if taken >= _SMALL_TAKE:
-                            self._penalty = _PENALTY_MIN
-                        else:
-                            cooldown = self._penalty
-                            self._penalty = min(self._penalty * 2, _PENALTY_MAX)
+                    if self._vector:
+                        taken = self._slice(t, min(n_slots - processed, horizon - t, CHUNK))
                         if taken:
                             t += taken
                             processed += taken
                             continue
-                    elif cooldown:
-                        cooldown -= 1
                     offered = values[t]
                 elif not self.closed:
                     break
@@ -529,7 +575,6 @@ class EngineState:
                 processed += 1
         finally:
             self.t = t
-            self._cooldown = cooldown
             # Live-observatory surface: one guarded emission per step()
             # call (never per slot), so the hot loop stays untouched and
             # a telemetry-off run pays one attribute check.
@@ -541,44 +586,55 @@ class EngineState:
                 registry.gauge("engine.stream.backlog").set(queue.size)
         return processed
 
-    def _bulk(self, t: int, budget: int) -> int:
-        """Bulk-commit the longest quiet prefix from ``t``; return its length.
+    def _slice(self, t: int, budget: int) -> int:
+        """Commit the policy-quiet slice that starts at ``t``; return its
+        length (at most ``budget``; 0 when slot ``t`` needs the scalar step).
 
-        Quiet: queue exactly empty, arrivals ≤ the constant allocation, and
-        the policy guaranteed not to end a stage, climb a rung, or change
-        the link.  Returns 0 when the very next slot needs the scalar step.
+        Quiet: the policy keeps its allocation and runs no decision that
+        reads the queue, and no fault acts.  The queue work is one
+        :meth:`BitQueue.replay` at the constant allocation.
         """
+        stop = t + budget
+        if self._faults.plan is not None:
+            hot = self._faults.next_hot(t)
+            if hot is not None:
+                stop = min(stop, hot)
+        if stop <= t:
+            return 0
         policy = self.policy
+        queue = self.queue
+        arrivals = self._arrivals.view
         allocation = policy.link.bandwidth
-        if self._kernel_policy:
-            if not policy._in_stage:
-                return 0
-        else:  # StaticAllocator: quiet once the link is primed.
+        histogram = self.recorder.histogram
+        if not self._kernel_policy:  # StaticAllocator: quiet once primed.
             if allocation != policy.bandwidth:
                 return 0
-        hot = self._faults.hot if self._faults.plan is not None else None
-        if self._values[t] > allocation or (hot is not None and hot[t]):
-            # Cheap scalar pre-check: the very next slot overloads the
-            # link (or is a fault slot), so there is no quiet prefix.
-            return 0
-        chunk = self._array[t : t + budget]
-        loud = chunk > allocation
-        if hot is not None:
-            loud |= hot[t : t + budget]
-        over = np.nonzero(loud)[0]
-        limit = int(over[0]) if over.size else len(chunk)
-        if limit == 0:
-            return 0
-        if self._kernel_policy:
-            taken = policy._kernel.scan(chunk[:limit])
-            if taken == 0:
+            delivered, backlog = queue.replay(t, arrivals[t:stop], allocation, histogram)
+        elif policy._in_stage:
+            n, self._window = _gallop(
+                t, stop, lambda at, width: policy._kernel.scan(arrivals[at : at + width]), self._window
+            )
+            if n == 0:
                 return 0
-        else:
-            taken = limit
-        committed = chunk[:taken]
-        delivered = np.where(committed > EPSILON, committed, 0.0)
-        self.recorder.record_keepup_block(committed, allocation, delivered)
-        return taken
+            delivered, backlog = queue.replay(t, arrivals[t : t + n], allocation, histogram)
+        elif queue._size > EPSILON:  # RESET holds B_A until the queue drains.
+            parts = []
+
+            def drain(at: int, width: int) -> int:
+                part = queue.replay(
+                    at, arrivals[at : at + width], allocation, histogram, until_empty=True
+                )
+                parts.append(part)
+                return len(part[0])
+
+            _, self._window = _gallop(t, stop, drain, self._window)
+            delivered = np.concatenate([d for d, _ in parts])
+            backlog = np.concatenate([b for _, b in parts])
+        else:  # the slot opens a stage
+            return 0
+        n = len(delivered)
+        self.recorder.record_keepup_block(arrivals[t : t + n], allocation, delivered, backlog)
+        return n
 
     def run(self) -> None:
         """Simulate to completion (closes the state first)."""
@@ -871,12 +927,13 @@ def run_batched(
             converted once for the whole batch.
         drain, max_drain_slots, collect: as :class:`EngineState`.
 
-    Each row runs on the vectorized path when the policy is
-    :func:`vector_capable` (scalar otherwise).  Rows are independent
-    simulations: stage-relative prefix sums are per-session state, so a
-    cross-session 2-D kernel cannot preserve bit-identity — the win here
-    is the shared validation/conversion pass plus the per-row quiet
-    fast-forward, which already removes the per-slot interpreter cost.
+    Each row runs its own :class:`EngineState`, in policy-quiet slices
+    when the policy is :func:`vector_capable` (scalar steps otherwise).
+    Rows are independent simulations: stage-relative prefix sums and FIFO
+    queues are per-session state, so a cross-session 2-D kernel cannot
+    preserve bit-identity.  The win is the shared validation/conversion
+    pass plus the per-row slices, which already advance a backlogged or
+    idle row through its quiet stretches without per-slot interpreter cost.
     """
     matrix = _as_array(arrivals, ndim=2)
     out = []

@@ -91,6 +91,26 @@ class TestFeedClose:
         state.run()
         _assert_identical(state.finalize(), reference)
 
+    def test_feeds_reallocate_logarithmically(self):
+        """N feeds grow the arrival buffer O(log N) times, never per feed."""
+        state = EngineState(_policy(), closed=False)
+        buffers = []
+        feeds = 4096
+        for i in range(feeds):
+            state.feed(np.full(10, float(i % 7)))
+            if not buffers or state._arrivals._data is not buffers[-1]:
+                buffers.append(state._arrivals._data)
+        assert len(buffers) <= np.log2(feeds * 10) + 2
+        expected = np.repeat(np.arange(feeds) % 7, 10).astype(float)
+        np.testing.assert_array_equal(state._arrivals.view, expected)
+
+    def test_feeding_never_writes_into_the_callers_array(self):
+        initial = np.array([1.0, 2.0, 3.0])
+        state = EngineState(_policy(), initial, closed=False)
+        state.feed([4.0, 5.0])
+        np.testing.assert_array_equal(initial, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(state._arrivals.view, [1.0, 2.0, 3.0, 4.0, 5.0])
+
     def test_step_stops_at_open_horizon(self):
         state = EngineState(_policy(), [1.0, 2.0], closed=False)
         assert state.step(100) == 2

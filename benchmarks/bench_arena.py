@@ -47,6 +47,7 @@ from repro.obs.history import (  # noqa: E402
 from repro.obs.manifest import git_revision  # noqa: E402
 from repro.runner import ContentCache  # noqa: E402
 from repro.sim.engine import run_multi_session  # noqa: E402
+from repro.sim.vector import multi_vector_capable  # noqa: E402
 from repro.version import __version__  # noqa: E402
 
 SEGMENT = 8000
@@ -100,7 +101,7 @@ def bench_allocator(name: str, factory, seed: int, scale: float, k: int = 4) -> 
         lambda: run_multi_session(factory(k), arrivals, vector=False)
     )
     vector, vector_s = _best_of(
-        lambda: run_multi_session(factory(k), arrivals, vector=True)
+        lambda: run_multi_session(factory(k), arrivals)
     )
     slots = len(scalar.delivered)
     return _workload(
@@ -114,6 +115,20 @@ def _max_min(k: int) -> MaxMinFairAllocator:
 
 def _priority(k: int) -> PriorityTierAllocator:
     return PriorityTierAllocator(k, capacity=8.0 * k, period=8)
+
+
+def require_fast_path() -> None:
+    """Exit 1 unless the epoch allocators take the bulk-commit path.
+
+    A run that silently fell back to scalar steps would still pass the
+    identity check, so the check alone cannot catch it.
+    """
+    for factory in (_max_min, _priority):
+        policy = factory(4)
+        if not multi_vector_capable(policy):
+            raise SystemExit(
+                f"FATAL: {type(policy).__name__} is no longer multi_vector_capable"
+            )
 
 
 def bench_tournament(seed: int, scale: float) -> dict:
@@ -145,6 +160,7 @@ def bench_tournament(seed: int, scale: float) -> dict:
 
 
 def run_bench(seed: int, scale: float, out: Path) -> dict:
+    require_fast_path()
     workloads = [
         bench_allocator("maxmin_k4", _max_min, seed, scale),
         bench_allocator("tier_k4", _priority, seed, scale),

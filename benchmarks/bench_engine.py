@@ -50,7 +50,11 @@ from repro.obs.history import (  # noqa: E402
 from repro.obs.manifest import git_revision  # noqa: E402
 from repro.params import OfflineConstraints  # noqa: E402
 from repro.sim.engine import run_multi_session, run_single_session  # noqa: E402
-from repro.sim.vector import run_batched  # noqa: E402
+from repro.sim.vector import (  # noqa: E402
+    multi_vector_capable,
+    run_batched,
+    vector_capable,
+)
 from repro.traffic.feasible import generate_feasible_stream  # noqa: E402
 from repro.version import __version__  # noqa: E402
 
@@ -124,6 +128,22 @@ def _single_policy() -> SingleSessionOnline:
     )
 
 
+def _multi_policy(k: int) -> PhasedMultiSession:
+    return PhasedMultiSession(k, offline_bandwidth=8.0 * k, offline_delay=8)
+
+
+def require_fast_path() -> None:
+    """Exit 1 unless the workloads' policies take the fast path.
+
+    A run that silently fell back to scalar steps would still pass the
+    identity check, so the check alone cannot catch it.
+    """
+    if not vector_capable(_single_policy()):
+        raise SystemExit("FATAL: SingleSessionOnline is no longer vector_capable")
+    if not multi_vector_capable(_multi_policy(2)):
+        raise SystemExit("FATAL: PhasedMultiSession is no longer multi_vector_capable")
+
+
 def bench_single(seed: int, scale: float) -> dict:
     horizon = max(SEGMENT, int(400_000 * scale))
     rng = np.random.default_rng(seed)
@@ -132,7 +152,7 @@ def bench_single(seed: int, scale: float) -> dict:
         lambda: run_single_session(_single_policy(), arrivals, vector=False)
     )
     vector, vector_s = _best_of(
-        lambda: run_single_session(_single_policy(), arrivals, vector=True)
+        lambda: run_single_session(_single_policy(), arrivals)
     )
     slots = len(scalar.allocation)
     return _workload(
@@ -149,7 +169,7 @@ def bench_single_certified(seed: int, scale: float) -> dict:
         lambda: run_single_session(_single_policy(), arrivals, vector=False)
     )
     vector, vector_s = _best_of(
-        lambda: run_single_session(_single_policy(), arrivals, vector=True)
+        lambda: run_single_session(_single_policy(), arrivals)
     )
     return _workload(
         "single_certified", len(scalar.allocation), scalar_s, vector_s,
@@ -161,15 +181,11 @@ def bench_multi(seed: int, scale: float, k: int) -> dict:
     horizon = max(SEGMENT, int(100_000 * scale))
     rng = np.random.default_rng(seed + k)
     arrivals = _piecewise(rng, horizon, 0.5, 4.0, k=k)
-
-    def policy() -> PhasedMultiSession:
-        return PhasedMultiSession(k, offline_bandwidth=8.0 * k, offline_delay=8)
-
     scalar, scalar_s = _best_of(
-        lambda: run_multi_session(policy(), arrivals, vector=False)
+        lambda: run_multi_session(_multi_policy(k), arrivals, vector=False)
     )
     vector, vector_s = _best_of(
-        lambda: run_multi_session(policy(), arrivals, vector=True)
+        lambda: run_multi_session(_multi_policy(k), arrivals)
     )
     slots = len(scalar.delivered)
     return _workload(
@@ -203,6 +219,7 @@ def bench_batched(seed: int, scale: float, sessions: int = 64) -> dict:
 
 
 def run_bench(seed: int, scale: float, out: Path) -> dict:
+    require_fast_path()
     workloads = [
         bench_single(seed, scale),
         bench_single_certified(seed, scale),

@@ -46,7 +46,6 @@ from repro.adversary.generators import (
     AttackCandidate,
     constant_witness,
     doubling_attack,
-    is_leaky_bucket,
     leaky_bucket_attack,
     leaky_bucket_multi_attack,
     phase_resonant_attack,
@@ -75,7 +74,6 @@ __all__ = [
     "constant_witness",
     "doubling_attack",
     "hill_climb",
-    "is_leaky_bucket",
     "leaky_bucket_attack",
     "leaky_bucket_multi_attack",
     "load_corpus",

@@ -166,24 +166,6 @@ def _certified(
 # -- (ρ, b)-leaky-bucket adversaries ---------------------------------------
 
 
-def is_leaky_bucket(arrivals: np.ndarray, rate: float, bucket: float) -> bool:
-    """Does the stream conform to the (ρ, b) envelope?
-
-    Conformance means every interval's arrivals are at most
-    ``ρ·len + b`` — checked in O(T) by simulating the bucket: a virtual
-    token pool starts at ``b``, refills at ``ρ`` per slot (capped at
-    ``b``), and every arrival must be covered by the pool.
-    """
-    if rate < 0 or bucket < 0:
-        raise ConfigError(f"need rate, bucket >= 0, got {rate!r}, {bucket!r}")
-    tokens = float(bucket)
-    for bits in np.asarray(arrivals, dtype=float):
-        if bits > tokens + _EPS:
-            return False
-        tokens = min(bucket, tokens - float(bits) + rate)
-    return True
-
-
 def leaky_bucket_attack(
     offline: OfflineConstraints,
     horizon: int,

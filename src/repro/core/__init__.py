@@ -32,7 +32,6 @@ from repro.core.opt_bruteforce import (
     min_changes_bruteforce,
     min_changes_bruteforce_multi,
 )
-from repro.core.variants import EagerResetSingleSession, NonMonotoneSingleSession
 from repro.core.offline import (
     StageCertificate,
     constant_offline_schedule,
@@ -61,8 +60,6 @@ from repro.core.single_session import SingleSessionOnline
 __all__ = [
     "BandwidthPolicy",
     "ClampedQuantizer",
-    "EagerResetSingleSession",
-    "NonMonotoneSingleSession",
     "iter_schedules",
     "min_changes_bruteforce",
     "min_changes_bruteforce_multi",

@@ -16,9 +16,9 @@ plus the current backlog): a session's demand at an epoch is
 
 so a run sliced into bulk-committed quiet spans re-decides identically
 to the scalar per-slot run — the bit-identity the engine's vector path
-requires.  Between epochs the policy runs no decision logic and touches
-no link, which is exactly the quiet-slice contract of
-:func:`repro.sim.vector.multi_vector_capable`.
+requires.  Between epochs (before :attr:`next_boundary`) the policy runs
+no decision logic and touches no link; :mod:`repro.sim.vector` states
+when the engine bulk-commits such slots.
 """
 
 from __future__ import annotations
@@ -104,39 +104,12 @@ class EpochDrivenMultiSession(MultiSessionPolicy):
             session.channels.regular_link.set(t, bandwidth)
         self._next_epoch = t + self.period
 
-    # -- event-boundary hooks (vectorized engine) ----------------------------
+    # -- event boundary (read by the vectorized engine) ----------------------
 
     @property
     def next_boundary(self) -> int | None:
         """Slot of the next epoch re-decision (None before the first step)."""
         return self._next_epoch
-
-    def quiet_slots_until_boundary(self, t: int) -> int:
-        """Slots from ``t`` with no scheduled policy event.
-
-        Within that span :meth:`step` runs no epoch processing and touches
-        no link; 0 when the policy has not started or an epoch is due at
-        ``t``.
-        """
-        if not self._started or self._next_epoch is None:
-            return 0
-        return max(0, self._next_epoch - t)
-
-    def queues_exactly_empty(self) -> bool:
-        """True when every regular and overflow queue holds exactly 0 bits.
-
-        Stricter than ``is_empty`` (which tolerates sub-epsilon dust): the
-        vectorized keep-up analysis requires the true empty state.
-        """
-        for session in self.sessions:
-            channels = session.channels
-            regular = channels.regular_queue
-            overflow = channels.overflow_queue
-            if regular._size != 0.0 or regular._chunks:
-                return False
-            if overflow._size != 0.0 or overflow._chunks:
-                return False
-        return True
 
     # -- the slot step -------------------------------------------------------
 

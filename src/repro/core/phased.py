@@ -148,40 +148,12 @@ class PhasedMultiSession(MultiSessionPolicy):
         for session in self.sessions:
             session.channels.overflow_link.set(t, 0.0)
 
-    # -- event-boundary hooks (vectorized engine) ----------------------------
+    # -- event boundary (read by the vectorized engine) ----------------------
 
     @property
     def next_boundary(self) -> int | None:
         """Slot of the next phase-end event (None before the first step)."""
         return self._next_boundary
-
-    def quiet_slots_until_boundary(self, t: int) -> int:
-        """Slots from ``t`` with no scheduled policy event.
-
-        Within that span :meth:`step` runs no phase-end/RESET processing
-        and touches no link, so slot dynamics depend only on arrivals and
-        queue state; 0 when the policy has not started or a boundary is
-        due at ``t``.
-        """
-        if not self._started or self._next_boundary is None:
-            return 0
-        return max(0, self._next_boundary - t)
-
-    def queues_exactly_empty(self) -> bool:
-        """True when every regular and overflow queue holds exactly 0 bits.
-
-        Stricter than ``is_empty`` (which tolerates sub-epsilon dust): the
-        vectorized keep-up analysis requires the true empty state.
-        """
-        for session in self.sessions:
-            channels = session.channels
-            regular = channels.regular_queue
-            overflow = channels.overflow_queue
-            if regular._size != 0.0 or regular._chunks:
-                return False
-            if overflow._size != 0.0 or overflow._chunks:
-                return False
-        return True
 
     # -- the slot step -------------------------------------------------------
 

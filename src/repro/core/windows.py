@@ -1,52 +1,10 @@
-"""Sliding-window primitives used by the envelope trackers and the metrics.
-
-Everything here is O(1) amortized per pushed element:
-
-* :class:`PrefixSums` — cumulative sums with range queries.
-* :class:`SlidingWindowSum` — sum of the last ``window`` values.
-* :class:`SlidingWindowMin` / :class:`SlidingWindowMax` — monotone-deque
-  extrema of the last ``window`` values.
-* :class:`RunningMin` / :class:`RunningMax` — extrema since the last reset.
-"""
+"""Sliding-window sum, O(1) amortized per pushed element."""
 
 from __future__ import annotations
 
 from collections import deque
 
 from repro.errors import ConfigError
-
-
-class PrefixSums:
-    """Append-only cumulative sums with O(1) range-sum queries.
-
-    ``range_sum(i, j)`` returns the sum of elements with indices in
-    ``[i, j)``; indices count appended elements starting at zero.
-    """
-
-    def __init__(self) -> None:
-        self._sums: list[float] = [0.0]
-
-    def append(self, value: float) -> None:
-        """Append one value."""
-        self._sums.append(self._sums[-1] + value)
-
-    def __len__(self) -> int:
-        return len(self._sums) - 1
-
-    @property
-    def total(self) -> float:
-        """Sum of everything appended so far."""
-        return self._sums[-1]
-
-    def cumulative(self, n: int) -> float:
-        """Sum of the first ``n`` elements."""
-        return self._sums[n]
-
-    def range_sum(self, i: int, j: int) -> float:
-        """Sum of elements with indices in ``[i, j)``."""
-        if i < 0 or j > len(self) or i > j:
-            raise IndexError(f"bad range [{i}, {j}) for length {len(self)}")
-        return self._sums[j] - self._sums[i]
 
 
 class SlidingWindowSum:
@@ -82,85 +40,3 @@ class SlidingWindowSum:
     def reset(self) -> None:
         self._values.clear()
         self._sum = 0.0
-
-
-class _MonotoneDeque:
-    """Shared machinery for sliding min / max via a monotone deque."""
-
-    def __init__(self, window: int, keep_if_better):
-        if window < 1:
-            raise ConfigError(f"window must be >= 1, got {window!r}")
-        self.window = int(window)
-        self._keep_if_better = keep_if_better
-        self._deque: deque[tuple[int, float]] = deque()
-        self._count = 0
-
-    def push(self, value: float) -> float:
-        index = self._count
-        self._count += 1
-        while self._deque and not self._keep_if_better(self._deque[-1][1], value):
-            self._deque.pop()
-        self._deque.append((index, value))
-        while self._deque[0][0] <= index - self.window:
-            self._deque.popleft()
-        return self._deque[0][1]
-
-    @property
-    def current(self) -> float:
-        if not self._deque:
-            raise IndexError("no values pushed yet")
-        return self._deque[0][1]
-
-    @property
-    def full(self) -> bool:
-        return self._count >= self.window
-
-    def reset(self) -> None:
-        self._deque.clear()
-        self._count = 0
-
-
-class SlidingWindowMin(_MonotoneDeque):
-    """Minimum over the trailing ``window`` pushed values."""
-
-    def __init__(self, window: int):
-        super().__init__(window, keep_if_better=lambda old, new: old < new)
-
-
-class SlidingWindowMax(_MonotoneDeque):
-    """Maximum over the trailing ``window`` pushed values."""
-
-    def __init__(self, window: int):
-        super().__init__(window, keep_if_better=lambda old, new: old > new)
-
-
-class RunningMin:
-    """Minimum of everything pushed since the last reset."""
-
-    def __init__(self, initial: float = float("inf")):
-        self._initial = initial
-        self.value = initial
-
-    def push(self, value: float) -> float:
-        if value < self.value:
-            self.value = value
-        return self.value
-
-    def reset(self) -> None:
-        self.value = self._initial
-
-
-class RunningMax:
-    """Maximum of everything pushed since the last reset."""
-
-    def __init__(self, initial: float = float("-inf")):
-        self._initial = initial
-        self.value = initial
-
-    def push(self, value: float) -> float:
-        if value > self.value:
-            self.value = value
-        return self.value
-
-    def reset(self) -> None:
-        self.value = self._initial

@@ -64,17 +64,17 @@ class TokenBucket:
 def is_conforming(arrivals: np.ndarray, rate: float, burst: float) -> bool:
     """Does the series satisfy ``IN(any window of w slots) <= rate·w + burst``?
 
-    Checked in O(T) via the running-minimum transform (same algebra as the
-    Claim 9 certificate).
+    The (ρ, b) envelope with ``ρ = rate`` and ``b = burst``, and with
+    ``rate = B_O``, ``burst = D_O·B_O`` the Claim 9 envelope.  Checked in
+    O(T) with one running minimum: ``G(t) = C(t) - rate·t`` over the
+    cumulative arrivals ``C``, and every window ending at slot ``t`` is
+    within the envelope iff ``G(t+1) - min_{u<=t} G(u) <= burst``
+    (tolerance 1e-9).
     """
+    if rate < 0 or burst < 0:
+        raise ConfigError(f"need rate, burst >= 0, got {rate!r}, {burst!r}")
     arrivals = np.asarray(arrivals, dtype=float)
-    cumulative = 0.0
-    minimum = 0.0
-    for t, bits in enumerate(arrivals):
-        previous = cumulative - rate * t
-        if previous < minimum:
-            minimum = previous
-        cumulative += bits
-        if cumulative - rate * (t + 1) - minimum > burst + 1e-9:
-            return False
-    return True
+    cumulative = np.add.accumulate(np.concatenate(([0.0], arrivals)))
+    g = cumulative - rate * np.arange(len(cumulative))
+    floor = np.minimum.accumulate(g[:-1])
+    return not bool(np.any(g[1:] - floor > burst + 1e-9))

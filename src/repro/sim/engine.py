@@ -43,7 +43,8 @@ takes the same code path either way.
 The one reference switch is ``vector=False``: it turns off the
 policy-quiet slices and bulk commits so every slot takes the scalar
 step.  Traces are bit-identical either way; the identity tests compare
-the two.
+the two.  When slices and bulk commits apply is stated once, in
+:mod:`repro.sim.vector`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def run_single_session(
     max_drain_slots: int | None = None,
     queue_capacity: float | None = None,
     faults: "FaultPlan | None" = None,
-    vector: bool | None = None,
+    vector: bool = True,
 ) -> SingleSessionTrace:
     """Simulate one session under ``policy``; return the finalized trace.
 
@@ -85,12 +86,10 @@ def run_single_session(
             in the trace's ``dropped`` series.
         faults: a :class:`~repro.faults.plan.FaultPlan` injecting link
             degradation and ingress drops (None = fault-free).
-        vector: force (``True``) or suppress (``False``) policy-quiet
-            slices; ``None`` (default) auto-selects them
-            when the queue is unbounded and the policy supports them
-            (:class:`~repro.core.single_session.SingleSessionOnline` in
-            kernel mode, :class:`~repro.core.baselines.StaticAllocator`).
-            Traces are bit-identical either way.
+        vector: run policy-quiet slices when the queue is unbounded and
+            the policy supports them
+            (:func:`~repro.sim.vector.vector_capable`); ``False`` makes
+            every slot a scalar step.  Traces are bit-identical either way.
     """
     state = EngineState(
         policy,
@@ -135,7 +134,7 @@ def run_multi_session(
     drain: bool = True,
     max_drain_slots: int | None = None,
     faults: "FaultPlan | None" = None,
-    vector: bool | None = None,
+    vector: bool = True,
 ) -> MultiSessionTrace:
     """Simulate ``k`` sessions under ``policy``; return the finalized trace.
 
@@ -149,13 +148,10 @@ def run_multi_session(
             remove arriving bits before they reach the policy.  (The
             combined algorithm's global channel is served inside the policy
             and is not degraded.)
-        vector: force (``True``) or suppress (``False``) the event-sliced
-            bulk fast-forward (supported for policy types registered via
-            :func:`~repro.sim.vector.register_multi_vector` — stock
-            :class:`~repro.core.phased.PhasedMultiSession` and the
-            epoch-driven arena allocators: quiet slices between event
-            boundaries commit in bulk); ``None`` (default) auto-selects
-            it.  Traces are bit-identical either way.
+        vector: bulk-commit quiet slots when the policy supports it
+            (:func:`~repro.sim.vector.multi_vector_capable`); ``False``
+            makes every slot a scalar step.  Traces are bit-identical
+            either way.
     """
     state = MultiEngineState(
         policy,

@@ -28,14 +28,18 @@ capacity.  This module exploits that:
 * :func:`run_batched` — advance many independent sessions over one
   validated ``(n, T)`` arrival matrix, each on the slice path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
-  owns the policy/recorder pair behind ``run_multi_session``, exposes
-  the same ``step(n_slots)`` slicing contract, and
-  bulk-commits quiet in-phase slices for policies registered via
-  :func:`register_multi_vector` (stock: ``PhasedMultiSession`` and the
-  epoch-driven arena allocators).  A capable policy declares its own
-  event boundaries through the ``quiet_slots_until_boundary`` /
-  ``queues_exactly_empty`` hooks, so new policy families opt in by
-  registration instead of engine special-casing.
+  owns the policy/recorder pair behind ``run_multi_session`` and exposes
+  the same ``step(n_slots)`` slicing contract.
+* **Multi-session bulk commits**: :class:`PhasedMultiSession` touches
+  its links only at phase ends and the epoch allocators
+  (:class:`MaxMinFairAllocator`, :class:`PriorityTierAllocator`) only at
+  epoch ends, so a slot before the policy's ``next_boundary`` runs no
+  decision logic.  Such a slot is bulk-committed when also no fault
+  acts, every queue is exactly empty (0.0 bits, not just dust) and each
+  session's arrivals are at or below its regular allocation: it then
+  delivers its own arrivals at delay 0 and leaves the queues exactly
+  empty, so its columns are pure functions of the arrival row.
+  :func:`multi_vector_capable` names the policies this holds for.
 
 Exactness of a slice rests on "same float operations, same order":
 
@@ -49,9 +53,7 @@ Exactness of a slice rests on "same float operations, same order":
   effective, nothing dropped.
 
 So traces are bit-identical to an all-scalar run (``vector=False``) by
-construction; the identity tests check it.  The multi-session bulk
-commit still needs every queue exactly empty and arrivals at or below
-the allocation, where each slot delivers its own arrivals at delay 0.
+construction; the identity tests check it.
 """
 
 from __future__ import annotations
@@ -115,51 +117,33 @@ def vector_capable(policy) -> bool:
     return type(policy) is StaticAllocator
 
 
-#: Multi-session policy types whose quiet slices may be bulk-committed.
-#: Populated via :func:`register_multi_vector`; matched by exact type
-#: (subclasses may override decision machinery the bulk commit cannot
-#: see, so they stay scalar until registered themselves).
-_MULTI_VECTOR_TYPES: set[type] = set()
-
-
-def register_multi_vector(cls: type) -> type:
-    """Register a multi-session policy type for the vectorized bulk path.
-
-    The type must honour the quiet-slice contract: between the boundaries
-    it reports, ``step`` runs no decision logic and touches no link, so a
-    slot with every queue exactly empty and per-session arrivals at or
-    below the constant regular allocation delivers its own arrivals at
-    delay 0 and leaves the queues exactly empty.  Required hooks:
-
-    * ``quiet_slots_until_boundary(t)`` — slots from ``t`` guaranteed
-      free of policy events (0 = step scalar now);
-    * ``queues_exactly_empty()`` — every queue holds exactly 0.0 bits.
-
-    Usable as a class decorator; returns ``cls``.
-    """
-    for hook in ("quiet_slots_until_boundary", "queues_exactly_empty"):
-        if not callable(getattr(cls, hook, None)):
-            raise ConfigError(
-                f"{cls.__name__} cannot register for the vectorized path: "
-                f"missing the {hook}() hook"
-            )
-    _MULTI_VECTOR_TYPES.add(cls)
-    return cls
-
-
 def multi_vector_capable(policy) -> bool:
-    """True when the multi-session bulk fast-forward applies to ``policy``.
+    """True when ``policy`` supports multi-session bulk commits.
 
-    Requires a :func:`register_multi_vector`-registered exact type and no
-    extra (global-overflow) channel — the bulk commit records the extra
-    allocation as 0.
+    Exact-type checks on purpose, as in :func:`vector_capable`: a
+    subclass may override ``step``.  No extra (global-overflow) channel
+    either: the bulk commit records the extra allocation as 0.
     """
-    return type(policy) in _MULTI_VECTOR_TYPES and policy.extra_link is None
+    return (
+        type(policy) in (PhasedMultiSession, MaxMinFairAllocator, PriorityTierAllocator)
+        and policy.extra_link is None
+    )
 
 
-register_multi_vector(PhasedMultiSession)
-register_multi_vector(MaxMinFairAllocator)
-register_multi_vector(PriorityTierAllocator)
+def _every_queue_exactly_empty(sessions) -> bool:
+    """True when every regular and overflow queue holds exactly 0.0 bits.
+
+    Stricter than ``is_empty``, which tolerates sub-epsilon dust.
+    """
+    for session in sessions:
+        channels = session.channels
+        regular = channels.regular_queue
+        overflow = channels.overflow_queue
+        if regular._size != 0.0 or regular._chunks:
+            return False
+        if overflow._size != 0.0 or overflow._chunks:
+            return False
+    return True
 
 
 def multi_local_changes(policy) -> list[tuple[int, str, object]]:
@@ -219,13 +203,6 @@ class _FaultSchedule:
         #: Slots where a fault acts (a factor is not 1), ascending: they
         #: take scalar steps only.
         self.hot_slots: list[int] = []
-
-    @property
-    def hot(self) -> np.ndarray:
-        """Per-slot mask of :attr:`hot_slots` over the precomputed slots."""
-        mask = np.zeros(self.capacity.size, dtype=bool)
-        mask[self.hot_slots] = True
-        return mask
 
     def extend(self, horizon: int) -> None:
         """Precompute every slot up to ``horizon``."""
@@ -386,9 +363,9 @@ class EngineState:
         faults: a :class:`~repro.faults.plan.FaultPlan` (None = fault-free).
             A slot whose capacity or ingress factor is not 1 always takes
             the scalar step and ends a policy-quiet slice.
-        vector: force (``True``) / suppress (``False``) policy-quiet
-            slices; ``None`` auto-selects them for
-            :func:`vector_capable` policies with an unbounded queue.
+        vector: run policy-quiet slices where they apply
+            (:func:`vector_capable` policies with an unbounded queue);
+            ``False`` makes every slot a scalar step.
         collect: ``"trace"`` records full per-slot arrays;
             ``"summary"`` keeps O(1) aggregates
             (:class:`SingleRunSummary`) for bounded-memory streaming.
@@ -405,7 +382,7 @@ class EngineState:
         max_drain_slots: int | None = None,
         queue_capacity: float | None = None,
         faults: "FaultPlan | None" = None,
-        vector: bool | None = None,
+        vector: bool = True,
         collect: str = "trace",
         closed: bool = True,
     ):
@@ -426,18 +403,7 @@ class EngineState:
         self.t = 0
         self.closed = False
 
-        capable = vector_capable(policy) and queue_capacity is None
-        if vector is None:
-            self._vector = capable
-        elif vector:
-            if not capable:
-                raise ConfigError(
-                    "vector=True requires a vector-capable policy "
-                    f"({type(policy).__name__} is not) and an unbounded queue"
-                )
-            self._vector = True
-        else:
-            self._vector = False
+        self._vector = vector and vector_capable(policy) and queue_capacity is None
         self._kernel_policy = self._vector and type(policy) is SingleSessionOnline
         #: Galloping window of the next slice search; it survives a slice
         #: cut short by a ``step`` budget, not one ended by an event.
@@ -674,9 +640,9 @@ class MultiEngineState:
             the policy.  The combined algorithm's global channel is served
             inside the policy and is not degraded.  Fault slots always
             take the scalar step.
-        vector: force (``True``) / suppress (``False``) the quiet bulk
-            fast-forward; ``None`` auto-selects it for
-            :func:`multi_vector_capable` policies.
+        vector: bulk-commit quiet slots where they apply
+            (:func:`multi_vector_capable` policies); ``False`` makes every
+            slot a scalar step.
     """
 
     def __init__(
@@ -687,7 +653,7 @@ class MultiEngineState:
         drain: bool = True,
         max_drain_slots: int | None = None,
         faults: "FaultPlan | None" = None,
-        vector: bool | None = None,
+        vector: bool = True,
     ):
         array = _as_array(arrivals, ndim=2)
         horizon, k = array.shape
@@ -705,22 +671,8 @@ class MultiEngineState:
         self._limit = horizon + cap
         self._faults = _FaultSchedule(faults)
         self._faults.extend(horizon)
-        self._hot = None if self._faults.plan is None else self._faults.hot.tolist()
         self.t = 0
-
-        capable = multi_vector_capable(policy)
-        if vector is None:
-            self._vector = capable
-        elif vector:
-            if not capable:
-                raise ConfigError(
-                    "vector=True requires a vector-capable multi-session "
-                    "policy (a register_multi_vector-ed type with no extra "
-                    f"channel), got {type(policy).__name__}"
-                )
-            self._vector = True
-        else:
-            self._vector = False
+        self._vector = vector and multi_vector_capable(policy)
 
     @property
     def done(self) -> bool:
@@ -830,32 +782,29 @@ class MultiEngineState:
         return processed
 
     def _bulk(self, t: int, budget: int) -> int:
-        """Bulk-commit quiet slots from ``t`` (at most ``budget``).
-
-        Quiet requires: the policy has started, no event boundary falls
-        inside the slice, every queue is exactly empty, and each session's
-        arrivals stay at or below its (constant within the slice) regular
-        allocation — then each slot delivers its own arrivals at delay 0,
-        leaves the queues exactly empty, and touches no link, so per-slot
-        outputs are pure functions of the arrival rows.  Returns 0 when
-        the next slot needs the scalar step (boundary due, backlog, or
-        overload).
+        """Bulk-commit the quiet slots from ``t`` (at most ``budget``), as
+        the module docstring defines them; return how many (0 when slot
+        ``t`` needs the scalar step).
         """
         policy = self.policy
-        quiet = policy.quiet_slots_until_boundary(t)
-        if quiet == 0 or not policy.queues_exactly_empty():
+        boundary = policy.next_boundary
+        if boundary is None:  # not started: the first step runs the policy
+            return 0
+        stop = min(boundary, self.horizon, t + budget)
+        faulted = self._faults.plan is not None
+        if faulted:
+            hot = self._faults.next_hot(t)
+            if hot is not None:
+                stop = min(stop, hot)
+        sessions = policy.sessions
+        if stop <= t or not _every_queue_exactly_empty(sessions):
             return 0
         rows = self._rows
-        hot = self._hot
-        sessions = policy.sessions
-        stop = min(t + quiet, self.horizon, t + budget)
         regular = [s.channels.regular_link.bandwidth for s in sessions]
         overflow = [s.channels.overflow_link.bandwidth for s in sessions]
         k = len(regular)
         end = t
         while end < stop:
-            if hot is not None and hot[end]:
-                break
             row = rows[end]
             ok = True
             for i in range(k):
@@ -868,7 +817,7 @@ class MultiEngineState:
         if end == t:
             return 0
         block = rows[t:end]
-        if hot is None:
+        if not faulted:
             # Matches the recorder's own fold for requested_total=None rows.
             requested_total = sum(regular) + sum(overflow) + 0.0
         else:

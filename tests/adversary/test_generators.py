@@ -9,7 +9,6 @@ from repro.adversary import (
     AttackCandidate,
     constant_witness,
     doubling_attack,
-    is_leaky_bucket,
     leaky_bucket_attack,
     leaky_bucket_multi_attack,
     phase_resonant_attack,
@@ -21,6 +20,7 @@ from repro.analysis.feasibility import (
     check_stream_against_profile,
 )
 from repro.errors import ConfigError
+from repro.network.shaper import is_conforming
 from repro.params import OfflineConstraints
 
 OFFLINE = OfflineConstraints(bandwidth=64.0, delay=4, utilization=0.25, window=8)
@@ -52,11 +52,21 @@ class TestAttackCandidate:
 
 class TestLeakyBucket:
     def test_conformance_checker(self):
-        assert is_leaky_bucket(np.array([5.0, 0.0, 0.0, 2.0]), 1.0, 5.0)
+        assert is_conforming(np.array([5.0, 0.0, 0.0, 2.0]), 1.0, 5.0)
         # Second burst of 5 arrives before the bucket refills.
-        assert not is_leaky_bucket(np.array([5.0, 5.0]), 1.0, 5.0)
+        assert not is_conforming(np.array([5.0, 5.0]), 1.0, 5.0)
         with pytest.raises(ConfigError):
-            is_leaky_bucket(np.zeros(3), -1.0, 5.0)
+            is_conforming(np.zeros(3), -1.0, 5.0)
+        with pytest.raises(ConfigError):
+            is_conforming(np.zeros(3), 1.0, -5.0)
+
+    def test_window_admits_rate_times_length_plus_bucket(self):
+        # Regressions: a window of len slots admits ρ·len + b bits, not
+        # ρ·(len - 1) + b (a token pool checked before its refill).
+        assert is_conforming(np.array([6.0]), 1.0, 5.0)
+        assert is_conforming(np.array([0.0, 0.0, 3.0, 3.0]), 1.0, 4.0)
+        assert not is_conforming(np.array([6.0 + 1e-6]), 1.0, 5.0)
+        assert not is_conforming(np.array([0.0, 0.0, 3.0, 3.0 + 1e-6]), 1.0, 4.0)
 
     def test_attack_conforms_to_its_envelope(self):
         candidate = leaky_bucket_attack(OFFLINE, 200, seed=3)
@@ -64,7 +74,7 @@ class TestLeakyBucket:
         bucket = candidate.params["bucket_fraction"] * (
             OFFLINE.bandwidth * OFFLINE.delay
         )
-        assert is_leaky_bucket(candidate.arrivals, rate, bucket + 1e-9)
+        assert is_conforming(candidate.arrivals, rate, bucket)
 
     def test_default_attack_certifies_constant_witness(self):
         candidate = leaky_bucket_attack(OFFLINE, 200, seed=3)

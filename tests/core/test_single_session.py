@@ -184,3 +184,27 @@ class TestDiagnostics:
         run_single_session(policy, arrivals)
         assert policy.stage_change_counts
         assert all(c >= 0 for c in policy.stage_change_counts)
+
+
+class TestHeadroomParameter:
+    @staticmethod
+    def _certified(seed):
+        offline = OfflineConstraints(bandwidth=B_A, delay=D_O, utilization=U_O, window=W)
+        return generate_feasible_stream(
+            offline, horizon=2000, segments=6, seed=seed, burstiness="blocks"
+        ).arrivals
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            make_policy(headroom=0.5)
+
+    def test_headroom_allocates_more(self):
+        arrivals = self._certified(0)
+        base_trace = run_single_session(make_policy(), arrivals)
+        roomy_trace = run_single_session(make_policy(headroom=4.0), arrivals)
+        assert roomy_trace.allocation.sum() >= base_trace.allocation.sum()
+        assert roomy_trace.max_delay <= 2 * D_O
+
+    def test_headroom_clamped_to_max(self):
+        trace = run_single_session(make_policy(headroom=8.0), self._certified(1))
+        assert trace.max_allocation <= B_A

@@ -1,55 +1,16 @@
-"""Tests for sliding-window primitives against brute-force references."""
+"""Tests for the sliding-window sum against a brute-force reference."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.windows import (
-    PrefixSums,
-    RunningMax,
-    RunningMin,
-    SlidingWindowMax,
-    SlidingWindowMin,
-    SlidingWindowSum,
-)
+from repro.core.windows import SlidingWindowSum
 from repro.errors import ConfigError
 
 values_strategy = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200
 )
 window_strategy = st.integers(min_value=1, max_value=50)
-
-
-class TestPrefixSums:
-    def test_empty(self):
-        p = PrefixSums()
-        assert len(p) == 0
-        assert p.total == 0.0
-
-    def test_range_sum(self):
-        p = PrefixSums()
-        for v in [1, 2, 3, 4]:
-            p.append(v)
-        assert p.range_sum(0, 4) == 10
-        assert p.range_sum(1, 3) == 5
-        assert p.range_sum(2, 2) == 0
-        assert p.cumulative(3) == 6
-
-    def test_bad_range(self):
-        p = PrefixSums()
-        p.append(1)
-        with pytest.raises(IndexError):
-            p.range_sum(0, 2)
-        with pytest.raises(IndexError):
-            p.range_sum(1, 0)
-
-    @given(values_strategy)
-    def test_matches_numpy(self, values):
-        p = PrefixSums()
-        for v in values:
-            p.append(v)
-        assert p.total == pytest.approx(sum(values), rel=1e-9, abs=1e-6)
 
 
 class TestSlidingWindowSum:
@@ -84,48 +45,3 @@ class TestSlidingWindowSum:
             got = s.push(v)
             expected = sum(values[max(0, i - window + 1) : i + 1])
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-6)
-
-
-class TestSlidingExtrema:
-    @given(values_strategy, window_strategy)
-    def test_min_matches_bruteforce(self, values, window):
-        m = SlidingWindowMin(window)
-        for i, v in enumerate(values):
-            got = m.push(v)
-            expected = min(values[max(0, i - window + 1) : i + 1])
-            assert got == expected
-
-    @given(values_strategy, window_strategy)
-    def test_max_matches_bruteforce(self, values, window):
-        m = SlidingWindowMax(window)
-        for i, v in enumerate(values):
-            got = m.push(v)
-            expected = max(values[max(0, i - window + 1) : i + 1])
-            assert got == expected
-
-    def test_current_before_push_raises(self):
-        with pytest.raises(IndexError):
-            SlidingWindowMin(2).current
-
-    def test_reset(self):
-        m = SlidingWindowMax(2)
-        m.push(9)
-        m.reset()
-        assert not m.full
-        assert m.push(1) == 1
-
-
-class TestRunningExtrema:
-    def test_running_min(self):
-        r = RunningMin()
-        assert r.push(5) == 5
-        assert r.push(7) == 5
-        assert r.push(2) == 2
-        r.reset()
-        assert r.push(100) == 100
-
-    def test_running_max(self):
-        r = RunningMax()
-        assert r.push(5) == 5
-        assert r.push(2) == 5
-        assert r.push(7) == 7

@@ -17,7 +17,6 @@ from repro.core.baselines import (
 )
 from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.single_session import SingleSessionOnline
-from repro.core.variants import EagerResetSingleSession, NonMonotoneSingleSession
 from repro.sim.engine import run_single_session
 from repro.traffic import (
     CompoundPoisson,
@@ -59,8 +58,6 @@ WORKLOADS = {
 POLICIES = {
     "fig3": lambda: SingleSessionOnline(B_A, D_O, U_O, W),
     "thm7": lambda: ModifiedSingleSessionOnline(B_A, D_O, U_O, W),
-    "eager": lambda: EagerResetSingleSession(B_A, D_O, U_O, W),
-    "nonmono": lambda: NonMonotoneSingleSession(B_A, D_O, U_O, W),
     "static": lambda: StaticAllocator(B_A),
     "per-slot": lambda: PerSlotAllocator(B_A),
     "periodic": lambda: PeriodicRenegotiationAllocator(B_A, period=16),
@@ -70,7 +67,7 @@ POLICIES = {
 #: Policies whose Claim 2 analogue (allocation >= backlog / 2·D_O) holds
 #: unconditionally.  The envelope-driven family guarantees it by design;
 #: heuristics do not.
-CLAIM2_POLICIES = {"fig3", "thm7", "nonmono"}
+CLAIM2_POLICIES = {"fig3", "thm7"}
 
 
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))

@@ -1,8 +1,8 @@
 """Epoch allocators through every engine loop: bit-identity.
 
-MaxMinFairAllocator and PriorityTierAllocator are registered for the
-vectorized fast-forward, so the all-scalar run (``vector=False``) and the
-vector path must produce byte-identical traces — and slicing the run into
+MaxMinFairAllocator and PriorityTierAllocator are multi-vector capable
+(they bulk-commit quiet slots between epochs), so the all-scalar run
+(``vector=False``) and the default run must produce byte-identical traces — and slicing the run into
 arbitrary ``step(n_slots)`` chunks must be invisible too.  (The
 ``ThreeWay`` names date from when a third, general loop was compared.)  Fixed
 seeds cover smooth, bursty, overloaded, and dust-tailed streams.
@@ -80,7 +80,7 @@ class TestEpochThreeWay:
     @pytest.mark.parametrize("shape", ["smooth", "bursty", "overload", "dust"])
     def test_three_way_identity(self, factory, shape):
         arrivals = _streams(47)[shape]
-        vector = run_multi_session(factory(), arrivals, vector=True)
+        vector = run_multi_session(factory(), arrivals)
         scalar = run_multi_session(factory(), arrivals, vector=False)
         _assert_multi_identical(vector, scalar)
 
@@ -90,7 +90,7 @@ class TestEpochThreeWay:
     def test_three_way_identity_fuzzed(self, factory, seed):
         rng = np.random.default_rng(seed)
         arrivals = rng.uniform(0.0, 6.0, size=(rng.integers(1, 80), 3))
-        vector = run_multi_session(factory(), arrivals, vector=True)
+        vector = run_multi_session(factory(), arrivals)
         scalar = run_multi_session(factory(), arrivals, vector=False)
         _assert_multi_identical(vector, scalar)
 

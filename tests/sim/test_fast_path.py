@@ -13,7 +13,7 @@ from repro.errors import SimulationError
 from repro.faults import standard_plan
 from repro.obs import telemetry_session
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.recorder import MultiSessionRecorder, SingleSessionRecorder
+from repro.sim.vector import multi_vector_capable, vector_capable
 from repro.traffic import generate_multi_feasible
 
 
@@ -41,19 +41,6 @@ def _assert_single_identical(first, second):
     assert first.resets == second.resets
 
 
-def _count_bulk_commits(monkeypatch, recorder_cls) -> list:
-    """Record the length of every bulk-committed slice."""
-    sizes = []
-    original = recorder_cls.record_keepup_block
-
-    def counting(self, block, *args):
-        sizes.append(len(block))
-        return original(self, block, *args)
-
-    monkeypatch.setattr(recorder_cls, "record_keepup_block", counting)
-    return sizes
-
-
 class TestSingleSessionBitIdentity:
     def test_fast_vs_general_loop(self):
         arrivals = _stream()
@@ -68,12 +55,12 @@ class TestSingleSessionBitIdentity:
             instrumented = run_single_session(_policy(), arrivals)
         _assert_single_identical(plain, instrumented)
 
-    def test_faulted_bulk_vs_scalar(self, monkeypatch):
+    def test_faulted_bulk_vs_scalar(self, bulk_commits):
         arrivals = np.repeat(np.random.default_rng(4).uniform(1, 12, 12), 400)
         plan = standard_plan(0.3, len(arrivals), seed=2)
-        bulk_sizes = _count_bulk_commits(monkeypatch, SingleSessionRecorder)
-        bulk = run_single_session(_policy(), arrivals, faults=plan, vector=True)
-        assert bulk_sizes, "fault-free stretches should still bulk-commit"
+        assert vector_capable(_policy())
+        bulk = run_single_session(_policy(), arrivals, faults=plan)
+        assert bulk_commits, "fault-free stretches should still bulk-commit"
         scalar = run_single_session(_policy(), arrivals, faults=plan, vector=False)
         _assert_single_identical(bulk, scalar)
 
@@ -113,8 +100,7 @@ class TestMultiSessionBitIdentity:
         assert bulk.stage_starts == scalar.stage_starts
         assert bulk.delay_histograms == scalar.delay_histograms
 
-    def test_faulted_phased_bulk_vs_scalar(self, monkeypatch):
-        bulk_sizes = _count_bulk_commits(monkeypatch, MultiSessionRecorder)
+    def test_faulted_phased_bulk_vs_scalar(self, bulk_commits):
         workload = generate_multi_feasible(
             3, offline_bandwidth=64, offline_delay=8, horizon=1500, seed=6
         )
@@ -122,6 +108,7 @@ class TestMultiSessionBitIdentity:
 
         def run(vector):
             policy = PhasedMultiSession(3, offline_bandwidth=64, offline_delay=8)
+            assert multi_vector_capable(policy)
             trace = run_multi_session(
                 policy, workload.arrivals, faults=plan, vector=vector, drain=False
             )
@@ -130,7 +117,7 @@ class TestMultiSessionBitIdentity:
             return trace
 
         bulk = run(True)
-        assert bulk_sizes, "fault-free stretches should still bulk-commit"
+        assert bulk_commits, "fault-free stretches should still bulk-commit"
         scalar = run(False)
         for name in ("regular_allocation", "overflow_allocation", "delivered",
                      "backlog", "requested_total", "dropped"):
@@ -155,7 +142,7 @@ class TestDrainCap:
         with pytest.raises(SimulationError, match="failed to drain"):
             run_multi_session(
                 policy, [[50.0, 50.0]],
-                max_drain_slots=10, vector=None if vector else False,
+                max_drain_slots=10, vector=vector,
             )
 
     @pytest.mark.parametrize("vector", [True, False])
@@ -167,7 +154,7 @@ class TestDrainCap:
         assert trace.slots == 0
         policy = EqualSplitMultiSession(2, offline_bandwidth=2.0)
         multi = run_multi_session(
-            policy, np.zeros((0, 2)), max_drain_slots=0, vector=None if vector else False
+            policy, np.zeros((0, 2)), max_drain_slots=0, vector=vector
         )
         assert multi.slots == 0
 

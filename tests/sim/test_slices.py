@@ -22,7 +22,6 @@ from repro.core.single_session import SingleSessionOnline
 from repro.faults import standard_plan
 from repro.sim import vector
 from repro.sim.engine import run_single_session
-from repro.sim.recorder import SingleSessionRecorder
 from repro.sim.vector import EngineState
 from tests.strategies import FUZZ_EXAMPLES, seeds
 
@@ -70,18 +69,6 @@ def _reset_heavy(seed: int, horizon: int) -> np.ndarray:
     return arrivals
 
 
-def _count_slices(monkeypatch) -> list:
-    sizes = []
-    original = SingleSessionRecorder.record_keepup_block
-
-    def counting(self, block, *args):
-        sizes.append(len(block))
-        return original(self, block, *args)
-
-    monkeypatch.setattr(SingleSessionRecorder, "record_keepup_block", counting)
-    return sizes
-
-
 class TestBacklogged:
     @_SETTINGS
     @given(seed=seeds, horizon=st.integers(1, 3000))
@@ -110,12 +97,11 @@ class TestBacklogged:
             run_single_session(StaticAllocator(bandwidth), arrivals, drain=False, vector=False),
         )
 
-    def test_slices_cover_backlogged_slots(self, monkeypatch):
+    def test_slices_cover_backlogged_slots(self, bulk_commits):
         arrivals = _bursty(5, 20_000)
-        sizes = _count_slices(monkeypatch)
         trace = run_single_session(_policy(), arrivals)
         assert (trace.backlog[: trace.horizon] > 0).mean() > 0.2
-        assert sum(sizes) > 0.9 * trace.horizon
+        assert sum(bulk_commits) > 0.9 * trace.horizon
 
 
 class TestGallopEdges:

@@ -5,23 +5,26 @@ in every recorded float: the vectorized run and the all-scalar run
 (``vector=False``) produce byte-identical traces.  These tests drive that
 equivalence over fixed edge cases (drain phases, zero horizons, dust
 accumulation) and randomized streams (hypothesis, with the budget driven
-by ``REPRO_FUZZ_EXAMPLES``), plus the gating semantics of the ``vector=``
-knob.  (The ``ThreeWay`` names date from when a third, general loop was
-compared as well.)
+by ``REPRO_FUZZ_EXAMPLES``), plus the exact-type gates
+(:func:`vector_capable`, :func:`multi_vector_capable`): a policy the gate
+turns away runs scalar steps and matches ``vector=False`` too.  (The
+``ThreeWay`` names date from when a third, general loop was compared as
+well.)
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.baselines import StaticAllocator
+from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
+from repro.core.maxminfair import MaxMinFairAllocator
+from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
-from repro.core.variants import EagerResetSingleSession
 from repro.errors import ConfigError
 from repro.network.queue import EPSILON
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.vector import run_batched, vector_capable
+from repro.sim.vector import multi_vector_capable, run_batched, vector_capable
 from tests.strategies import FUZZ_EXAMPLES, arrival_streams
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -49,7 +52,9 @@ def _assert_single_identical(first, second):
 
 
 def _assert_three_way(arrivals, policy_factory=_policy):
-    vector = run_single_session(policy_factory(), arrivals, vector=True)
+    policy = policy_factory()
+    assert vector_capable(policy)
+    vector = run_single_session(policy, arrivals)
     scalar = run_single_session(policy_factory(), arrivals, vector=False)
     _assert_single_identical(vector, scalar)
     return vector
@@ -61,19 +66,24 @@ class TestVectorCapability:
         assert vector_capable(StaticAllocator(bandwidth=8.0))
 
     def test_subclasses_are_not(self):
-        policy = EagerResetSingleSession(
+        # Overrides _stage_target, which a policy-quiet slice cannot see.
+        policy = ModifiedSingleSessionOnline(
             max_bandwidth=64, offline_delay=8, offline_utilization=0.25, window=16
         )
         assert not vector_capable(policy)
 
-    def test_vector_true_rejects_incapable_policy(self):
-        policy = EagerResetSingleSession(
-            max_bandwidth=64, offline_delay=8, offline_utilization=0.25, window=16
-        )
-        with pytest.raises(ConfigError, match="vector"):
-            run_single_session(policy, [1.0, 2.0], vector=True)
+    def test_incapable_policy_takes_scalar_steps(self, bulk_commits):
+        def policy():
+            return ModifiedSingleSessionOnline(
+                max_bandwidth=64, offline_delay=8, offline_utilization=0.25, window=16
+            )
 
-    def test_vector_true_accepts_faults_and_telemetry(self):
+        arrivals = np.random.default_rng(9).poisson(6, 600).astype(float)
+        default = run_single_session(policy(), arrivals)
+        assert bulk_commits == []
+        _assert_single_identical(default, run_single_session(policy(), arrivals, vector=False))
+
+    def test_vector_true_accepts_faults_and_telemetry(self, bulk_commits):
         from repro.faults import standard_plan
         from repro.obs import telemetry_session
 
@@ -81,12 +91,18 @@ class TestVectorCapability:
         plan = standard_plan(0.3, 300, seed=1)
         scalar = run_single_session(_policy(), arrivals, faults=plan, vector=False)
         with telemetry_session():
-            vector = run_single_session(_policy(), arrivals, faults=plan, vector=True)
+            vector = run_single_session(_policy(), arrivals, faults=plan)
+        assert bulk_commits, "fault-free stretches should still slice"
         _assert_single_identical(vector, scalar)
 
-    def test_vector_true_rejects_bounded_queue(self):
-        with pytest.raises(ConfigError, match="vector"):
-            run_single_session(_policy(), [1.0, 2.0], vector=True, queue_capacity=4.0)
+    def test_bounded_queue_takes_scalar_steps(self, bulk_commits):
+        arrivals = np.random.default_rng(8).poisson(6, 400).astype(float)
+        bounded = run_single_session(_policy(), arrivals, queue_capacity=40.0)
+        assert bulk_commits == []
+        _assert_single_identical(
+            bounded,
+            run_single_session(_policy(), arrivals, queue_capacity=40.0, vector=False),
+        )
 
     def test_vector_false_still_matches(self):
         arrivals = np.random.default_rng(5).poisson(6, 400).astype(float)
@@ -184,23 +200,87 @@ class TestMultiVector:
     def test_multi_three_way(self):
         rng = np.random.default_rng(23)
         arrivals = np.repeat(rng.uniform(0.5, 4.0, size=(5, 2)), 400, axis=0)
-        vector = run_multi_session(self._multi_policy(), arrivals, vector=True)
+        policy = self._multi_policy()
+        assert multi_vector_capable(policy)
+        vector = run_multi_session(policy, arrivals)
         scalar = run_multi_session(self._multi_policy(), arrivals, vector=False)
         self._assert_multi_identical(vector, scalar)
 
     def test_multi_bursty(self):
         arrivals = np.random.default_rng(29).poisson(3, size=(1500, 3)).astype(float)
         policy = lambda: self._multi_policy(3)  # noqa: E731
-        vector = run_multi_session(policy(), arrivals, vector=True)
+        vector = run_multi_session(policy(), arrivals)
         scalar = run_multi_session(policy(), arrivals, vector=False)
         self._assert_multi_identical(vector, scalar)
 
-    def test_multi_vector_true_rejects_incapable(self):
-        from repro.core.baselines import EqualSplitMultiSession
+    def test_multi_incapable_takes_scalar_steps(self, bulk_commits):
+        def policy():
+            return EqualSplitMultiSession(2, offline_bandwidth=8.0)
 
-        policy = EqualSplitMultiSession(2, offline_bandwidth=8.0)
-        with pytest.raises(ConfigError, match="vector-capable"):
-            run_multi_session(policy, np.ones((10, 2)), vector=True)
+        arrivals = np.random.default_rng(19).poisson(3, size=(300, 2)).astype(float)
+        assert not multi_vector_capable(policy())
+        default = run_multi_session(policy(), arrivals)
+        assert bulk_commits == []
+        self._assert_multi_identical(
+            default, run_multi_session(policy(), arrivals, vector=False)
+        )
+
+
+class _LoggingPhased(PhasedMultiSession):
+    """Overrides ``step``: a bulk commit would skip the override."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stepped: list[int] = []
+
+    def step(self, t, arrivals):
+        self.stepped.append(t)
+        return super().step(t, arrivals)
+
+
+class _MaxMinSubclass(MaxMinFairAllocator):
+    """A subclass that changes nothing: the gate still turns it away."""
+
+
+class TestMultiExactTypeGate:
+    """``multi_vector_capable`` matches exact types, never subclasses."""
+
+    @staticmethod
+    def _calm(k):
+        # Calm rates under the allocation: the stock types bulk-commit here.
+        rng = np.random.default_rng(41)
+        return np.repeat(rng.uniform(0.5, 2.0, size=(4, k)), 200, axis=0)
+
+    def test_stock_types_bulk_commit(self, bulk_commits):
+        run_multi_session(PhasedMultiSession(2, offline_bandwidth=16.0, offline_delay=8), self._calm(2))
+        run_multi_session(MaxMinFairAllocator(3, capacity=12.0, period=4), self._calm(3))
+        assert bulk_commits
+
+    def test_step_override_is_not_capable(self, bulk_commits):
+        def policy():
+            return _LoggingPhased(2, offline_bandwidth=16.0, offline_delay=8)
+
+        arrivals = self._calm(2)
+        logged = policy()
+        assert not multi_vector_capable(logged)
+        default = run_multi_session(logged, arrivals)
+        assert bulk_commits == []
+        assert logged.stepped == list(range(default.slots))
+        TestMultiVector._assert_multi_identical(
+            default, run_multi_session(policy(), arrivals, vector=False)
+        )
+
+    def test_max_min_subclass_is_not_capable(self, bulk_commits):
+        def policy():
+            return _MaxMinSubclass(3, capacity=12.0, period=4)
+
+        arrivals = self._calm(3)
+        assert not multi_vector_capable(policy())
+        default = run_multi_session(policy(), arrivals)
+        assert bulk_commits == []
+        TestMultiVector._assert_multi_identical(
+            default, run_multi_session(policy(), arrivals, vector=False)
+        )
 
 
 class TestBatched:

@@ -11,8 +11,9 @@ against the scalar fast loops it replaces, in slots/second:
    queue is backlogged in a large share of slots: the policy-quiet slices
    and their fused FIFO replay.
 3. ``multi_k2`` / ``multi_k8`` — :class:`PhasedMultiSession` over calm
-   per-session piecewise-constant rates, exercising the in-phase keep-up
-   bulk commit.
+   per-session piecewise-constant rates, exercising the phase slices
+   (``begin_slot`` inline at each phase end, one fused
+   ``SessionChannels.replay`` per session in between).
 4. ``batched_64`` — :func:`repro.sim.vector.run_batched` over a stacked
    ``(n, T)`` arrival matrix vs a per-session scalar loop.
 
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -251,6 +254,11 @@ def append_history(engine: dict) -> Path | None:
     if path is None:
         return None
     record = record_from_engine_bench(engine, git_rev=git_revision())
+    record.meta["host"] = {
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
     store = HistoryStore(path)
     store.append(record)
     return store.path

@@ -8,17 +8,16 @@ links only at *epoch* boundaries every ``period`` slots.  This module
 holds the common machinery so each family only supplies its allocation
 rule.
 
-Demand measurement is deliberately restricted to state the vectorized
-engine maintains through quiet bulk commits (cumulative ``bits_arrived``
-plus the current backlog): a session's demand at an epoch is
+Demand measurement reads only state the engine's phase slices keep
+current at every boundary (cumulative ``bits_arrived`` plus the current
+backlog): a session's demand at an epoch is
 
     ``(bits arrived since the previous epoch + backlog) / period``
 
-so a run sliced into bulk-committed quiet spans re-decides identically
-to the scalar per-slot run — the bit-identity the engine's vector path
-requires.  Between epochs (before :attr:`next_boundary`) the policy runs
-no decision logic and touches no link; :mod:`repro.sim.vector` states
-when the engine bulk-commits such slots.
+Between epochs (before :attr:`next_boundary`) the policy runs no
+decision logic and touches no link, so the engine runs
+:meth:`~EpochDrivenMultiSession.begin_slot` at each epoch and replays
+the queue work in between; :mod:`repro.sim.vector` states the rule.
 """
 
 from __future__ import annotations
@@ -113,12 +112,21 @@ class EpochDrivenMultiSession(MultiSessionPolicy):
 
     # -- the slot step -------------------------------------------------------
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def begin_slot(self, t: int) -> None:
+        """Start-up and epoch re-decision at the start of slot ``t``.
+
+        The first half of :meth:`step`; the rest is queue work at the
+        allocations this leaves, which the vectorized engine replays in
+        bulk up to :attr:`next_boundary`.
+        """
         if not self._started:
             self._started = True
             self._start(t)
         if self._next_epoch is not None and t >= self._next_epoch:
             self._epoch(t)
+
+    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+        self.begin_slot(t)
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)

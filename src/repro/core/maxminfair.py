@@ -19,8 +19,8 @@ the sorted quantized demands), which is what preserves the max-min
 optimality properties the certificates and property tests check.
 
 All decisions happen at fixed epochs via
-:class:`~repro.core.epoch.EpochDrivenMultiSession`, so the policy runs
-unmodified on the scalar, fast-path, and vectorized engine loops.
+:class:`~repro.core.epoch.EpochDrivenMultiSession`, so the engine's
+phase slices advance it between epochs (:mod:`repro.sim.vector`).
 """
 
 from __future__ import annotations

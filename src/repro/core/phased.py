@@ -157,12 +157,21 @@ class PhasedMultiSession(MultiSessionPolicy):
 
     # -- the slot step -------------------------------------------------------
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def begin_slot(self, t: int) -> None:
+        """Start-up and phase-end processing at the start of slot ``t``.
+
+        The first half of :meth:`step`; the rest is queue work at the
+        allocations this leaves, which the vectorized engine replays in
+        bulk up to :attr:`next_boundary`.
+        """
         if not self._started:
             self._started = True
             self._reset(t, initial=True)
         if self._next_boundary is not None and t >= self._next_boundary:
             self._phase_end(t)
+
+    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+        self.begin_slot(t)
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)

@@ -11,12 +11,21 @@ and implements the service disciplines:
 * FIFO mode — the session's total bandwidth first drains the overflow queue
   (whose bits are older) and then the regular queue, which serves bits in
   exact arrival order (the Remark after Theorem 14).
+
+:meth:`SessionChannels.replay` runs a session's slots between two
+allocation events in one fused loop: the multi-session engine's phase
+slices (:mod:`repro.sim.vector`).
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
 from repro.network.link import Link
-from repro.network.queue import BitQueue, ServeResult
+from repro.network.queue import EPSILON, BitQueue, ServeResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.network.session import Session
 
 
 class SessionChannels:
@@ -94,3 +103,124 @@ class SessionChannels:
     def max_age(self, t: int) -> int:
         """Age of the oldest bit queued in either channel."""
         return max(self.regular_queue.max_age(t), self.overflow_queue.max_age(t))
+
+    def replay(
+        self,
+        t: int,
+        arrivals: Sequence[float],
+        histogram: dict[int, float],
+        fifo: bool,
+        session: "Session",
+    ) -> tuple[list[float], list[float]]:
+        """Run ``Session.push``, :meth:`serve` and ``Session.account`` for
+        slots ``t, t+1, ...`` at the current bandwidths.
+
+        Slot ``t + i`` takes ``arrivals[i]``.  The float operations are the
+        per-slot methods', in the same order; no :class:`ServeResult` is
+        built.  Each slot's deliveries fold into ``histogram`` (delay ->
+        bits) overflow first, then regular, as the recorder folds a merged
+        result, and ``session``'s ``bits_arrived``, ``bits_delivered`` and
+        ``max_delay`` are current when the call returns.
+
+        Pure Python over lists: a phase is often only a few slots long, too
+        short to repay numpy call overhead.
+
+        Returns:
+            ``(delivered, backlog)``: the session's bits served and
+            :attr:`Session.backlog <repro.network.session.Session.backlog>`
+            after each replayed slot.
+        """
+        factor = self.capacity_factor
+        if fifo:
+            pooled = self.total_bandwidth * factor
+        else:
+            overflow_capacity = self.overflow_link.bandwidth * factor
+            regular_capacity = self.regular_link.bandwidth * factor
+        regular = self.regular_queue
+        overflow = self.overflow_queue
+        r_chunks = regular._chunks
+        o_chunks = overflow._chunks
+        r_size = regular._size
+        o_size = overflow._size
+        arrived = session.bits_arrived
+        total = session.bits_delivered
+        worst = session.max_delay
+        keepup = pooled if fifo else regular_capacity
+        delivered: list[float] = []
+        backlog: list[float] = []
+        slot = t
+        try:
+            for bits in arrivals:
+                if bits > 0:  # Session.push
+                    arrived += bits
+                if not r_chunks and not o_chunks and bits <= keepup:
+                    # Both queues empty and the arrivals fit: they go out at
+                    # delay 0 (dust: nothing) and the queues stay empty.
+                    if bits > EPSILON:
+                        histogram[0] = histogram.get(0, 0.0) + bits
+                        total += bits
+                        delivered.append(bits)
+                    else:
+                        delivered.append(0.0)
+                    backlog.append(0.0)
+                    slot += 1
+                    continue
+                if bits > EPSILON:  # BitQueue.push
+                    if r_chunks and r_chunks[-1][0] == slot:
+                        r_chunks[-1][1] += bits
+                    else:
+                        r_chunks.append([slot, bits])
+                    r_size += bits
+                served = 0.0  # overflow queue: older bits go first
+                if o_chunks:
+                    remaining = pooled if fifo else overflow_capacity
+                    if remaining > 0.0 and slot - o_chunks[0][0] > worst:
+                        worst = slot - o_chunks[0][0]
+                    served, o_size = _serve(o_chunks, o_size, slot, remaining, histogram)
+                second = 0.0  # then the regular queue
+                if r_chunks:
+                    remaining = max(0.0, pooled - served) if fifo else regular_capacity
+                    if remaining > 0.0 and slot - r_chunks[0][0] > worst:
+                        worst = slot - r_chunks[0][0]
+                    second, r_size = _serve(r_chunks, r_size, slot, remaining, histogram)
+                served += second
+                total += served
+                delivered.append(served)
+                backlog.append(
+                    (r_size if r_size > EPSILON else 0.0)
+                    + (o_size if o_size > EPSILON else 0.0)
+                )
+                slot += 1
+        finally:
+            regular._size = r_size
+            overflow._size = o_size
+            session.bits_arrived = arrived
+            session.bits_delivered = total
+            session.max_delay = worst
+        return delivered, backlog
+
+
+def _serve(chunks, size, slot, remaining, histogram):
+    """:meth:`BitQueue.serve`'s float operations on a queue's raw chunks,
+    folding each delivery into ``histogram``; returns ``(bits served, new
+    size)``, with the queue's sub-epsilon dust cleared as ``serve`` does."""
+    served = 0.0
+    while remaining > 0.0 and chunks:
+        chunk = chunks[0]
+        arrival, queued = chunk
+        take = queued if queued <= remaining else remaining
+        delay = slot - arrival
+        histogram[delay] = histogram.get(delay, 0.0) + take
+        served += take
+        remaining -= take
+        size -= take
+        if take >= queued - EPSILON:
+            chunks.popleft()
+        else:
+            chunk[1] = queued - take
+    if not chunks:
+        return served, 0.0
+    if size < EPSILON:
+        chunks.clear()
+        return served, 0.0
+    return served, size

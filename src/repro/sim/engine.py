@@ -29,7 +29,7 @@ Both accept ``faults=``, a :class:`~repro.faults.plan.FaultPlan`:
 
 Passing ``faults=None`` (or an empty plan) reproduces the fault-free
 simulation bit-for-bit.  Slots where a fault acts take the engine's scalar
-step; the rest of a faulted run may still bulk-commit.
+step; the rest of a faulted run may still be sliced.
 
 Both are instrumented for :mod:`repro.obs`: when a telemetry session is
 active they time themselves with a profiling hook (slots/sec), and after
@@ -41,10 +41,9 @@ traces are bit-identical whether it is on or off, and the run itself
 takes the same code path either way.
 
 The one reference switch is ``vector=False``: it turns off the
-policy-quiet slices and bulk commits so every slot takes the scalar
+policy-quiet slices and phase slices so every slot takes the scalar
 step.  Traces are bit-identical either way; the identity tests compare
-the two.  When slices and bulk commits apply is stated once, in
-:mod:`repro.sim.vector`.
+the two.  When slices apply is stated once, in :mod:`repro.sim.vector`.
 """
 
 from __future__ import annotations
@@ -148,7 +147,8 @@ def run_multi_session(
             remove arriving bits before they reach the policy.  (The
             combined algorithm's global channel is served inside the policy
             and is not degraded.)
-        vector: bulk-commit quiet slots when the policy supports it
+        vector: advance in phase slices (:mod:`repro.sim.vector`) when
+            the policy supports them
             (:func:`~repro.sim.vector.multi_vector_capable`); ``False``
             makes every slot a scalar step.  Traces are bit-identical
             either way.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.network.link import BandwidthChange
-from repro.network.queue import EPSILON as EPSILON_BITS, ServeResult
+from repro.network.queue import ServeResult
 
 
 def merge_histograms(histograms: list[dict[int, float]]) -> dict[int, float]:
@@ -42,6 +42,40 @@ def histogram_quantile(histogram: dict[int, float], q: float) -> int:
         if acc >= threshold:
             return delay
     return max(histogram)
+
+
+def _splice(
+    scalar: tuple[list, ...], blocks: list[tuple[int, tuple]], shapes: list[tuple]
+) -> list[np.ndarray]:
+    """Materialize per-slot columns: the scalar lists with deferred bulk
+    blocks spliced in between, in commit order.
+
+    ``blocks`` holds ``(pos, values)``: ``pos`` is the scalar-list length
+    at commit time and ``values`` has one entry per column, an array as
+    long as the block or a constant.  ``shapes`` gives each column's
+    per-slot shape.  Each column is written once into its final array, so
+    finalizing holds the scalar lists plus one copy of the trace, never
+    two.
+    """
+    count = len(scalar[0])
+    total = count + sum(len(values[0]) for _, values in blocks)
+    columns = [np.empty((total, *shape)) for shape in shapes]
+    previous = 0  # scalar slots consumed
+    at = 0  # slots written
+    for pos, values in blocks:
+        if pos > previous:
+            for column, lst in zip(columns, scalar):
+                column[at : at + pos - previous] = lst[previous:pos]
+            at += pos - previous
+        n = len(values[0])
+        for column, value in zip(columns, values):
+            column[at : at + n] = value
+        at += n
+        previous = pos
+    if previous < count:
+        for column, lst in zip(columns, scalar):
+            column[at:] = lst[previous:]
+    return columns
 
 
 @dataclass
@@ -226,11 +260,9 @@ class SingleSessionRecorder:
         #: deliveries into it, and the engine's bulk slices fold theirs
         #: directly (:meth:`~repro.network.queue.BitQueue.replay`).
         self.histogram: dict[int, float] = {}
-        #: Deferred bulk slices: ``(pos, arrivals, allocation, delivered,
-        #: backlog)`` where ``pos`` is the scalar-list length at commit
-        #: time.  Slices are spliced between the scalar slots at
-        #: :meth:`finalize`, so the bulk path never pays per-slot appends.
-        self._blocks: list[tuple[int, np.ndarray, float, np.ndarray, np.ndarray]] = []
+        #: Deferred bulk slices ``(pos, columns)`` for :func:`_splice`:
+        #: the bulk path never pays per-slot appends.
+        self._blocks: list[tuple[int, tuple]] = []
 
     def record(
         self,
@@ -276,16 +308,19 @@ class SingleSessionRecorder:
         spliced in at :meth:`finalize`, which keeps it O(1).
         """
         self._blocks.append(
-            (len(self._arrivals), arrivals, allocation, delivered, backlog)
+            (
+                len(self._arrivals),
+                (arrivals, allocation, delivered, backlog, 0.0, allocation, allocation),
+            )
         )
 
-    def _columns(self) -> list[np.ndarray]:
-        """Materialize the seven per-slot columns, splicing deferred
-        bulk slices between the scalar slots in commit order.
-
-        Each column is written once into its final array, so finalizing
-        holds the scalar lists plus one copy of the trace, never two.
-        """
+    def finalize(
+        self,
+        changes: list[BandwidthChange],
+        stage_starts: list[int],
+        resets: list[int],
+        horizon: int,
+    ) -> SingleSessionTrace:
         scalar = (
             self._arrivals,
             self._allocation,
@@ -295,37 +330,8 @@ class SingleSessionRecorder:
             self._requested,
             self._effective,
         )
-        if not self._blocks:
-            return [np.asarray(values, dtype=float) for values in scalar]
-        total = len(self._arrivals) + sum(len(b[1]) for b in self._blocks)
-        columns = [np.empty(total) for _ in range(7)]
-        previous = 0  # scalar slots consumed
-        at = 0  # slots written
-        for pos, arrivals, allocation, delivered, backlog in self._blocks:
-            run = pos - previous
-            for column, values in zip(columns, scalar):
-                column[at : at + run] = values[previous:pos]
-            at += run
-            n = len(arrivals)
-            for f, value in enumerate(
-                (arrivals, allocation, delivered, backlog, 0.0, allocation, allocation)
-            ):
-                columns[f][at : at + n] = value
-            at += n
-            previous = pos
-        for column, values in zip(columns, scalar):
-            column[at:] = values[previous:]
-        return columns
-
-    def finalize(
-        self,
-        changes: list[BandwidthChange],
-        stage_starts: list[int],
-        resets: list[int],
-        horizon: int,
-    ) -> SingleSessionTrace:
         arrivals, allocation, delivered, backlog, dropped, requested, effective = (
-            self._columns()
+            _splice(scalar, self._blocks, [()] * 7)
         )
         return SingleSessionTrace(
             arrivals=arrivals,
@@ -356,7 +362,13 @@ class MultiSessionRecorder:
         self._extra: list[float] = []
         self._requested: list[float] = []
         self._dropped: list[float] = []
-        self._histograms: list[dict[int, float]] = [dict() for _ in range(k)]
+        #: Per-session bits-weighted delay histograms; :meth:`record` folds
+        #: each slot's deliveries into them, and the engine's phase slices
+        #: fold theirs directly (:meth:`SessionChannels.replay
+        #: <repro.network.channel.SessionChannels.replay>`).
+        self.histograms: list[dict[int, float]] = [dict() for _ in range(k)]
+        #: Deferred slice blocks ``(pos, columns)`` for :func:`_splice`.
+        self._blocks: list[tuple[int, tuple]] = []
 
     def record(
         self,
@@ -381,7 +393,7 @@ class MultiSessionRecorder:
         self._requested.append(requested_total)
         self._dropped.append(dropped)
         for i, result in enumerate(results):
-            histogram = self._histograms[i]
+            histogram = self.histograms[i]
             for delivery in result.deliveries:
                 histogram[delivery.delay] = (
                     histogram.get(delivery.delay, 0.0) + delivery.bits
@@ -389,38 +401,35 @@ class MultiSessionRecorder:
 
     def record_keepup_block(
         self,
-        rows: list[list[float]],
+        arrivals: np.ndarray,
         regular: list[float],
         overflow: list[float],
-        extra_allocation: float,
-        requested_total: float,
+        requested_total: float | None,
+        delivered: np.ndarray,
+        backlog: np.ndarray,
     ) -> None:
-        """Bulk-append quiet multi-session slots: constant allocations,
-        every queue empty throughout, each session's arrivals delivered at
-        delay 0 (dust-sized arrivals deliver nothing).
+        """Bulk-append part of a phase slice: ``len(arrivals)`` slots at
+        constant allocations, whose queues were replayed by
+        :meth:`SessionChannels.replay
+        <repro.network.channel.SessionChannels.replay>`.
 
-        Equivalent to ``record`` once per row with those outcomes; the
-        per-session delay-0 bins accumulate in slot order, matching the
-        scalar fold bit-for-bit.
+        Equivalent to ``record`` once per slot with those outcomes:
+        ``arrivals``, ``delivered`` and ``backlog`` are ``(n, k)`` arrays
+        of arrival rows, bits served and end-of-slot backlogs, ``regular``
+        and ``overflow`` the per-session allocations, there is no extra
+        channel and nothing is dropped (``requested_total=None`` records
+        :meth:`record`'s default).  The replay has already folded the
+        deliveries into :attr:`histograms`, so this call only defers the
+        columns: the block is spliced in at :meth:`finalize`.
         """
-        histograms = self._histograms
-        for row in rows:
-            self._arrivals.append(list(row))
-            self._regular.append(list(regular))
-            self._overflow.append(list(overflow))
-            delivered_row = []
-            for i, bits in enumerate(row):
-                if bits > EPSILON_BITS:
-                    delivered_row.append(bits)
-                    histogram = histograms[i]
-                    histogram[0] = histogram.get(0, 0.0) + bits
-                else:
-                    delivered_row.append(0.0)
-            self._delivered.append(delivered_row)
-            self._backlog.append([0.0] * self.k)
-            self._extra.append(extra_allocation)
-            self._requested.append(requested_total)
-            self._dropped.append(0.0)
+        if requested_total is None:
+            requested_total = sum(regular) + sum(overflow) + 0.0
+        self._blocks.append(
+            (
+                len(self._arrivals),
+                (arrivals, regular, overflow, delivered, backlog, 0.0, requested_total, 0.0),
+            )
+        )
 
     def finalize(
         self,
@@ -430,20 +439,32 @@ class MultiSessionRecorder:
         resets: list[int],
         horizon: int,
     ) -> MultiSessionTrace:
-        shape = (len(self._arrivals), self.k)
+        scalar = (
+            self._arrivals,
+            self._regular,
+            self._overflow,
+            self._delivered,
+            self._backlog,
+            self._extra,
+            self._requested,
+            self._dropped,
+        )
+        arrivals, regular, overflow, delivered, backlog, extra, requested, dropped = (
+            _splice(scalar, self._blocks, [(self.k,)] * 5 + [()] * 3)
+        )
         return MultiSessionTrace(
-            arrivals=np.asarray(self._arrivals, dtype=float).reshape(shape),
-            regular_allocation=np.asarray(self._regular, dtype=float).reshape(shape),
-            overflow_allocation=np.asarray(self._overflow, dtype=float).reshape(shape),
-            delivered=np.asarray(self._delivered, dtype=float).reshape(shape),
-            backlog=np.asarray(self._backlog, dtype=float).reshape(shape),
-            extra_allocation=np.asarray(self._extra, dtype=float),
-            delay_histograms=self._histograms,
+            arrivals=arrivals,
+            regular_allocation=regular,
+            overflow_allocation=overflow,
+            delivered=delivered,
+            backlog=backlog,
+            extra_allocation=extra,
+            delay_histograms=self.histograms,
             local_changes=list(local_changes),
             extra_changes=list(extra_changes),
             stage_starts=list(stage_starts),
             resets=list(resets),
             horizon=horizon,
-            requested_total=np.asarray(self._requested, dtype=float),
-            dropped=np.asarray(self._dropped, dtype=float),
+            requested_total=requested,
+            dropped=dropped,
         )

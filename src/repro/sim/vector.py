@@ -30,27 +30,32 @@ capacity.  This module exploits that:
 * :class:`MultiEngineState` — the incremental multi-session twin: it
   owns the policy/recorder pair behind ``run_multi_session`` and exposes
   the same ``step(n_slots)`` slicing contract.
-* **Multi-session bulk commits**: :class:`PhasedMultiSession` touches
-  its links only at phase ends and the epoch allocators
-  (:class:`MaxMinFairAllocator`, :class:`PriorityTierAllocator`) only at
-  epoch ends, so a slot before the policy's ``next_boundary`` runs no
-  decision logic.  Such a slot is bulk-committed when also no fault
-  acts, every queue is exactly empty (0.0 bits, not just dust) and each
-  session's arrivals are at or below its regular allocation: it then
-  delivers its own arrivals at delay 0 and leaves the queues exactly
-  empty, so its columns are pure functions of the arrival row.
+* **Phase slices**: :class:`PhasedMultiSession` touches its links only
+  at phase ends and the epoch allocators (:class:`MaxMinFairAllocator`,
+  :class:`PriorityTierAllocator`) only at epoch ends; their ``step`` is
+  ``begin_slot`` (start-up and the boundary's decisions) followed by
+  queue work.  So between boundaries a slot is, for each session
+  independently, "push, then serve overflow, then serve regular" at
+  constant allocations.  A phase slice runs ``begin_slot`` at each
+  ``next_boundary`` inline and replays each session's slots up to the
+  next boundary with one fused :meth:`SessionChannels.replay
+  <repro.network.channel.SessionChannels.replay>`; it crosses phase and
+  epoch ends and stops only at the ``step`` budget (at most
+  :data:`CHUNK` slots), a slot where a fault acts, or the horizon (the
+  drain tail takes scalar steps).  Stretches with equal allocations go
+  to the recorder as one ``record_keepup_block`` call.
   :func:`multi_vector_capable` names the policies this holds for.
 
 Exactness of a slice rests on "same float operations, same order":
 
 * ``StageKernel.scan`` commits the kernel state repeated
   ``StageKernel.advance`` calls would (its accumulates are sequential);
-* ``BitQueue.replay`` runs the per-slot ``push`` and ``serve`` float
-  operations in the per-slot order and folds deliveries into the delay
-  histogram in the order ``record`` would;
+* ``BitQueue.replay`` and ``SessionChannels.replay`` run the per-slot
+  ``push`` and ``serve`` float operations in the per-slot order and fold
+  deliveries into the delay histograms in the order ``record`` would;
 * the recorded columns are the ones a scalar step records for a slot in
-  which the policy leaves the link alone: granted = requested =
-  effective, nothing dropped.
+  which the policy leaves the links alone and no fault acts: granted =
+  requested = effective, nothing dropped.
 
 So traces are bit-identical to an all-scalar run (``vector=False``) by
 construction; the identity tests check it.
@@ -118,11 +123,11 @@ def vector_capable(policy) -> bool:
 
 
 def multi_vector_capable(policy) -> bool:
-    """True when ``policy`` supports multi-session bulk commits.
+    """True when ``policy`` supports phase slices.
 
     Exact-type checks on purpose, as in :func:`vector_capable`: a
     subclass may override ``step``.  No extra (global-overflow) channel
-    either: the bulk commit records the extra allocation as 0.
+    either: a phase slice records the extra allocation as 0.
     """
     return (
         type(policy) in (PhasedMultiSession, MaxMinFairAllocator, PriorityTierAllocator)
@@ -130,20 +135,12 @@ def multi_vector_capable(policy) -> bool:
     )
 
 
-def _every_queue_exactly_empty(sessions) -> bool:
-    """True when every regular and overflow queue holds exactly 0.0 bits.
-
-    Stricter than ``is_empty``, which tolerates sub-epsilon dust.
-    """
-    for session in sessions:
-        channels = session.channels
-        regular = channels.regular_queue
-        overflow = channels.overflow_queue
-        if regular._size != 0.0 or regular._chunks:
-            return False
-        if overflow._size != 0.0 or overflow._chunks:
-            return False
-    return True
+def _require_finite(bandwidths, t: int) -> None:
+    for value in bandwidths:
+        if not math.isfinite(value):
+            raise SimulationError(
+                f"policy produced non-finite bandwidth {value!r} at t={t}"
+            )
 
 
 def multi_local_changes(policy) -> list[tuple[int, str, object]]:
@@ -625,7 +622,7 @@ class MultiEngineState:
     The multi-session twin of :class:`EngineState` and the implementation
     behind ``run_multi_session``: traces are bit-identical regardless of
     how the run is sliced into ``step`` calls — and, with ``vector``
-    enabled, regardless of how many slots each bulk commit covers.
+    enabled, regardless of where phase slices begin and end.
 
     Args:
         policy: the multi-session policy (owns the queues).
@@ -640,7 +637,7 @@ class MultiEngineState:
             the policy.  The combined algorithm's global channel is served
             inside the policy and is not degraded.  Fault slots always
             take the scalar step.
-        vector: bulk-commit quiet slots where they apply
+        vector: run phase slices (module docstring) where they apply
             (:func:`multi_vector_capable` policies); ``False`` makes every
             slot a scalar step.
     """
@@ -664,7 +661,10 @@ class MultiEngineState:
         self.horizon = horizon
         self.recorder = MultiSessionRecorder(k)
         self.drain = bool(drain)
-        self._rows: list[list[float]] = array.tolist()
+        self._arrivals = array
+        #: One list of arrivals per session: the phase-slice kernel reads
+        #: a session's slots as one list slice.
+        self._columns: list[list[float]] = array.T.tolist()
         self._zero = [0.0] * k
         cap = max_drain_slots if max_drain_slots is not None else 4 * horizon + 1000
         self._cap = cap
@@ -689,13 +689,12 @@ class MultiEngineState:
         """
         policy = self.policy
         recorder = self.recorder
-        rows = self._rows
+        columns = self._columns
         horizon = self.horizon
         k = self.k
         sessions = policy.sessions
         policy_step = policy.step
         record = recorder.record
-        isfinite = math.isfinite
         faults = self._faults if self._faults.plan is not None else None
         processed = 0
         t = self.t
@@ -703,12 +702,12 @@ class MultiEngineState:
             while processed < n_slots:
                 if t < horizon:
                     if self._vector:
-                        taken = self._bulk(t, n_slots - processed)
+                        taken = self._slice(t, min(n_slots - processed, CHUNK))
                         if taken:
                             t += taken
                             processed += taken
                             continue
-                    offered = rows[t]
+                    offered = [column[t] for column in columns]
                 elif self.drain and policy.total_backlog > 0:
                     if t >= self._limit:
                         raise SimulationError(
@@ -741,11 +740,7 @@ class MultiEngineState:
                     if policy.extra_link is not None
                     else 0.0
                 )
-                for value in (*regular, *overflow, extra):
-                    if not isfinite(value):
-                        raise SimulationError(
-                            f"policy produced non-finite bandwidth {value!r} at t={t}"
-                        )
+                _require_finite((*regular, *overflow, extra), t)
                 backlogs = [s.backlog for s in sessions]
                 record(
                     t,
@@ -781,61 +776,66 @@ class MultiEngineState:
                 )
         return processed
 
-    def _bulk(self, t: int, budget: int) -> int:
-        """Bulk-commit the quiet slots from ``t`` (at most ``budget``), as
-        the module docstring defines them; return how many (0 when slot
-        ``t`` needs the scalar step).
+    def _slice(self, t: int, budget: int) -> int:
+        """Advance the phase slice that starts at ``t``, as the module
+        docstring defines it; return its length (at most ``budget``; 0 when
+        slot ``t`` needs the scalar step).
         """
-        policy = self.policy
-        boundary = policy.next_boundary
-        if boundary is None:  # not started: the first step runs the policy
-            return 0
-        stop = min(boundary, self.horizon, t + budget)
+        stop = min(self.horizon, t + budget)
         faulted = self._faults.plan is not None
         if faulted:
             hot = self._faults.next_hot(t)
             if hot is not None:
                 stop = min(stop, hot)
+        if stop <= t:
+            return 0
+        policy = self.policy
         sessions = policy.sessions
-        if stop <= t or not _every_queue_exactly_empty(sessions):
-            return 0
-        rows = self._rows
-        regular = [s.channels.regular_link.bandwidth for s in sessions]
-        overflow = [s.channels.overflow_link.bandwidth for s in sessions]
-        k = len(regular)
-        end = t
-        while end < stop:
-            row = rows[end]
-            ok = True
-            for i in range(k):
-                if row[i] > regular[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            end += 1
-        if end == t:
-            return 0
-        block = rows[t:end]
-        if not faulted:
-            # Matches the recorder's own fold for requested_total=None rows.
-            requested_total = sum(regular) + sum(overflow) + 0.0
-        else:
-            # What a faulted scalar step records (constant: no link moves).
-            requested_total = policy.total_requested
-        self.recorder.record_keepup_block(block, regular, overflow, 0.0, requested_total)
-        for i, session in enumerate(sessions):
-            arrived = session.bits_arrived
-            delivered = session.bits_delivered
-            for row in block:
-                bits = row[i]
-                if bits > 0:
-                    arrived += bits
-                    if bits > EPSILON:
-                        delivered += bits
-            session.bits_arrived = arrived
-            session.bits_delivered = delivered
-        return end - t
+        fifo = policy.fifo
+        columns = self._columns
+        histograms = self.recorder.histograms
+        if faulted:  # what a scalar step sets for a slot no fault acts on
+            for session in sessions:
+                session.channels.capacity_factor = 1.0
+        block = None  # (start, regular, overflow, requested_total)
+        delivered: list[list[float]] = []
+        backlog: list[list[float]] = []
+        at = t
+        while at < stop:
+            policy.begin_slot(at)
+            end = min(policy.next_boundary, stop)
+            regular = [s.channels.regular_link.bandwidth for s in sessions]
+            overflow = [s.channels.overflow_link.bandwidth for s in sessions]
+            _require_finite((*regular, *overflow), at)
+            requested_total = policy.total_requested if faulted else None
+            if block is None or block[1:] != (regular, overflow, requested_total):
+                if block is not None:
+                    self._commit(block, at, delivered, backlog)
+                block = (at, regular, overflow, requested_total)
+                delivered = [[] for _ in sessions]
+                backlog = [[] for _ in sessions]
+            for i, session in enumerate(sessions):
+                served, after = session.channels.replay(
+                    at, columns[i][at:end], histograms[i], fifo, session
+                )
+                delivered[i] += served
+                backlog[i] += after
+            at = end
+        self._commit(block, stop, delivered, backlog)
+        return stop - t
+
+    def _commit(self, block, end: int, delivered, backlog) -> None:
+        """Hand slots ``block[0]`` to ``end`` of a phase slice, at the
+        block's allocations, to the recorder."""
+        start, regular, overflow, requested_total = block
+        self.recorder.record_keepup_block(
+            self._arrivals[start:end],
+            regular,
+            overflow,
+            requested_total,
+            np.array(delivered).T,
+            np.array(backlog).T,
+        )
 
     def run(self) -> None:
         """Simulate to completion."""

@@ -7,7 +7,7 @@ code in :mod:`repro.core`), :mod:`repro.verify.oracle` computes exact
 offline change-count optima by DP, :mod:`repro.verify.scenarios` maps
 every registered experiment to certifiable traces, and
 :mod:`repro.verify.differential` hosts the hypothesis-driven harness
-that cross-checks engines, bulk commits, and fault configurations against
+that cross-checks engines, slices, and fault configurations against
 the certificates and the oracle.
 """
 

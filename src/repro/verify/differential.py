@@ -7,7 +7,7 @@ stay hypothesis-free so the harness is importable anywhere:
 * :func:`certified_single_run` / :func:`certified_multi_run` — run an
   engine configuration and certify the trace in one step;
 * :func:`vector_mismatch_single` / :func:`vector_mismatch_multi` — the
-  engine's bulk-commit/scalar-step bit-identity differential;
+  engine's slice/scalar-step bit-identity differential;
 * :func:`oracle_ratio_check` — online change count vs the DP-exact
   offline optimum;
 * :func:`assert_certified` — raise with the fully rendered report, so a

@@ -1,8 +1,15 @@
 """Tests for the regular/overflow channel pair."""
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.channel import SessionChannels
+from repro.network.queue import EPSILON
+from repro.network.session import Session
+from tests.strategies import FUZZ_EXAMPLES
 
 
 class TestSessionChannels:
@@ -65,3 +72,201 @@ class TestSessionChannels:
         c.overflow_link.set(0, 2)
         c.overflow_link.set(1, 0)
         assert c.change_count == 3
+
+
+# -- SessionChannels.replay against the per-slot oracle ----------------------
+
+#: Arrival sizes: nothing, dust at and around EPSILON, fractional bits,
+#: and magnitudes large enough to absorb dust-sized chunks into the size.
+_BITS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([EPSILON / 2, EPSILON, 2 * EPSILON, 1e-7, 5e7, 1e8]),
+    st.floats(min_value=0.0, max_value=40.0),
+)
+_BANDWIDTHS = st.one_of(
+    st.sampled_from([0.0, EPSILON / 2, 1.0, 2.5, 5e7]),
+    st.floats(min_value=0.0, max_value=60.0),
+)
+
+
+@dataclass
+class _Case:
+    overflow: list  # (stamp gap, bits) pushes later moved to overflow
+    regular: list  # (stamp gap, bits) pushes left in the regular queue
+    regular_bandwidth: float
+    overflow_bandwidth: float | int  # int D: size / D, as Figure 4 sizes it
+    gap: int  # slots from the last stamp to the first replayed slot
+    max_delay: int
+    arrivals: list
+    fifo: bool
+
+
+@st.composite
+def _cases(draw, max_slots: int = 40):
+    pushes = st.lists(st.tuples(st.integers(0, 3), _BITS), max_size=4)
+    return _Case(
+        overflow=draw(pushes),
+        regular=draw(pushes),
+        regular_bandwidth=draw(_BANDWIDTHS),
+        overflow_bandwidth=draw(st.one_of(_BANDWIDTHS, st.integers(1, 8))),
+        gap=draw(st.integers(0, 2)),
+        max_delay=draw(st.integers(0, 5)),
+        arrivals=draw(st.lists(_BITS, max_size=max_slots)),
+        fifo=draw(st.booleans()),
+    )
+
+
+def _build(case: _Case) -> tuple[Session, int]:
+    """A session in the case's state; returns it and the first slot."""
+    session = Session(0)
+    channels = session.channels
+    stamp = 0
+    for gap, bits in case.overflow:
+        stamp += gap
+        if bits > 0:
+            session.push(stamp, bits)
+    channels.move_regular_to_overflow()
+    for gap, bits in case.regular:
+        stamp += gap
+        if bits > 0:
+            session.push(stamp, bits)
+    channels.regular_link.set(0, case.regular_bandwidth)
+    overflow = case.overflow_bandwidth
+    if isinstance(overflow, int):
+        overflow = channels.overflow_queue.size / overflow
+    channels.overflow_link.set(0, overflow)
+    session.max_delay = case.max_delay
+    return session, stamp + case.gap
+
+
+def _oracle(session, t, arrivals, histogram, fifo):
+    """The per-slot loop a scalar ``PhasedMultiSession.step`` runs."""
+    delivered, backlog = [], []
+    for i, bits in enumerate(arrivals):
+        if bits > 0:
+            session.push(t + i, bits)
+        result = session.channels.serve(t + i, fifo=fifo)
+        session.account(result)
+        for delivery in result.deliveries:
+            histogram[delivery.delay] = histogram.get(delivery.delay, 0.0) + delivery.bits
+        delivered.append(result.bits)
+        backlog.append(session.backlog)
+    return delivered, backlog
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _state(session, histogram):
+    """Everything the replay must leave bit-identical."""
+    channels = session.channels
+    return {
+        "histogram": {d: b.hex() for d, b in histogram.items()},
+        "arrived": session.bits_arrived.hex(),
+        "delivered": session.bits_delivered.hex(),
+        "max_delay": session.max_delay,
+        "regular": [(a, b.hex()) for a, b in channels.regular_queue.peek_chunks()],
+        "overflow": [(a, b.hex()) for a, b in channels.overflow_queue.peek_chunks()],
+        "regular_size": channels.regular_queue._size.hex(),
+        "overflow_size": channels.overflow_queue._size.hex(),
+    }
+
+
+def _assert_replay_matches_oracle(case: _Case, histogram=None):
+    histogram = dict(histogram or {})
+    reference, t = _build(case)
+    expected_histogram = dict(histogram)
+    expected = _oracle(reference, t, case.arrivals, expected_histogram, case.fifo)
+    session, _ = _build(case)
+    got = session.channels.replay(t, case.arrivals, histogram, case.fifo, session)
+    assert _hex(got[0]) == _hex(expected[0])
+    assert _hex(got[1]) == _hex(expected[1])
+    assert _state(session, histogram) == _state(reference, expected_histogram)
+    return got
+
+
+_SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+
+
+class TestReplay:
+    """``SessionChannels.replay`` is the per-slot loop, bit for bit."""
+
+    @given(case=_cases())
+    @_SETTINGS
+    def test_matches_per_slot_oracle(self, case):
+        _assert_replay_matches_oracle(case, histogram={0: 0.1, 1: 0.7, 3: 1e-3})
+
+    @given(case=_cases(), cut=st.integers(0, 40))
+    @_SETTINGS
+    def test_split_calls_match_one_call(self, case, cut):
+        whole, t = _build(case)
+        whole_histogram: dict[int, float] = {}
+        columns = whole.channels.replay(t, case.arrivals, whole_histogram, case.fifo, whole)
+        split, _ = _build(case)
+        histogram: dict[int, float] = {}
+        cut = min(cut, len(case.arrivals))
+        head = split.channels.replay(t, case.arrivals[:cut], histogram, case.fifo, split)
+        tail = split.channels.replay(
+            t + cut, case.arrivals[cut:], histogram, case.fifo, split
+        )
+        assert _hex(head[0] + tail[0]) == _hex(columns[0])
+        assert _hex(head[1] + tail[1]) == _hex(columns[1])
+        assert _state(split, histogram) == _state(whole, whole_histogram)
+
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_dust_arrivals_count_but_never_queue(self, fifo):
+        case = _Case([], [], 1.0, 0.0, 0, 0, [EPSILON / 2, EPSILON, 0.0, 2 * EPSILON], fifo)
+        delivered, _ = _assert_replay_matches_oracle(case)
+        assert delivered == [0.0, 0.0, 0.0, 2 * EPSILON]
+
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_zero_bandwidths_hold_the_backlog(self, fifo):
+        case = _Case([(0, 3.0)], [(1, 2.0)], 0.0, 0.0, 1, 0, [1.5, 0.0, 4.0], fifo)
+        delivered, backlog = _assert_replay_matches_oracle(case)
+        assert delivered == [0.0, 0.0, 0.0]
+        assert backlog == [6.5, 6.5, 10.5]
+
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_overflow_drains_with_sub_epsilon_residue(self, fifo):
+        # Sized to drain in 3 slots: size / 3 summed back leaves float
+        # residue, which the dust clear must drop.
+        case = _Case([(0, 1.0), (1, 0.1), (1, 0.7)], [(1, 0.3)], 0.05, 3, 0, 0, [0.0] * 8, fifo)
+        _assert_replay_matches_oracle(case)
+
+    @pytest.mark.parametrize("queue", ["overflow", "regular"])
+    def test_dust_chunk_behind_an_absorbing_size_is_cleared(self, queue):
+        # 2e-9 vanishes into a 5e7-bit size: after the 5e7 chunk goes, the
+        # queue holds a 2e-9 chunk but a 0.0 size, and must empty.
+        pushes = [(0, 5e7), (1, 2 * EPSILON)]
+        overflow, regular = (pushes, []) if queue == "overflow" else ([], pushes)
+        case = _Case(overflow, regular, 5e7, 5e7, 0, 0, [0.0, 0.0, 0.0], False)
+        delivered, backlog = _assert_replay_matches_oracle(case)
+        assert delivered == [5e7, 0.0, 0.0]
+        assert backlog == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_chunk_splits_and_same_slot_merges(self, fifo):
+        # Arrivals merge into the regular queue's newest chunk (gap 0) and
+        # partial service splits chunks across slots.
+        arrivals = [2.0, 0.5, 3.0, 0.0, 0.0]
+        case = _Case([(0, 5.0)], [(2, 3.0), (1, 4.0)], 1.25, 2.0, 0, 0, arrivals, fifo)
+        _assert_replay_matches_oracle(case)
+
+    def test_same_delay_from_both_queues_folds_overflow_first(self):
+        # Both queues hold slot-0 bits, so one slot delivers delay 2 from
+        # each; the bin's sum depends on the fold order.
+        histogram = {2: 0.1}
+        case = _Case([(0, 0.2)], [(0, 0.6)], 0.6, 0.2, 2, 0, [0.0], False)
+        _assert_replay_matches_oracle(case, histogram)
+        reference, t = _build(case)
+        reference.channels.replay(t, case.arrivals, histogram, False, reference)
+        assert histogram[2] == (0.1 + 0.2) + 0.6 != (0.1 + 0.6) + 0.2
+
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_max_delay_tracks_the_oldest_served_bit(self, fifo):
+        case = _Case([(0, 4.0)], [(3, 4.0)], 1.0, 1.0, 2, 1, [1.0] * 6, fifo)
+        _assert_replay_matches_oracle(case)
+        session, t = _build(case)
+        session.channels.replay(t, case.arrivals, {}, fifo, session)
+        assert session.max_delay > case.max_delay

@@ -58,32 +58,51 @@ def min_existential_window_utilization(
     For each slot ``t`` take the *best* utilization over windows
     ``(t - w, t]`` with ``1 <= w <= max_window``; return the worst of those
     best values over all ``t`` (with ``t`` ranging over slots where some
-    window has positive allocation).  The algorithm satisfies Lemma 5 iff
-    this value is at least ``U_O / 3`` with ``max_window = W + 5·D_O``.
+    window has positive allocation, ``inf`` when there are none).  The
+    algorithm satisfies Lemma 5 iff this value is at least ``U_O / 3``
+    with ``max_window = W + 5·D_O``.
 
-    Implemented as a sliding-window minimum over the prefix differences of
-    ``IN - θ·B`` for a sweep of thresholds θ (bisection on θ would be
-    exact; a direct per-slot scan is O(T · W) and used when T·W is small).
+    One numpy pass per window width ``w``: the prefix differences
+    ``IN(t-w, t]`` and ``B(t-w, t]`` for every ``t`` at once, their
+    quotient where ``B > _EPS`` (``-inf`` elsewhere), folded into a
+    per-slot running ``best`` with ``np.maximum``.  Each quotient is the
+    same subtraction and division a per-slot scan would make, and max/min
+    reductions are exact, so the result is bit-identical to that scan at
+    ``O(W)`` numpy calls instead of ``O(T)``.
+
+    Raises:
+        ConfigError: on ``max_window < 1``, non-1-D or unequal-length
+            inputs, or non-finite values (``np.maximum`` propagates NaN,
+            which would otherwise poison a slot's best value).
     """
     arrivals = np.asarray(arrivals, dtype=float)
     allocation = np.asarray(allocation, dtype=float)
     if max_window < 1:
         raise ConfigError(f"max_window must be >= 1, got {max_window!r}")
-    horizon = len(arrivals)
+    if arrivals.ndim != 1 or allocation.ndim != 1:
+        raise ConfigError(
+            f"arrivals and allocation must be 1-D, got shapes "
+            f"{arrivals.shape} and {allocation.shape}"
+        )
+    if len(arrivals) != len(allocation):
+        raise ConfigError(
+            f"arrivals and allocation must have equal length, got "
+            f"{len(arrivals)} and {len(allocation)}"
+        )
     in_prefix = np.concatenate([[0.0], np.cumsum(arrivals)])
     alloc_prefix = np.concatenate([[0.0], np.cumsum(allocation)])
-    worst = float("inf")
-    for t in range(1, horizon + 1):
-        start = max(0, t - max_window)
-        in_slice = in_prefix[t] - in_prefix[start:t]
-        alloc_slice = alloc_prefix[t] - alloc_prefix[start:t]
-        usable = alloc_slice > _EPS
-        if not usable.any():
-            continue
-        best = float(np.max(in_slice[usable] / alloc_slice[usable]))
-        if best < worst:
-            worst = best
-    return worst
+    if not (np.isfinite(in_prefix).all() and np.isfinite(alloc_prefix).all()):
+        raise ConfigError("arrivals and allocation must be finite")
+    horizon = len(arrivals)
+    best = np.full(horizon, -np.inf)
+    for width in range(1, min(max_window, horizon) + 1):
+        in_sum = in_prefix[width:] - in_prefix[:-width]
+        alloc_sum = alloc_prefix[width:] - alloc_prefix[:-width]
+        ratio = np.full(len(in_sum), -np.inf)
+        np.divide(in_sum, alloc_sum, out=ratio, where=alloc_sum > _EPS)
+        np.maximum(best[width - 1 :], ratio, out=best[width - 1 :])
+    usable = best[np.isfinite(best)]
+    return float(usable.min()) if usable.size else float("inf")
 
 
 def backlog_series(arrivals: np.ndarray, capacities: np.ndarray) -> np.ndarray:
@@ -96,12 +115,12 @@ def backlog_series(arrivals: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     capacities = np.asarray(capacities, dtype=float)
     if arrivals.shape != capacities.shape:
         raise ConfigError("arrivals and capacities must have equal shape")
-    backlog = np.empty_like(arrivals)
+    backlog = []
     q = 0.0
-    for t in range(len(arrivals)):
-        q = max(0.0, q + arrivals[t] - capacities[t])
-        backlog[t] = q
-    return backlog
+    for a, c in zip(arrivals.tolist(), capacities.tolist()):
+        q = max(0.0, q + a - c)
+        backlog.append(q)
+    return np.asarray(backlog, dtype=float)
 
 
 def corollary4_margin(

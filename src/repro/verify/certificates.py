@@ -360,12 +360,12 @@ def lindley_backlog(arrivals: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     capacities = np.asarray(capacities, dtype=float)
     if arrivals.shape != capacities.shape:
         raise ConfigError("arrivals and capacities must have equal shape")
-    backlog = np.empty_like(arrivals)
+    backlog = []
     q = 0.0
-    for t in range(len(arrivals)):
-        q = max(0.0, q + arrivals[t] - capacities[t])
-        backlog[t] = q
-    return backlog
+    for a, c in zip(arrivals.tolist(), capacities.tolist()):
+        q = max(0.0, q + a - c)
+        backlog.append(q)
+    return np.asarray(backlog, dtype=float)
 
 
 def best_window_utilizations(

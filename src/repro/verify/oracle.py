@@ -232,51 +232,9 @@ def min_changes_oracle(
         return OracleResult(0, np.empty(0), tuple(levels), 0, True)
     if max_changes is None:
         max_changes = len(levels) + 8
-    n_levels = len(levels)
 
-    # Padded stream: D_O drain slots, frozen final level (footnote-1
-    # termination, mirroring check_stream_against_profile).
-    padded = np.concatenate([arrivals, np.zeros(offline.delay)])
-    total = len(padded)
-    cum = np.concatenate([[0.0], np.cumsum(padded)])
-    # FIFO delay bound as a queue ceiling: the end-of-slot-t queue may
-    # hold only bits that arrived in (t - D_O, t].
-    ceiling = cum[1:] - cum[np.maximum(0, np.arange(1, total + 1) - offline.delay)]
-
-    infeasible = math.inf
-    # dp[l][c] = minimal end-of-slot queue with level l and c changes used.
-    dp = np.full((n_levels, max_changes + 1), infeasible)
-    for l, level in enumerate(levels):
-        q = max(0.0, padded[0] - level)
-        if q <= ceiling[0] + _EPS:
-            dp[l, 0] = q
-    # choice[t][l][c] = previous level index (or -1 at t=0).
-    choice = np.full((total, n_levels, max_changes + 1), -1, dtype=np.int32)
-
-    level_arr = np.asarray(levels)
-    for t in range(1, total):
-        frozen = t >= horizon  # drain slots: no further switches allowed
-        new_dp = np.full_like(dp, infeasible)
-        for l2 in range(n_levels):
-            for l1 in range(n_levels):
-                if frozen and l1 != l2:
-                    continue
-                cost = 0 if l1 == l2 else 1
-                src = dp[l1]
-                if cost:
-                    src = np.concatenate([[infeasible], src[:-1]])
-                better = src < new_dp[l2]
-                if np.any(better):
-                    new_dp[l2][better] = src[better]
-                    choice[t, l2, better] = l1
-        # Apply dynamics + the delay ceiling for slot t.
-        new_dp += padded[t] - level_arr[:, None]
-        np.maximum(new_dp, 0.0, out=new_dp)
-        new_dp[new_dp > ceiling[t] + _EPS] = infeasible
-        # Re-mark unreachable states (arithmetic on inf stays inf unless
-        # clipped by the ceiling first, so restore explicitly).
-        new_dp[~np.isfinite(new_dp)] = infeasible
-        dp = new_dp
+    dp, choice = _forward(arrivals, offline.delay, levels, max_changes)
+    total = len(choice)
 
     finite = np.isfinite(dp)
     if not finite.any():
@@ -300,6 +258,66 @@ def min_changes_oracle(
     return OracleResult(int(best_c), schedule, tuple(levels), horizon, True)
 
 
+def _forward(
+    arrivals: np.ndarray, delay: int, levels: list[float], max_changes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The DP's forward pass: final ``dp`` and the full ``choice`` table.
+
+    Runs over ``arrivals`` padded with ``delay`` drain slots.
+    ``dp[l, c]`` is the minimal end-of-slot queue at level ``l`` with
+    ``c`` changes used (``inf`` when unreachable); ``choice[t, l, c]`` is
+    the previous slot's level index (``-1`` at ``t = 0`` and wherever
+    the state is unreachable).  One candidate tensor per slot:
+    ``cand[l2, l1, c]`` holds ``dp[l1, c]`` on the diagonal (stay) and
+    ``dp[l1, c - 1]`` off it (switch, ``inf`` at ``c = 0``); drain slots
+    keep the diagonal only.  ``argmin`` over ``l1`` keeps the first
+    minimum, so the lowest source index wins a tie.
+    """
+    horizon = len(arrivals)
+    # Padded stream: D_O drain slots, frozen final level (footnote-1
+    # termination, mirroring check_stream_against_profile).
+    padded = np.concatenate([arrivals, np.zeros(delay)])
+    total = len(padded)
+    cum = np.concatenate([[0.0], np.cumsum(padded)])
+    # FIFO delay bound as a queue ceiling: the end-of-slot-t queue may
+    # hold only bits that arrived in (t - D_O, t].
+    ceiling = cum[1:] - cum[np.maximum(0, np.arange(1, total + 1) - delay)]
+
+    n_levels = len(levels)
+    level_arr = np.asarray(levels)
+    infeasible = math.inf
+    # dp[l][c] = minimal end-of-slot queue with level l and c changes used.
+    dp = np.full((n_levels, max_changes + 1), infeasible)
+    for l, level in enumerate(levels):
+        q = max(0.0, padded[0] - level)
+        if q <= ceiling[0] + _EPS:
+            dp[l, 0] = q
+    # choice[t][l][c] = previous level index (or -1 at t=0).
+    choice = np.full((total, n_levels, max_changes + 1), -1, dtype=np.int32)
+
+    diagonal = np.arange(n_levels)
+    cand = np.empty((n_levels, n_levels, max_changes + 1))
+    for t in range(1, total):
+        if t >= horizon:  # drain slots: no further switches allowed
+            cand.fill(infeasible)
+        else:
+            cand[:, :, 0] = infeasible
+            cand[:, :, 1:] = dp[None, :, :-1]
+        cand[diagonal, diagonal] = dp
+        source = cand.argmin(axis=1)
+        new_dp = np.take_along_axis(cand, source[:, None, :], axis=1)[:, 0, :]
+        choice[t] = np.where(new_dp < infeasible, source, -1)
+        # Apply dynamics + the delay ceiling for slot t.
+        new_dp += padded[t] - level_arr[:, None]
+        np.maximum(new_dp, 0.0, out=new_dp)
+        new_dp[new_dp > ceiling[t] + _EPS] = infeasible
+        # Re-mark unreachable states (arithmetic on inf stays inf unless
+        # clipped by the ceiling first, so restore explicitly).
+        new_dp[~np.isfinite(new_dp)] = infeasible
+        dp = new_dp
+    return dp, choice
+
+
 def _validate_witness(
     arrivals: np.ndarray,
     schedule: np.ndarray,
@@ -317,10 +335,10 @@ def _validate_witness(
     padded_s = np.concatenate(
         [schedule, np.full(offline.delay, schedule[-1] if len(schedule) else 0.0)]
     )
-    cum = np.concatenate([[0.0], np.cumsum(padded_a)])
+    cum = np.concatenate([[0.0], np.cumsum(padded_a)]).tolist()
     q = 0.0
-    for t in range(len(padded_a)):
-        q = max(0.0, q + padded_a[t] - padded_s[t])
+    for t, (a, c) in enumerate(zip(padded_a.tolist(), padded_s.tolist())):
+        q = max(0.0, q + a - c)
         allowed = cum[t + 1] - cum[max(0, t + 1 - offline.delay)]
         if q > allowed + 1e-6:
             raise RuntimeError(

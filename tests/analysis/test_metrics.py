@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import (
+    _EPS,
+    backlog_series,
     global_utilization,
     min_existential_window_utilization,
     min_fixed_window_utilization,
@@ -13,6 +17,75 @@ from repro.analysis.metrics import (
 from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
 from repro.errors import ConfigError
 from repro.sim.engine import run_multi_session, run_single_session
+from tests.strategies import FUZZ_EXAMPLES
+
+_SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+
+
+def _existential_loop(arrivals, allocation, max_window):
+    """The per-slot scan ``min_existential_window_utilization`` used to run."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    allocation = np.asarray(allocation, dtype=float)
+    horizon = len(arrivals)
+    in_prefix = np.concatenate([[0.0], np.cumsum(arrivals)])
+    alloc_prefix = np.concatenate([[0.0], np.cumsum(allocation)])
+    worst = float("inf")
+    for t in range(1, horizon + 1):
+        start = max(0, t - max_window)
+        in_slice = in_prefix[t] - in_prefix[start:t]
+        alloc_slice = alloc_prefix[t] - alloc_prefix[start:t]
+        usable = alloc_slice > _EPS
+        if not usable.any():
+            continue
+        best = float(np.max(in_slice[usable] / alloc_slice[usable]))
+        if best < worst:
+            worst = best
+    return worst
+
+
+def _backlog_loop(arrivals, capacities):
+    """The numpy-scalar Lindley loop ``backlog_series`` used to run."""
+    backlog = np.empty_like(arrivals)
+    q = 0.0
+    for t in range(len(arrivals)):
+        q = max(0.0, q + arrivals[t] - capacities[t])
+        backlog[t] = q
+    return backlog
+
+
+#: Per-slot allocations: zeros, values within 2 ulps of ``_EPS`` (the
+#: usable-window threshold) and ordinary bandwidths.
+_BELOW = float(np.nextafter(_EPS, 0))
+_ABOVE = float(np.nextafter(_EPS, 1))
+_NEAR_EPS = [
+    float(np.nextafter(_BELOW, 0)),
+    _BELOW,
+    _EPS,
+    _ABOVE,
+    float(np.nextafter(_ABOVE, 1)),
+]
+_allocations = st.one_of(
+    st.just(0.0),
+    st.sampled_from(_NEAR_EPS),
+    st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+    st.floats(min_value=0.0, max_value=16.0),
+)
+_arrivals = st.one_of(
+    st.just(0.0),
+    st.sampled_from(_NEAR_EPS),
+    st.floats(min_value=0.0, max_value=32.0),
+)
+
+
+@st.composite
+def _lemma5_cases(draw, max_slots: int = 80):
+    n = draw(st.integers(1, max_slots))
+    arrivals = draw(st.lists(_arrivals, min_size=n, max_size=n))
+    allocation = draw(st.lists(_allocations, min_size=n, max_size=n))
+    unallocated = draw(st.integers(0, n))  # a fully unallocated prefix
+    allocation[:unallocated] = [0.0] * unallocated
+    window = draw(st.integers(1, n + 8))  # both W <= T and W > T
+    return np.array(arrivals), np.array(allocation), window
 
 
 class TestGlobalUtilization:
@@ -58,11 +131,86 @@ class TestExistentialUtilization:
         exist = min_existential_window_utilization(arrivals, allocation, 8)
         assert exist >= fixed - 1e-12
 
+    @pytest.mark.parametrize(
+        "arrivals, allocation",
+        [
+            (np.ones(5), np.ones(4)),  # arrivals longer: used to IndexError
+            (np.ones(4), np.ones(5)),  # allocation tail used to be ignored
+            (np.ones((2, 3)), np.ones((2, 3))),  # 2-D used to return 1.0
+            (np.array([1.0, np.nan]), np.ones(2)),
+            (np.ones(2), np.array([np.inf, 1.0])),
+            (np.ones(2), np.array([1.0, np.nan])),
+        ],
+    )
+    def test_rejects_bad_input(self, arrivals, allocation):
+        with pytest.raises(ConfigError):
+            min_existential_window_utilization(arrivals, allocation, 3)
+
+    def test_all_zero_allocation_is_inf(self):
+        worst = min_existential_window_utilization(np.ones(6), np.zeros(6), 3)
+        assert worst == _existential_loop(np.ones(6), np.zeros(6), 3) == float("inf")
+
+    def test_empty_series_is_inf(self):
+        assert min_existential_window_utilization(np.array([]), np.array([]), 3) == float("inf")
+
     def test_skips_unallocated_prefix(self):
         arrivals = np.asarray([0.0, 4.0])
         allocation = np.asarray([0.0, 4.0])
         worst = min_existential_window_utilization(arrivals, allocation, 2)
         assert worst == pytest.approx(1.0)
+
+
+class TestExistentialKernelMatchesLoop:
+    """The per-width kernel returns the per-slot scan's float exactly."""
+
+    @_SETTINGS
+    @given(_lemma5_cases())
+    def test_mixed_values(self, case):
+        arrivals, allocation, window = case
+        assert min_existential_window_utilization(
+            arrivals, allocation, window
+        ) == _existential_loop(arrivals, allocation, window)
+
+    @_SETTINGS
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 1500), window=st.integers(1, 120))
+    def test_long_random_series(self, seed, n, window):
+        rng = np.random.default_rng(seed)
+        arrivals = rng.poisson(rng.uniform(0.5, 8.0), size=n) * rng.uniform(0.1, 2.0, size=n)
+        levels = rng.choice([0.0, 1.0, 2.0, 4.0, 8.0], size=n // 40 + 1)
+        allocation = np.repeat(levels, 40)[:n] * rng.uniform(0.5, 1.5)
+        assert min_existential_window_utilization(
+            arrivals, allocation, window
+        ) == _existential_loop(arrivals, allocation, window)
+
+    @pytest.mark.parametrize("window", [1, 3, 7, 50])  # W = 1, W < T, W = T, W > T
+    def test_edges(self, window):
+        rng = np.random.default_rng(window)
+        arrivals = rng.uniform(0, 4, 7)
+        for allocation in (
+            np.full(7, 2.0),
+            np.zeros(7),
+            np.array([0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 3.0]),
+            np.array(_NEAR_EPS + [0.0, _EPS]),
+        ):
+            assert min_existential_window_utilization(
+                arrivals, allocation, window
+            ) == _existential_loop(arrivals, allocation, window)
+
+
+class TestBacklogSeries:
+    @_SETTINGS
+    @given(seed=st.integers(0, 2**31), n=st.integers(0, 400))
+    def test_matches_the_numpy_scalar_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        arrivals = rng.poisson(3.0, size=n) * rng.uniform(0.1, 2.0, size=n)
+        capacities = rng.uniform(0.0, 6.0, size=n)
+        got = backlog_series(arrivals, capacities)
+        assert got.dtype == np.float64
+        assert got.tolist() == _backlog_loop(arrivals, capacities).tolist()
+
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(ConfigError):
+            backlog_series(np.ones(3), np.ones(2))
 
 
 class TestSummaries:

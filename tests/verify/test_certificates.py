@@ -233,6 +233,18 @@ class TestSeriesHelpers:
         )
         np.testing.assert_allclose(backlog, [3.0, 1.0, 3.0])
 
+    def test_lindley_recursion_matches_numpy_scalar_loop(self):
+        rng = np.random.default_rng(11)
+        arrivals = rng.poisson(3.0, 2000) * rng.uniform(0.1, 2.0, 2000)
+        capacities = rng.uniform(0.0, 6.0, 2000)
+        want = np.empty_like(arrivals)
+        q = 0.0
+        for t in range(len(arrivals)):
+            q = max(0.0, q + arrivals[t] - capacities[t])
+            want[t] = q
+        assert lindley_backlog(arrivals, capacities).tolist() == want.tolist()
+        assert lindley_backlog(np.array([]), np.array([])).shape == (0,)
+
     def test_switch_count_counts_initial_rise(self):
         assert switch_count(np.array([0.0, 0.0, 2.0, 2.0, 1.0])) == 2
         assert switch_count(np.array([2.0, 2.0])) == 1  # 0 -> 2 at t=0

@@ -13,12 +13,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.opt_bruteforce import min_changes_bruteforce
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.traffic.feasible import generate_feasible_stream
 from repro.verify.oracle import (
+    _EPS,
+    _forward,
     RATIO_FINITE,
     RATIO_NO_STATEMENT,
     RATIO_TRIVIAL,
@@ -28,7 +31,53 @@ from repro.verify.oracle import (
     default_levels,
     min_changes_oracle,
 )
-from tests.strategies import seeds
+from tests.strategies import FUZZ_EXAMPLES, seeds
+
+
+def _oracle_tables_loop(arrivals, delay, levels, max_changes):
+    """The ``for l2: for l1:`` forward pass ``_forward`` used to run."""
+    horizon = len(arrivals)
+    padded = np.concatenate([arrivals, np.zeros(delay)])
+    total = len(padded)
+    cum = np.concatenate([[0.0], np.cumsum(padded)])
+    ceiling = cum[1:] - cum[np.maximum(0, np.arange(1, total + 1) - delay)]
+    n_levels = len(levels)
+    infeasible = math.inf
+    dp = np.full((n_levels, max_changes + 1), infeasible)
+    for l, level in enumerate(levels):
+        q = max(0.0, padded[0] - level)
+        if q <= ceiling[0] + _EPS:
+            dp[l, 0] = q
+    choice = np.full((total, n_levels, max_changes + 1), -1, dtype=np.int32)
+    level_arr = np.asarray(levels)
+    for t in range(1, total):
+        frozen = t >= horizon
+        new_dp = np.full_like(dp, infeasible)
+        for l2 in range(n_levels):
+            for l1 in range(n_levels):
+                if frozen and l1 != l2:
+                    continue
+                cost = 0 if l1 == l2 else 1
+                src = dp[l1]
+                if cost:
+                    src = np.concatenate([[infeasible], src[:-1]])
+                better = src < new_dp[l2]
+                if np.any(better):
+                    new_dp[l2][better] = src[better]
+                    choice[t, l2, better] = l1
+        new_dp += padded[t] - level_arr[:, None]
+        np.maximum(new_dp, 0.0, out=new_dp)
+        new_dp[new_dp > ceiling[t] + _EPS] = infeasible
+        new_dp[~np.isfinite(new_dp)] = infeasible
+        dp = new_dp
+    return dp, choice
+
+
+def _assert_tables_match(arrivals, delay, levels, max_changes):
+    dp, choice = _forward(arrivals, delay, levels, max_changes)
+    want_dp, want_choice = _oracle_tables_loop(arrivals, delay, levels, max_changes)
+    assert np.array_equal(dp, want_dp)
+    assert np.array_equal(choice, want_choice)
 
 
 class TestDefaultLevels:
@@ -89,6 +138,78 @@ class TestOracleExactness:
         assert oracle.feasible
         assert oracle.changes <= 1
         assert np.all(oracle.schedule[:5] == 8.0)
+
+
+@st.composite
+def _oracle_instances(draw, max_slots: int = 40):
+    """``(arrivals, delay, levels, max_changes)`` with many level ties.
+
+    Arrivals are mostly whole multiples of the power-of-two grid (so
+    several source levels reach the same queue) with zero-arrival
+    stretches, bursts past ``B_O`` (infeasible instances) and arbitrary
+    floats.
+    """
+    bandwidth = draw(st.sampled_from([8.0, 16.0, 64.0]))
+    delay = draw(st.integers(1, 11))
+    n = draw(st.integers(1, max_slots))
+    rng = np.random.default_rng(draw(seeds))
+    shape = draw(st.sampled_from(["grid", "onoff", "floats", "burst"]))
+    if shape == "grid":
+        arrivals = rng.choice([0.0, 1.0, 2.0, 4.0, bandwidth / 2, bandwidth], n)
+    elif shape == "onoff":
+        arrivals = np.where(rng.random(n) < 0.3, rng.integers(1, 9, n), 0).astype(float)
+    elif shape == "floats":
+        arrivals = rng.uniform(0.0, bandwidth, n)
+    else:
+        arrivals = rng.poisson(bandwidth / 4, n).astype(float)
+        arrivals[rng.integers(n)] = bandwidth * (delay + 2)
+    levels = default_levels(bandwidth, include_zero=draw(st.booleans()))
+    max_changes = draw(st.one_of(st.none(), st.integers(0, 3)))
+    if max_changes is None:
+        max_changes = len(levels) + 8
+    return arrivals, delay, levels, max_changes
+
+
+class TestForwardMatchesLoop:
+    """The candidate-tensor pass reproduces the loop's ``dp`` and ``choice``."""
+
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    @given(_oracle_instances())
+    def test_random_instances(self, instance):
+        _assert_tables_match(*instance)
+
+    def test_infeasible_instance(self):
+        arrivals = np.array([1.0, 100.0, 2.0])
+        _assert_tables_match(arrivals, 2, default_levels(4.0, include_zero=True), 12)
+        offline = OfflineConstraints(bandwidth=4.0, delay=2)
+        assert min_changes_oracle(arrivals, offline).changes is None
+
+    def test_binding_max_changes(self):
+        # High, idle, high, idle: schedules that follow the load switch
+        # three times, so a cap below 3 cuts reachable states out of dp.
+        arrivals = np.array([8.0] * 4 + [0.0] * 8 + [8.0] * 4 + [0.0] * 8)
+        levels = default_levels(8.0, include_zero=True)
+        free, _ = _forward(arrivals, 1, levels, 12)
+        assert np.isfinite(free[:, 3]).any()
+        for cap in range(4):
+            _assert_tables_match(arrivals, 1, levels, cap)
+
+    def test_ties_and_zero_stretches(self):
+        arrivals = np.array([2.0, 2.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0])
+        levels = default_levels(16.0, include_zero=True)
+        _, choice = _forward(arrivals, 3, levels, 4)
+        # Slot 1 at level 0 after one switch: levels 16, 8, 4 and 2 all
+        # left an empty queue, and the lowest index wins the tie as the
+        # loop's strict < did.
+        assert levels == [16.0, 8.0, 4.0, 2.0, 1.0, 0.0]
+        assert choice[1, 5, 1] == 0
+        assert choice[1, 5, 0] == 5
+        _assert_tables_match(arrivals, 3, levels, 4)
+
+    @pytest.mark.parametrize("delay", [1, 2, 11])
+    def test_one_slot_horizon(self, delay):
+        for bits in (0.0, 3.0, 8.0, 50.0):
+            _assert_tables_match(np.array([bits]), delay, [8.0, 4.0, 0.0], 2)
 
 
 class TestWitness:

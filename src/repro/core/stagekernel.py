@@ -243,6 +243,32 @@ class StageKernel:
         )
         return False, self._v_rung > 0.0
 
+    def walk(self, values) -> int:
+        """:meth:`scan` by repeated :meth:`advance`, for short windows.
+
+        Consumes ``values`` (Python floats) slot by slot and rolls the
+        first event slot back, so state is committed for exactly the
+        returned number of quiet slots, as :meth:`scan` commits it.  The
+        rollback restores every field :meth:`advance` writes (the prefix
+        buffer entry past ``n`` is rewritten by the next append), so it
+        needs no arithmetic of its own.
+        """
+        quiet = 0
+        for bits in values:
+            saved = (
+                self.n, self._total, self._prev_total, self.high,
+                self._m_end, self._v_end, self._m_rung, self._v_rung,
+            )
+            end, rung = self.advance(bits)
+            if end or rung:
+                (
+                    self.n, self._total, self._prev_total, self.high,
+                    self._m_end, self._v_end, self._m_rung, self._v_rung,
+                ) = saved
+                return quiet
+            quiet += 1
+        return quiet
+
     # -- exact low(t) on demand (diagnostics) ------------------------------
 
     def current_low(self) -> float:
@@ -348,7 +374,8 @@ class StageKernel:
         # End test: theta follows high(t), constant between drops.  Each
         # drop replays the scalar full-history recompute (same O(r) numpy
         # pass the scalar path runs), then the segment continues with the
-        # carried incremental accumulates.
+        # carried incremental accumulates.  Nothing past the first rung
+        # violation is committed, so segments stop there.
         end_stop = m
         m_end_seq = np.empty(m)
         v_end_seq = np.empty(m)
@@ -356,7 +383,10 @@ class StageKernel:
         seg_starts = sorted(set(seg_starts))
         m_carry, v_carry = self._m_end, self._v_end
         for si, start in enumerate(seg_starts):
+            if start >= rung_stop:
+                break
             stop = seg_starts[si + 1] if si + 1 < len(seg_starts) else m
+            stop = min(stop, rung_stop)
             theta = float(high_seq[start])
             if change[start]:
                 # Recompute at the drop slot: full history through this

@@ -24,6 +24,14 @@ from __future__ import annotations
 import math
 import threading
 
+import numpy as np
+
+#: Mantissas (``np.frexp``, in [0.5, 1)) just above 0.5: values up to a
+#: relative 2**-32 above a power of two.  There ``math.log2`` may round
+#: down to the exact integer, so :meth:`Histogram.observe` files the value
+#: under the power itself; the widest such band is ~2**-43.5.
+_LOG2_BAND = 0.5 + 2.0**-33
+
 
 def bucket_percentile(
     buckets: dict, count: int, q: float, maximum: float | None = None
@@ -124,6 +132,40 @@ class Histogram:
         bucket = 2.0 ** math.ceil(math.log2(value)) if value > 0.0 else 0.0
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
+    def observe_many(self, values) -> None:
+        """:meth:`observe` each of ``values`` (1-D, finite) in order.
+
+        Count, total (a sequential sum), min, max and bucket counts (keys
+        inserted in first-seen order) equal the per-value calls.  Buckets
+        come from ``np.frexp``: for ``v = m * 2**e`` with ``0.5 <= m < 1``,
+        ``ceil(log2 v)`` is ``e - 1`` when ``m == 0.5`` and ``e`` otherwise,
+        except in the band just above a power of two where ``math.log2``
+        rounds to the integer; those few values take ``math.log2`` itself.
+        """
+        values = np.asarray(values, dtype=float)
+        if not values.size:
+            return
+        self.count += values.size
+        self.total = float(np.add.accumulate(np.concatenate(([self.total], values)))[-1])
+        # argmin/argmax pick the first extreme, as the strict per-value tests do.
+        low = float(values[np.argmin(values)])
+        if low < self.min:
+            self.min = low
+        high = float(values[np.argmax(values)])
+        if high > self.max:
+            self.max = high
+        positive = values > 0.0
+        mantissa, exponent = np.frexp(values)
+        exponent -= mantissa == 0.5
+        for i in np.flatnonzero(positive & (mantissa > 0.5) & (mantissa < _LOG2_BAND)).tolist():
+            exponent[i] = math.ceil(math.log2(float(values[i])))
+        bounds = np.where(positive, np.ldexp(1.0, exponent), 0.0)
+        keys, first, counts = np.unique(bounds, return_index=True, return_counts=True)
+        buckets = self.buckets
+        for i in np.argsort(first).tolist():
+            key = float(keys[i])
+            buckets[key] = buckets.get(key, 0) + int(counts[i])
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -190,6 +232,9 @@ class _NullHistogram:
     mean = 0.0
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
     def percentile(self, q: float) -> float:

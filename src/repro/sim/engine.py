@@ -28,15 +28,16 @@ Both accept ``faults=``, a :class:`~repro.faults.plan.FaultPlan`:
   :class:`~repro.faults.signaling.UnreliableSignaling` wrapper.
 
 Passing ``faults=None`` (or an empty plan) reproduces the fault-free
-simulation bit-for-bit.  Slots where a fault acts take the engine's scalar
-step; the rest of a faulted run may still be sliced.
+simulation bit-for-bit.  A single-session run slices straight through
+degradation windows and ingress drops; a multi-session run takes the
+scalar step at slots where a fault acts.
 
 Both are instrumented for :mod:`repro.obs`: when a telemetry session is
 active they time themselves with a profiling hook (slots/sec), and after
 the run fill the queue-depth and allocation histograms from the finished
-trace (slot by slot, so counts and totals equal per-slot sampling), count
-slots/changes/stages/drops, and synthesize stage/phase spans from the
-policy's event lists.  Telemetry never feeds back into the simulation, so
+trace (``Histogram.observe_many`` in slot order, so counts and totals
+equal per-slot sampling), count slots/changes/stages/drops, and
+synthesize stage/phase spans from the policy's event lists.  Telemetry never feeds back into the simulation, so
 traces are bit-identical whether it is on or off, and the run itself
 takes the same code path either way.
 
@@ -190,44 +191,35 @@ def run_multi_session(
     return trace
 
 
-#: Trace slots converted to Python floats at a time for the histograms.
-_OBSERVE_BLOCK = 4096
-
-
-def _blocks(*arrays):
-    """Walk equally long arrays in blocks of Python values, slot by slot."""
-    for start in range(0, len(arrays[0]), _OBSERVE_BLOCK):
-        stop = start + _OBSERVE_BLOCK
-        yield from zip(*(array[start:stop].tolist() for array in arrays))
-
-
 def _observe_single(tele: Telemetry, trace: SingleSessionTrace) -> None:
     """Per-slot queue depth and allocation histograms, in slot order."""
     registry = tele.registry
-    depth = registry.histogram("engine.single.queue_depth").observe
-    allocation = registry.histogram("engine.single.allocation").observe
-    for backlog, granted in _blocks(trace.backlog, trace.allocation):
-        depth(backlog)
-        allocation(granted)
+    registry.histogram("engine.single.queue_depth").observe_many(trace.backlog)
+    registry.histogram("engine.single.allocation").observe_many(trace.allocation)
+
+
+def _session_sum(columns: np.ndarray) -> np.ndarray:
+    """Per-slot Python ``sum`` of each row of ``columns``: ``0 + c0 + c1 + ...``
+    column by column, the same additions in the same order."""
+    total = np.zeros(len(columns))
+    for column in columns.T:
+        total = total + column
+    return total
 
 
 def _observe_multi(tele: Telemetry, trace: MultiSessionTrace) -> None:
     """Per-slot total queue depth and allocation histograms, in slot order.
 
-    Sums run in session order with Python ``sum``, as a per-slot sampler
-    over the live queues and links would compute them.
+    Sums run in session order as Python ``sum`` does, as a per-slot
+    sampler over the live queues and links would compute them.
     """
     registry = tele.registry
-    depth = registry.histogram("engine.multi.queue_depth").observe
-    allocation = registry.histogram("engine.multi.allocation").observe
-    for backlogs, regular, overflow, extra in _blocks(
-        trace.backlog,
-        trace.regular_allocation,
-        trace.overflow_allocation,
-        trace.extra_allocation,
-    ):
-        depth(sum(backlogs))
-        allocation(sum(regular) + sum(overflow) + extra)
+    registry.histogram("engine.multi.queue_depth").observe_many(_session_sum(trace.backlog))
+    registry.histogram("engine.multi.allocation").observe_many(
+        _session_sum(trace.regular_allocation)
+        + _session_sum(trace.overflow_allocation)
+        + trace.extra_allocation
+    )
 
 
 def _emit_run_telemetry(

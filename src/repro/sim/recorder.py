@@ -294,23 +294,30 @@ class SingleSessionRecorder:
         allocation: float,
         delivered: np.ndarray,
         backlog: np.ndarray,
+        dropped: float | np.ndarray = 0.0,
+        effective: np.ndarray | None = None,
     ) -> None:
         """Bulk-append a policy-quiet slice: a constant allocation over
         ``len(arrivals)`` slots, whose queue was replayed by
         :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>`.
 
         Equivalent to ``record`` once per slot with those outcomes:
-        ``delivered`` and ``backlog`` are the replay's per-slot bits served
-        and end-of-slot queue size, nothing is dropped, and requested and
-        effective bandwidth equal the allocation.  The replay has already
-        folded the slice's deliveries into :attr:`histogram` in delivery
-        order, so this call only defers the per-slot columns: the slice is
-        spliced in at :meth:`finalize`, which keeps it O(1).
+        ``arrivals`` are the offered bits, ``delivered`` and ``backlog`` the
+        replay's per-slot bits served and end-of-slot queue size,
+        ``dropped`` the bits an ingress fault removed (a per-slot array, or
+        0 for none) and ``effective`` the per-slot bandwidth the wire served
+        with (None: the allocation); requested bandwidth equals the
+        allocation.  The replay has already folded the slice's deliveries
+        into :attr:`histogram` in delivery order, so this call only defers
+        the per-slot columns: the slice is spliced in at :meth:`finalize`,
+        which keeps it O(1).
         """
+        if effective is None:
+            effective = allocation
         self._blocks.append(
             (
                 len(self._arrivals),
-                (arrivals, allocation, delivered, backlog, 0.0, allocation, allocation),
+                (arrivals, allocation, delivered, backlog, dropped, allocation, effective),
             )
         )
 

@@ -11,20 +11,27 @@ capacity.  This module exploits that:
   callers can advance a simulation in bounded increments (streaming
   ingestion via :meth:`feed`, bounded-memory aggregation via
   ``collect="summary"``).  :func:`~repro.sim.engine.run_single_session`
-  is a thin wrapper over it.  Fault plans fold in per slot: a slot whose
-  capacity or ingress factor is not 1 takes the scalar step.
+  is a thin wrapper over it.
 * **Policy-quiet slices**: a run of slots in which the policy provably
   keeps its allocation and runs no decision that reads the queue.  For
   :class:`SingleSessionOnline` in a stage, :meth:`StageKernel.scan
   <repro.core.stagekernel.StageKernel.scan>` finds the next stage end or
   rung climb over a galloping window (it starts small and doubles up to
-  :data:`CHUNK`); Figure 3 never reads the backlog mid-stage, so the
-  queue does not end the slice.  In RESET the slice holds ``B_A`` until
-  the pre-push backlog is ``<= EPSILON``.  A primed
-  :class:`StaticAllocator` is always quiet.  The slice's queue work is
-  one fused :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>`
-  and its columns one ``record_keepup_block`` call; the event slot after
-  it takes the ordinary scalar step.
+  :data:`CHUNK`; the first window after an event is walked slot by slot
+  with :meth:`StageKernel.walk <repro.core.stagekernel.StageKernel.walk>`);
+  Figure 3 never reads the backlog mid-stage, so the queue does not end
+  the slice.  In RESET the slice holds ``B_A`` until the pre-push backlog
+  is ``<= EPSILON``.  A primed :class:`StaticAllocator` is always quiet.
+  A fault plan does not end a slice either: a :class:`LinkDegradation`
+  window changes only what the wire serves and an :class:`IngressDrop`
+  only how many bits the policy is handed, so the policy and the queue
+  see the kept arrivals ``offered - offered * (1.0 - keep)`` and the
+  queue serves ``allocation * capacity`` per slot.  A slice thus ends
+  only at a policy event, the ``step`` budget or the horizon.  Its queue
+  work is one fused :meth:`BitQueue.replay
+  <repro.network.queue.BitQueue.replay>` and its columns one
+  ``record_keepup_block`` call; the event slot after it takes the
+  ordinary scalar step, as does the drain tail.
 * :func:`run_batched` — advance many independent sessions over one
   validated ``(n, T)`` arrival matrix, each on the slice path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
@@ -54,8 +61,11 @@ Exactness of a slice rests on "same float operations, same order":
   ``push`` and ``serve`` float operations in the per-slot order and fold
   deliveries into the delay histograms in the order ``record`` would;
 * the recorded columns are the ones a scalar step records for a slot in
-  which the policy leaves the links alone and no fault acts: granted =
-  requested = effective, nothing dropped.
+  which the policy leaves the links alone: granted = requested, the
+  offered arrivals, ``dropped = 0.0 + offered * (1.0 - keep)`` and
+  ``effective = allocation * capacity`` (for a fault-free run: nothing
+  dropped, effective = granted); a multi-session slice records only
+  slots no fault acts on.
 
 So traces are bit-identical to an all-scalar run (``vector=False``) by
 construction; the identity tests check it.
@@ -191,15 +201,18 @@ class _FaultSchedule:
     and :meth:`FaultPlan.ingress_factor`, and are handed out as Python
     floats so no numpy scalar reaches a trace.  Drain slots past the
     horizon query the plan's capacity directly (they carry no arrivals).
+    :meth:`kept`, :meth:`dropped` and :meth:`served` give a slice the
+    scalar step's per-slot floats for a stretch of slots (with no plan:
+    the offered bits, nothing and the allocation).
     """
 
     def __init__(self, plan: "FaultPlan | None"):
         self.plan = plan if plan is not None and not plan.is_null else None
         self.capacity = _Column(np.empty(0))
         self.ingress = _Column(np.empty(0))
-        #: Slots where a fault acts (a factor is not 1), ascending: they
-        #: take scalar steps only.
-        self.hot_slots: list[int] = []
+        #: Slots where a fault acts (a factor is not 1), ascending; built by
+        #: the first :meth:`next_hot` after an :meth:`extend`.
+        self._hot: list[int] | None = None
 
     def extend(self, horizon: int) -> None:
         """Precompute every slot up to ``horizon``."""
@@ -209,13 +222,17 @@ class _FaultSchedule:
             ingress = self.plan.ingress_factors(start, horizon)
             self.capacity.extend(capacity)
             self.ingress.extend(ingress)
-            hot = np.flatnonzero((capacity != 1.0) | (ingress != 1.0)) + start
-            self.hot_slots.extend(hot.tolist())
+            self._hot = None
 
     def next_hot(self, t: int) -> int | None:
-        """The first hot slot at or after ``t`` (None: no more)."""
-        i = bisect_left(self.hot_slots, t)
-        return self.hot_slots[i] if i < len(self.hot_slots) else None
+        """The first slot at or after ``t`` where a fault acts (None: no
+        more); the multi-session engine takes scalar steps there."""
+        hot = self._hot
+        if hot is None:
+            acts = (self.capacity.view != 1.0) | (self.ingress.view != 1.0)
+            hot = self._hot = np.flatnonzero(acts).tolist()
+        i = bisect_left(hot, t)
+        return hot[i] if i < len(hot) else None
 
     def capacity_at(self, t: int) -> float:
         if t < self.capacity.size:
@@ -224,6 +241,30 @@ class _FaultSchedule:
 
     def ingress_at(self, t: int) -> float:
         return float(self.ingress._data[t])
+
+    def kept(self, offered: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Bits slots ``[start, stop)`` hand the policy and the queue:
+        ``offered - offered * (1.0 - keep)``, as the scalar step forms them
+        (for ``keep == 1`` or nothing offered that is ``offered``)."""
+        bits = offered[start:stop]
+        if self.plan is None:
+            return bits
+        return bits - bits * (1.0 - self.ingress._data[start:stop])
+
+    def dropped(self, offered: np.ndarray, start: int, stop: int) -> float | np.ndarray:
+        """Recorded drops of slots ``[start, stop)`` on an unbounded queue:
+        ``0.0 + offered * (1.0 - keep)``, the scalar step's ``lost +
+        fault_dropped``."""
+        if self.plan is None:
+            return 0.0
+        return 0.0 + offered[start:stop] * (1.0 - self.ingress._data[start:stop])
+
+    def served(self, allocation: float, start: int, stop: int) -> float | np.ndarray:
+        """The wire's bandwidth in slots ``[start, stop)``: ``allocation *
+        capacity``, the scalar step's ``bandwidth * capacity_at(t)``."""
+        if self.plan is None:
+            return allocation
+        return allocation * self.capacity._data[start:stop]
 
 
 @dataclass
@@ -250,6 +291,12 @@ class SingleRunSummary:
     @property
     def max_delay(self) -> int:
         return max(self.delay_histogram.keys(), default=0)
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """``total`` after ``+=`` of each value in order (np.add.accumulate is
+    sequential)."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
 
 
 class _SummaryCollector:
@@ -289,15 +336,14 @@ class _SummaryCollector:
                 histogram.get(delivery.delay, 0.0) + delivery.bits
             )
 
-    def record_keepup_block(self, arrivals, allocation, delivered, backlog) -> None:
-        # Sequential sums (np.add.accumulate), as the per-slot += would.
+    def record_keepup_block(
+        self, arrivals, allocation, delivered, backlog, dropped=0.0, effective=None
+    ) -> None:
         self.slots += len(arrivals)
-        self.total_arrived = float(
-            np.add.accumulate(np.concatenate(([self.total_arrived], arrivals)))[-1]
-        )
-        self.total_delivered = float(
-            np.add.accumulate(np.concatenate(([self.total_delivered], delivered)))[-1]
-        )
+        self.total_arrived = _running_sum(self.total_arrived, arrivals)
+        self.total_delivered = _running_sum(self.total_delivered, delivered)
+        if np.ndim(dropped):  # a scalar is 0.0: adding it changes nothing
+            self.total_dropped = _running_sum(self.total_dropped, dropped)
         self.max_backlog = max(self.max_backlog, float(backlog.max(initial=0.0)))
         if allocation > self.max_allocation:
             self.max_allocation = allocation
@@ -357,9 +403,9 @@ class EngineState:
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * horizon + 1000``, evaluated at :meth:`close` time).
         queue_capacity: finite ingress buffer (None = unbounded).
-        faults: a :class:`~repro.faults.plan.FaultPlan` (None = fault-free).
-            A slot whose capacity or ingress factor is not 1 always takes
-            the scalar step and ends a policy-quiet slice.
+        faults: a :class:`~repro.faults.plan.FaultPlan` (None = fault-free);
+            its capacity and ingress factors fold into policy-quiet slices
+            (module docstring).
         vector: run policy-quiet slices where they apply
             (:func:`vector_capable` policies with an unbounded queue);
             ``False`` makes every slot a scalar step.
@@ -554,38 +600,48 @@ class EngineState:
         length (at most ``budget``; 0 when slot ``t`` needs the scalar step).
 
         Quiet: the policy keeps its allocation and runs no decision that
-        reads the queue, and no fault acts.  The queue work is one
-        :meth:`BitQueue.replay` at the constant allocation.
+        reads the queue.  A fault plan is part of the slice: the policy
+        and the queue see the kept arrivals, and the queue work is one
+        :meth:`BitQueue.replay` at the allocation times each slot's
+        capacity factor.
         """
         stop = t + budget
-        if self._faults.plan is not None:
-            hot = self._faults.next_hot(t)
-            if hot is not None:
-                stop = min(stop, hot)
-        if stop <= t:
-            return 0
         policy = self.policy
         queue = self.queue
-        arrivals = self._arrivals.view
+        faults = self._faults
+        offered = self._arrivals.view
         allocation = policy.link.bandwidth
         histogram = self.recorder.histogram
         if not self._kernel_policy:  # StaticAllocator: quiet once primed.
             if allocation != policy.bandwidth:
                 return 0
-            delivered, backlog = queue.replay(t, arrivals[t:stop], allocation, histogram)
-        elif policy._in_stage:
-            n, self._window = _gallop(
-                t, stop, lambda at, width: policy._kernel.scan(arrivals[at : at + width]), self._window
+            delivered, backlog = queue.replay(
+                t, faults.kept(offered, t, stop), faults.served(allocation, t, stop), histogram
             )
+        elif policy._in_stage:
+            kernel = policy._kernel
+
+            def quiet(at: int, width: int) -> int:
+                bits = faults.kept(offered, at, at + width)
+                # A short window costs less slot by slot than as one scan.
+                return kernel.walk(bits.tolist()) if width <= _FIRST_WINDOW else kernel.scan(bits)
+
+            n, self._window = _gallop(t, stop, quiet, self._window)
             if n == 0:
                 return 0
-            delivered, backlog = queue.replay(t, arrivals[t : t + n], allocation, histogram)
+            delivered, backlog = queue.replay(
+                t, faults.kept(offered, t, t + n), faults.served(allocation, t, t + n), histogram
+            )
         elif queue._size > EPSILON:  # RESET holds B_A until the queue drains.
             parts = []
 
             def drain(at: int, width: int) -> int:
                 part = queue.replay(
-                    at, arrivals[at : at + width], allocation, histogram, until_empty=True
+                    at,
+                    faults.kept(offered, at, at + width),
+                    faults.served(allocation, at, at + width),
+                    histogram,
+                    until_empty=True,
                 )
                 parts.append(part)
                 return len(part[0])
@@ -596,7 +652,14 @@ class EngineState:
         else:  # the slot opens a stage
             return 0
         n = len(delivered)
-        self.recorder.record_keepup_block(arrivals[t : t + n], allocation, delivered, backlog)
+        self.recorder.record_keepup_block(
+            offered[t : t + n],
+            allocation,
+            delivered,
+            backlog,
+            faults.dropped(offered, t, t + n),
+            faults.served(allocation, t, t + n),
+        )
         return n
 
     def run(self) -> None:

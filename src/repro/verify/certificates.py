@@ -90,7 +90,8 @@ _CHANGE_EPS = 1e-9
 #: Cap on counterexamples collected per check.
 _MAX_EXAMPLES = 25
 
-#: Slots converted to Python floats at a time by the FIFO replay.
+#: Slots converted to Python floats at a time by the FIFO replay and the
+#: conservation check (bounds their transient lists).
 _REPLAY_BLOCK = 4096
 
 
@@ -516,11 +517,18 @@ def certify_single(
     # -- conservation: re-derive the queue and compare -----------------------
     derived = np.empty(slots)
     q = 0.0
-    for t in range(slots):
-        q = q + kept[t] - delivered[t]
-        if q < 0.0:
-            q = max(q, -_DUST * (t + 1))  # tolerate accumulated dust only
-        derived[t] = max(q, 0.0)
+    for start in range(0, slots, _REPLAY_BLOCK):
+        stop = start + _REPLAY_BLOCK
+        block = []
+        pairs = zip(kept[start:stop].tolist(), delivered[start:stop].tolist())
+        for t, (k, d) in enumerate(pairs, start):
+            q = q + k - d
+            if q < 0.0:
+                q = max(q, -_DUST * (t + 1))  # tolerate accumulated dust only
+                block.append(max(q, 0.0))
+            else:  # max(q, 0.0) is q itself
+                block.append(q)
+        derived[start:stop] = block
     scale = np.maximum(1.0, np.abs(backlog))
     mismatch = np.abs(derived - backlog) / scale
     over_effective = delivered - effective

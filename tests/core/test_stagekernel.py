@@ -10,6 +10,7 @@ envelope trackers.
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.envelope import HighTracker, NaiveLowTracker
 from repro.core.stagekernel import StageKernel
@@ -100,6 +101,66 @@ class TestScanAdvanceEquivalence:
         taken = kernel.scan(np.array([1000.0]))
         assert taken == 0
         assert _state(kernel) == before
+
+
+class TestWalk:
+    """``walk`` (advance slot by slot, event slot rolled back) commits what
+    ``scan`` commits, and leaves the event slot to ``advance`` as it was."""
+
+    @staticmethod
+    def _full_state(kernel: StageKernel) -> tuple:
+        return (*_state(kernel), kernel._prev_total)
+
+    @_SETTINGS
+    @given(
+        arrivals=arrival_streams(max_slots=160, max_rate=24.0),
+        rung=st.sampled_from([1.0, 2.0, 8.0, 64.0]),
+        width=st.integers(1, 40),
+    )
+    def test_walk_matches_scan_and_advance(self, arrivals, rung, width):
+        walked_k, scanned_k, stepped_k = kernels = (_kernel(), _kernel(), _kernel())
+        for kernel in kernels:
+            kernel.start(float(arrivals[0]))
+            kernel.set_rung(rung, 1.0)
+        values = np.asarray(arrivals[1:], dtype=float)
+        t = 0
+        while t < len(values):
+            window = values[t : t + width]
+            quiet = walked_k.walk(window.tolist())
+            assert quiet == scanned_k.scan(window)
+            for value in window[:quiet].tolist():
+                assert stepped_k.advance(value) == (False, False)
+            states = {self._full_state(kernel) for kernel in kernels}
+            assert len(states) == 1
+            t += quiet
+            if quiet == len(window):
+                continue
+            # The rolled-back event slot reacts exactly as it did in walk.
+            outcomes = {kernel.advance(float(values[t])) for kernel in kernels}
+            assert len(outcomes) == 1
+            end, climbed = outcomes.pop()
+            assert end or climbed
+            if end:
+                return
+            while rung < 64.0 and all(kernel.set_rung(rung, 1.0) for kernel in kernels):
+                rung *= 2.0
+            for kernel in kernels:
+                kernel.set_rung(rung, 1.0)
+            t += 1
+        assert len({self._full_state(kernel) for kernel in kernels}) == 1
+
+    def test_immediate_event_commits_nothing(self):
+        kernel = _kernel()
+        kernel.start(1.0)
+        kernel.set_rung(2.0, 1.0)
+        before = (*_state(kernel), kernel._prev_total)
+        assert kernel.walk([1000.0, 1.0]) == 0
+        assert (*_state(kernel), kernel._prev_total) == before
+
+    def test_empty_window(self):
+        kernel = _kernel()
+        kernel.start(1.0)
+        assert kernel.walk([]) == 0
 
 
 class TestAgainstReferenceTrackers:

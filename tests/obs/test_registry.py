@@ -2,6 +2,10 @@
 
 import math
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs.registry import (
     NULL_REGISTRY,
     Histogram,
@@ -67,6 +71,94 @@ class TestHistogram:
         histogram.observe(100.0)
         histogram.observe(0.5)
         assert list(histogram.as_dict()["buckets"]) == ["0.5", "128"]
+
+
+def _one_by_one(values) -> Histogram:
+    histogram = Histogram("h")
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
+def _assert_same(bulk: Histogram, reference: Histogram) -> None:
+    assert bulk.count == reference.count
+    assert bulk.total == reference.total
+    assert bulk.min == reference.min and bulk.max == reference.max
+    assert math.copysign(1.0, bulk.min) == math.copysign(1.0, reference.min)
+    # Equal dicts with keys in the same (first-seen) order.
+    assert list(bulk.buckets.items()) == list(reference.buckets.items())
+
+
+def _around_powers(exponents, steps: int) -> list[float]:
+    """Each ``2**k`` and the ``steps`` floats on either side of it."""
+    values = []
+    for k in exponents:
+        above = below = math.ldexp(1.0, k)
+        values.append(above)
+        for _ in range(steps):
+            above = math.nextafter(above, math.inf)
+            below = math.nextafter(below, 0.0)
+            values += [above, below]
+    return values
+
+
+class TestObserveMany:
+    """``observe_many`` files every value as ``observe`` would."""
+
+    def test_band_just_above_powers_of_two(self):
+        # Every exponent a finite sum stays below 2**1024 for, subnormals
+        # included.  A few ulps above a power, math.log2 rounds to the
+        # integer and observe files the value under the power itself; the
+        # plain frexp rule would put it one bucket higher.
+        values = _around_powers(range(-1074, 1000), steps=40)
+        disagree = sum(
+            math.ceil(math.log2(v)) != math.frexp(v)[1] - (math.frexp(v)[0] == 0.5)
+            for v in values
+            if v > 0.0
+        )
+        assert disagree > 1000  # the band is really exercised
+        bulk = Histogram("h")
+        bulk.observe_many(np.array(values))
+        _assert_same(bulk, _one_by_one(values))
+
+    def test_each_probe_lands_in_its_own_bucket(self):
+        for value in _around_powers(range(-60, 60, 3), steps=64):
+            bulk = Histogram("h")
+            bulk.observe_many(np.array([value]))
+            assert bulk.buckets == _one_by_one([value]).buckets, value
+
+    def test_zeros_negatives_and_empty(self):
+        values = [0.0, -0.0, 3.0, -2.5, 0.0, 64.0, 64.0, 1e-300]
+        bulk = Histogram("h")
+        bulk.observe_many(np.array([]))
+        assert bulk.count == 0 and bulk.buckets == {}
+        bulk.observe_many(np.array(values))
+        _assert_same(bulk, _one_by_one(values))
+
+    def test_accumulates_across_calls(self):
+        rng = np.random.default_rng(4)
+        first, second = rng.exponential(8.0, 300), rng.exponential(0.3, 200)
+        bulk = Histogram("h")
+        bulk.observe(5.0)
+        bulk.observe_many(first)
+        bulk.observe_many(second)
+        _assert_same(bulk, _one_by_one([5.0, *first.tolist(), *second.tolist()]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=True),
+            max_size=200,
+        )
+    )
+    def test_random_values(self, values):
+        bulk = Histogram("h")
+        bulk.observe_many(np.array(values, dtype=float))
+        _assert_same(bulk, _one_by_one(values))
+
+    def test_null_histogram_accepts_it(self):
+        NULL_REGISTRY.histogram("h").observe_many(np.ones(3))
+        assert NULL_REGISTRY.histogram("h").count == 0
 
 
 class TestSnapshot:

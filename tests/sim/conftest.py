@@ -18,9 +18,9 @@ def bulk_commits(monkeypatch) -> list:
     for recorder in (SingleSessionRecorder, MultiSessionRecorder):
         original = recorder.record_keepup_block
 
-        def counting(self, block, *args, _original=original):
+        def counting(self, block, *args, _original=original, **kwargs):
             sizes.append(len(block))
-            return _original(self, block, *args)
+            return _original(self, block, *args, **kwargs)
 
         monkeypatch.setattr(recorder, "record_keepup_block", counting)
     return sizes

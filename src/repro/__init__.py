@@ -48,8 +48,8 @@ from repro.faults import (
     FaultPlan,
     HeadroomPolicy,
     RetryPolicy,
-    UnreliableMultiSignaling,
-    UnreliableSignaling,
+    UnreliableLink,
+    install_signaling,
 )
 from repro.params import OfflineConstraints, OnlineGuarantees
 from repro.sim import run_multi_session, run_single_session
@@ -80,9 +80,9 @@ __all__ = [
     "SingleSessionOnline",
     "StaticAllocator",
     "StoreAndForwardMultiSession",
-    "UnreliableMultiSignaling",
-    "UnreliableSignaling",
+    "UnreliableLink",
     "__version__",
+    "install_signaling",
     "multi_stage_lower_bound",
     "run_multi_session",
     "run_single_session",

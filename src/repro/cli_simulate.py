@@ -30,8 +30,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults import (
     HeadroomPolicy,
     RetryPolicy,
-    UnreliableMultiSignaling,
-    UnreliableSignaling,
+    install_signaling,
     standard_plan,
 )
 from repro.obs import export_run, telemetry_session
@@ -277,8 +276,7 @@ def _simulate(args, multi_policy, plan, retry, headers) -> int:
                 offline_bandwidth=args.bandwidth,
                 offline_delay=args.delay,
             )
-        if plan is not None:
-            policy = UnreliableMultiSignaling(policy, plan, retry)
+        links = install_signaling(policy, plan, retry) if plan is not None else []
         trace = run_multi_session(policy, workload.arrivals, faults=plan)
         summary = summarize_multi(trace, args.policy, args.window)
         if args.save_trace:
@@ -288,8 +286,7 @@ def _simulate(args, multi_policy, plan, retry, headers) -> int:
         policy = _build_single_policy(args)
         if args.headroom > 1.0:
             policy = HeadroomPolicy(policy, args.headroom)
-        if plan is not None:
-            policy = UnreliableSignaling(policy, plan, retry)
+        links = install_signaling(policy, plan, retry) if plan is not None else []
         trace = run_single_session(
             policy, arrivals, queue_capacity=args.queue_capacity, faults=plan
         )
@@ -307,8 +304,10 @@ def _simulate(args, multi_policy, plan, retry, headers) -> int:
     print(f"completed stages: {trace.completed_stages}")
     if plan is not None:
         print(
-            f"signaling: {policy.requests} requests, {policy.drops} drops, "
-            f"{policy.retries} retries, {policy.give_ups} give-ups "
+            f"signaling: {sum(link.requests for link in links)} requests, "
+            f"{sum(link.drops for link in links)} drops, "
+            f"{sum(link.retries for link in links)} retries, "
+            f"{sum(link.give_ups for link in links)} give-ups "
             f"(intensity {args.fault_intensity}, "
             f"{args.retry_attempts} attempts)"
         )

@@ -30,7 +30,9 @@ class BandwidthPolicy(ABC):
     """Single-session allocation policy.
 
     Subclasses implement :meth:`decide`; they must route every allocation
-    through ``self.link`` so the change accounting is uniform.
+    through ``self.link`` so the change accounting is uniform, and read
+    their own allocation as ``self.link.requested`` (under the signaling
+    plane of :mod:`repro.faults` the grant may lag the request).
     """
 
     def __init__(self, name: str, max_bandwidth: float):
@@ -68,17 +70,6 @@ class BandwidthPolicy(ABC):
     @property
     def changes(self) -> list[BandwidthChange]:
         return self.link.changes
-
-    @property
-    def requested_bandwidth(self) -> float:
-        """The bandwidth most recently *requested* from the link.
-
-        Equal to the allocated bandwidth for a reliable link; under an
-        unreliable signaling plane (:mod:`repro.faults`) the request may
-        still be in flight, and wrappers override this to report their
-        intent.  Engines record it as the trace's ``requested`` series.
-        """
-        return self.link.target
 
     @property
     def completed_stages(self) -> int:

@@ -137,7 +137,7 @@ class EwmaAllocator(BandwidthPolicy):
 
     def decide(self, t: int, arrivals: float, backlog: float) -> float:
         self._estimate = self.alpha * arrivals + (1 - self.alpha) * self._estimate
-        current = self.link.bandwidth
+        current = self.link.requested
         target = min(self.max_bandwidth, self.headroom * self._estimate)
         needs_more = current < self._estimate - EPSILON
         wastes = current > self.theta * target + EPSILON

@@ -33,6 +33,7 @@ from repro.core.envelope import EnvelopePair
 from repro.core.powers import PowerOfTwoQuantizer, Quantizer
 from repro.core.stagekernel import StageKernel
 from repro.errors import ConfigError, SimulationError
+from repro.network.link import CHANGE_EPSILON
 from repro.network.queue import EPSILON
 from repro.obs.runtime import count as obs_count
 
@@ -143,8 +144,12 @@ class SingleSessionOnline(BandwidthPolicy):
         obs_count("core." + self.link.name + ".resets")
 
     def _set(self, t: int, bandwidth: float) -> None:
-        if self.link.set(t, bandwidth):
+        # Counted against the intent: under the signaling plane ``set``
+        # reports only a change applied at once.
+        link = self.link
+        if abs(bandwidth - link.requested) > CHANGE_EPSILON:
             self._changes_this_stage += 1
+        link.set(t, bandwidth)
 
     def _stage_target(self, low: float) -> float:
         """The in-stage allocation for the current ``low`` value."""
@@ -176,7 +181,7 @@ class SingleSessionOnline(BandwidthPolicy):
                 self._set(t, self.max_bandwidth)
                 return self.link.bandwidth
             target = self._stage_target(low)
-            if self.link.bandwidth < target:
+            if self.link.requested < target:
                 self._set(t, target)
             return self.link.bandwidth
 
@@ -231,7 +236,7 @@ class SingleSessionOnline(BandwidthPolicy):
         still reports a violation — at most one extra rung in practice,
         bounded by the grid size in all cases.
         """
-        current = self.link.bandwidth
+        current = self.link.requested
         g = self._stage_target(self._kernel.current_low())
         if g <= current:
             g = self._next_rung(current)

@@ -4,18 +4,21 @@ E-ROB asked what happens when the *input* breaks its contract; this
 experiment asks what happens when the *system underneath* breaks its
 contract: allocation requests are dropped and delayed (the signaling
 plane), the wire underdelivers during degradation episodes, and ingress
-loses bits.  The Figure 3 algorithm runs unmodified inside an
-:class:`~repro.faults.UnreliableSignaling` wrapper across the same
+loses bits.  The Figure 3 algorithm runs unmodified on a link that
+:func:`~repro.faults.install_signaling` makes unreliable, across the same
 uncertified workload zoo as E-ROB, sweeping fault intensity × signaling
 configuration:
 
-* ``no-retry`` — a dropped request is abandoned (the policy re-requests
-  next slot, so the plane sees one fresh transaction per slot of
-  disagreement);
+* ``no-retry`` — a dropped request is abandoned (the engine re-requests
+  the policy's intent next slot, so the plane sees one fresh transaction
+  per slot of disagreement);
 * ``retry`` — exponential backoff with seeded jitter, 4 attempts;
 * ``retry+headroom`` — retries plus a
   :class:`~repro.faults.HeadroomPolicy` that over-requests by 1.5× to ride
-  out degradation and in-flight increases.
+  out degradation and in-flight increases (the plane sits on its link).
+
+"applied chg" counts the changes the plane granted, "requested chg" the
+changes the algorithm asked for (``UnreliableLink.requested_changes``).
 
 Each finished (or stalled) trace is replayed through the certificate
 helpers of :mod:`repro.verify.certificates`: a violation is a slot where
@@ -49,7 +52,7 @@ from repro.faults import (
     NO_RETRY,
     HeadroomPolicy,
     RetryPolicy,
-    UnreliableSignaling,
+    install_signaling,
     standard_plan,
 )
 from repro.sim.engine import run_single_session
@@ -95,8 +98,8 @@ def _violations(trace) -> tuple[int, int | None]:
 def _run_cell(name, arrivals, horizon, intensity, retry, headroom, seed):
     """One (workload × intensity × signaling) run; returns a stats dict."""
     plan = standard_plan(intensity, horizon, seed=seed)
-    inner = _build_policy(headroom)
-    policy = UnreliableSignaling(inner, plan, retry)
+    policy = _build_policy(headroom)
+    (link,) = install_signaling(policy, plan, retry)
     state = EngineState(policy, arrivals, faults=plan, max_drain_slots=200_000)
     try:
         state.run()
@@ -111,10 +114,10 @@ def _run_cell(name, arrivals, horizon, intensity, retry, headroom, seed):
             "stalled": True,
             "delay_ok": False,
             "util": 0.0,
-            "changes": policy.link.change_count,
-            "requested_changes": inner.change_count,
-            "retries": policy.retries,
-            "give_ups": policy.give_ups,
+            "changes": link.change_count,
+            "requested_changes": link.requested_changes,
+            "retries": link.retries,
+            "give_ups": link.give_ups,
             "violations": violations,
             "first_violation": first_violation,
             "max_delay": -1,
@@ -128,9 +131,9 @@ def _run_cell(name, arrivals, horizon, intensity, retry, headroom, seed):
         "delay_ok": trace.max_delay <= 2 * D_O,
         "util": exist,
         "changes": trace.change_count,
-        "requested_changes": inner.change_count,
-        "retries": policy.retries,
-        "give_ups": policy.give_ups,
+        "requested_changes": link.requested_changes,
+        "retries": link.retries,
+        "give_ups": link.give_ups,
         "violations": violations,
         "first_violation": first_violation,
         "max_delay": trace.max_delay,

@@ -10,9 +10,10 @@ assumptions so the degradation of each guarantee can be *measured*:
   :class:`SignalOutage`, :class:`IngressDrop`).
 * :mod:`repro.faults.signaling` — the unreliable signaling plane:
   :class:`UnreliableLink` (requests may be dropped or applied late, with
-  :class:`RetryPolicy` backoff), the :class:`UnreliableSignaling` /
-  :class:`UnreliableMultiSignaling` policy wrappers, and
-  :class:`HeadroomPolicy` (over-request to absorb signaling latency).
+  :class:`RetryPolicy` backoff), :func:`install_signaling`, which swaps
+  a single- or multi-session policy's links for unreliable ones in place
+  (the engines tick them), and :class:`HeadroomPolicy` (over-request to
+  absorb signaling latency).
 
 The engines take a plan via ``faults=``; what the faults cost is measured
 afterwards by replaying the trace through :mod:`repro.verify.certificates`.
@@ -32,8 +33,7 @@ from repro.faults.signaling import (
     HeadroomPolicy,
     RetryPolicy,
     UnreliableLink,
-    UnreliableMultiSignaling,
-    UnreliableSignaling,
+    install_signaling,
 )
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "SignalLoss",
     "SignalOutage",
     "UnreliableLink",
-    "UnreliableMultiSignaling",
-    "UnreliableSignaling",
+    "install_signaling",
     "standard_plan",
 ]

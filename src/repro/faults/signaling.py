@@ -3,25 +3,28 @@
 In the paper an allocation change is costly but *instant and reliable*.
 Real reservation signaling (RSVP-style setup messages, ATM renegotiation)
 is neither: requests are dropped and delayed.  This module models that
-plane at the link level and wraps any existing policy on top of it:
+plane at the link level, where a real plane lives:
 
 * :class:`UnreliableLink` — a :class:`~repro.network.link.Link` whose
   ``set`` issues a *request* through a :class:`~repro.faults.plan.FaultPlan`
   instead of applying immediately.  A request may be lost (retried per the
   :class:`RetryPolicy`, with exponential backoff and seeded jitter) or
-  applied ``d`` slots late.  Change accounting on the link counts *applied*
-  changes; the request/drop/retry/give-up counters quantify signaling cost.
+  applied ``d`` slots late.  ``requested`` keeps the controller's intent
+  and ``bandwidth`` the grant; ``change_count`` counts *applied* changes
+  and ``requested_changes`` requested ones, and the request/drop/retry/
+  give-up counters quantify signaling cost.
 
-* :class:`UnreliableSignaling` — wraps a single-session
-  :class:`~repro.core.allocator.BandwidthPolicy`; its ``decide`` output
-  becomes a request, and the wrapper returns whatever allocation the plane
-  has actually granted so far.
+* :func:`install_signaling` — swap a policy's links for unreliable ones
+  in place: the one link of a single-session
+  :class:`~repro.core.allocator.BandwidthPolicy`, or every per-session
+  (and extra) link of a :class:`~repro.core.allocator.MultiSessionPolicy`.
+  The policy keeps its exact type and its own ``link.set`` calls route
+  through the plane; the engines tick the links every slot (see
+  :mod:`repro.sim.vector`)::
 
-* :class:`UnreliableMultiSignaling` — wraps a
-  :class:`~repro.core.allocator.MultiSessionPolicy` by replacing every
-  per-session (and extra) link with an :class:`UnreliableLink`, so the
-  inner algorithm's own ``link.set`` calls route through the plane without
-  the algorithm knowing.
+      links = install_signaling(policy, plan, RetryPolicy(max_attempts=4))
+      trace = run_single_session(policy, arrivals, faults=plan)
+      give_ups = sum(link.give_ups for link in links)
 
 * :class:`HeadroomPolicy` — graceful degradation: request ``factor ×`` the
   inner decision (capped) so the granted allocation still covers demand
@@ -38,14 +41,13 @@ Semantics chosen to match real reservation planes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.allocator import BandwidthPolicy, MultiSessionPolicy
 from repro.errors import ConfigError, SignalingError
 from repro.faults.plan import FaultPlan
 from repro.network.link import CHANGE_EPSILON, Link
-from repro.network.queue import ServeResult
 from repro.obs.runtime import count as obs_count, get_telemetry
 
 
@@ -97,9 +99,18 @@ class RetryPolicy:
             )
 
     def backoff(self, attempt: int, jitter_draw: float) -> int:
-        """Slots to wait before retry number ``attempt`` (1-based)."""
-        base = self.base_backoff * self.backoff_factor ** (attempt - 1)
-        slots = int(min(float(self.max_backoff), base))
+        """Slots to wait before retry number ``attempt`` (1-based):
+        ``base_backoff * backoff_factor ** (attempt - 1)`` capped at
+        ``max_backoff``, plus the jitter."""
+        cap = float(self.max_backoff)
+        exponent = attempt - 1
+        # Well past the cap (by a factor e) the power is not formed: for
+        # large attempts it overflows a float.
+        past_cap = math.log(cap / self.base_backoff) + 1.0
+        if exponent * math.log(self.backoff_factor) > past_cap:
+            slots = self.max_backoff
+        else:
+            slots = int(min(cap, self.base_backoff * self.backoff_factor**exponent))
         return slots + int(jitter_draw * (self.jitter + 1))
 
 
@@ -123,11 +134,13 @@ class _Pending:
 class UnreliableLink(Link):
     """A link whose ``set`` goes through the unreliable signaling plane.
 
-    ``set(t, bandwidth)`` issues a request; the return value reports
-    whether the allocation *changed this slot* (it did only if the plane
-    accepted the request with zero delay).  ``tick(t)`` must be called once
-    per slot (the policy wrappers do) to deliver due requests and issue due
-    retries.
+    ``set(t, bandwidth)`` records the controller's intent in
+    :attr:`requested` (with :meth:`Link.set`'s ``CHANGE_EPSILON`` rule,
+    counted in :attr:`requested_changes`) and issues a request for it; the
+    return value reports whether the allocation *changed this slot* (it
+    did only if the plane accepted the request with zero delay).
+    ``tick(t)`` must be called once per slot, before the controller acts,
+    to deliver due requests and issue due retries; the engines do.
     """
 
     def __init__(
@@ -143,6 +156,11 @@ class UnreliableLink(Link):
         self.retry = retry
         self.channel = int(channel)
         self._pending: _Pending | None = None
+        self._requested = self.bandwidth
+        #: Slot of the last :meth:`set` call (see :meth:`resend`).
+        self._set_t: int | None = None
+        #: Changes of :attr:`requested` (``change_count`` counts applied ones).
+        self.requested_changes = 0
         #: Signaling transactions opened (change requests issued).
         self.requests = 0
         #: Individual request messages lost by the plane.
@@ -153,15 +171,31 @@ class UnreliableLink(Link):
         self.give_ups = 0
 
     @property
+    def requested(self) -> float:
+        """The controller's intent; kept through a give-up."""
+        return self._requested
+
+    @property
     def target(self) -> float:
-        """The most recently requested value (pending if in transit)."""
+        """The value in transit if a request is pending, else the grant."""
         if self._pending is not None:
             return self._pending.value
         return self.bandwidth
 
+    @property
+    def idle(self) -> bool:
+        """No transaction pending and the grant is the intent: until the
+        next :meth:`set`, :meth:`tick` and :meth:`resend` do nothing."""
+        return self._pending is None and self._requested == self.bandwidth
+
     def set(self, t: int, bandwidth: float) -> bool:
         if bandwidth < 0:
             raise ConfigError(f"bandwidth must be >= 0, got {bandwidth!r}")
+        self._set_t = t
+        if abs(bandwidth - self._requested) > CHANGE_EPSILON:
+            self._requested = float(bandwidth)
+            self.requested_changes += 1
+        bandwidth = self._requested
         if abs(bandwidth - self.bandwidth) <= CHANGE_EPSILON:
             # Requesting the applied value: cancel any pending transaction.
             if self._pending is not None:
@@ -175,10 +209,17 @@ class UnreliableLink(Link):
             return False  # already in flight — idempotent
         if self._pending is not None:
             self._conclude(t, self._pending, "superseded")
-        self._pending = _Pending(float(bandwidth), t0=t)
+        self._pending = _Pending(bandwidth, t0=t)
         self.requests += 1
         obs_count("faults.signaling.requests")
         return self._attempt(t)
+
+    def resend(self, t: int) -> None:
+        """End of slot ``t``: re-request :attr:`requested` unless the
+        controller called :meth:`set` in this slot, so the plane sees one
+        request per slot (after a give-up that opens a fresh transaction)."""
+        if self._set_t != t:
+            self.set(t, self._requested)
 
     def tick(self, t: int) -> None:
         """Deliver a due in-flight request or issue a due retry."""
@@ -215,7 +256,13 @@ class UnreliableLink(Link):
                         f"{pending.attempts} attempts at t={t}"
                     )
                 return False
-            jitter = self.plan.jitter(t, self.channel, pending.attempts)
+            # Without jitter the draw is unused (and the plan keys draws by
+            # attempt only below 256, so a long jitter-free retry run needs none).
+            jitter = (
+                self.plan.jitter(t, self.channel, pending.attempts)
+                if self.retry.jitter
+                else 0.0
+            )
             pending.due = t + self.retry.backoff(pending.attempts, jitter)
             return False
         delay = self.plan.request_delay(t, channel=self.channel)
@@ -244,142 +291,41 @@ class UnreliableLink(Link):
             )
 
 
-class UnreliableSignaling(BandwidthPolicy):
-    """Run a single-session policy through the unreliable signaling plane.
+def install_signaling(
+    policy: BandwidthPolicy | MultiSessionPolicy,
+    plan: FaultPlan,
+    retry: RetryPolicy = RetryPolicy(),
+) -> list[UnreliableLink]:
+    """Route ``policy``'s allocation changes through the signaling plane.
 
-    Each slot the inner policy's ``decide`` output becomes the *requested*
-    bandwidth; the wrapper returns the *granted* (applied) bandwidth, which
-    is what the engine serves with.  The inner policy keeps its own
-    (reliable) link, so ``inner.change_count`` counts requested changes
-    while ``self.change_count`` counts applied ones.
-
-    Stage accounting (``stage_starts``/``resets``) aliases the inner
-    policy's lists so competitive accounting still reflects the algorithm's
-    decisions.
+    Swaps, in place, a single-session policy's ``link``, or every
+    session's regular and overflow link (in session order) and then the
+    ``extra_link`` of a multi-session policy, for an
+    :class:`UnreliableLink` with the same name and bandwidth on fault
+    channel 0, 1, 2, ...  The policy keeps its exact type, so the engines
+    still slice it; they tick the installed links every slot.  Install
+    before the first slot.  Returns the installed links, whose counters
+    sum to the run's signaling cost.
     """
+    links: list[UnreliableLink] = []
 
-    def __init__(
-        self,
-        inner: BandwidthPolicy,
-        plan: FaultPlan,
-        retry: RetryPolicy = RetryPolicy(),
-        channel: int = 0,
-    ):
-        super().__init__(
-            name=f"unreliable({inner.link.name})",
-            max_bandwidth=inner.max_bandwidth,
+    def swap(link: Link) -> UnreliableLink:
+        unreliable = UnreliableLink(
+            link.name, plan, retry, channel=len(links), bandwidth=link.bandwidth
         )
-        self.inner = inner
-        self.link = UnreliableLink(
-            self.link.name, plan, retry, channel=channel
-        )
-        # Alias (not copy): the inner policy appends in place.
-        self.stage_starts = inner.stage_starts
-        self.resets = inner.resets
-        self._last_requested = 0.0
+        links.append(unreliable)
+        return unreliable
 
-    @property
-    def requested_bandwidth(self) -> float:
-        """What the inner policy asked for this slot."""
-        return self._last_requested
-
-    def decide(self, t: int, arrivals: float, backlog: float) -> float:
-        self.link.tick(t)
-        desired = self.inner.decide(t, arrivals, backlog)
-        self._last_requested = desired
-        self.link.set(t, desired)
-        return self.link.bandwidth
-
-    # -- signaling cost ----------------------------------------------------
-
-    @property
-    def requests(self) -> int:
-        return self.link.requests
-
-    @property
-    def drops(self) -> int:
-        return self.link.drops
-
-    @property
-    def retries(self) -> int:
-        return self.link.retries
-
-    @property
-    def give_ups(self) -> int:
-        return self.link.give_ups
-
-
-class UnreliableMultiSignaling(MultiSessionPolicy):
-    """Run a multi-session policy through the unreliable signaling plane.
-
-    Every per-session regular/overflow link (and the extra global link, if
-    present) is replaced by an :class:`UnreliableLink`; the inner
-    algorithm's own ``link.set`` calls then route through the plane
-    transparently.  Sessions, queues and stage accounting are shared with
-    the inner policy, so traces and change accounting work unmodified.
-
-    Wrap the policy *before* the first ``step`` — links are captured at
-    construction time.
-    """
-
-    def __init__(
-        self,
-        inner: MultiSessionPolicy,
-        plan: FaultPlan,
-        retry: RetryPolicy = RetryPolicy(),
-    ):
-        # Deliberately no super().__init__: this wrapper shares the inner
-        # policy's sessions and accounting lists instead of owning its own.
-        self.inner = inner
-        self.k = inner.k
-        self.fifo = inner.fifo
-        self.sessions = inner.sessions
-        self.stage_starts = inner.stage_starts
-        self.resets = inner.resets
-        self.plan = plan
-        self.retry = retry
-        self.links: list[UnreliableLink] = []
-        for session in inner.sessions:
+    if isinstance(policy, MultiSessionPolicy):
+        for session in policy.sessions:
             channels = session.channels
-            channels.regular_link = self._wrap(channels.regular_link)
-            channels.overflow_link = self._wrap(channels.overflow_link)
-        if inner.extra_link is not None:
-            inner.extra_link = self._wrap(inner.extra_link)
-        self.extra_link = inner.extra_link
-
-    def _wrap(self, link: Link) -> UnreliableLink:
-        wrapped = UnreliableLink(
-            link.name,
-            self.plan,
-            self.retry,
-            channel=len(self.links),
-            bandwidth=link.bandwidth,
-        )
-        self.links.append(wrapped)
-        return wrapped
-
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
-        for link in self.links:
-            link.tick(t)
-        return self.inner.step(t, arrivals)
-
-    # -- signaling cost ----------------------------------------------------
-
-    @property
-    def requests(self) -> int:
-        return sum(link.requests for link in self.links)
-
-    @property
-    def drops(self) -> int:
-        return sum(link.drops for link in self.links)
-
-    @property
-    def retries(self) -> int:
-        return sum(link.retries for link in self.links)
-
-    @property
-    def give_ups(self) -> int:
-        return sum(link.give_ups for link in self.links)
+            channels.regular_link = swap(channels.regular_link)
+            channels.overflow_link = swap(channels.overflow_link)
+        if policy.extra_link is not None:
+            policy.extra_link = swap(policy.extra_link)
+    else:
+        policy.link = swap(policy.link)
+    return links
 
 
 class HeadroomPolicy(BandwidthPolicy):
@@ -392,9 +338,12 @@ class HeadroomPolicy(BandwidthPolicy):
     in flight.  The cost is utilization (and, if ``cap`` is raised above
     the inner ``B_A``, the max-bandwidth guarantee).
 
-    Compose inside the signaling wrapper::
+    Install the signaling plane on the headroom policy, so the inflated
+    value is what gets requested and the inner policy keeps a reliable
+    link::
 
-        UnreliableSignaling(HeadroomPolicy(policy, 2.0), plan, retry)
+        headroom = HeadroomPolicy(policy, 2.0)
+        install_signaling(headroom, plan, retry)
     """
 
     def __init__(

@@ -45,14 +45,18 @@ class Link:
         return self._bandwidth
 
     @property
-    def target(self) -> float:
-        """The value the controller most recently requested.
+    def requested(self) -> float:
+        """The value the controller last asked for: the allocation on a
+        reliable link, the intent on :class:`repro.faults.UnreliableLink`
+        (kept while in flight and after a give-up).  Policies that read
+        their own allocation to decide read this."""
+        return self._bandwidth
 
-        For a reliable link this *is* the allocated bandwidth; an
-        unreliable signaling plane (:class:`repro.faults.UnreliableLink`)
-        overrides it to report the in-flight request, letting callers
-        distinguish requested from granted without knowing the link type.
-        """
+    @property
+    def target(self) -> float:
+        """The value the link is moving to: the in-flight request if one
+        is pending, else the allocated bandwidth (an abandoned request is
+        not a target)."""
         return self._bandwidth
 
     @property
@@ -71,8 +75,8 @@ class Link:
         """Advance link-internal state to slot ``t``.
 
         A no-op for a reliable link; unreliable links deliver due in-flight
-        requests here.  Engines and policy wrappers may call it
-        unconditionally once per slot.
+        requests and send due retries here, and the engines call it once
+        per slot before the policy acts.
         """
 
     def set(self, t: int, bandwidth: float) -> bool:

@@ -24,8 +24,10 @@ Both accept ``faults=``, a :class:`~repro.faults.plan.FaultPlan`:
 * **ingress drops** — a faulted fraction of each slot's arrivals never
   reaches the queue and is accounted in the trace's ``dropped`` series;
 * **requested vs granted** — the traces record the policy's *requested*
-  bandwidth alongside the granted (applied) one, which differ under an
-  :class:`~repro.faults.signaling.UnreliableSignaling` wrapper.
+  bandwidth (its links' ``requested`` values) alongside the granted
+  (applied) one, which differ once
+  :func:`~repro.faults.signaling.install_signaling` has put the policy's
+  links on the unreliable signaling plane; the engine serves the grant.
 
 Passing ``faults=None`` (or an empty plan) reproduces the fault-free
 simulation bit-for-bit.  A single-session run slices straight through

@@ -52,6 +52,16 @@ capacity.  This module exploits that:
   drain tail takes scalar steps).  Stretches with equal allocations go
   to the recorder as one ``record_keepup_block`` call.
   :func:`multi_vector_capable` names the policies this holds for.
+* **The signaling plane** (:func:`~repro.faults.signaling.install_signaling`)
+  sits on the policy's links, so the policy keeps its type and its
+  slices.  A single-session scalar step ticks the link, lets the policy
+  decide, re-sends ``link.requested`` if the policy sent nothing that
+  slot, and serves ``link.bandwidth``; a multi-session step ticks every
+  unreliable link, in installation order, before ``policy.step``.  An
+  idle plane (nothing pending, ``requested == bandwidth``) does nothing,
+  so a slice starts only on an idle plane, and a phase slice stops at
+  the slot whose ``begin_slot`` opens a transaction (the scalar step
+  there re-runs ``begin_slot``, which then does nothing).
 
 Exactness of a slice rests on "same float operations, same order":
 
@@ -61,7 +71,7 @@ Exactness of a slice rests on "same float operations, same order":
   ``push`` and ``serve`` float operations in the per-slot order and fold
   deliveries into the delay histograms in the order ``record`` would;
 * the recorded columns are the ones a scalar step records for a slot in
-  which the policy leaves the links alone: granted = requested, the
+  which the policy leaves idle links alone: granted = requested, the
   offered arrivals, ``dropped = 0.0 + offered * (1.0 - keep)`` and
   ``effective = allocation * capacity`` (for a fault-free run: nothing
   dropped, effective = granted); a multi-session slice records only
@@ -86,6 +96,7 @@ from repro.core.phased import PhasedMultiSession
 from repro.core.prioritytier import PriorityTierAllocator
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError, SimulationError
+from repro.faults.signaling import UnreliableLink
 from repro.network.queue import EPSILON, BitQueue
 from repro.obs.runtime import get_telemetry
 from repro.sim.recorder import (
@@ -151,6 +162,16 @@ def _require_finite(bandwidths, t: int) -> None:
             raise SimulationError(
                 f"policy produced non-finite bandwidth {value!r} at t={t}"
             )
+
+
+def _plane(policy) -> list[UnreliableLink]:
+    """A multi-session policy's unreliable links in the order
+    :func:`~repro.faults.signaling.install_signaling` numbers them."""
+    links = []
+    for session in policy.sessions:
+        links += (session.channels.regular_link, session.channels.overflow_link)
+    links.append(policy.extra_link)
+    return [link for link in links if isinstance(link, UnreliableLink)]
 
 
 def multi_local_changes(policy) -> list[tuple[int, str, object]]:
@@ -521,12 +542,14 @@ class EngineState:
         serve = queue.serve
         record = recorder.record
         faults = self._faults if self._faults.plan is not None else None
+        link = policy.link
+        plane = link if isinstance(link, UnreliableLink) else None
         processed = 0
         t = self.t
         try:
             while processed < n_slots:
                 if t < horizon:
-                    if self._vector:
+                    if self._vector and (plane is None or plane.idle):
                         taken = self._slice(t, min(n_slots - processed, horizon - t, CHUNK))
                         if taken:
                             t += taken
@@ -553,7 +576,13 @@ class EngineState:
                         kept = offered - fault_dropped
                 backlog = queue.size
                 lost = push(t, kept)
-                bandwidth = decide(t, kept, backlog)
+                if plane is None:
+                    bandwidth = decide(t, kept, backlog)
+                else:
+                    plane.tick(t)
+                    decide(t, kept, backlog)
+                    plane.resend(t)
+                    bandwidth = plane.bandwidth
                 if not isfinite(bandwidth):
                     raise SimulationError(
                         f"policy returned non-finite bandwidth {bandwidth!r} at t={t}"
@@ -567,7 +596,7 @@ class EngineState:
                     record(t, offered, bandwidth, result, queue.size, dropped=lost)
                 else:
                     # Link degradation: the wire serves less than granted.
-                    requested = getattr(policy, "requested_bandwidth", bandwidth)
+                    requested = link.requested
                     effective = bandwidth * faults.capacity_at(t)
                     result = serve(t, effective)
                     record(
@@ -759,13 +788,14 @@ class MultiEngineState:
         policy_step = policy.step
         record = recorder.record
         faults = self._faults if self._faults.plan is not None else None
+        plane = _plane(policy)
         processed = 0
         t = self.t
         try:
             while processed < n_slots:
                 if t < horizon:
-                    if self._vector:
-                        taken = self._slice(t, min(n_slots - processed, CHUNK))
+                    if self._vector and (not plane or all(link.idle for link in plane)):
+                        taken = self._slice(t, min(n_slots - processed, CHUNK), plane)
                         if taken:
                             t += taken
                             processed += taken
@@ -791,6 +821,8 @@ class MultiEngineState:
                         if keep < 1.0:
                             kept = [x * keep for x in offered]
                             fault_dropped = sum(offered) - sum(kept)
+                for link in plane:
+                    link.tick(t)
                 results = policy_step(t, kept)
                 if len(results) != k:
                     raise SimulationError(
@@ -839,10 +871,10 @@ class MultiEngineState:
                 )
         return processed
 
-    def _slice(self, t: int, budget: int) -> int:
+    def _slice(self, t: int, budget: int, plane: list[UnreliableLink]) -> int:
         """Advance the phase slice that starts at ``t``, as the module
         docstring defines it; return its length (at most ``budget``; 0 when
-        slot ``t`` needs the scalar step).
+        slot ``t`` needs the scalar step).  ``plane`` is idle at ``t``.
         """
         stop = min(self.horizon, t + budget)
         faulted = self._faults.plan is not None
@@ -866,6 +898,8 @@ class MultiEngineState:
         at = t
         while at < stop:
             policy.begin_slot(at)
+            if plane and not all(link.idle for link in plane):
+                break  # slot `at` opened a transaction: it takes the scalar step
             end = min(policy.next_boundary, stop)
             regular = [s.channels.regular_link.bandwidth for s in sessions]
             overflow = [s.channels.overflow_link.bandwidth for s in sessions]
@@ -884,8 +918,9 @@ class MultiEngineState:
                 delivered[i] += served
                 backlog[i] += after
             at = end
-        self._commit(block, stop, delivered, backlog)
-        return stop - t
+        if block is not None:
+            self._commit(block, at, delivered, backlog)
+        return at - t
 
     def _commit(self, block, end: int, delivered, backlog) -> None:
         """Hand slots ``block[0]`` to ``end`` of a phase slice, at the

@@ -11,7 +11,7 @@ from repro.faults import (
     FaultPlan,
     IngressDrop,
     LinkDegradation,
-    UnreliableSignaling,
+    install_signaling,
     standard_plan,
 )
 from repro.sim.engine import run_multi_session, run_single_session
@@ -61,8 +61,8 @@ class TestIngressDrop:
 class TestRequestedVsGranted:
     def test_requested_series_tracks_policy_intent(self):
         plan = standard_plan(0.8, horizon=200, seed=5)
-        inner = SingleSessionOnline(64.0, 8, 0.25, 16)
-        policy = UnreliableSignaling(inner, plan)
+        policy = SingleSessionOnline(64.0, 8, 0.25, 16)
+        install_signaling(policy, plan)
         arrivals = np.random.default_rng(1).poisson(8, 200).astype(float)
         trace = run_single_session(
             policy, arrivals, faults=plan, max_drain_slots=50_000
@@ -109,9 +109,8 @@ class TestZeroFaultIdentity:
         clean = run_single_session(
             SingleSessionOnline(64.0, 8, 0.25, 16), arrivals
         )
-        wrapped = UnreliableSignaling(
-            SingleSessionOnline(64.0, 8, 0.25, 16), plan
-        )
+        wrapped = SingleSessionOnline(64.0, 8, 0.25, 16)
+        install_signaling(wrapped, plan)
         faulted = run_single_session(wrapped, arrivals, faults=plan)
         assert np.array_equal(clean.allocation, faulted.allocation)
         assert np.array_equal(clean.delivered, faulted.delivered)
@@ -141,9 +140,8 @@ class TestFaultedRunDeterminism:
 
         def run_once():
             plan = standard_plan(0.6, horizon=300, seed=4)
-            policy = UnreliableSignaling(
-                SingleSessionOnline(64.0, 8, 0.25, 16), plan
-            )
+            policy = SingleSessionOnline(64.0, 8, 0.25, 16)
+            install_signaling(policy, plan)
             return run_single_session(
                 policy, arrivals, faults=plan, max_drain_slots=50_000
             )

@@ -11,7 +11,7 @@ import pytest
 from repro.core.continuous import ContinuousMultiSession
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
-from repro.faults import RetryPolicy, UnreliableSignaling, standard_plan
+from repro.faults import RetryPolicy, install_signaling, standard_plan
 from repro.obs import telemetry_session
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.traffic import generate_multi_feasible
@@ -54,9 +54,8 @@ class TestBitIdentity:
         plan = standard_plan(0.4, horizon=1500, seed=2)
 
         def run():
-            policy = UnreliableSignaling(
-                _single_policy(), plan, RetryPolicy(max_attempts=3)
-            )
+            policy = _single_policy()
+            install_signaling(policy, plan, RetryPolicy(max_attempts=3))
             return run_single_session(policy, arrivals, faults=plan)
 
         baseline = run()
@@ -152,16 +151,15 @@ class TestFaultAndInvariantEmission:
         arrivals = _stream(horizon=1500, seed=3)
         plan = standard_plan(0.5, horizon=1500, seed=7)
         with telemetry_session() as tele:
-            policy = UnreliableSignaling(
-                _single_policy(), plan, RetryPolicy(max_attempts=3)
-            )
+            policy = _single_policy()
+            (link,) = install_signaling(policy, plan, RetryPolicy(max_attempts=3))
             run_single_session(policy, arrivals, faults=plan)
 
         registry = tele.registry
-        assert registry.counter_value("faults.signaling.requests") == policy.requests
-        assert registry.counter_value("faults.signaling.drops") == policy.drops
-        assert registry.counter_value("faults.signaling.retries") == policy.retries
-        assert registry.counter_value("faults.signaling.give_ups") == policy.give_ups
+        assert registry.counter_value("faults.signaling.requests") == link.requests
+        assert registry.counter_value("faults.signaling.drops") == link.drops
+        assert registry.counter_value("faults.signaling.retries") == link.retries
+        assert registry.counter_value("faults.signaling.give_ups") == link.give_ups
 
         spans = [s for s in tele.tracer.spans if s.kind == "signaling"]
         assert spans, "fault run produced no signaling spans"
@@ -175,9 +173,8 @@ class TestFaultAndInvariantEmission:
         arrivals = _stream(horizon=800, seed=11)
         plan = standard_plan(0.6, horizon=800, seed=5)
         with telemetry_session() as tele:
-            policy = UnreliableSignaling(
-                _single_policy(), plan, RetryPolicy(max_attempts=2)
-            )
+            policy = _single_policy()
+            install_signaling(policy, plan, RetryPolicy(max_attempts=2))
             trace = run_single_session(policy, arrivals, faults=plan)
         snapshot = tele.registry.snapshot()["histograms"]
         depth = snapshot["engine.single.queue_depth"]

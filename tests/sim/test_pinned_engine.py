@@ -32,8 +32,7 @@ from repro.errors import SimulationError
 from repro.faults import (
     HeadroomPolicy,
     RetryPolicy,
-    UnreliableMultiSignaling,
-    UnreliableSignaling,
+    install_signaling,
     standard_plan,
 )
 from repro.obs import telemetry_session
@@ -137,7 +136,14 @@ def _combined(plan=None):
 
 
 def _signaled(factory):
-    return lambda plan: UnreliableMultiSignaling(factory(), plan, RETRY)
+    """A policy from ``factory`` with the signaling plane installed."""
+
+    def build(plan):
+        policy = factory()
+        install_signaling(policy, plan, RETRY)
+        return policy
+
+    return build
 
 
 #: name -> zero-argument run returning a finalized trace.
@@ -147,15 +153,13 @@ for _intensity in (0.3, 0.6):
         {
             f"single/bare/{_intensity}": _single(lambda plan: _fig3(), _intensity),
             f"single/signaling+retry/{_intensity}": _single(
-                lambda plan: UnreliableSignaling(_fig3(), plan, RETRY), _intensity
+                _signaled(_fig3), _intensity
             ),
             f"single/headroom/{_intensity}": _single(
                 lambda plan: HeadroomPolicy(_fig3(), 1.5), _intensity
             ),
             f"single/signaling+headroom/{_intensity}": _single(
-                lambda plan: UnreliableSignaling(
-                    HeadroomPolicy(_fig3(), 1.5), plan, RETRY
-                ),
+                _signaled(lambda: HeadroomPolicy(_fig3(), 1.5)),
                 _intensity,
             ),
             f"single/bare-raw/{_intensity}": _single(
@@ -181,7 +185,7 @@ FAULT_CASES.update(
         ),
         "multi/phased-drained/0.3": _multi(_phased, 0.3, drain=True),
         "single/capacity/0.6": _single(
-            lambda plan: UnreliableSignaling(_fig3(), plan, RETRY), 0.6,
+            _signaled(_fig3), 0.6,
             queue_capacity=300.0,
         ),
         "single/capacity-static/0.3": _single(

@@ -136,6 +136,31 @@ class TestSimulateFaults:
         assert "signaling:" in out
         assert "requests" in out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["--traffic", "onoff", "--horizon", "600",
+                 "--fault-intensity", "0.4", "--retry-attempts", "1"],
+                "signaling: 59 requests, 12 drops, 0 retries, 12 give-ups "
+                "(intensity 0.4, 1 attempts)",
+            ),
+            (
+                ["--policy", "phased", "--traffic", "multi-feasible",
+                 "--sessions", "2", "--horizon", "1200",
+                 "--fault-intensity", "0.2", "--seed", "3"],
+                "signaling: 8 requests, 2 drops, 2 retries, 0 give-ups "
+                "(intensity 0.2, 4 attempts)",
+            ),
+        ],
+        ids=["single", "multi"],
+    )
+    def test_signaling_line_sums_the_installed_links(self, argv, line, capsys):
+        # Recorded before the plane moved from policy wrappers to links.
+        assert main(["simulate", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [text for text in lines if text.startswith("signaling:")] == [line]
+
     def test_zero_intensity_omits_signaling_stats(self, capsys):
         assert main(["simulate", "--horizon", "300"]) == 0
         assert "signaling:" not in capsys.readouterr().out

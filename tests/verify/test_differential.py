@@ -109,11 +109,12 @@ class TestRawAndFaultedWorkloads:
     @_FUZZ_SLOW
     @given(arrivals=arrival_streams(max_slots=150), plan=fault_plans(horizon=150))
     def test_faulted_runs_certify_unconditionally(self, arrivals, plan):
-        from repro.faults import UnreliableSignaling
+        from repro.faults import install_signaling
         from repro.params import OfflineConstraints
 
         offline = OfflineConstraints(bandwidth=64.0, delay=8)
-        policy = UnreliableSignaling(default_policy(offline), plan)
+        policy = default_policy(offline)
+        install_signaling(policy, plan)
         _, report = certified_single_run(
             arrivals,
             offline,

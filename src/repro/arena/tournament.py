@@ -1,8 +1,9 @@
 """Deterministic tournament sweep over the arena's cell grid.
 
-Orchestration reuses the batch-execution layer wholesale: cells fan out
-through :func:`repro.runner.run_resilient` (retries, crash recovery,
-digest verification), finished payloads land in the ``"arena"`` section
+Orchestration reuses the batch-execution layer wholesale: cells run
+through :func:`repro.runner.run_resilient` at every ``jobs`` (retries,
+crash recovery, digest verification; in-process at ``jobs == 1``),
+finished payloads land in the ``"arena"`` section
 of the :class:`~repro.runner.ContentCache` and in a
 :class:`~repro.runner.SweepJournal` for ``--resume``, and the scorecard
 is assembled from the canonical cell order — never from completion
@@ -110,7 +111,7 @@ def _cell_worker(
     seed: int,
     scale: float,
 ) -> tuple[dict, None, str]:
-    """Process-pool entry point: compute one cell, return the worker triple."""
+    """Job entry point: compute one cell, return the worker triple."""
     payload = run_cell(
         Cell(policy=policy, traffic=traffic, fault=fault),
         k=k,
@@ -131,9 +132,11 @@ def run_tournament(
     """Run (or reuse) every cell in the grid; assemble the scorecard.
 
     Resolution order per cell: journal (``--resume``), then content
-    cache, then compute — inline for ``jobs == 1``, through the
-    resilient pool otherwise.  Every computed payload is stored back to
-    both sinks before assembly.
+    cache, then compute through :func:`~repro.runner.run_resilient`
+    (in-process for ``jobs == 1``, a pool otherwise) under
+    ``config.run_policy``.  Journal and cache hits reach ``tracker`` as
+    cached jobs.  Every computed payload is stored back to both sinks
+    before assembly.
     """
     cells = config.cells()
     report = TournamentReport(scorecard={})
@@ -150,88 +153,70 @@ def run_tournament(
         key = config.cell_key(cell)
         payload = journal.get(key) if journal is not None else None
         if payload is not None:
-            payloads[cell.name] = payload
             report.from_journal += 1
             obs_count("arena.cells.journal")
-            continue
-        if cache is not None:
+        elif cache is not None:
             payload = cache.load_json(_SECTION, key)
             if payload is not None:
-                payloads[cell.name] = payload
                 report.from_cache += 1
                 obs_count("arena.cells.cached")
                 if journal is not None:
                     journal.record(key, payload)
-                continue
-        pending.append((cell, key))
+        if payload is None:
+            pending.append((cell, key))
+            continue
+        payloads[cell.name] = payload
+        if tracker is not None:
+            tracker.job_done(cell.name, cached=True)
 
-    def store(key: str, payload: dict) -> None:
-        if cache is not None:
-            cache.store_json(_SECTION, key, payload)
-        if journal is not None:
-            journal.record(key, payload)
-
-    if pending and config.jobs == 1:
-        for cell, key in pending:
-            payload = run_cell(
-                cell,
-                k=config.k,
-                horizon=config.horizon,
-                seed=config.seed,
-                scale=config.scale,
-            )
-            payloads[cell.name] = payload
-            report.computed += 1
-            obs_count("arena.cells.completed")
-            store(key, payload)
-            if tracker is not None:
-                tracker.job_done(cell.name, slots=float(config.horizon))
-    elif pending:
-        jobs = [
-            Job(
-                key=key,
-                label=cell.name,
-                kind="point",
-                experiment_id="E-ARENA",
-                seed=config.seed,
-                scale=config.scale,
-                index=index,
-                point=(cell.policy, cell.traffic, cell.fault),
-                seq=index,
-            )
-            for index, (cell, key) in enumerate(pending)
-        ]
-        by_key = {key: cell for cell, key in pending}
-
-        def submit(pool, job: Job, attempt: int):
-            policy_name, traffic_name, fault = job.point
-            return pool.submit(
-                _cell_worker,
-                policy_name,
-                traffic_name,
-                fault,
-                config.k,
-                config.horizon,
-                config.seed,
-                config.scale,
-            )
-
-        def on_success(job: Job, payload: dict) -> None:
-            obs_count("arena.cells.completed")
-            store(job.key, payload)
-
-        results, failed, _stats = run_resilient(
-            jobs,
-            submit,
-            config.run_policy,
-            max_workers=config.jobs,
-            tracker=tracker,
-            on_success=on_success,
+    jobs = [
+        Job(
+            key=key,
+            label=cell.name,
+            kind="point",
+            experiment_id="E-ARENA",
+            seed=config.seed,
+            scale=config.scale,
+            index=index,
+            point=(cell.policy, cell.traffic, cell.fault),
+            seq=index,
         )
-        for key, (payload, _snapshot) in results.items():
-            payloads[by_key[key].name] = payload
+        for index, (cell, key) in enumerate(pending)
+    ]
+
+    def submit(pool, job: Job, attempt: int):
+        policy_name, traffic_name, fault = job.point
+        return pool.submit(
+            _cell_worker,
+            policy_name,
+            traffic_name,
+            fault,
+            config.k,
+            config.horizon,
+            config.seed,
+            config.scale,
+        )
+
+    def on_success(job: Job, payload: dict) -> None:
+        obs_count("arena.cells.completed")
+        if cache is not None:
+            cache.store_json(_SECTION, job.key, payload)
+        if journal is not None:
+            journal.record(job.key, payload)
+
+    results, failed, _stats = run_resilient(
+        jobs,
+        submit,
+        config.run_policy,
+        max_workers=config.jobs,
+        tracker=tracker,
+        on_success=on_success,
+    )
+    for job in jobs:
+        if job.key in results:
+            payloads[job.label] = results[job.key][0]
             report.computed += 1
-        report.failed = failed
+    report.failed = failed
 
     report.scorecard = build_scorecard(
         cells,

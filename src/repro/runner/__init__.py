@@ -11,8 +11,8 @@
   (and of independent sweep points inside shardable experiments) with
   deterministic, order-preserving result merging: ``repro report
   --jobs N`` is byte-identical for every ``N``.
-* :mod:`repro.runner.resilience` — the fault-tolerance layer under the
-  batch runner: per-shard retry budgets with exponential backoff
+* :mod:`repro.runner.resilience` — the one job executor under the batch
+  runner and the arena tournament (in-process at ``--jobs 1``): per-shard retry budgets with exponential backoff
   (:class:`RunPolicy`), crash recovery (pool rebuild + lost-shard
   resubmission), per-run deadlines, structured quarantine
   (:class:`FailedShard`), an append-only checkpoint journal
@@ -20,12 +20,7 @@
   chaos harness (:class:`ChaosPlan`) for tests.
 """
 
-from repro.runner.batch import (
-    BatchReport,
-    default_jobs,
-    run_batch,
-    run_session_batch,
-)
+from repro.runner.batch import BatchReport, default_jobs, run_batch
 from repro.runner.cache import (
     ContentCache,
     cached_feasible_stream,
@@ -67,7 +62,6 @@ __all__ = [
     "payload_digest",
     "run_batch",
     "run_resilient",
-    "run_session_batch",
     "signal_guard",
     "use_cache",
 ]

@@ -1,9 +1,13 @@
-"""Process-parallel experiment fan-out with deterministic merging.
+"""Experiment fan-out with deterministic merging.
 
-:func:`run_batch` executes a list of experiments across worker processes.
-Monolithic experiments are one job each; shardable sweeps (declared via
-:func:`~repro.experiments.registry.register_sweep`) fan out one job per
-sweep point, so a single heavyweight sweep also saturates the pool.
+:func:`run_batch` plans a list of experiments as jobs and runs them
+through :func:`~repro.runner.resilience.run_resilient`, the one job
+executor: across worker processes when ``jobs > 1``, in this process
+when ``jobs == 1``.  Monolithic experiments are one job each; shardable
+sweeps (declared via :func:`~repro.experiments.registry.register_sweep`)
+fan out one job per sweep point when ``jobs > 1``, so a single
+heavyweight sweep also saturates the pool.  At ``jobs == 1`` a sweep is
+one whole-experiment job, since in-process sharding buys nothing.
 
 Determinism is the design constraint everything else serves:
 
@@ -14,35 +18,36 @@ Determinism is the design constraint everything else serves:
 * results are merged **in submission order**, never completion order —
   and never by attempt count, so a retried shard merges identically to a
   first-try one;
-* the sequential path composes the exact same ``run_point`` calls in the
-  exact same order (see ``register_sweep``), so ``--jobs N`` yields
+* a whole-experiment run composes the exact same ``run_point`` calls in
+  the exact same order (see ``register_sweep``), so ``--jobs N`` yields
   byte-identical reports for every ``N``, and a cache-warm run is
   byte-identical to a cold one.
 
-Fault tolerance is delegated to :mod:`repro.runner.resilience`: a
-:class:`~repro.runner.resilience.RunPolicy` controls retries, per-run
-deadlines, and strict vs keep-going semantics; an optional
-:class:`~repro.runner.resilience.SweepJournal` checkpoints completed
-shards so an interrupted sweep resumes where it died; and a (test-only)
-:class:`~repro.runner.resilience.ChaosPlan` injects worker failures.
-Shards that exhaust their budget land in ``BatchReport.failed`` as
-structured :class:`~repro.runner.resilience.FailedShard` records, and
-experiments with missing shards are reported in ``notes`` rather than
-aborting the rest of the batch.
+Fault tolerance is delegated to :mod:`repro.runner.resilience` at every
+``jobs``: a :class:`~repro.runner.resilience.RunPolicy` controls retries,
+per-run deadlines (pool only), and strict vs keep-going semantics; an
+optional :class:`~repro.runner.resilience.SweepJournal` checkpoints
+completed jobs so an interrupted sweep resumes where it died, at any
+``jobs``; and a (test-only) :class:`~repro.runner.resilience.ChaosPlan`
+injects worker failures.  Shards that exhaust their budget land in
+``BatchReport.failed`` as structured
+:class:`~repro.runner.resilience.FailedShard` records, and experiments
+with missing shards are reported in ``notes`` rather than aborting the
+rest of the batch.
 
-Workers inherit the parent's cache directory and telemetry enablement via
-explicit arguments (not inherited globals — the pool may spawn).  When
-telemetry is on, each worker returns its registry snapshot and the parent
-folds them into its own registry with
-:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`.  Every worker
-return carries a sha256 digest of its true payload, verified by the
-parent before the payload is merged or cached.
+Pool workers inherit the parent's cache directory and telemetry
+enablement via explicit arguments (not inherited globals — the pool may
+spawn).  When telemetry is on, each worker returns its registry snapshot
+and the parent folds them into its own registry with
+:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`; in-process
+jobs count straight into the live registry.  Every job return carries a
+sha256 digest of its true payload, verified by the parent before the
+payload is merged or cached.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -119,7 +124,7 @@ def _shard_key(experiment_id: str, point, index: int, seed: int, scale: float) -
     )
 
 
-# -- worker entry points (module-level: picklable under spawn) ------------
+# -- the job function (module-level: picklable under spawn) ---------------
 
 
 def _worker_setup(cache_root: str | None, telemetry: bool) -> None:
@@ -130,56 +135,41 @@ def _worker_setup(cache_root: str | None, telemetry: bool) -> None:
         set_telemetry(Telemetry(enabled=True))
 
 
-def _worker_snapshot(telemetry: bool) -> dict | None:
-    return get_telemetry().registry.snapshot() if telemetry else None
-
-
-def _worker_run(
-    experiment_id: str,
-    seed: int,
-    scale: float,
-    cache_root: str | None,
-    telemetry: bool,
-    chaos: ChaosPlan | None = None,
-    attempt: int = 0,
-    label: str = "",
+def _run_job(
+    job: Job,
+    attempt: int,
+    chaos: ChaosPlan | None,
+    worker: tuple[str | None, bool] | None,
 ) -> tuple[dict, dict | None, str]:
-    """Whole-experiment job: returns (result dump, snapshot, digest).
+    """Compute one job: returns (payload, snapshot, digest).
 
-    The digest is computed over the *true* payload before any chaos
-    tampering, so a tampered return is caught by the parent's check.
+    A ``"run"`` job's payload is the whole result's ``as_dict``; a
+    ``"point"`` job's is one sweep point.  ``worker`` is ``(cache_root,
+    telemetry)`` in a pool process, which installs that cache and a fresh
+    registry and returns the registry's snapshot.  It is None in-process:
+    the job then uses the caller's cache and live registry and returns no
+    snapshot.  The digest is computed over the *true* payload before any
+    chaos tampering, so a tampered return is caught by the parent's check.
     """
-    _worker_setup(cache_root, telemetry)
+    if worker is not None:
+        _worker_setup(*worker)
     if chaos is not None:
-        chaos.inflict(label or experiment_id, attempt)
-    payload = registry.run(experiment_id, seed=seed, scale=scale).as_dict()
+        chaos.inflict(job.label, attempt, in_worker=worker is not None)
+    if job.kind == "point":
+        payload = registry.run_point(
+            job.experiment_id, job.point, job.index,
+            seed=job.seed, scale=job.scale,
+        )
+    else:
+        payload = registry.run(
+            job.experiment_id, seed=job.seed, scale=job.scale
+        ).as_dict()
     digest = payload_digest(payload)
     if chaos is not None:
-        payload = chaos.tamper(payload, label or experiment_id, attempt)
-    return payload, _worker_snapshot(telemetry), digest
-
-
-def _worker_point(
-    experiment_id: str,
-    point,
-    index: int,
-    seed: int,
-    scale: float,
-    cache_root: str | None,
-    telemetry: bool,
-    chaos: ChaosPlan | None = None,
-    attempt: int = 0,
-    label: str = "",
-) -> tuple[dict, dict | None, str]:
-    """Sweep-point job: returns (point payload, snapshot, digest)."""
-    _worker_setup(cache_root, telemetry)
-    if chaos is not None:
-        chaos.inflict(label, attempt)
-    payload = registry.run_point(experiment_id, point, index, seed=seed, scale=scale)
-    digest = payload_digest(payload)
-    if chaos is not None:
-        payload = chaos.tamper(payload, label, attempt)
-    return payload, _worker_snapshot(telemetry), digest
+        payload = chaos.tamper(payload, job.label, attempt)
+    telemetry = worker is not None and worker[1]
+    snapshot = get_telemetry().registry.snapshot() if telemetry else None
+    return payload, snapshot, digest
 
 
 # -- the batch driver ------------------------------------------------------
@@ -199,10 +189,12 @@ def run_batch(
 ) -> BatchReport:
     """Run experiments, fanning work across ``jobs`` worker processes.
 
-    ``jobs <= 1`` runs everything inline (no pool, no pickling) but still
-    uses the result cache; ``jobs == 0`` means auto (one per CPU).  The
-    returned results are in ``experiment_ids`` order regardless of worker
-    scheduling, and are byte-identical for every ``jobs`` value.
+    ``jobs == 1`` runs one job per experiment in this process (no pool,
+    no pickling) through the same executor, so retries, quarantine and
+    the digest check apply there too; ``jobs == 0`` means auto (one per
+    CPU).  The returned results are in ``experiment_ids`` order
+    regardless of worker scheduling, and are byte-identical for every
+    ``jobs`` value.
 
     Fault tolerance (see :mod:`repro.runner.resilience`):
 
@@ -212,11 +204,12 @@ def run_batch(
       policy's ``strict`` flag.  In keep-going mode, exhausted shards
       land in ``report.failed`` and their experiments are omitted from
       ``report.results`` with a note.  ``run_timeout`` is only enforced
-      in pool mode — an inline run cannot be interrupted from within.
+      in pool mode — an in-process run cannot be interrupted from within.
     * ``journal`` — a path (or an open
       :class:`~repro.runner.resilience.SweepJournal`) checkpointing
-      completed shards; a rerun with the same journal re-executes only
-      the unfinished shards (``report.journal_skips`` counts the skips).
+      completed jobs; a rerun with the same journal, at any ``jobs``,
+      re-executes only the unfinished work (``report.journal_skips``
+      counts the journal entries reused).
       SIGTERM is converted to ``KeyboardInterrupt`` for the duration, so
       a terminated sweep flushes the journal and kills its pool before
       unwinding.
@@ -279,17 +272,11 @@ def run_batch(
     computed: dict[str, ExperimentResult] = {}
     try:
         with signal_guard():
-            if jobs <= 1 or not pending:
-                _run_inline(
-                    pending, seed, scale, policy, chaos, log, report,
-                    computed, tracker=tracker, cached_results=cached_results,
-                )
-            else:
-                _run_pool(
-                    pending, seed, scale, jobs, cache, telemetry, policy,
-                    chaos, log, report, computed,
-                    tracker=tracker, cached_results=cached_results,
-                )
+            _run_pending(
+                pending, seed, scale, jobs, cache, telemetry, policy,
+                chaos, log, report, computed,
+                tracker=tracker, cached_results=cached_results,
+            )
     finally:
         if tracker is not None:
             tracker.finish()
@@ -320,134 +307,11 @@ def run_batch(
     return report
 
 
-def run_session_batch(
-    policy_factory,
-    arrivals,
-    *,
-    drain: bool = True,
-    max_drain_slots: int | None = None,
-    collect: str = "trace",
-):
-    """Run many independent single-session simulations over one matrix.
-
-    The session-level sibling of :func:`run_batch`: where ``run_batch``
-    fans out registry *experiments*, this fans one ``(n_sessions, T)``
-    arrival matrix out into ``n_sessions`` independent engine runs, each
-    on the vectorized fast path when the policy supports it (see
-    :func:`repro.sim.vector.run_batched`, to which this delegates).
-
-    Args:
-        policy_factory: zero-argument callable producing a fresh policy
-            per session (policies are stateful).
-        arrivals: array-like of shape ``(n_sessions, T)``.
-        drain, max_drain_slots: engine drain semantics per session.
-        collect: ``"trace"`` for full per-slot traces, ``"summary"`` for
-            bounded-memory :class:`~repro.sim.vector.SingleRunSummary`
-            aggregates.
-
-    Returns:
-        One trace or summary per session, in row order.
-    """
-    from repro.sim.vector import run_batched
-
-    obs_count("runner.session_batches")
-    return run_batched(
-        policy_factory,
-        arrivals,
-        drain=drain,
-        max_drain_slots=max_drain_slots,
-        collect=collect,
-    )
-
-
 def _fmt_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_inline(
-    pending: list[str],
-    seed: int,
-    scale: float,
-    policy: RunPolicy,
-    chaos: ChaosPlan | None,
-    log: SweepJournal | None,
-    report: BatchReport,
-    computed: dict[str, ExperimentResult],
-    tracker: ProgressTracker | None = None,
-    cached_results: dict[str, ExperimentResult] | None = None,
-) -> None:
-    """Sequential path: experiment granularity, same retry semantics.
-
-    ``run_timeout`` is not enforceable here (the run shares our process),
-    but retries, backoff, journaling, and keep-going quarantine all are.
-    """
-    from repro.errors import ResilienceError
-
-    if tracker is not None:
-        tracker.start()
-        for experiment_id in (cached_results or {}):
-            tracker.job_done(experiment_id, cached=True)
-    for experiment_id in pending:
-        key = _result_key(experiment_id, seed, scale)
-        if log is not None:
-            raw = log.get(key)
-            if raw is not None:
-                try:
-                    computed[experiment_id] = ExperimentResult.from_dict(raw)
-                except (KeyError, TypeError, ValueError):
-                    raw = None
-            if raw is not None:
-                report.journal_skips += 1
-                obs_count("runner.resilience.resume_skips")
-                if tracker is not None:
-                    _guarded(tracker.job_done, experiment_id, cached=True)
-                continue
-        attempt = 0
-        while True:
-            try:
-                if chaos is not None:
-                    chaos.inflict(experiment_id, attempt, in_worker=False)
-                result = registry.run(experiment_id, seed=seed, scale=scale)
-            except Exception as exc:
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    shard = FailedShard(
-                        experiment_id=experiment_id,
-                        kind="run",
-                        label=experiment_id,
-                        index=-1,
-                        point=None,
-                        seed=seed,
-                        scale=scale,
-                        error=_fmt_error(exc),
-                        attempts=attempt,
-                    )
-                    report.failed.append(shard)
-                    obs_count("runner.resilience.quarantined")
-                    if tracker is not None:
-                        _guarded(tracker.job_failed, experiment_id)
-                    if policy.strict:
-                        raise ResilienceError(
-                            f"experiment {experiment_id!r} failed after "
-                            f"{attempt} attempt(s): {shard.error}",
-                            failed=report.failed,
-                        ) from exc
-                    break
-                report.retries += 1
-                obs_count("runner.resilience.retries")
-                if tracker is not None:
-                    _guarded(tracker.job_retry, experiment_id)
-                time.sleep(policy.backoff(attempt))
-            else:
-                computed[experiment_id] = result
-                if log is not None:
-                    _guarded(log.record, key, result.as_dict())
-                if tracker is not None:
-                    _guarded(tracker.job_done, experiment_id)
-                break
-
-
-def _run_pool(
+def _run_pending(
     pending: list[str],
     seed: int,
     scale: float,
@@ -462,43 +326,62 @@ def _run_pool(
     tracker: ProgressTracker | None = None,
     cached_results: dict[str, ExperimentResult] | None = None,
 ) -> None:
-    """Dispatch pending experiments to a resilient pool, merge in order."""
-    cache_root = str(cache.root) if cache is not None else None
+    """Plan the pending experiments, run the jobs, merge in request order.
 
-    # Plan: sharded sweeps contribute one job per uncached point;
-    # monolithic experiments contribute one whole-run job.  Reuse order
-    # per shard: cache hit, then journal hit, then compute.
-    sweep_plans: dict[str, list] = {}
-    for experiment_id in pending:
-        spec = registry.sweep_spec(experiment_id)
-        if spec is not None:
-            sweep_plans[experiment_id] = spec.points(seed, scale)
+    A sweep whose every shard key is in the journal is assembled from
+    its points.  Otherwise an experiment whose result key is in the
+    journal is taken from it.  Otherwise a sweep with ``jobs > 1`` is
+    assembled from its points, and anything else is one whole-experiment
+    job.  Each point comes from the shard cache, then the journal, else
+    from its own job.  So a journal resumes at any ``jobs``, whichever
+    granularity wrote it.
 
+    ``jobs == 1`` never shards (in-process sharding buys nothing): one job
+    per experiment keeps one progress event, one result-keyed journal
+    entry and one ``registry.run`` call per experiment.  Every job runs
+    through :func:`~repro.runner.resilience.run_resilient`, in-process
+    when ``jobs == 1``.
+    """
+    worker = (
+        (str(cache.root) if cache is not None else None, telemetry)
+        if jobs > 1
+        else None
+    )
+    sweeps: dict[str, list] = {}  # experiment id -> points, assembled here
     work: list[Job] = []
     reused: dict[str, dict] = {}  # key -> payload (cache or journal hit)
-    reused_labels: list[tuple[str, bool]] = []  # (label, from_cache)
-    seq = 0
+    reused_labels: list[str] = []
 
     def plan(job: Job) -> None:
-        nonlocal seq
-        work.append(replace(job, seq=seq))
-        seq += 1
+        work.append(replace(job, seq=len(work)))
 
     def reuse(key: str, label: str, payload: dict, from_cache: bool) -> None:
         reused[key] = payload
-        reused_labels.append((label, from_cache))
+        reused_labels.append(label)
         if from_cache:
             report.shard_cache_hits += 1
         else:
             report.journal_skips += 1
             obs_count("runner.resilience.resume_skips")
 
+    def journaled(key: str) -> bool:
+        return log is not None and key in log
+
     for experiment_id in pending:
-        if experiment_id in sweep_plans:
-            points = sweep_plans[experiment_id]
+        spec = registry.sweep_spec(experiment_id)
+        points = spec.points(seed, scale) if spec is not None else []
+        shards = [
+            (_shard_key(experiment_id, point, index, seed, scale), index, point)
+            for index, point in enumerate(points)
+        ]
+        result_key = _result_key(experiment_id, seed, scale)
+        complete = bool(shards) and all(journaled(key) for key, _, _ in shards)
+        if not complete and journaled(result_key):
+            reuse(result_key, experiment_id, log.get(result_key), False)
+        elif complete or (shards and jobs > 1):
+            sweeps[experiment_id] = points
             report.shard_jobs += len(points)
-            for index, point in enumerate(points):
-                key = _shard_key(experiment_id, point, index, seed, scale)
+            for key, index, point in shards:
                 label = f"{experiment_id}[{index}]"
                 payload = (
                     cache.load_json("shards", key)
@@ -507,22 +390,17 @@ def _run_pool(
                 )
                 if payload is not None:
                     reuse(key, label, payload, from_cache=True)
-                    continue
-                if log is not None and key in log:
+                elif journaled(key):
                     reuse(key, label, log.get(key), from_cache=False)
-                    continue
-                plan(Job(
-                    key=key, label=label, kind="point",
-                    experiment_id=experiment_id, seed=seed, scale=scale,
-                    index=index, point=point,
-                ))
+                else:
+                    plan(Job(
+                        key=key, label=label, kind="point",
+                        experiment_id=experiment_id, seed=seed, scale=scale,
+                        index=index, point=point,
+                    ))
         else:
-            key = _result_key(experiment_id, seed, scale)
-            if log is not None and key in log:
-                reuse(key, experiment_id, log.get(key), from_cache=False)
-                continue
             plan(Job(
-                key=key, label=experiment_id, kind="run",
+                key=result_key, label=experiment_id, kind="run",
                 experiment_id=experiment_id, seed=seed, scale=scale,
             ))
 
@@ -535,19 +413,11 @@ def _run_pool(
         tracker.start()
         for experiment_id in (cached_results or {}):
             tracker.job_done(experiment_id, cached=True)
-        for label, _ in reused_labels:
+        for label in reused_labels:
             tracker.job_done(label, cached=True)
 
     def submit(pool, job: Job, attempt: int):
-        if job.kind == "point":
-            return pool.submit(
-                _worker_point, job.experiment_id, job.point, job.index,
-                seed, scale, cache_root, telemetry, chaos, attempt, job.label,
-            )
-        return pool.submit(
-            _worker_run, job.experiment_id, seed, scale,
-            cache_root, telemetry, chaos, attempt, job.label,
-        )
+        return pool.submit(_run_job, job, attempt, chaos, worker)
 
     def on_success(job: Job, payload: dict) -> None:
         if log is not None:
@@ -603,8 +473,8 @@ def _run_pool(
     for experiment_id in pending:
         if experiment_id in incomplete:
             continue
-        if experiment_id in sweep_plans:
-            points = sweep_plans[experiment_id]
+        if experiment_id in sweeps:
+            points = sweeps[experiment_id]
             payloads = [
                 payload_for(_shard_key(experiment_id, point, index, seed, scale))
                 for index, point in enumerate(points)

@@ -8,7 +8,8 @@ corrupted payload.  This module is the layer that survives all four:
   (the same backoff shape as :class:`repro.faults.signaling.RetryPolicy`,
   in seconds instead of slots), an optional wall-clock deadline per run,
   and a ``strict`` switch between fail-fast and keep-going semantics.
-* :func:`run_resilient` — the executor loop.  A crashed worker
+* :func:`run_resilient` — the one executor loop for batch and
+  tournament jobs, at every ``--jobs``.  A crashed worker
   (``BrokenProcessPool``) rebuilds the pool and re-submits only the lost
   shards; a run that exceeds its deadline kills the pool (a hung worker
   cannot be cancelled) and charges only the overdue shard, re-submitting
@@ -17,6 +18,8 @@ corrupted payload.  This module is the layer that survives all four:
   the batch (unless ``strict``).  Every worker return is digest-checked
   (:func:`~repro.runner.cache.payload_digest`), so a tampered or
   truncated payload is a retryable failure, never a silent wrong answer.
+  With ``max_workers == 1`` the same loop runs each job in the caller's
+  process, one at a time, with no pool.
 * :class:`SweepJournal` — an append-only JSONL checkpoint of completed
   shard keys, payload digests, and payloads.  Each record is flushed and
   fsynced when written, so an interrupted sweep resumes from its last
@@ -51,6 +54,7 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -79,8 +83,8 @@ class RunPolicy:
         max_attempts: total tries per shard (1 = never retry).
         run_timeout: wall-clock seconds one run may take before the pool
             is killed and the shard retried (None = no deadline).  Only
-            enforceable in pool mode (``jobs > 1``): an inline run cannot
-            be interrupted from within its own process.
+            enforceable in pool mode (``jobs > 1``): an in-process run
+            cannot be interrupted from within its own process.
         base_backoff_s: seconds before the first retry.
         backoff_factor: multiplier per further retry (exponential).
         max_backoff_s: cap on the backoff in seconds.
@@ -383,8 +387,8 @@ class ChaosPlan:
     def inflict(self, label: str, attempt: int, in_worker: bool = True) -> str:
         """Apply the pre-compute action (kill/hang/raise) for this attempt.
 
-        Inline runs (``in_worker=False``) cannot kill or hang the parent
-        process, so both downgrade to a raised :class:`ChaosError`.
+        In-process runs (``in_worker=False``) cannot kill or hang the
+        parent process, so both downgrade to a raised :class:`ChaosError`.
         """
         action = self.decide(label, attempt)
         if action in ("kill", "hang") and not in_worker:
@@ -445,10 +449,29 @@ def last_worker_pids() -> set[int]:
     return set(_LAST_POOL_PIDS)
 
 
-def _remember_pids(pool: ProcessPoolExecutor) -> None:
-    try:
-        _LAST_POOL_PIDS.update(pool._processes.keys())
-    except Exception:
+def _remember_pids(pool) -> None:
+    _LAST_POOL_PIDS.update((getattr(pool, "_processes", None) or {}).keys())
+
+
+class _InProcess:
+    """The ``max_workers == 1`` executor: each submission runs now, here.
+
+    ``submit`` calls the function in the caller's process and returns an
+    already-resolved future, so :func:`run_resilient` takes it through
+    the same digest check, retries and callbacks as a pool's.  Nothing
+    is pickled and no process starts; a hang cannot be interrupted, so
+    ``run_timeout`` is not enforced.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         pass
 
 
@@ -523,7 +546,12 @@ def run_resilient(
     """Run jobs on a process pool, surviving crashes, hangs, and lies.
 
     ``submit(pool, job, attempt)`` must return a future resolving to the
-    worker triple ``(payload, snapshot, digest)``.  Returns
+    worker triple ``(payload, snapshot, digest)``.  With ``max_workers ==
+    1`` the "pool" is in-process: each job runs in the caller's process,
+    one at a time in ``(attempt, seq)`` order, and is checked and reported
+    before the next one starts.  It goes through the same retries,
+    quarantine and digest check, but no process starts, no PID is
+    recorded and ``policy.run_timeout`` is not enforced.  Returns
     ``(results, failed, stats)`` where ``results`` maps ``job.key`` to
     ``(payload, snapshot)`` for every shard that eventually succeeded,
     ``failed`` lists quarantined shards, and ``stats`` counts recovery
@@ -546,10 +574,11 @@ def run_resilient(
     results: dict[str, tuple[dict, dict | None]] = {}
     queue: list[tuple[float, Job, int]] = [(0.0, job, 0) for job in jobs]
     flights: dict[object, _Flight] = {}
-    pool: ProcessPoolExecutor | None = None
+    in_process = max_workers == 1
+    pool: ProcessPoolExecutor | _InProcess | None = None
     broken = False
 
-    def ensure_pool() -> ProcessPoolExecutor:
+    def ensure_pool() -> ProcessPoolExecutor | _InProcess:
         nonlocal pool, broken
         if pool is not None and broken:
             _terminate_pool(pool)
@@ -557,7 +586,11 @@ def run_resilient(
             stats.pool_rebuilds += 1
             obs_count("runner.resilience.pool_rebuilds")
         if pool is None:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
+            pool = (
+                _InProcess()
+                if in_process
+                else ProcessPoolExecutor(max_workers=max_workers)
+            )
             broken = False
         return pool
 
@@ -597,13 +630,18 @@ def run_resilient(
     try:
         while queue or flights:
             now = clock()
-            due = [item for item in queue if item[0] <= now]
+            due = sorted(
+                (item for item in queue if item[0] <= now),
+                key=lambda item: (item[2], item[1].seq),
+            )
             if due:
-                queue = [item for item in queue if item[0] > now]
+                if in_process:
+                    # One job per pass: it is checked, reported and
+                    # journaled before the next one runs.
+                    due = due[:1]
+                queue = [item for item in queue if item not in due]
                 active = ensure_pool()
-                for _, job, attempt in sorted(
-                    due, key=lambda item: (item[2], item[1].seq)
-                ):
+                for _, job, attempt in due:
                     try:
                         future = submit(active, job, attempt)
                     except BrokenExecutor:
@@ -612,7 +650,7 @@ def run_resilient(
                         continue
                     deadline = (
                         now + policy.run_timeout
-                        if policy.run_timeout is not None
+                        if policy.run_timeout is not None and not in_process
                         else None
                     )
                     flights[future] = _Flight(job, attempt, deadline)

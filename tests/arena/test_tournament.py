@@ -4,8 +4,10 @@ must all be invisible in the scorecard bytes."""
 import pytest
 
 from repro.arena import TournamentConfig, run_tournament, scorecard_json
+from repro.arena import tournament
 from repro.errors import ConfigError
-from repro.runner import ContentCache, SweepJournal
+from repro.obs.progress import CollectingProgress, ProgressTracker
+from repro.runner import ContentCache, RunPolicy, SweepJournal
 
 _SMALL = dict(
     policies=("max-min", "equal-split"),
@@ -98,3 +100,65 @@ class TestReport:
         report = run_tournament(TournamentConfig(**_SMALL))
         ranked = {entry["policy"] for entry in report.scorecard["ranking"]}
         assert ranked == {"max-min", "equal-split"}
+
+
+# Eight cells: two policies x two traffic models x two fault levels.
+_EIGHT = dict(
+    policies=("max-min", "priority-tier"),
+    traffic=("smooth", "uniform"),
+    faults=(0.0, 0.4),
+    horizon=128,
+)
+
+
+def _tracked(config, **kwargs):
+    """Run with a tracker the way ``repro arena`` does; return the last event."""
+    sink = CollectingProgress()
+    tracker = ProgressTracker(len(config.cells()), sink)
+    tracker.start()
+    try:
+        report = run_tournament(config, tracker=tracker, **kwargs)
+    finally:
+        tracker.finish()
+    return report, sink.events[-1]
+
+
+class TestProgressAndRetries:
+    def test_warm_and_resumed_runs_report_every_cell(self, tmp_path):
+        config = TournamentConfig(**_EIGHT)
+        cache = ContentCache(tmp_path / "cache")
+        with SweepJournal(tmp_path / "journal.jsonl") as journal:
+            run_tournament(config, cache=cache, journal=journal)
+
+        warm, done = _tracked(config, cache=cache)
+        assert warm.from_cache == 8
+        assert done.completed == done.total == 8
+        assert done.cache_hits == 8
+
+        with SweepJournal(tmp_path / "journal.jsonl") as journal:
+            resumed, done = _tracked(config, journal=journal)
+        assert resumed.from_journal == 8
+        assert done.completed == done.total == 8
+        assert done.cache_hits == 8
+
+    def test_one_job_retries_a_failing_cell(self, monkeypatch):
+        config = TournamentConfig(
+            **_EIGHT, run_policy=RunPolicy(max_attempts=2, base_backoff_s=0.0)
+        )
+        clean = run_tournament(config)
+        real = tournament.run_cell
+        failures = []
+
+        def first_attempt_raises(cell, **kwargs):
+            if cell.name == "max-min/uniform/f0.4" and not failures:
+                failures.append(cell.name)
+                raise RuntimeError("first attempt fails")
+            return real(cell, **kwargs)
+
+        monkeypatch.setattr(tournament, "run_cell", first_attempt_raises)
+        report, done = _tracked(config)
+        assert failures == ["max-min/uniform/f0.4"]
+        assert report.ok and report.computed == 8
+        assert done.retries == 1
+        assert done.completed == done.total == 8
+        assert scorecard_json(report.scorecard) == scorecard_json(clean.scorecard)

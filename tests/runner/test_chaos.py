@@ -104,6 +104,19 @@ class TestChaosDeterminism:
         assert report.failed == []
         assert report.retries == len(IDS)  # each experiment retried once
 
+    @pytest.mark.parametrize("action", ["kill_p", "hang_p"])
+    def test_inline_kill_and_hang_retry_once(self, baseline, action):
+        # In-process, kill and hang cannot touch the caller: both raise.
+        chaos = ChaosPlan(**{action: 1.0}, seed=0, max_faults=1)
+        report = run_batch(
+            IDS, seed=SEED, scale=SCALE, jobs=1, chaos=chaos,
+            policy=RunPolicy(max_attempts=3, **FAST),
+        )
+        assert _render(report) == baseline
+        assert report.failed == []
+        assert report.retries == len(IDS)  # each experiment retried once
+        assert report.crashes == report.timeouts == report.pool_rebuilds == 0
+
 
 class TestQuarantine:
     PERMANENT = ChaosPlan(raise_p=1.0, seed=0, max_faults=10**6)
@@ -244,3 +257,45 @@ class TestInterruptAndResume:
         assert _render(second) == baseline
         assert second.journal_skips == len(LABELS)
         assert second.retries == second.crashes == 0
+
+
+class TestResumeAcrossJobs:
+    """A journal resumes at any ``jobs``, whichever granularity wrote it:
+    a ``jobs > 1`` run journals sweep shards, a ``jobs == 1`` run whole
+    results."""
+
+    RESUME_IDS = ["E-T6", "E-F2"]
+
+    @pytest.mark.parametrize("written, resumed", [(2, 1), (1, 2)])
+    def test_complete_journal_skips_every_experiment(
+        self, tmp_path, monkeypatch, written, resumed
+    ):
+        from repro.experiments import registry
+
+        path = tmp_path / "sweep.jsonl"
+        fresh = run_batch(
+            self.RESUME_IDS, seed=3, scale=0.1, jobs=written, journal=path
+        )
+        entries = len(SweepJournal(path))
+        assert entries == (4 if written > 1 else 2)  # E-T6 has 3 points
+
+        calls = []
+
+        def forbid(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"registry.{name} ran on a full journal")
+
+            return call
+
+        # Forked pool workers inherit the patch, so a planned job fails.
+        monkeypatch.setattr(registry, "run", forbid("run"))
+        monkeypatch.setattr(registry, "run_point", forbid("run_point"))
+        report = run_batch(
+            self.RESUME_IDS, seed=3, scale=0.1, jobs=resumed, journal=path,
+            policy=RunPolicy(max_attempts=1),
+        )
+        assert calls == []
+        assert report.failed == []
+        assert report.journal_skips == entries
+        assert _render(report) == _render(fresh)

@@ -64,6 +64,11 @@ def _always_fail(attempt):
     raise ValueError("permanently broken")
 
 
+def _pid(attempt):
+    payload = {"pid": os.getpid()}
+    return payload, None, payload_digest(payload)
+
+
 def _job(i):
     return Job(
         key=f"k{i}", label=f"L{i}", kind="point", experiment_id="E-X",
@@ -81,6 +86,22 @@ def _submit_by_index(workers):
 
 
 FAST_RETRY = RunPolicy(max_attempts=3, base_backoff_s=0.01, max_backoff_s=0.05)
+
+
+class _Tracker:
+    """Records tracker callbacks as ``(event, label)`` tuples."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def job_done(self, label, slots=0.0, cached=False):
+        self.calls.append(("done", label))
+
+    def job_retry(self, label):
+        self.calls.append(("retry", label))
+
+    def job_failed(self, label):
+        self.calls.append(("fail", label))
 
 
 class TestRunPolicy:
@@ -331,20 +352,9 @@ class TestRunResilient:
 
     def test_tracker_sees_retries_and_completions(self):
         calls = []
-
-        class Tracker:
-            def job_done(self, label, slots=0.0, cached=False):
-                calls.append(("done", label))
-
-            def job_retry(self, label):
-                calls.append(("retry", label))
-
-            def job_failed(self, label):
-                calls.append(("fail", label))
-
         run_resilient(
             [_job(0)], _submit_by_index([_flaky]), FAST_RETRY,
-            max_workers=1, tracker=Tracker(),
+            max_workers=1, tracker=_Tracker(calls),
         )
         assert ("retry", "L0") in calls
         assert ("done", "L0") in calls
@@ -366,9 +376,42 @@ class TestRunResilient:
     def test_worker_pids_are_recorded(self):
         before = set(last_worker_pids())
         run_resilient(
-            [_job(0)], _submit_by_index([_ok]), FAST_RETRY, max_workers=1
+            [_job(0)], _submit_by_index([_ok]), FAST_RETRY, max_workers=2
         )
         assert last_worker_pids() - before
+
+    def test_one_worker_runs_in_process(self):
+        before = set(last_worker_pids())
+        results, failed, stats = run_resilient(
+            [_job(i) for i in range(2)], _submit_by_index([_pid, _pid]),
+            FAST_RETRY, max_workers=1,
+        )
+        assert failed == []
+        pids = [results[f"k{i}"][0]["pid"] for i in range(2)]
+        assert pids == [os.getpid()] * 2
+        assert last_worker_pids() == before
+        assert stats.pool_rebuilds == 0
+
+    def test_one_worker_runs_jobs_in_seq_order_and_reports_each(self):
+        calls = []
+
+        def submit(pool, job, attempt):
+            calls.append(("run", job.label, attempt))
+            return pool.submit(_flaky if job.index == 0 else _ok, attempt)
+
+        run_resilient(
+            [_job(i) for i in (2, 0, 1)], submit,
+            RunPolicy(max_attempts=2, base_backoff_s=0.0),
+            max_workers=1, tracker=_Tracker(calls),
+        )
+        # Each job is checked and reported before the next one runs; the
+        # retry comes after the first attempts, as the pool orders it.
+        assert calls == [
+            ("run", "L0", 0), ("retry", "L0"),
+            ("run", "L1", 0), ("done", "L1"),
+            ("run", "L2", 0), ("done", "L2"),
+            ("run", "L0", 1), ("done", "L0"),
+        ]
 
 
 class TestSignalGuard:

@@ -314,10 +314,3 @@ class TestBatched:
                 assert summary.delay_histogram[delay] == pytest.approx(bits)
             assert summary.max_backlog == trace.backlog.max()
             assert summary.max_delay == trace.max_delay
-
-    def test_runner_export(self):
-        from repro.runner import run_session_batch
-
-        matrix = np.ones((2, 50))
-        out = run_session_batch(_policy, matrix)
-        assert len(out) == 2

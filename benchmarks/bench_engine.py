@@ -14,8 +14,9 @@ against the scalar fast loops it replaces, in slots/second:
    per-session piecewise-constant rates, exercising the phase slices
    (``begin_slot`` inline at each phase end, one fused
    ``SessionChannels.replay`` per session in between).
-4. ``batched_64`` — :func:`repro.sim.vector.run_batched` over a stacked
-   ``(n, T)`` arrival matrix vs a per-session scalar loop.
+4. ``batched_64`` — 64 independent sessions, one
+   :func:`~repro.sim.engine.run_single_session` each, vs the same loop
+   with ``vector=False``.
 
 Every vectorized run must be **bit-identical** to its scalar twin (the
 engine's core guarantee — asserted per workload and recorded as
@@ -53,11 +54,7 @@ from repro.obs.history import (  # noqa: E402
 from repro.obs.manifest import git_revision  # noqa: E402
 from repro.params import OfflineConstraints  # noqa: E402
 from repro.sim.engine import run_multi_session, run_single_session  # noqa: E402
-from repro.sim.vector import (  # noqa: E402
-    multi_vector_capable,
-    run_batched,
-    vector_capable,
-)
+from repro.sim.vector import multi_vector_capable, vector_capable  # noqa: E402
 from repro.traffic.feasible import generate_feasible_stream  # noqa: E402
 from repro.version import __version__  # noqa: E402
 
@@ -212,7 +209,8 @@ def bench_batched(seed: int, scale: float, sessions: int = 64) -> dict:
 
     scalar, scalar_s = _best_of(scalar_pass, reps=1)
     vector, vector_s = _best_of(
-        lambda: run_batched(_single_policy, matrix), reps=1
+        lambda: [run_single_session(_single_policy(), row) for row in matrix],
+        reps=1,
     )
     identical = all(
         _single_traces_equal(a, b) for a, b in zip(scalar, vector)

@@ -1,21 +1,22 @@
-"""Scenario: a live feed simulated incrementally, in bounded memory.
+"""Scenario: a live feed simulated incrementally, chunk by chunk.
 
 The batch entry points (``run_single_session``) want the whole arrival
 stream up front.  A monitoring pipeline doesn't have it: traffic arrives
-in chunks, the simulation must keep up, and a day-long trace would not
-fit in memory anyway.  :class:`repro.sim.vector.EngineState` covers this:
+in chunks and the simulation must keep up.
+:class:`repro.sim.vector.EngineState` covers this:
 
 * ``feed`` ingests arrival chunks as they appear; ``step`` advances the
   simulation in bounded bites between feeds;
-* ``collect="summary"`` keeps O(1) aggregates instead of per-slot
-  arrays, so the horizon can grow without the memory following;
-* the event-sliced vectorized core fast-forwards through quiet slots, so
-  keeping up costs numpy-speed, not Python-per-slot speed — and the
-  computed floats are bit-identical to the batch engine's.
+* the engine's live state — ``state.t``, ``state.queue.size`` and the
+  policy's ``change_count`` — gives a status line per chunk without
+  building a trace;
+* the event-sliced core fast-forwards through quiet slots, so keeping up
+  costs numpy-speed, not Python-per-slot speed — and the computed floats
+  are bit-identical to the batch engine's.
 
 The example replays a piecewise-constant "day" of traffic chunk by
-chunk, prints a rolling status line per chunk, and closes with the same
-summary a one-shot batch run would have produced.
+chunk, prints a rolling status line per chunk, finalizes the trace once
+at the end and checks that every column equals the one-shot batch run's.
 
 Run:  python examples/streaming_engine.py
 """
@@ -32,6 +33,10 @@ W = 16
 
 CHUNK_SLOTS = 5_000
 CHUNKS = 20
+
+COLUMNS = (
+    "arrivals", "allocation", "delivered", "backlog", "dropped", "requested", "effective",
+)
 
 
 def policy() -> SingleSessionOnline:
@@ -54,39 +59,39 @@ def main() -> None:
     rng = np.random.default_rng(7)
     chunks = list(live_feed(rng))
 
-    # -- streaming pass: feed / step / summary ---------------------------
-    state = EngineState(policy(), collect="summary", closed=False)
+    # -- streaming pass: feed / step, a status line per chunk -------------
+    state = EngineState(policy(), closed=False)
     for index, chunk in enumerate(chunks):
         state.feed(chunk)
         state.step(10**9)  # catch up to the ingested horizon
-        summary = state.finalize()
         print(
             f"chunk {index + 1:>2}/{CHUNKS}: t={state.t:>7,}  "
-            f"delivered={summary.total_delivered:>12,.0f} bits  "
-            f"max_delay={summary.max_delay}  "
-            f"changes={summary.change_count}"
+            f"backlog={state.queue.size:>8,.1f} bits  "
+            f"changes={state.policy.change_count}"
         )
     state.close()
     state.run()  # drain the tail
-    summary = state.finalize()
+    trace = state.finalize()
 
     print(
-        f"\nstreamed {summary.slots:,} slots "
-        f"(horizon {summary.horizon:,} + drain tail) in bounded memory"
+        f"\nstreamed {trace.slots:,} slots "
+        f"(horizon {trace.horizon:,} + drain tail)"
     )
     print(
-        f"delivered {summary.total_delivered:,.0f} of "
-        f"{summary.total_arrived:,.0f} bits, max delay "
-        f"{summary.max_delay} slots (guarantee: {2 * D_O}), "
-        f"{summary.change_count} bandwidth changes"
+        f"delivered {trace.total_delivered:,.0f} of "
+        f"{trace.total_arrived:,.0f} bits, max delay "
+        f"{trace.max_delay} slots (guarantee: {2 * D_O}), "
+        f"{trace.change_count} bandwidth changes"
     )
 
     # -- the receipts: identical to the one-shot batch run ---------------
     batch = run_single_session(policy(), np.concatenate(chunks))
-    assert summary.slots == len(batch.allocation)
-    assert summary.change_count == len(batch.changes)
-    assert summary.max_delay == batch.max_delay
-    assert summary.stage_starts == batch.stage_starts
+    for name in COLUMNS:
+        assert np.array_equal(getattr(trace, name), getattr(batch, name)), name
+    assert trace.delay_histogram == batch.delay_histogram
+    assert trace.changes == batch.changes
+    assert trace.stage_starts == batch.stage_starts
+    assert trace.resets == batch.resets
     print("\nstreaming run matches the one-shot batch run. qed")
 
 

@@ -12,10 +12,7 @@ from repro.analysis.feasibility import (
 )
 from repro.analysis.metrics import (
     QosSummary,
-    backlog_series,
-    corollary4_margin,
     global_utilization,
-    min_existential_window_utilization,
     min_fixed_window_utilization,
     summarize_multi,
     summarize_single,
@@ -35,8 +32,6 @@ __all__ = [
     "CostBreakdown",
     "PricingModel",
     "cheapest",
-    "backlog_series",
-    "corollary4_margin",
     "LinearFit",
     "fit_against_log2",
     "fit_linear",
@@ -52,7 +47,6 @@ __all__ = [
     "constant_bandwidth_needed",
     "global_utilization",
     "is_delay_feasible",
-    "min_existential_window_utilization",
     "min_fixed_window_utilization",
     "render_ascii_series",
     "render_markdown_table",

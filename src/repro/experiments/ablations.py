@@ -19,10 +19,7 @@ import math
 
 import numpy as np
 
-from repro.analysis.metrics import (
-    global_utilization,
-    min_existential_window_utilization,
-)
+from repro.analysis.metrics import global_utilization
 from repro.core.continuous import ContinuousMultiSession
 from repro.core.phased import PhasedMultiSession
 from repro.core.powers import ClampedQuantizer, GeometricQuantizer
@@ -34,6 +31,7 @@ from repro.sim.engine import run_multi_session, run_single_session
 from repro.sim.recorder import histogram_quantile
 from repro.traffic.adversary import doubling_stream
 from repro.runner.cache import cached_feasible_stream, cached_multi_feasible
+from repro.verify.certificates import min_existential_window_utilization
 
 _DELAY = 8
 _UTIL = 0.25

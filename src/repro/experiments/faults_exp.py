@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.metrics import min_existential_window_utilization
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import SimulationError
 from repro.experiments.common import ExperimentResult, fmt, scaled
@@ -60,6 +59,7 @@ from repro.sim.vector import EngineState
 from repro.verify.certificates import (
     claim2_margins,
     claim2_violations,
+    min_existential_window_utilization,
     replay_fifo_service,
 )
 

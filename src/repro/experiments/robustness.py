@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.fairness import delay_fairness, service_fairness
-from repro.analysis.metrics import min_existential_window_utilization
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.experiments.common import ExperimentResult, fmt, scaled
@@ -39,7 +38,10 @@ from repro.traffic import (
 )
 from repro.traffic.diurnal import staggered_diurnal_sessions
 from repro.traffic.multi import independent_processes_workload
-from repro.verify.certificates import claim2_margins
+from repro.verify.certificates import (
+    claim2_margins,
+    min_existential_window_utilization,
+)
 
 #: The shared robustness contract (E-ROB and E-FAULT must agree on these
 #: so the E-FAULT zero-intensity column reproduces E-ROB exactly).

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.analysis.competitive import bracket
 from repro.analysis.fitting import growth_exponent
-from repro.analysis.metrics import min_existential_window_utilization
 from repro.core.offline import stage_lower_bound
 from repro.core.single_session import SingleSessionOnline
 from repro.experiments.common import ExperimentResult, fmt, scaled
@@ -27,6 +26,7 @@ from repro.experiments.registry import register_sweep
 from repro.params import EXTRA_WINDOW_SLACK, OfflineConstraints
 from repro.runner.cache import cached_feasible_stream
 from repro.sim.engine import run_single_session
+from repro.verify.certificates import min_existential_window_utilization
 
 _HEADERS = [
     "B_A",

@@ -345,7 +345,8 @@ class SingleSessionRecorder:
             allocation=allocation,
             delivered=delivered,
             backlog=backlog,
-            delay_histogram=self.histogram,
+            # Copied: a later step keeps folding deliveries into the live dict.
+            delay_histogram=dict(self.histogram),
             changes=list(changes),
             stage_starts=list(stage_starts),
             resets=list(resets),
@@ -466,7 +467,7 @@ class MultiSessionRecorder:
             delivered=delivered,
             backlog=backlog,
             extra_allocation=extra,
-            delay_histograms=self.histograms,
+            delay_histograms=[dict(h) for h in self.histograms],  # copied, as above
             local_changes=list(local_changes),
             extra_changes=list(extra_changes),
             stage_starts=list(stage_starts),

@@ -9,8 +9,7 @@ capacity.  This module exploits that:
 * :class:`EngineState` — the incremental single-session engine.  It owns
   the queue/policy/recorder triple and exposes ``step(n_slots)`` so
   callers can advance a simulation in bounded increments (streaming
-  ingestion via :meth:`feed`, bounded-memory aggregation via
-  ``collect="summary"``).  :func:`~repro.sim.engine.run_single_session`
+  ingestion via :meth:`feed`).  :func:`~repro.sim.engine.run_single_session`
   is a thin wrapper over it.
 * **Policy-quiet slices**: a run of slots in which the policy provably
   keeps its allocation and runs no decision that reads the queue.  For
@@ -32,8 +31,6 @@ capacity.  This module exploits that:
   <repro.network.queue.BitQueue.replay>` and its columns one
   ``record_keepup_block`` call; the event slot after it takes the
   ordinary scalar step, as does the drain tail.
-* :func:`run_batched` — advance many independent sessions over one
-  validated ``(n, T)`` arrival matrix, each on the slice path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
   owns the policy/recorder pair behind ``run_multi_session`` and exposes
   the same ``step(n_slots)`` slicing contract.
@@ -85,7 +82,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -288,103 +284,6 @@ class _FaultSchedule:
         return allocation * self.capacity._data[start:stop]
 
 
-@dataclass
-class SingleRunSummary:
-    """Bounded-memory aggregate of a single-session run.
-
-    What :class:`EngineState` produces under ``collect="summary"``: O(1)
-    state per run instead of per-slot arrays, for streaming workloads
-    where the full trace would not fit.
-    """
-
-    slots: int = 0
-    horizon: int = 0
-    total_arrived: float = 0.0
-    total_delivered: float = 0.0
-    total_dropped: float = 0.0
-    max_backlog: float = 0.0
-    max_allocation: float = 0.0
-    delay_histogram: dict[int, float] = field(default_factory=dict)
-    change_count: int = 0
-    stage_starts: list[int] = field(default_factory=list)
-    resets: list[int] = field(default_factory=list)
-
-    @property
-    def max_delay(self) -> int:
-        return max(self.delay_histogram.keys(), default=0)
-
-
-def _running_sum(total: float, values: np.ndarray) -> float:
-    """``total`` after ``+=`` of each value in order (np.add.accumulate is
-    sequential)."""
-    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
-
-
-class _SummaryCollector:
-    """Recorder-shaped sink that keeps aggregates instead of arrays."""
-
-    def __init__(self) -> None:
-        self.slots = 0
-        self.total_arrived = 0.0
-        self.total_delivered = 0.0
-        self.total_dropped = 0.0
-        self.max_backlog = 0.0
-        self.max_allocation = 0.0
-        self.histogram: dict[int, float] = {}
-
-    def record(
-        self,
-        t,
-        arrivals,
-        allocation,
-        result,
-        backlog_after,
-        dropped=0.0,
-        requested=None,
-        effective=None,
-    ) -> None:
-        self.slots += 1
-        self.total_arrived += arrivals
-        self.total_delivered += result.bits
-        self.total_dropped += dropped
-        if backlog_after > self.max_backlog:
-            self.max_backlog = backlog_after
-        if allocation > self.max_allocation:
-            self.max_allocation = allocation
-        histogram = self.histogram
-        for delivery in result.deliveries:
-            histogram[delivery.delay] = (
-                histogram.get(delivery.delay, 0.0) + delivery.bits
-            )
-
-    def record_keepup_block(
-        self, arrivals, allocation, delivered, backlog, dropped=0.0, effective=None
-    ) -> None:
-        self.slots += len(arrivals)
-        self.total_arrived = _running_sum(self.total_arrived, arrivals)
-        self.total_delivered = _running_sum(self.total_delivered, delivered)
-        if np.ndim(dropped):  # a scalar is 0.0: adding it changes nothing
-            self.total_dropped = _running_sum(self.total_dropped, dropped)
-        self.max_backlog = max(self.max_backlog, float(backlog.max(initial=0.0)))
-        if allocation > self.max_allocation:
-            self.max_allocation = allocation
-
-    def finalize(self, changes, stage_starts, resets, horizon) -> SingleRunSummary:
-        return SingleRunSummary(
-            slots=self.slots,
-            horizon=horizon,
-            total_arrived=self.total_arrived,
-            total_delivered=self.total_delivered,
-            total_dropped=self.total_dropped,
-            max_backlog=self.max_backlog,
-            max_allocation=self.max_allocation,
-            delay_histogram=self.histogram,
-            change_count=len(changes),
-            stage_starts=list(stage_starts),
-            resets=list(resets),
-        )
-
-
 def _gallop(t: int, stop: int, advance, window: int) -> tuple[int, int]:
     """Slots from ``t`` (before ``stop``) that ``advance`` reports quiet.
 
@@ -430,9 +329,6 @@ class EngineState:
         vector: run policy-quiet slices where they apply
             (:func:`vector_capable` policies with an unbounded queue);
             ``False`` makes every slot a scalar step.
-        collect: ``"trace"`` records full per-slot arrays;
-            ``"summary"`` keeps O(1) aggregates
-            (:class:`SingleRunSummary`) for bounded-memory streaming.
         closed: start closed (no further :meth:`feed`); the batch entry
             points use this.
     """
@@ -447,16 +343,11 @@ class EngineState:
         queue_capacity: float | None = None,
         faults: "FaultPlan | None" = None,
         vector: bool = True,
-        collect: str = "trace",
         closed: bool = True,
     ):
-        if collect not in ("trace", "summary"):
-            raise ConfigError(f"collect must be 'trace' or 'summary', got {collect!r}")
         self.policy = policy
         self.queue = BitQueue("session", capacity=queue_capacity)
-        self.recorder = (
-            SingleSessionRecorder() if collect == "trace" else _SummaryCollector()
-        )
+        self.recorder = SingleSessionRecorder()
         self.drain = bool(drain)
         self._max_drain_slots = max_drain_slots
         initial = _as_array(arrivals, ndim=1)
@@ -697,8 +588,8 @@ class EngineState:
         while not self.done:
             self.step(1 << 62)
 
-    def finalize(self) -> SingleSessionTrace | SingleRunSummary:
-        """Build the trace (or summary) for the slots simulated so far."""
+    def finalize(self) -> SingleSessionTrace:
+        """Build the trace for the slots simulated so far."""
         policy = self.policy
         return self.recorder.finalize(
             changes=policy.changes,
@@ -955,43 +846,3 @@ class MultiEngineState:
             resets=policy.resets,
             horizon=self.horizon,
         )
-
-
-def run_batched(
-    policy_factory,
-    arrivals: Sequence[Sequence[float]] | np.ndarray,
-    *,
-    drain: bool = True,
-    max_drain_slots: int | None = None,
-    collect: str = "trace",
-) -> list[SingleSessionTrace | SingleRunSummary]:
-    """Advance many independent sessions over one stacked arrival matrix.
-
-    Args:
-        policy_factory: zero-argument callable producing a fresh policy per
-            session (policies are stateful, one per row).
-        arrivals: array of shape ``(n_sessions, T)`` — validated and
-            converted once for the whole batch.
-        drain, max_drain_slots, collect: as :class:`EngineState`.
-
-    Each row runs its own :class:`EngineState`, in policy-quiet slices
-    when the policy is :func:`vector_capable` (scalar steps otherwise).
-    Rows are independent simulations: stage-relative prefix sums and FIFO
-    queues are per-session state, so a cross-session 2-D kernel cannot
-    preserve bit-identity.  The win is the shared validation/conversion
-    pass plus the per-row slices, which already advance a backlogged or
-    idle row through its quiet stretches without per-slot interpreter cost.
-    """
-    matrix = _as_array(arrivals, ndim=2)
-    out = []
-    for row in matrix:
-        state = EngineState(
-            policy_factory(),
-            row,
-            drain=drain,
-            max_drain_slots=max_drain_slots,
-            collect=collect,
-        )
-        state.run()
-        out.append(state.finalize())
-    return out

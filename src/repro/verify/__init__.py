@@ -25,7 +25,9 @@ from repro.verify.certificates import (
     claim9_violations,
     combined_bounds,
     continuous_bounds,
+    corollary4_slack,
     lindley_backlog,
+    min_existential_window_utilization,
     peak,
     phased_bounds,
     raw_single_bounds,
@@ -78,9 +80,11 @@ __all__ = [
     "combined_bounds",
     "competitive_ratio",
     "continuous_bounds",
+    "corollary4_slack",
     "default_levels",
     "lindley_backlog",
     "min_changes_oracle",
+    "min_existential_window_utilization",
     "peak",
     "phased_bounds",
     "ratio_rank_key",

@@ -13,7 +13,8 @@ check          bound
 =============  ========================================================
 conservation   ``q(t) = q(t-1) + kept(t) - delivered(t)`` matches the
                recorded backlog; nothing is served beyond the effective
-               bandwidth (accounting honesty, not a theorem)
+               bandwidth; every per-slot value is finite (accounting
+               honesty, not a theorem)
 claim2         Claim 2: ``B_on >= q / D_A`` after arrivals, before serve
 lemma3         Lemma 3 / 11 / 15: every bit delivered within ``D_A``
 delay-replay   the recorded deliveries and delay histogram match an
@@ -50,11 +51,13 @@ feasibility certificate) and reported as skipped otherwise.
 
 **Narrow helpers.**  Experiments that only need one margin call the
 series helpers the checks themselves use — :func:`claim2_margins`,
-:func:`claim9_series`, :func:`session_sums` with :func:`peak`, and
-:func:`replay_fifo_service` for late deliveries and the max delay —
-instead of a full :func:`certify`.  Each failing check lists its first
-violating slots as counterexamples, so a certificate pinpoints the slot
-where an invariant first broke.
+:func:`claim9_series`, :func:`session_sums` with :func:`peak`,
+:func:`replay_fifo_service` for late deliveries and the max delay,
+:func:`corollary4_slack`, and :func:`min_existential_window_utilization`
+for Lemma 5 — instead of a full :func:`certify`.  These are the
+library's only implementations of those measures.  Each failing check
+lists its first violating slots as counterexamples, so a certificate
+pinpoints the slot where an invariant first broke.
 """
 
 from __future__ import annotations
@@ -369,6 +372,27 @@ def lindley_backlog(arrivals: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     return np.asarray(backlog, dtype=float)
 
 
+def corollary4_slack(
+    backlog: np.ndarray,
+    kept: np.ndarray,
+    profile: np.ndarray,
+    offline_bandwidth: float,
+    offline_delay: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corollary 4 slack ``(q_offline + B_O·D_O) - q_online`` per slot.
+
+    ``q_offline`` is the :func:`lindley_backlog` of the ``kept`` arrivals
+    served at the certificate ``profile``, over the profile's horizon cut
+    to the trace's.  Returns the slack and ``q_offline``; a non-negative
+    slack means the corollary held at that slot.
+    """
+    horizon = min(len(profile), len(kept))
+    offline_backlog = lindley_backlog(kept[:horizon], profile[:horizon])
+    budget = offline_bandwidth * offline_delay
+    online = np.asarray(backlog, dtype=float)[:horizon]
+    return offline_backlog + budget - online, offline_backlog
+
+
 def best_window_utilizations(
     arrivals: np.ndarray, allocation: np.ndarray, max_window: int
 ) -> np.ndarray:
@@ -377,6 +401,12 @@ def best_window_utilizations(
     ``out[t] = max over 1 <= w <= min(t+1, max_window) of
     IN(t-w, t] / B(t-w, t]`` (windows with no allocation are ignored;
     slots where every window has zero allocation get ``-inf``).
+
+    One numpy pass per window width ``w``: the prefix differences for
+    every ``t`` at once, their quotient where ``B > _DUST``, folded into
+    the running ``best`` with ``np.maximum``.  Each quotient is the
+    subtraction and division a per-slot scan makes, and max reductions
+    are exact, so the values equal that scan's at ``O(W)`` numpy calls.
     """
     if max_window < 1:
         raise ConfigError(f"max_window must be >= 1, got {max_window!r}")
@@ -387,12 +417,55 @@ def best_window_utilizations(
     cum_alloc = np.concatenate([[0.0], np.cumsum(allocation)])
     best = np.full(horizon, -np.inf)
     for width in range(1, min(max_window, horizon) + 1):
-        in_sum = cum_in[width:] - cum_in[:-width]
-        alloc_sum = cum_alloc[width:] - cum_alloc[:-width]
         with np.errstate(divide="ignore", invalid="ignore"):
+            in_sum = cum_in[width:] - cum_in[:-width]
+            alloc_sum = cum_alloc[width:] - cum_alloc[:-width]
             ratio = np.where(alloc_sum > _DUST, in_sum / alloc_sum, -np.inf)
         np.maximum(best[width - 1 :], ratio, out=best[width - 1 :])
     return best
+
+
+def _worst_best(best: np.ndarray) -> float:
+    """Smallest finite per-slot best utilization (``inf`` if none)."""
+    usable = best[np.isfinite(best)]
+    return float(usable.min()) if usable.size else math.inf
+
+
+def min_existential_window_utilization(
+    arrivals: np.ndarray, allocation: np.ndarray, max_window: int
+) -> float:
+    """Lemma 5, measured: the worst over slots of the best trailing window.
+
+    The minimum of the finite :func:`best_window_utilizations` (``inf``
+    when no window has positive allocation).  The algorithm satisfies
+    Lemma 5 iff this is at least ``U_O / 3`` with ``max_window = W +
+    5·D_O``.
+
+    Raises:
+        ConfigError: on ``max_window < 1``, non-1-D or unequal-length
+            inputs, or non-finite values (``np.maximum`` propagates NaN,
+            which would otherwise poison a slot's best value).
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    allocation = np.asarray(allocation, dtype=float)
+    if max_window < 1:
+        raise ConfigError(f"max_window must be >= 1, got {max_window!r}")
+    if arrivals.ndim != 1 or allocation.ndim != 1:
+        raise ConfigError(
+            f"arrivals and allocation must be 1-D, got shapes "
+            f"{arrivals.shape} and {allocation.shape}"
+        )
+    if len(arrivals) != len(allocation):
+        raise ConfigError(
+            f"arrivals and allocation must have equal length, got "
+            f"{len(arrivals)} and {len(allocation)}"
+        )
+    if not (
+        np.isfinite(np.cumsum(arrivals)).all()
+        and np.isfinite(np.cumsum(allocation)).all()
+    ):
+        raise ConfigError("arrivals and allocation must be finite")
+    return _worst_best(best_window_utilizations(arrivals, allocation, max_window))
 
 
 def claim9_series(
@@ -480,6 +553,11 @@ def switch_count(series: np.ndarray) -> int:
     return count + int(np.count_nonzero(np.abs(np.diff(series)) > _CHANGE_EPS))
 
 
+def _all_finite(*series: np.ndarray) -> np.ndarray:
+    """Elementwise mask: every (same-shape) series is finite there."""
+    return np.logical_and.reduce([np.isfinite(values) for values in series])
+
+
 def _collect(indices, detail_fn, limit: int = _MAX_EXAMPLES):
     return tuple(detail_fn(int(t)) for t in list(indices)[:limit])
 
@@ -511,6 +589,7 @@ def certify_single(
     backlog = np.asarray(trace.backlog, dtype=float)
     dropped = np.asarray(trace.dropped, dtype=float)
     effective = np.asarray(trace.effective, dtype=float)
+    requested = np.asarray(trace.requested, dtype=float)
     slots = len(arrivals)
     kept = arrivals - dropped
 
@@ -529,9 +608,15 @@ def certify_single(
             else:  # max(q, 0.0) is q itself
                 block.append(q)
         derived[start:stop] = block
+    # A non-finite value compares false against every bound, so it would
+    # pass each check below; conservation fails it at its slot instead.
+    finite = _all_finite(
+        arrivals, allocation, delivered, backlog, dropped, effective, requested
+    )
     scale = np.maximum(1.0, np.abs(backlog))
-    mismatch = np.abs(derived - backlog) / scale
-    over_effective = delivered - effective
+    with np.errstate(invalid="ignore"):
+        mismatch = np.where(finite, np.abs(derived - backlog) / scale, np.inf)
+        over_effective = delivered - effective
     bad = np.flatnonzero(
         (mismatch > _EPS) | (over_effective > _EPS * np.maximum(1.0, effective))
     )
@@ -662,12 +747,17 @@ def certify_single(
 
     # -- Corollary 4: q_online <= q_offline + B_O * D_O ----------------------
     if profile is not None and bounds.assume_feasible:
-        profile = np.asarray(profile, dtype=float)
-        horizon = min(len(profile), slots)
-        offline_backlog = lindley_backlog(kept[:horizon], profile[:horizon])
+        slack, offline_backlog = corollary4_slack(
+            backlog,
+            kept,
+            np.asarray(profile, dtype=float),
+            bounds.offline_bandwidth,
+            bounds.offline_delay,
+        )
         budget = bounds.offline_bandwidth * bounds.offline_delay
-        slack = offline_backlog + budget - backlog[:horizon]
-        bad = np.flatnonzero(slack < -_EPS * np.maximum(1.0, backlog[:horizon]))
+        bad = np.flatnonzero(
+            slack < -_EPS * np.maximum(1.0, backlog[: len(slack)])
+        )
         report.add(
             "corollary4",
             "Corollary 4",
@@ -706,8 +796,7 @@ def certify_single(
         and bounds.online_window is not None
     ):
         best = best_window_utilizations(arrivals, allocation, bounds.online_window)
-        usable = best[np.isfinite(best)]
-        worst_best = float(usable.min()) if usable.size else math.inf
+        worst_best = _worst_best(best)
         target = bounds.online_utilization
         passed = worst_best >= target * (1 - _EPS)
         bad = np.flatnonzero(np.isfinite(best) & (best < target * (1 - _EPS)))
@@ -743,7 +832,7 @@ def certify_single(
     _check_max_bandwidth(report, allocation, bounds)
 
     # -- change-log consistency ----------------------------------------------
-    strict = bool(np.array_equal(np.asarray(trace.requested, dtype=float), allocation))
+    strict = bool(np.array_equal(requested, allocation))
     _check_changes_single(report, trace, allocation, strict)
     return report
 
@@ -899,16 +988,22 @@ def certify_multi(
     kept = arrivals * keep[:, None]
 
     # -- conservation per session --------------------------------------------
+    # Non-finite values fail here, as in certify_single.
+    finite = _all_finite(arrivals, regular, overflow, delivered, backlog)
+    requested = np.asarray(trace.requested_total, dtype=float)
+    finite &= _all_finite(extra, dropped, requested)[:, None]
     bad_slots: list[tuple[int, int]] = []
-    worst = 0.0
     for i in range(k):
         q = 0.0
+        session_finite = finite[:, i].tolist()
         for t in range(slots):
+            if not session_finite[t]:
+                bad_slots.append((t, i))
+                continue
             q = max(0.0, q + kept[t, i] - delivered[t, i])
             gap = abs(q - backlog[t, i]) / max(1.0, abs(backlog[t, i]))
             if gap > _EPS:
                 bad_slots.append((t, i))
-                worst = max(worst, gap)
                 q = backlog[t, i]  # resynchronize so one slip reports once
     report.add(
         "conservation",
@@ -1061,16 +1156,19 @@ def certify_multi(
     # -- per-session queue bound against certificate profiles -------------------
     if profiles is not None and bounds.assume_feasible:
         profiles = np.asarray(profiles, dtype=float)
-        horizon = min(profiles.shape[0], slots)
-        budget = bounds.offline_bandwidth * bounds.offline_delay
         bad_pairs: list[tuple[int, int]] = []
         min_slack = math.inf
         for i in range(k):
-            offline_q = lindley_backlog(kept[:horizon, i], profiles[:horizon, i])
-            slack = offline_q + budget - backlog[:horizon, i]
+            slack, _ = corollary4_slack(
+                backlog[:, i],
+                kept[:, i],
+                profiles[:, i],
+                bounds.offline_bandwidth,
+                bounds.offline_delay,
+            )
             min_slack = min(min_slack, float(slack.min(initial=math.inf)))
             for t in np.flatnonzero(
-                slack < -_EPS * np.maximum(1.0, backlog[:horizon, i])
+                slack < -_EPS * np.maximum(1.0, backlog[: len(slack), i])
             ):
                 bad_pairs.append((int(t), i))
         report.add(

@@ -1,4 +1,5 @@
-"""Tests for the QoS metrics."""
+"""Tests for the QoS metrics and for the Lemma 5 and Lindley measures
+of :mod:`repro.verify.certificates` that the experiments report."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import (
-    _EPS,
-    backlog_series,
     global_utilization,
-    min_existential_window_utilization,
     min_fixed_window_utilization,
     summarize_multi,
     summarize_single,
@@ -17,6 +15,11 @@ from repro.analysis.metrics import (
 from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
 from repro.errors import ConfigError
 from repro.sim.engine import run_multi_session, run_single_session
+from repro.verify.certificates import (
+    _DUST,
+    lindley_backlog,
+    min_existential_window_utilization,
+)
 from tests.strategies import FUZZ_EXAMPLES
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -34,7 +37,7 @@ def _existential_loop(arrivals, allocation, max_window):
         start = max(0, t - max_window)
         in_slice = in_prefix[t] - in_prefix[start:t]
         alloc_slice = alloc_prefix[t] - alloc_prefix[start:t]
-        usable = alloc_slice > _EPS
+        usable = alloc_slice > _DUST
         if not usable.any():
             continue
         best = float(np.max(in_slice[usable] / alloc_slice[usable]))
@@ -44,7 +47,7 @@ def _existential_loop(arrivals, allocation, max_window):
 
 
 def _backlog_loop(arrivals, capacities):
-    """The numpy-scalar Lindley loop ``backlog_series`` used to run."""
+    """The numpy-scalar Lindley loop ``lindley_backlog`` replaced."""
     backlog = np.empty_like(arrivals)
     q = 0.0
     for t in range(len(arrivals)):
@@ -53,26 +56,26 @@ def _backlog_loop(arrivals, capacities):
     return backlog
 
 
-#: Per-slot allocations: zeros, values within 2 ulps of ``_EPS`` (the
+#: Per-slot allocations: zeros, values within 2 ulps of ``_DUST`` (the
 #: usable-window threshold) and ordinary bandwidths.
-_BELOW = float(np.nextafter(_EPS, 0))
-_ABOVE = float(np.nextafter(_EPS, 1))
-_NEAR_EPS = [
+_BELOW = float(np.nextafter(_DUST, 0))
+_ABOVE = float(np.nextafter(_DUST, 1))
+_NEAR_DUST = [
     float(np.nextafter(_BELOW, 0)),
     _BELOW,
-    _EPS,
+    _DUST,
     _ABOVE,
     float(np.nextafter(_ABOVE, 1)),
 ]
 _allocations = st.one_of(
     st.just(0.0),
-    st.sampled_from(_NEAR_EPS),
+    st.sampled_from(_NEAR_DUST),
     st.sampled_from([1.0, 2.0, 4.0, 8.0]),
     st.floats(min_value=0.0, max_value=16.0),
 )
 _arrivals = st.one_of(
     st.just(0.0),
-    st.sampled_from(_NEAR_EPS),
+    st.sampled_from(_NEAR_DUST),
     st.floats(min_value=0.0, max_value=32.0),
 )
 
@@ -190,7 +193,7 @@ class TestExistentialKernelMatchesLoop:
             np.full(7, 2.0),
             np.zeros(7),
             np.array([0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 3.0]),
-            np.array(_NEAR_EPS + [0.0, _EPS]),
+            np.array(_NEAR_DUST + [0.0, _DUST]),
         ):
             assert min_existential_window_utilization(
                 arrivals, allocation, window
@@ -204,13 +207,13 @@ class TestBacklogSeries:
         rng = np.random.default_rng(seed)
         arrivals = rng.poisson(3.0, size=n) * rng.uniform(0.1, 2.0, size=n)
         capacities = rng.uniform(0.0, 6.0, size=n)
-        got = backlog_series(arrivals, capacities)
+        got = lindley_backlog(arrivals, capacities)
         assert got.dtype == np.float64
         assert got.tolist() == _backlog_loop(arrivals, capacities).tolist()
 
     def test_rejects_unequal_shapes(self):
         with pytest.raises(ConfigError):
-            backlog_series(np.ones(3), np.ones(2))
+            lindley_backlog(np.ones(3), np.ones(2))
 
 
 class TestSummaries:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import min_existential_window_utilization
 from repro.core.powers import GeometricQuantizer, is_power_of_two
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError
@@ -23,6 +22,7 @@ from repro.verify.certificates import (
     certify_single,
     claim2_margins,
     claim2_violations,
+    min_existential_window_utilization,
     single_session_bounds,
 )
 

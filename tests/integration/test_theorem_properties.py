@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import min_existential_window_utilization
 from repro.core.continuous import ContinuousMultiSession
 from repro.core.combined import CombinedMultiSession
 from repro.core.phased import PhasedMultiSession
@@ -28,6 +27,7 @@ from repro.verify.certificates import (
     certify_multi,
     certify_single,
     continuous_bounds,
+    min_existential_window_utilization,
     phased_bounds,
     single_session_bounds,
 )

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import backlog_series
 from repro.core.baselines import EwmaAllocator, StaticAllocator
 from repro.core.single_session import SingleSessionOnline
 from repro.sim.engine import run_single_session
+from repro.verify.certificates import lindley_backlog
 
 
 def replay_backlog(trace) -> np.ndarray:
     """Re-derive the backlog series from arrivals + allocation alone."""
-    return backlog_series(trace.arrivals, trace.allocation)
+    return lindley_backlog(trace.arrivals, trace.allocation)
 
 
 class TestReplayConsistency:

@@ -12,8 +12,6 @@ cut the wire to 0, hold RESET drains and reach into the drain tail;
 hypothesis budgets follow ``REPRO_FUZZ_EXAMPLES``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,11 +193,21 @@ class TestIngressDrops:
         _assert_identical(sliced, scalar)
 
     @_SETTINGS
-    @given(seed=seeds, p=st.sampled_from([0.01, 0.2, 0.9]))
-    def test_drops_with_degradation(self, seed, p):
+    @given(seed=seeds, p=st.sampled_from([0.01, 0.2, 0.9]), horizon=st.integers(1, 3000))
+    def test_drops_with_degradation(self, seed, p, horizon):
         arrivals = _bursty(seed, 2000)
         plan = FaultPlan(
             [IngressDrop(p=p, fraction=0.5), LinkDegradation(300, 1400, 0.45)], seed=seed
+        )
+        _assert_identical(*_both(arrivals, plan))
+        # A window scaled to the horizon, from 1 to 3000 slots.
+        arrivals = _bursty(seed, horizon)
+        plan = FaultPlan(
+            [
+                LinkDegradation(horizon // 4, horizon // 2 + 1, 0.3),
+                IngressDrop(p=0.2, fraction=0.7),
+            ],
+            seed=seed,
         )
         _assert_identical(*_both(arrivals, plan))
 
@@ -224,30 +232,3 @@ class TestFaultedSlices:
         run_single_session(_policy(), _bursty(5, 3000))
         assert faulted_blocks
         assert all(np.ndim(effective) == 0 and dropped == 0.0 for _, effective, dropped in faulted_blocks)
-
-
-class TestSummary:
-    @_SETTINGS
-    @given(seed=seeds, horizon=st.integers(1, 3000))
-    def test_summary_totals_match_scalar(self, seed, horizon):
-        arrivals = _bursty(seed, horizon)
-        plan = FaultPlan(
-            [
-                LinkDegradation(horizon // 4, horizon // 2 + 1, 0.3),
-                IngressDrop(p=0.2, fraction=0.7),
-            ],
-            seed=seed,
-        )
-
-        def summary(**kwargs):
-            state = EngineState(_policy(), arrivals, collect="summary", faults=plan, **kwargs)
-            state.run()
-            return state.finalize()
-
-        sliced, scalar = summary(), summary(vector=False)
-        assert dataclasses.asdict(sliced) == dataclasses.asdict(scalar)
-        trace = run_single_session(_policy(), arrivals, faults=plan, vector=False)
-        assert sliced.slots == trace.slots
-        assert sliced.delay_histogram == trace.delay_histogram
-        if trace.dropped.any():
-            assert sliced.total_dropped > 0.0

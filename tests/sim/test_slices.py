@@ -10,8 +10,6 @@ edges, to slice the run arbitrarily through ``feed``/``step``, and to mix
 in fault plans; hypothesis budgets follow ``REPRO_FUZZ_EXAMPLES``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,22 +163,3 @@ class TestFaults:
             run_single_session(_policy(), arrivals, faults=plan),
             run_single_session(_policy(), arrivals, faults=plan, vector=False),
         )
-
-
-class TestSummary:
-    @_SETTINGS
-    @given(seed=seeds, horizon=st.integers(1, 3000))
-    def test_summary_matches_scalar(self, seed, horizon):
-        arrivals = _bursty(seed, horizon)
-
-        def summary(**kwargs):
-            state = EngineState(_policy(), arrivals, collect="summary", **kwargs)
-            state.run()
-            return state.finalize()
-
-        sliced, scalar = summary(), summary(vector=False)
-        assert dataclasses.asdict(sliced) == dataclasses.asdict(scalar)
-        trace = run_single_session(_policy(), arrivals, vector=False)
-        assert sliced.delay_histogram == trace.delay_histogram
-        assert sliced.max_backlog == trace.max_backlog
-        assert sliced.slots == trace.slots

@@ -3,18 +3,20 @@
 The incremental engine's contract is that *how* a run is advanced —
 one giant ``step``, thousands of tiny ones, arrivals fed in pieces —
 never changes the resulting trace.  These tests pin that invariance,
-the ``done``/``horizon`` bookkeeping, and the bounded-memory summary
-mode.
+the ``done``/``horizon`` bookkeeping, and that a trace finalized mid-run
+stays fixed while the engine runs on.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import run_single_session
-from repro.sim.vector import EngineState, SingleRunSummary
+from repro.sim.vector import EngineState, MultiEngineState
+from repro.verify.certificates import certify, raw_single_bounds
 from tests.strategies import FUZZ_EXAMPLES
 
 _SETTINGS = settings(max_examples=min(FUZZ_EXAMPLES, 50), deadline=None)
@@ -48,12 +50,12 @@ class TestStepChunking:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 10_000])
     def test_chunking_invariance(self, chunk):
-        arrivals = _stream()
-        reference = run_single_session(_policy(), arrivals)
-        state = EngineState(_policy(), arrivals)
-        while not state.done:
-            state.step(chunk)
-        _assert_identical(state.finalize(), reference)
+        for arrivals in (_stream(), _stream(seed=11), _stream(4000)):
+            reference = run_single_session(_policy(), arrivals)
+            state = EngineState(_policy(), arrivals)
+            while not state.done:
+                state.step(chunk)
+            _assert_identical(state.finalize(), reference)
 
     @_SETTINGS
     @given(st.lists(st.integers(min_value=1, max_value=500), min_size=1))
@@ -139,34 +141,27 @@ class TestFeedClose:
             state.run()
 
 
-class TestSummaryMode:
-    def test_summary_fields(self):
-        arrivals = _stream(seed=11)
-        reference = run_single_session(_policy(), arrivals)
-        state = EngineState(_policy(), arrivals, collect="summary")
-        state.run()
-        summary = state.finalize()
-        assert isinstance(summary, SingleRunSummary)
-        assert summary.slots == len(reference.allocation)
-        assert summary.horizon == reference.horizon
-        assert summary.total_delivered == pytest.approx(reference.total_delivered)
-        assert summary.max_allocation == reference.allocation.max()
-        assert summary.max_backlog == reference.backlog.max()
-        assert summary.change_count == len(reference.changes)
-        assert summary.stage_starts == reference.stage_starts
-        assert summary.resets == reference.resets
-        assert summary.max_delay == reference.max_delay
+class TestFinalizeSnapshot:
+    """A trace finalized mid-run does not change when the engine runs on."""
 
-    def test_collect_validated(self):
-        with pytest.raises(ConfigError, match="collect"):
-            EngineState(_policy(), [1.0], collect="everything")
-
-    def test_summary_memory_is_bounded(self):
-        # The collector keeps aggregates, not arrays: its attribute dict
-        # must not grow with the horizon.
-        state = EngineState(_policy(), _stream(4000), collect="summary")
+    def test_single_session(self):
+        arrivals = np.random.default_rng(0).uniform(0, 20, 4000)
+        state = EngineState(_policy(), arrivals)
+        state.step(2000)
+        partial = state.finalize()
+        histogram = dict(partial.delay_histogram)
+        bounds = raw_single_bounds(64, 8)
+        assert certify(partial, bounds).certified
         state.run()
-        collector = state.recorder
-        for name, value in vars(collector).items():
-            if name != "histogram":
-                assert not isinstance(value, (list, np.ndarray)), name
+        assert partial.delay_histogram == histogram
+        assert certify(partial, bounds).certified
+
+    def test_multi_session(self):
+        arrivals = np.random.default_rng(1).uniform(0, 6, (1200, 3))
+        policy = PhasedMultiSession(3, offline_bandwidth=16.0, offline_delay=8)
+        state = MultiEngineState(policy, arrivals)
+        state.step(600)
+        partial = state.finalize()
+        histograms = [dict(h) for h in partial.delay_histograms]
+        state.run()
+        assert partial.delay_histograms == histograms

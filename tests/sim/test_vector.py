@@ -21,10 +21,9 @@ from repro.core.maxminfair import MaxMinFairAllocator
 from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
-from repro.errors import ConfigError
 from repro.network.queue import EPSILON
 from repro.sim.engine import run_multi_session, run_single_session
-from repro.sim.vector import multi_vector_capable, run_batched, vector_capable
+from repro.sim.vector import multi_vector_capable, vector_capable
 from tests.strategies import FUZZ_EXAMPLES, arrival_streams
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -107,6 +106,8 @@ class TestVectorCapability:
     def test_vector_false_still_matches(self):
         arrivals = np.random.default_rng(5).poisson(6, 400).astype(float)
         _assert_three_way(arrivals)
+        for row in np.random.default_rng(37).uniform(0, 8, size=(3, 600)):
+            _assert_three_way(row)
 
 
 class TestSingleThreeWayIdentity:
@@ -114,6 +115,9 @@ class TestSingleThreeWayIdentity:
         rng = np.random.default_rng(11)
         arrivals = np.repeat(rng.uniform(1, 12, size=10), 500)
         _assert_three_way(arrivals)
+        levels = np.random.default_rng(31).uniform(1, 12, size=(6, 4))
+        for row in np.repeat(levels, 250, axis=1):
+            _assert_three_way(row)
 
     def test_bursty_poisson(self):
         arrivals = np.random.default_rng(2).poisson(6, 3000).astype(float)
@@ -281,36 +285,3 @@ class TestMultiExactTypeGate:
         TestMultiVector._assert_multi_identical(
             default, run_multi_session(policy(), arrivals, vector=False)
         )
-
-
-class TestBatched:
-    def test_batched_matches_per_session(self):
-        rng = np.random.default_rng(31)
-        matrix = np.repeat(rng.uniform(1, 12, size=(6, 4)), 250, axis=1)
-        batched = run_batched(_policy, matrix)
-        for row, trace in zip(matrix, batched):
-            _assert_single_identical(
-                trace, run_single_session(_policy(), row, vector=False)
-            )
-
-    def test_batched_validates_shape(self):
-        with pytest.raises(ConfigError, match="2-dimensional"):
-            run_batched(_policy, np.ones(10))
-
-    def test_batched_summary_mode(self):
-        rng = np.random.default_rng(37)
-        matrix = rng.uniform(0, 8, size=(3, 600))
-        summaries = run_batched(_policy, matrix, collect="summary")
-        traces = run_batched(_policy, matrix, collect="trace")
-        for summary, trace in zip(summaries, traces):
-            assert summary.slots == len(trace.allocation)
-            assert summary.horizon == trace.horizon
-            # Aggregates fold in bulk order, not slot order, so totals
-            # agree to rounding, not bit-for-bit.
-            assert summary.total_delivered == pytest.approx(trace.total_delivered)
-            assert summary.total_arrived == pytest.approx(trace.total_arrived)
-            assert set(summary.delay_histogram) == set(trace.delay_histogram)
-            for delay, bits in trace.delay_histogram.items():
-                assert summary.delay_histogram[delay] == pytest.approx(bits)
-            assert summary.max_backlog == trace.backlog.max()
-            assert summary.max_delay == trace.max_delay

@@ -181,6 +181,66 @@ class TestTamperedTracesFail:
         assert not report.certified
 
 
+class TestNonFiniteTracesFail:
+    """A NaN or inf compares false against every bound; conservation
+    fails the slot that holds it, and certify still returns a report."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["arrivals", "allocation", "delivered", "backlog", "dropped", "effective", "requested"],
+    )
+    def test_single(self, field, value):
+        stream, trace = _clean_trace()
+        getattr(trace, field)[70] = value
+        report = certify(trace, single_session_bounds(_OFFLINE), profile=stream.profile)
+        assert not report.certified
+        (check,) = [c for c in report.checks if c.name == "conservation"]
+        assert check.passed is False
+        assert 70 in [example.t for example in check.counterexamples]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "arrivals",
+            "regular_allocation",
+            "overflow_allocation",
+            "delivered",
+            "backlog",
+            "extra_allocation",
+            "requested_total",
+            "dropped",
+        ],
+    )
+    def test_multi(self, field, value):
+        arrivals = np.random.default_rng(3).poisson(2, size=(150, 2)).astype(float)
+        policy = PhasedMultiSession(2, offline_bandwidth=32.0, offline_delay=4)
+        trace = run_multi_session(policy, arrivals, max_drain_slots=100_000)
+        series = getattr(trace, field)
+        series[(20, 1) if series.ndim == 2 else 20] = value
+        report = certify(trace, phased_bounds(32.0, 4, 2, feasible=False))
+        assert not report.certified
+        assert _failed(report, "conservation")
+        (check,) = [c for c in report.checks if c.name == "conservation"]
+        assert 20 in [example.t for example in check.counterexamples]
+
+    def test_cli_rejects_a_nan_trace(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.sim.serialize import load_single_trace, save_single_trace
+
+        path = tmp_path / "t.npz"
+        simulate = ["simulate", "--policy", "fig3", "--traffic", "onoff", "--horizon", "2000"]
+        assert main(simulate + ["--save-trace", str(path)]) == 0
+        assert main(["verify", str(path), "--uncertified"]) == 0
+        trace = load_single_trace(path)
+        trace.backlog[700] = np.nan
+        save_single_trace(tmp_path / "bad.npz", trace)
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "bad.npz"), "--uncertified"]) != 0
+        assert "conservation" in capsys.readouterr().out
+
+
 class TestBoundFactories:
     def test_single_session_doubles_delay(self):
         bounds = single_session_bounds(_OFFLINE)

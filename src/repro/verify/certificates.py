@@ -63,6 +63,7 @@ pinpoints the slot where an invariant first broke.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -96,6 +97,9 @@ _MAX_EXAMPLES = 25
 #: Slots converted to Python floats at a time by the FIFO replay and the
 #: conservation check (bounds their transient lists).
 _REPLAY_BLOCK = 4096
+
+#: Python's float ``sum`` is Neumaier-compensated from 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,16 @@ def combined_bounds(
 # Independent re-derivations
 
 
+def _paired_series(first, second, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """Two per-slot series as float arrays, checked 1-D and of equal length."""
+    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    if first.ndim != 1 or first.shape != second.shape:
+        raise ConfigError(
+            f"{names} must be 1-D of equal length, got {first.shape}, {second.shape}"
+        )
+    return first, second
+
+
 def replay_fifo_delays(
     arrivals: np.ndarray, delivered: np.ndarray
 ) -> tuple[dict[int, float], float]:
@@ -260,28 +274,33 @@ def replay_fifo_delays(
     front each slot, stamping every removed chunk with its delay.  Returns
     ``(histogram, unserved_excess)`` where the excess is the total of
     delivered bits the replayed queue did not hold — any value above dust
-    means the trace's own conservation is broken.
+    means the trace's own conservation is broken.  A slot that finds the
+    queue empty and delivers its own arrivals keeps up: one take.
     """
-    if len(arrivals) != len(delivered):
-        raise ConfigError("arrivals and delivered must have equal length")
+    arrivals, delivered = _paired_series(arrivals, delivered, "arrivals and delivered")
     chunks: deque[list] = deque()  # [arrival_slot, bits]
+    push, pop = chunks.append, chunks.popleft
     histogram: dict[int, float] = {}
+    get = histogram.get
     excess = 0.0
-    for t in range(len(arrivals)):
-        bits_in = float(arrivals[t])
-        if bits_in > _DUST:
-            chunks.append([t, bits_in])
-        remaining = float(delivered[t])
-        while remaining > _DUST and chunks:
-            arrival, bits = chunks[0]
-            take = bits if bits <= remaining else remaining
-            delay = t - arrival
-            histogram[delay] = histogram.get(delay, 0.0) + take
-            remaining -= take
-            if take >= bits - _DUST:
-                chunks.popleft()
-            else:
-                chunks[0][1] = bits - take
+    pairs = zip(arrivals.tolist(), delivered.tolist())
+    for t, (bits_in, remaining) in enumerate(pairs):
+        if not chunks and _DUST < bits_in <= remaining:
+            histogram[0] = get(0, 0.0) + bits_in
+            remaining -= bits_in
+        else:
+            if bits_in > _DUST:
+                push([t, bits_in])
+            while remaining > _DUST and chunks:
+                arrival, bits = chunks[0]
+                take = bits if bits <= remaining else remaining
+                delay = t - arrival
+                histogram[delay] = get(delay, 0.0) + take
+                remaining -= take
+                if take >= bits - _DUST:
+                    pop()
+                else:
+                    chunks[0][1] = bits - take
         if remaining > _DUST:
             excess += remaining
     return histogram, excess
@@ -315,60 +334,70 @@ def replay_fifo_service(
     otherwise drained queue is cleared.  Given the bits a run enqueued
     and the effective bandwidth it served with, the replay therefore
     reproduces every delivery — and so every late one, for ``bound``.
+    A slot that finds the queue empty and serves its own arrivals keeps
+    up: one take at delay 0, ``served = 0.0 + bits``, the chunk loop's floats.
     """
-    kept = np.asarray(kept, dtype=float)
-    capacity = np.asarray(capacity, dtype=float)
-    if kept.shape != capacity.shape:
-        raise ConfigError("kept and capacity must have equal shape")
+    kept, capacity = _paired_series(kept, capacity, "kept and capacity")
     chunks: deque[list] = deque()  # [arrival_slot, bits]
+    push, pop = chunks.append, chunks.popleft
     size = 0.0
     histogram: dict[int, float] = {}
+    get = histogram.get
     late: list[tuple[int, int]] = []
+    limit = math.inf if bound is None else bound
     delivered = np.empty(len(kept))
     # Python floats in bounded blocks: fast scalar arithmetic without a
     # whole-trace list in memory.
     for start in range(0, len(kept), _REPLAY_BLOCK):
         stop = start + _REPLAY_BLOCK
         served_block = []
+        record = served_block.append
         pairs = zip(kept[start:stop].tolist(), capacity[start:stop].tolist())
         for t, (bits_in, remaining) in enumerate(pairs, start):
+            if not chunks and _DUST < bits_in <= remaining:  # keeps up
+                histogram[0] = get(0, 0.0) + bits_in
+                if limit < 0:
+                    late.append((t, 0))
+                record(bits_in)
+                continue
             if bits_in > _DUST:
-                chunks.append([t, bits_in])
+                push([t, bits_in])
                 size += bits_in
             served = 0.0
             while remaining > 0.0 and chunks:
                 arrival, bits = chunks[0]
                 take = bits if bits <= remaining else remaining
                 delay = t - arrival
-                histogram[delay] = histogram.get(delay, 0.0) + take
-                if bound is not None and delay > bound:
+                histogram[delay] = get(delay, 0.0) + take
+                if delay > limit:
                     late.append((t, delay))
                 served += take
                 remaining -= take
                 size -= take
                 if take >= bits - _DUST:
-                    chunks.popleft()
+                    pop()
                 else:
                     chunks[0][1] = bits - take
             if not chunks or size < _DUST:
                 size = 0.0
                 chunks.clear()
-            served_block.append(served)
+            record(served)
         delivered[start:stop] = served_block
     return FifoService(delivered, histogram, late)
 
 
 def lindley_backlog(arrivals: np.ndarray, capacities: np.ndarray) -> np.ndarray:
     """End-of-slot queue of a work-conserving server: the Lindley recursion."""
-    arrivals = np.asarray(arrivals, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    if arrivals.shape != capacities.shape:
-        raise ConfigError("arrivals and capacities must have equal shape")
+    arrivals, capacities = _paired_series(
+        arrivals, capacities, "arrivals and capacities"
+    )
     backlog = []
+    record = backlog.append
     q = 0.0
     for a, c in zip(arrivals.tolist(), capacities.tolist()):
-        q = max(0.0, q + a - c)
-        backlog.append(q)
+        v = q + a - c
+        q = v if v > 0.0 else 0.0  # max(0.0, v) for every float, NaN included
+        record(q)
     return np.asarray(backlog, dtype=float)
 
 
@@ -446,20 +475,11 @@ def min_existential_window_utilization(
             inputs, or non-finite values (``np.maximum`` propagates NaN,
             which would otherwise poison a slot's best value).
     """
-    arrivals = np.asarray(arrivals, dtype=float)
-    allocation = np.asarray(allocation, dtype=float)
     if max_window < 1:
         raise ConfigError(f"max_window must be >= 1, got {max_window!r}")
-    if arrivals.ndim != 1 or allocation.ndim != 1:
-        raise ConfigError(
-            f"arrivals and allocation must be 1-D, got shapes "
-            f"{arrivals.shape} and {allocation.shape}"
-        )
-    if len(arrivals) != len(allocation):
-        raise ConfigError(
-            f"arrivals and allocation must have equal length, got "
-            f"{len(arrivals)} and {len(allocation)}"
-        )
+    arrivals, allocation = _paired_series(
+        arrivals, allocation, "arrivals and allocation"
+    )
     if not (
         np.isfinite(np.cumsum(arrivals)).all()
         and np.isfinite(np.cumsum(allocation)).all()
@@ -526,13 +546,50 @@ def claim2_violations(margin: np.ndarray, queue: np.ndarray) -> np.ndarray:
     return np.flatnonzero(margin < -_EPS * np.maximum(1.0, queue))
 
 
+def _conserved_queue(kept: np.ndarray, delivered: np.ndarray) -> np.ndarray:
+    """The queue ``q(t) = q(t-1) + kept(t) - delivered(t)``, read as >= 0.
+
+    ``q`` may go below 0 by accumulated dust and is clamped at
+    ``-_DUST·(t+1)``.  Between clamps ``q`` is one ``np.add.accumulate``
+    over ``[q, kept(t), -delivered(t), ...]``: the loop's floats, added
+    left to right.  After a clamp the span restarts at one slot and doubles.
+    """
+    queue = np.empty(len(kept))
+    t, q, span = 0, 0.0, _REPLAY_BLOCK
+    while t < len(kept):
+        stop = min(t + span, len(kept))
+        steps = np.empty(2 * (stop - t) + 1)
+        steps[0], steps[1::2], steps[2::2] = q, kept[t:stop], -delivered[t:stop]
+        with np.errstate(invalid="ignore", over="ignore"):  # as Python floats do
+            run = np.add.accumulate(steps)[2::2]
+        floor = -_DUST * np.arange(t + 1, stop + 1)
+        clamped = np.flatnonzero(run < floor)
+        span = 1 if clamped.size else min(2 * span, _REPLAY_BLOCK)
+        if clamped.size:
+            stop = t + int(clamped[0]) + 1
+            run[stop - t - 1] = floor[stop - t - 1]
+        queue[t:stop] = run[: stop - t]
+        t, q = stop, float(queue[stop - 1])
+    return np.where(queue < 0.0, 0.0, queue)
+
+
 def session_sums(series: np.ndarray) -> np.ndarray:
     """Per-slot sum across sessions, in session order.
 
-    Python ``sum`` over each row, so a total equals what a per-slot loop
-    over the session links computes, bit for bit.
+    Python's ``sum`` over each row, one column at a time: ``0 + x_0 + x_1
+    + ...``, Neumaier-compensated as ``sum`` is from Python 3.12 on.  So a
+    total equals what a per-slot loop over the session links computes.
     """
-    return np.asarray([sum(row) for row in np.asarray(series).tolist()], dtype=float)
+    series = np.asarray(series, dtype=float)
+    totals = carry = np.zeros(len(series))
+    with np.errstate(invalid="ignore", over="ignore"):  # as Python floats do
+        for i, x in enumerate(series.T):
+            t = totals + x
+            if i and _COMPENSATED_SUM:
+                big = np.abs(totals) >= np.abs(x)
+                carry = carry + np.where(big, (totals - t) + x, (x - t) + totals)
+            totals = t
+        return np.where((carry != 0) & np.isfinite(carry), totals + carry, totals)
 
 
 def peak(series: np.ndarray) -> float:
@@ -590,24 +647,10 @@ def certify_single(
     dropped = np.asarray(trace.dropped, dtype=float)
     effective = np.asarray(trace.effective, dtype=float)
     requested = np.asarray(trace.requested, dtype=float)
-    slots = len(arrivals)
     kept = arrivals - dropped
 
     # -- conservation: re-derive the queue and compare -----------------------
-    derived = np.empty(slots)
-    q = 0.0
-    for start in range(0, slots, _REPLAY_BLOCK):
-        stop = start + _REPLAY_BLOCK
-        block = []
-        pairs = zip(kept[start:stop].tolist(), delivered[start:stop].tolist())
-        for t, (k, d) in enumerate(pairs, start):
-            q = q + k - d
-            if q < 0.0:
-                q = max(q, -_DUST * (t + 1))  # tolerate accumulated dust only
-                block.append(max(q, 0.0))
-            else:  # max(q, 0.0) is q itself
-                block.append(q)
-        derived[start:stop] = block
+    derived = _conserved_queue(kept, delivered)
     # A non-finite value compares false against every bound, so it would
     # pass each check below; conservation fails it at its slot instead.
     finite = _all_finite(
@@ -977,7 +1020,7 @@ def certify_multi(
     backlog = np.asarray(trace.backlog, dtype=float)
     extra = np.asarray(trace.extra_allocation, dtype=float)
     dropped = np.asarray(trace.dropped, dtype=float)
-    slots, k = arrivals.shape
+    k = arrivals.shape[1]
 
     # Ingress faults drop a uniform fraction per slot; attribute it back.
     offered_totals = arrivals.sum(axis=1)
@@ -993,18 +1036,18 @@ def certify_multi(
     requested = np.asarray(trace.requested_total, dtype=float)
     finite &= _all_finite(extra, dropped, requested)[:, None]
     bad_slots: list[tuple[int, int]] = []
+    columns = (finite, kept, delivered, backlog)
     for i in range(k):
         q = 0.0
-        session_finite = finite[:, i].tolist()
-        for t in range(slots):
-            if not session_finite[t]:
+        for t, (ok, a, d, b) in enumerate(zip(*(c[:, i].tolist() for c in columns))):
+            if not ok:
                 bad_slots.append((t, i))
                 continue
-            q = max(0.0, q + kept[t, i] - delivered[t, i])
-            gap = abs(q - backlog[t, i]) / max(1.0, abs(backlog[t, i]))
-            if gap > _EPS:
+            v = q + a - d
+            q = v if v > 0.0 else 0.0
+            if abs(q - b) / max(1.0, abs(b)) > _EPS:
                 bad_slots.append((t, i))
-                q = backlog[t, i]  # resynchronize so one slip reports once
+                q = b  # resynchronize so one slip reports once
     report.add(
         "conservation",
         "flow conservation",

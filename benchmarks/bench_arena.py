@@ -13,10 +13,8 @@ Not a paper artifact — this tracks the two arena-specific costs:
    is the scorecard byte-identity contract).
 
 Results land in the ``arena`` section of ``BENCH_PERF.json`` (merging
-with the sections owned by ``bench_parallel.py`` / ``bench_engine.py``)
-and are appended to ``PERF_HISTORY.jsonl`` with the ``arena`` label via
-:func:`repro.obs.history.record_from_engine_bench` — the row shape is
-engine-bench compatible on purpose.
+with the sections owned by ``bench_parallel.py`` / ``bench_engine.py``);
+the row shape is engine-bench compatible on purpose.
 
 Run directly (``python benchmarks/bench_arena.py --scale 1.0``) or let
 the CI arena-smoke job invoke it at a smaller scale.
@@ -39,12 +37,6 @@ from bench_parallel import PERF_SCHEMA  # noqa: E402
 from repro.arena import TournamentConfig, run_tournament, scorecard_json  # noqa: E402
 from repro.core.maxminfair import MaxMinFairAllocator  # noqa: E402
 from repro.core.prioritytier import PriorityTierAllocator  # noqa: E402
-from repro.obs.history import (  # noqa: E402
-    HistoryStore,
-    history_path,
-    record_from_engine_bench,
-)
-from repro.obs.manifest import git_revision  # noqa: E402
 from repro.runner import ContentCache  # noqa: E402
 from repro.sim.engine import run_multi_session  # noqa: E402
 from repro.sim.vector import multi_vector_capable  # noqa: E402
@@ -184,27 +176,11 @@ def run_bench(seed: int, scale: float, out: Path) -> dict:
     return arena
 
 
-def append_history(arena: dict) -> Path | None:
-    """Append the arena section to PERF_HISTORY.jsonl (None = disabled)."""
-    path = history_path()
-    if path is None:
-        return None
-    record = record_from_engine_bench(arena, label="arena", git_rev=git_revision())
-    store = HistoryStore(path)
-    store.append(record)
-    return store.path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--out", type=Path, default=Path("BENCH_PERF.json"))
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the PERF_HISTORY.jsonl append",
-    )
     args = parser.parse_args(argv)
 
     arena = run_bench(args.seed, args.scale, args.out)
@@ -218,10 +194,6 @@ def main(argv=None) -> int:
     if not arena["identical"]:
         print("FATAL: arena identity contract broke", file=sys.stderr)
         return 1
-    if not args.no_history:
-        path = append_history(arena)
-        if path is not None:
-            print(f"history appended to {path}")
     return 0
 
 

@@ -21,9 +21,7 @@ against the scalar fast loops it replaces, in slots/second:
 Every vectorized run must be **bit-identical** to its scalar twin (the
 engine's core guarantee — asserted per workload and recorded as
 ``engine.identical``).  Results land in the ``engine`` section of
-``BENCH_PERF.json`` (merging with ``bench_parallel.py``'s sections) and
-are appended to ``PERF_HISTORY.jsonl`` via the
-:func:`repro.obs.history.record_from_engine_bench` builder.
+``BENCH_PERF.json`` (merging with ``bench_parallel.py``'s sections).
 
 Run directly (``python benchmarks/bench_engine.py --scale 1.0``) or let
 CI invoke it at a smaller scale; ``validate()`` schema-checks the output.
@@ -33,8 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
 from pathlib import Path
@@ -46,12 +42,6 @@ from bench_parallel import PERF_SCHEMA, validate  # noqa: E402,F401
 
 from repro.core.phased import PhasedMultiSession  # noqa: E402
 from repro.core.single_session import SingleSessionOnline  # noqa: E402
-from repro.obs.history import (  # noqa: E402
-    HistoryStore,
-    history_path,
-    record_from_engine_bench,
-)
-from repro.obs.manifest import git_revision  # noqa: E402
 from repro.params import OfflineConstraints  # noqa: E402
 from repro.sim.engine import run_multi_session, run_single_session  # noqa: E402
 from repro.sim.vector import multi_vector_capable, vector_capable  # noqa: E402
@@ -246,32 +236,11 @@ def run_bench(seed: int, scale: float, out: Path) -> dict:
     return engine
 
 
-def append_history(engine: dict) -> Path | None:
-    """Append the engine section to PERF_HISTORY.jsonl (None = disabled)."""
-    path = history_path()
-    if path is None:
-        return None
-    record = record_from_engine_bench(engine, git_rev=git_revision())
-    record.meta["host"] = {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-    }
-    store = HistoryStore(path)
-    store.append(record)
-    return store.path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--out", type=Path, default=Path("BENCH_PERF.json"))
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the PERF_HISTORY.jsonl append",
-    )
     args = parser.parse_args(argv)
 
     engine = run_bench(args.seed, args.scale, args.out)
@@ -285,10 +254,6 @@ def main(argv=None) -> int:
     if not engine["identical"]:
         print("FATAL: vectorized trace diverged from scalar", file=sys.stderr)
         return 1
-    if not args.no_history:
-        appended = append_history(engine)
-        if appended is not None:
-            print(f"appended engine record to {appended}")
     print(f"wrote engine section to {args.out}")
     return 0
 

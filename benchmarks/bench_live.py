@@ -16,9 +16,7 @@ bound of 5% — exceeded means the observational plane has started taxing
 the runs it watches, and this script exits non-zero.
 
 Results land in the ``live`` section of ``BENCH_OBS.json`` (read-merge-
-write: the pytest-benchmark payload the conftest writes is preserved)
-and are appended to ``PERF_HISTORY.jsonl`` under the ``live`` label when
-``REPRO_HISTORY_FILE`` is set.
+write: the pytest-benchmark payload the conftest writes is preserved).
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from repro.core.single_session import SingleSessionOnline  # noqa: E402
 from repro.obs import Telemetry, telemetry_session  # noqa: E402
-from repro.obs.history import HistoryRecord, HistoryStore, history_path  # noqa: E402
 from repro.obs.live import LiveObservatory  # noqa: E402
-from repro.obs.manifest import config_hash, git_revision  # noqa: E402
 from repro.sim.vector import EngineState  # noqa: E402
 from repro.version import __version__  # noqa: E402
 
@@ -173,37 +169,11 @@ def merge_section(live: dict, out: Path) -> None:
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def append_history(live: dict) -> Path | None:
-    """Append a ``live`` record to PERF_HISTORY.jsonl (None = disabled)."""
-    path = history_path()
-    if path is None:
-        return None
-    record = HistoryRecord(
-        label="live",
-        values={
-            "live.base_slots_per_sec": live["base_slots_per_sec"],
-            "live.live_slots_per_sec": live["live_slots_per_sec"],
-            "live.overhead_pct": live["overhead_pct"],
-        },
-        git_rev=git_revision(),
-        config_hash=config_hash(live["config"]),
-        meta={"slots": live["slots"]},
-    )
-    store = HistoryStore(path)
-    store.append(record)
-    return store.path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--out", type=Path, default=Path("BENCH_OBS.json"))
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the PERF_HISTORY.jsonl append",
-    )
     args = parser.parse_args(argv)
 
     live = bench_live(args.seed, args.scale)
@@ -216,10 +186,6 @@ def main(argv=None) -> int:
     print(f"traces identical with observatory attached: {live['identical']}")
     merge_section(live, args.out)
     print(f"wrote live section to {args.out}")
-    if not args.no_history:
-        appended = append_history(live)
-        if appended is not None:
-            print(f"appended live record to {appended}")
     if not live["identical"]:
         print("FATAL: trace diverged with the observatory attached",
               file=sys.stderr)

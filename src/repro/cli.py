@@ -15,8 +15,6 @@ Subcommands:
   convert it for external viewers (see :mod:`repro.cli_trace`).
 * ``metrics`` — render a telemetry export's metrics snapshot as
   OpenMetrics/Prometheus text (see :mod:`repro.cli_metrics`).
-* ``bench`` — record/compare/show the continuous performance history
-  (see :mod:`repro.cli_bench`).
 * ``cache`` — inspect or clear the content-addressed workload/result
   cache (see :mod:`repro.cli_cache`).
 * ``verify`` — certify theorem bounds (Claim 2, Lemma 3, Corollary 4,
@@ -36,7 +34,6 @@ from contextlib import nullcontext
 
 from repro.cli_arena import add_arena_parser, run_arena
 from repro.cli_attack import add_attack_parser, run_attack
-from repro.cli_bench import add_bench_parser, run_bench
 from repro.cli_cache import add_cache_parser, run_cache
 from repro.cli_metrics import add_metrics_parser, run_metrics
 from repro.cli_report import add_report_parser, run_report
@@ -90,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_report_parser(sub)
     add_trace_parser(sub)
     add_metrics_parser(sub)
-    add_bench_parser(sub)
     add_cache_parser(sub)
     add_verify_parser(sub)
     add_attack_parser(sub)
@@ -113,8 +109,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_trace(args)
     if args.command == "metrics":
         return run_metrics(args)
-    if args.command == "bench":
-        return run_bench(args)
     if args.command == "cache":
         return run_cache(args)
     if args.command == "verify":

@@ -130,6 +130,10 @@ class MultiSessionPolicy(ABC):
     def total_backlog(self) -> float:
         return sum(s.backlog for s in self.sessions)
 
+    def session_backlogs(self) -> list[float]:
+        """Bits each session has queued, wherever the policy holds them."""
+        return [s.backlog for s in self.sessions]
+
     @property
     def local_change_count(self) -> int:
         """Per-session channel changes (the paper's "local changes")."""

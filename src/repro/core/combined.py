@@ -202,6 +202,10 @@ class CombinedMultiSession(MultiSessionPolicy):
         stolen = sum(q.size for q in self._global_queues)
         return inner + stolen
 
+    def session_backlogs(self) -> list[float]:
+        """A stolen bit stays in its session's backlog until it is served."""
+        return [s.backlog + q.size for s, q in zip(self.sessions, self._global_queues)]
+
     @property
     def global_change_count(self) -> int:
         """Moves of the global bandwidth estimate ``B_glob``."""

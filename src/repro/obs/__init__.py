@@ -25,17 +25,6 @@ from repro.obs.export import (
     render_openmetrics,
     spans_to_trace_events,
 )
-from repro.obs.history import (
-    Delta,
-    HistoryRecord,
-    HistoryStore,
-    compare_records,
-    detect_regressions,
-    history_path,
-    metric_direction,
-    record_from_bench_obs,
-    record_from_manifest,
-)
 from repro.obs.live import (
     LiveObservatory,
     TelemetryServer,
@@ -93,11 +82,8 @@ __all__ = [
     "CollectingProgress",
     "Counter",
     "DISABLED",
-    "Delta",
     "Gauge",
     "Histogram",
-    "HistoryRecord",
-    "HistoryStore",
     "JsonlProgress",
     "LiveObservatory",
     "MetricsRegistry",
@@ -119,27 +105,21 @@ __all__ = [
     "bucket_percentile",
     "build_manifest",
     "collapse_spans",
-    "compare_records",
     "config_hash",
     "count",
-    "detect_regressions",
     "export_flamegraph",
     "export_perfetto_json",
     "export_run",
     "export_spans_jsonl",
     "get_telemetry",
     "git_revision",
-    "history_path",
     "load_manifest",
     "load_spans_jsonl",
-    "metric_direction",
     "observe",
     "openmetrics_name",
     "parse_openmetrics",
     "parse_serve",
     "progress_sink",
-    "record_from_bench_obs",
-    "record_from_manifest",
     "render_openmetrics",
     "serve_session",
     "set_telemetry",

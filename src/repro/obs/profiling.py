@@ -9,8 +9,7 @@ A :class:`ProfileTimer` wraps one run loop::
 
 On exit it appends a :class:`ProfileRecord` (name, seconds, slots,
 slots/sec) to the owning telemetry's profile list; manifests and
-``BENCH_OBS.json`` serialize these records, which is how the repo's perf
-trajectory is seeded.  When telemetry is off :data:`NULL_TIMER` is used
+``BENCH_OBS.json`` serialize these records.  When telemetry is off :data:`NULL_TIMER` is used
 instead — entering/exiting it does nothing, so the run loop pays two
 no-op calls per *run*, not per slot.
 """
@@ -37,8 +36,7 @@ class ProfileRecord:
         Zero-slot runs (an empty arrival stream), zero-duration timings
         (a clock too coarse to see the section), and non-finite inputs
         all report 0.0 rather than dividing blind — a throughput of 0 is
-        the documented "nothing measurable" value downstream consumers
-        (exporters, the regression detector) rely on.
+        the documented "nothing measurable" value the exporters rely on.
         """
         if self.slots <= 0 or self.seconds <= 0.0:
             return 0.0

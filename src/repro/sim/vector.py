@@ -727,7 +727,7 @@ class MultiEngineState:
                     else 0.0
                 )
                 _require_finite((*regular, *overflow, extra), t)
-                backlogs = [s.backlog for s in sessions]
+                backlogs = policy.session_backlogs()
                 record(
                     t,
                     offered,

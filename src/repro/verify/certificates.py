@@ -12,9 +12,9 @@ then certifies each of the paper's theorem bounds:
 check          bound
 =============  ========================================================
 conservation   ``q(t) = q(t-1) + kept(t) - delivered(t)`` matches the
-               recorded backlog; nothing is served beyond the effective
-               bandwidth; every per-slot value is finite (accounting
-               honesty, not a theorem)
+               recorded backlog; nothing is served beyond the queue or
+               the effective bandwidth; every per-slot value is finite
+               (accounting honesty, not a theorem)
 claim2         Claim 2: ``B_on >= q / D_A`` after arrivals, before serve
 lemma3         Lemma 3 / 11 / 15: every bit delivered within ``D_A``
 delay-replay   the recorded deliveries and delay histogram match an
@@ -546,15 +546,20 @@ def claim2_violations(margin: np.ndarray, queue: np.ndarray) -> np.ndarray:
     return np.flatnonzero(margin < -_EPS * np.maximum(1.0, queue))
 
 
-def _conserved_queue(kept: np.ndarray, delivered: np.ndarray) -> np.ndarray:
-    """The queue ``q(t) = q(t-1) + kept(t) - delivered(t)``, read as >= 0.
+def _conserved_queue(
+    kept: np.ndarray, delivered: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The queue ``q(t) = q(t-1) + kept(t) - delivered(t)``, read as >= 0,
+    and the mask of slots that clamped it.
 
     ``q`` may go below 0 by accumulated dust and is clamped at
-    ``-_DUST·(t+1)``.  Between clamps ``q`` is one ``np.add.accumulate``
-    over ``[q, kept(t), -delivered(t), ...]``: the loop's floats, added
-    left to right.  After a clamp the span restarts at one slot and doubles.
+    ``-_DUST·(t+1)``; a slot that clamps delivered bits the queue never
+    held.  Between clamps ``q`` is one ``np.add.accumulate`` over
+    ``[q, kept(t), -delivered(t), ...]``: the loop's floats, added left to
+    right.  After a clamp the span restarts at one slot and doubles.
     """
     queue = np.empty(len(kept))
+    clamps = np.zeros(len(kept), dtype=bool)
     t, q, span = 0, 0.0, _REPLAY_BLOCK
     while t < len(kept):
         stop = min(t + span, len(kept))
@@ -568,9 +573,10 @@ def _conserved_queue(kept: np.ndarray, delivered: np.ndarray) -> np.ndarray:
         if clamped.size:
             stop = t + int(clamped[0]) + 1
             run[stop - t - 1] = floor[stop - t - 1]
+            clamps[stop - 1] = True
         queue[t:stop] = run[: stop - t]
         t, q = stop, float(queue[stop - 1])
-    return np.where(queue < 0.0, 0.0, queue)
+    return np.where(queue < 0.0, 0.0, queue), clamps
 
 
 def session_sums(series: np.ndarray) -> np.ndarray:
@@ -650,7 +656,7 @@ def certify_single(
     kept = arrivals - dropped
 
     # -- conservation: re-derive the queue and compare -----------------------
-    derived = _conserved_queue(kept, delivered)
+    derived, overdrawn = _conserved_queue(kept, delivered)
     # A non-finite value compares false against every bound, so it would
     # pass each check below; conservation fails it at its slot instead.
     finite = _all_finite(
@@ -661,7 +667,9 @@ def certify_single(
         mismatch = np.where(finite, np.abs(derived - backlog) / scale, np.inf)
         over_effective = delivered - effective
     bad = np.flatnonzero(
-        (mismatch > _EPS) | (over_effective > _EPS * np.maximum(1.0, effective))
+        overdrawn
+        | (mismatch > _EPS)
+        | (over_effective > _EPS * np.maximum(1.0, effective))
     )
     report.add(
         "conservation",
@@ -676,7 +684,9 @@ def certify_single(
             bad,
             lambda t: Counterexample(
                 t,
-                "derived queue diverges from recorded backlog",
+                "delivered more than the queue held"
+                if overdrawn[t]
+                else "derived queue diverges from recorded backlog",
                 {
                     "derived": float(derived[t]),
                     "recorded": float(backlog[t]),
@@ -1023,12 +1033,12 @@ def certify_multi(
     k = arrivals.shape[1]
 
     # Ingress faults drop a uniform fraction per slot; attribute it back.
-    offered_totals = arrivals.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        offered_totals = arrivals.sum(axis=1)
         keep = np.where(
             offered_totals > _DUST, 1.0 - dropped / np.maximum(offered_totals, _DUST), 1.0
         )
-    kept = arrivals * keep[:, None]
+        kept = arrivals * keep[:, None]
 
     # -- conservation per session --------------------------------------------
     # Non-finite values fail here, as in certify_single.
@@ -1045,7 +1055,8 @@ def certify_multi(
                 continue
             v = q + a - d
             q = v if v > 0.0 else 0.0
-            if abs(q - b) / max(1.0, abs(b)) > _EPS:
+            # Below the dust floor, the session served bits it never held.
+            if v < -_DUST * (t + 1) or abs(q - b) / max(1.0, abs(b)) > _EPS:
                 bad_slots.append((t, i))
                 q = b  # resynchronize so one slip reports once
     report.add(

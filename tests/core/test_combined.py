@@ -169,3 +169,25 @@ class TestSection4Guarantees:
         trace = run_multi_session(policy, arrivals)
         assert trace.total_delivered == pytest.approx(trace.total_arrived)
         assert len(policy.resets) >= 1
+
+    def test_stolen_bits_stay_in_session_backlogs(self):
+        """Bits a GLOBAL RESET moves to the global overflow queue are still
+        queued: the trace's per-session backlog counts them until served."""
+        policy = make_policy()
+        arrivals = np.zeros((200, K))
+        arrivals[:60] = 0.5
+        arrivals[60:63] = 2 * B_O * D_O / K  # more than 2·B_O per slot
+        trace = run_multi_session(policy, arrivals)
+        assert policy.resets[:2] == [60, 61]
+        kept = np.cumsum(arrivals, axis=0) - np.cumsum(trace.delivered, axis=0)
+        np.testing.assert_allclose(trace.backlog, kept, atol=1e-9)
+        bounds = TheoremBounds(
+            variant="combined",
+            offline_bandwidth=B_O,
+            offline_delay=D_O,
+            online_delay=2 * D_O + D_O,
+            max_bandwidth=7.0 * B_O,
+            assume_feasible=False,
+        )
+        (check,) = [c for c in certify_multi(trace, bounds).checks if c.name == "conservation"]
+        assert check.passed, check.detail

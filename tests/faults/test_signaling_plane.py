@@ -242,7 +242,7 @@ def _reference_multi(policy, arrivals, plan, retry, out_links):
             [s.channels.regular_link.bandwidth for s in sessions],
             [s.channels.overflow_link.bandwidth for s in sessions],
             results,
-            [s.backlog for s in sessions],
+            policy.session_backlogs(),
             extra,
             requested_total=policy.total_requested,
             dropped=fault_dropped,

@@ -1,9 +1,9 @@
 """Regression pins for degenerate profiling inputs.
 
 ``ProfileRecord.slots_per_sec`` is a documented "0.0 means nothing
-measurable" signal consumed by the exporters and the perf-history
-detector, so the zero-slot / zero-duration / garbage-slots cases are
-pinned here rather than left to the guard's good intentions.
+measurable" signal consumed by the exporters, so the zero-slot /
+zero-duration / garbage-slots cases are pinned here rather than left to
+the guard's good intentions.
 """
 
 import math

@@ -337,24 +337,3 @@ class TestBatchProgress:
         assert events[0]["kind"] == "start"
         assert events[-1]["kind"] == "done"
         assert events[-1]["completed"] == events[-1]["total"] > 0
-
-    def test_report_cli_history_flag_appends(self, tmp_path, capsys):
-        from repro.obs.history import HistoryStore
-
-        hist = tmp_path / "hist.jsonl"
-        out = tmp_path / "report.md"
-        assert (
-            main(
-                [
-                    "report", "--seed", "3", "--scale", str(SCALE),
-                    "--jobs", "2", "--history", str(hist),
-                    "--out", str(out),
-                ]
-            )
-            == 0
-        )
-        assert "appended perf-history record" in capsys.readouterr().out
-        records = HistoryStore(hist).load(label="report")
-        assert len(records) == 1
-        assert records[0].values["report.seconds"] > 0
-        assert records[0].values["report.experiments"] > 0

@@ -4,10 +4,13 @@
 --seed 0`` at full scale and at scale 0.3.  ``EXPERIMENTS.md`` must be the
 full-scale report and every report run recorded in ``BENCH_PERF.json``
 the scale-0.3 one, so neither artifact can silently go stale.
+``PERF_HISTORY.jsonl`` is appended by hand, so its record format is
+checked line by line (docs/PERFORMANCE.md).
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +37,22 @@ def test_bench_perf_report_runs_are_the_pinned_report():
             f"BENCH_PERF.json run {run['name']} is stale: regenerate with "
             "`python benchmarks/bench_parallel.py --seed 0 --scale 0.3`"
         )
+
+
+def test_perf_history_lines_are_records():
+    lines = (ROOT / "PERF_HISTORY.jsonl").read_text().splitlines()
+    assert lines
+    for n, line in enumerate(lines, 1):
+        record = json.loads(line)
+        assert isinstance(record, dict), f"line {n} is not an object"
+        assert isinstance(record["label"], str), f"line {n}: label"
+        values = record["values"]
+        assert isinstance(values, dict) and values, f"line {n}: values"
+        for name, value in values.items():
+            assert type(value) in (int, float) and math.isfinite(value), (
+                f"line {n}: {name} = {value!r} is not a finite number"
+            )
+        assert record["git_rev"] is None or isinstance(record["git_rev"], str)
+        assert isinstance(record["config_hash"], str), f"line {n}: config_hash"
+        assert type(record["created_unix"]) in (int, float), f"line {n}"
+        assert isinstance(record["meta"], dict), f"line {n}: meta"

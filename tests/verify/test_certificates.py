@@ -6,6 +6,7 @@ assert that exactly the right check catches it.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,18 @@ def _clean_trace(seed=0, horizon=400):
     policy = SingleSessionOnline(32.0, 4, 0.25, 8)
     trace = run_single_session(policy, stream.arrivals, max_drain_slots=100_000)
     return stream, trace
+
+
+def _clean_multi_trace():
+    arrivals = np.random.default_rng(3).poisson(2, size=(150, 2)).astype(float)
+    policy = PhasedMultiSession(2, offline_bandwidth=32.0, offline_delay=4)
+    return run_multi_session(policy, arrivals, max_drain_slots=100_000)
+
+
+def _idle(arrivals, delivered, backlog):
+    """Slots (or slot, session cells) that start and end with no queue."""
+    before = np.concatenate([np.zeros_like(backlog[:1]), backlog[:-1]])
+    return (arrivals == 0) & (delivered == 0) & (backlog == 0) & (before == 0)
 
 
 class TestCheckerIndependence:
@@ -172,13 +185,40 @@ class TestTamperedTracesFail:
         assert _failed(report, "corollary4")
 
     def test_multi_tamper_detected(self):
-        rng = np.random.default_rng(3)
-        arrivals = rng.poisson(2, size=(150, 2)).astype(float)
-        policy = PhasedMultiSession(2, offline_bandwidth=32.0, offline_delay=4)
-        trace = run_multi_session(policy, arrivals, max_drain_slots=100_000)
+        trace = _clean_multi_trace()
         trace.delivered[20, 0] += 4.0
         report = certify_multi(trace, phased_bounds(32.0, 4, 2, feasible=False))
         assert not report.certified
+
+    @pytest.mark.parametrize("bits", ["one-bit", "dust-every-idle-slot"])
+    def test_phantom_delivery_from_empty_queue_breaks_conservation(self, bits):
+        stream, trace = _clean_trace()
+        idle = _idle(trace.arrivals, trace.delivered, trace.backlog)
+        if bits == "one-bit":
+            assert idle[4]
+            trace.delivered[4] += 1.0
+        else:
+            trace.delivered[idle] += 5e-7
+        report = certify_single(
+            trace, single_session_bounds(_OFFLINE), profile=stream.profile
+        )
+        assert _failed(report, "conservation")
+        (check,) = [c for c in report.checks if c.name == "conservation"]
+        first = check.counterexamples[0]
+        assert first.t == int(np.argmax(idle))
+        assert first.detail == "delivered more than the queue held"
+
+    @pytest.mark.parametrize("bits", ["one-bit", "dust-every-idle-slot"])
+    def test_multi_phantom_delivery_breaks_conservation(self, bits):
+        trace = _clean_multi_trace()
+        idle = _idle(trace.arrivals, trace.delivered, trace.backlog)
+        if bits == "one-bit":
+            assert idle[4, 0]
+            trace.delivered[4, 0] += 1.0
+        else:
+            trace.delivered[idle] += 5e-7
+        report = certify_multi(trace, phased_bounds(32.0, 4, 2, feasible=False))
+        assert _failed(report, "conservation")
 
 
 class TestNonFiniteTracesFail:
@@ -214,9 +254,7 @@ class TestNonFiniteTracesFail:
         ],
     )
     def test_multi(self, field, value):
-        arrivals = np.random.default_rng(3).poisson(2, size=(150, 2)).astype(float)
-        policy = PhasedMultiSession(2, offline_bandwidth=32.0, offline_delay=4)
-        trace = run_multi_session(policy, arrivals, max_drain_slots=100_000)
+        trace = _clean_multi_trace()
         series = getattr(trace, field)
         series[(20, 1) if series.ndim == 2 else 20] = value
         report = certify(trace, phased_bounds(32.0, 4, 2, feasible=False))
@@ -224,6 +262,14 @@ class TestNonFiniteTracesFail:
         assert _failed(report, "conservation")
         (check,) = [c for c in report.checks if c.name == "conservation"]
         assert 20 in [example.t for example in check.counterexamples]
+
+    def test_multi_opposite_infinities_fail_without_warnings(self):
+        trace = _clean_multi_trace()
+        trace.arrivals[20] = [np.inf, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify(trace, phased_bounds(32.0, 4, 2, feasible=False))
+        assert _failed(report, "conservation")
 
     def test_cli_rejects_a_nan_trace(self, tmp_path, capsys):
         from repro.cli import main

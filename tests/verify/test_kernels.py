@@ -79,6 +79,17 @@ def _conservation_oracle(kept, delivered):
     return derived
 
 
+def _clamp_oracle(kept, delivered):
+    """Slots whose queue, before the clamp, is below the dust floor."""
+    clamps, q = [], 0.0
+    for t, (k, d) in enumerate(zip(kept.tolist(), delivered.tolist())):
+        q = q + k - d
+        if q < -_DUST * (t + 1):
+            clamps.append(t)
+            q = -_DUST * (t + 1)
+    return clamps
+
+
 def _lindley_oracle(arrivals, capacities):
     arrivals = np.asarray(arrivals, dtype=float)
     capacities = np.asarray(capacities, dtype=float)
@@ -163,9 +174,10 @@ def _multi_conservation_oracle(kept, delivered, backlog, finite):
             if not session_finite[t]:
                 bad_slots.append((t, i))
                 continue
-            q = max(0.0, q + kept[t, i] - delivered[t, i])
+            v = q + kept[t, i] - delivered[t, i]
+            q = max(0.0, v)
             gap = abs(q - backlog[t, i]) / max(1.0, abs(backlog[t, i]))
-            if gap > _EPS:
+            if v < -_DUST * (t + 1) or gap > _EPS:
                 bad_slots.append((t, i))
                 q = backlog[t, i]  # resynchronize so one slip reports once
     return bad_slots
@@ -234,12 +246,17 @@ def queue_pairs(draw, max_slots: int = 300):
 # Single-series kernels
 
 
+def _check_conservation(kept, delivered):
+    queue, clamps = _conserved_queue(kept, delivered)
+    _same(queue, _conservation_oracle(kept, delivered))
+    assert np.flatnonzero(clamps).tolist() == _clamp_oracle(kept, delivered)
+
+
 class TestConservation:
     @_SETTINGS
     @given(series_pairs())
     def test_matches_oracle_on_edge_values(self, pair):
-        kept, delivered = pair
-        _same(_conserved_queue(kept, delivered), _conservation_oracle(kept, delivered))
+        _check_conservation(*pair)
 
     @_SETTINGS
     @given(queue_pairs())
@@ -247,9 +264,10 @@ class TestConservation:
         kept, capacity = pair
         delivered, _, _ = _fifo_service_oracle(kept, capacity)
         # An honest trace, then one that over-delivers at random slots.
-        _same(_conserved_queue(kept, delivered), _conservation_oracle(kept, delivered))
+        _check_conservation(kept, delivered)
+        assert not _conserved_queue(kept, delivered)[1].any()
         tampered = delivered + np.where(np.arange(len(kept)) % 7 == 3, 1e-9, 0.0)
-        _same(_conserved_queue(kept, tampered), _conservation_oracle(kept, tampered))
+        _check_conservation(kept, tampered)
 
     def test_clamps_across_block_boundaries(self):
         slots = 3 * _REPLAY_BLOCK + 17
@@ -260,10 +278,11 @@ class TestConservation:
         for t in (0, block - 1, block, 2 * block + 3, slots - 1):
             delivered[t] += 1.0  # each one clamps q at the dust floor
         delivered[100:140] += 3e-9  # a run of clamps, one per slot
-        _same(_conserved_queue(kept, delivered), _conservation_oracle(kept, delivered))
+        _check_conservation(kept, delivered)
 
     def test_empty(self):
-        assert _conserved_queue(np.array([]), np.array([])).shape == (0,)
+        queue, clamps = _conserved_queue(np.array([]), np.array([]))
+        assert queue.shape == clamps.shape == (0,)
 
 
 class TestLindley:
@@ -624,11 +643,11 @@ def test_dust_floor_every_slot_fails_in_linear_work(monkeypatch, slots):
     trace = _floor_trace(slots)
     report = certify_single(trace, raw_single_bounds(64.0, 8))
     assert not report.certified
+    (check,) = [c for c in report.checks if c.name == "conservation"]
+    assert check.passed is False
+    assert check.detail == f"{slots} slots break conservation"
     # Every slot clamps, so after the first span the accumulate restarts
     # at each slot with 3 elements.
     assert add.elements <= 2 * _REPLAY_BLOCK + 1 + 3 * slots
     monkeypatch.undo()
-    _same(
-        _conserved_queue(trace.arrivals, trace.delivered),
-        _conservation_oracle(trace.arrivals, trace.delivered),
-    )
+    _check_conservation(trace.arrivals, trace.delivered)

@@ -45,10 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.feasibility import (
-    check_multi_against_profiles,
-    check_stream_against_profile,
-)
+from repro.analysis.feasibility import check_multi_against_profiles, profile_serves
 from repro.errors import ConfigError, FeasibilityError
 from repro.params import OfflineConstraints
 from repro.traffic.adversary import doubling_stream, sawtooth_stream
@@ -143,7 +140,7 @@ def constant_witness(
     arrivals = np.asarray(arrivals, dtype=float)
     for level in default_levels(offline.bandwidth):
         profile = np.full(len(arrivals), level)
-        if check_stream_against_profile(arrivals, profile, offline).feasible:
+        if profile_serves(arrivals, profile, offline):
             return profile
     return None
 
@@ -156,7 +153,7 @@ def _certified(
     params: dict,
 ) -> AttackCandidate | None:
     """Wrap a construction iff its witness actually certifies it."""
-    if check_stream_against_profile(arrivals, profile, offline).feasible:
+    if profile_serves(arrivals, profile, offline):
         return AttackCandidate(
             arrivals=arrivals, profile=profile, family=family, params=params
         )

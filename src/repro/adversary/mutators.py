@@ -30,10 +30,7 @@ from repro.adversary.generators import (
     sawtooth_attack,
     threshold_oscillator_attack,
 )
-from repro.analysis.feasibility import (
-    check_multi_against_profiles,
-    check_stream_against_profile,
-)
+from repro.analysis.feasibility import check_multi_against_profiles, profile_serves
 from repro.errors import ConfigError, ReproError
 from repro.params import OfflineConstraints
 
@@ -245,9 +242,7 @@ def mutate_single(
         arrivals, profile, op = _splice_arrays(
             candidate.arrivals, candidate.profile, rng, burst
         )
-        if profile is None or check_stream_against_profile(
-            arrivals, profile, offline
-        ).feasible:
+        if profile is None or profile_serves(arrivals, profile, offline):
             return AttackCandidate(
                 arrivals=arrivals,
                 profile=profile,

@@ -7,6 +7,7 @@ from repro.analysis.feasibility import (
     check_stream_against_profile,
     constant_bandwidth_needed,
     is_delay_feasible,
+    profile_serves,
     simulate_fifo_delay,
     window_utilizations,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "global_utilization",
     "is_delay_feasible",
     "min_fixed_window_utilization",
+    "profile_serves",
     "render_ascii_series",
     "render_markdown_table",
     "render_table",

@@ -75,6 +75,42 @@ def window_utilizations(
     return ratios
 
 
+def _peak_bandwidth(
+    profile: np.ndarray, offline: OfflineConstraints
+) -> tuple[float, bool]:
+    """The profile's peak level, and whether it stays within ``B_O``."""
+    max_bw = float(profile.max(initial=0.0))
+    return max_bw, not max_bw > offline.bandwidth * (1 + _EPS)
+
+
+def _drained_delay(
+    arrivals: np.ndarray, profile: np.ndarray, offline: OfflineConstraints
+) -> tuple[int, float, bool]:
+    """FIFO replay with ``D_O`` drain slots at the profile's final level:
+    ``(max_delay, leftover, meets D_O and drains)``."""
+    tail = np.full(offline.delay, profile[-1] if len(profile) else 0.0)
+    padded_arrivals = np.concatenate([arrivals, np.zeros(offline.delay)])
+    padded_profile = np.concatenate([profile, tail])
+    max_delay, leftover = simulate_fifo_delay(padded_arrivals, padded_profile)
+    return max_delay, leftover, not (leftover > _EPS or max_delay > offline.delay)
+
+
+def _min_window_utilization(
+    arrivals: np.ndarray, profile: np.ndarray, offline: OfflineConstraints
+) -> tuple[float, bool]:
+    """The least full-window utilization (inf when no window has bandwidth
+    or the scenario has no utilization constraint), and whether it meets
+    ``U_O``."""
+    if offline.utilization is None or offline.window is None:
+        return float("inf"), True
+    if len(arrivals) != len(profile):
+        raise ConfigError("arrivals and capacities must have equal length")
+    ratios = window_utilizations(arrivals, profile, offline.window)
+    finite = ratios[~np.isnan(ratios)]
+    min_util = float(finite.min()) if finite.size else float("inf")
+    return min_util, not min_util < offline.utilization * (1 - _EPS)
+
+
 def check_stream_against_profile(
     arrivals: np.ndarray,
     profile: np.ndarray,
@@ -85,12 +121,14 @@ def check_stream_against_profile(
     Checks (i) the profile respects ``B_O``; (ii) FIFO service under the
     profile meets the delay bound ``D_O`` and drains; (iii) every full
     ``W``-window of the profile achieves utilization ``>= U_O`` (skipped
-    when the scenario has no utilization constraint).
+    when the scenario has no utilization constraint).  The report
+    describes the first check that fails; :func:`profile_serves` gives the
+    same verdict faster.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     profile = np.asarray(profile, dtype=float)
-    max_bw = float(profile.max(initial=0.0))
-    if max_bw > offline.bandwidth * (1 + _EPS):
+    max_bw, capped = _peak_bandwidth(profile, offline)
+    if not capped:
         return FeasibilityReport(
             feasible=False,
             max_delay=-1,
@@ -98,12 +136,8 @@ def check_stream_against_profile(
             max_bandwidth_used=max_bw,
             detail=f"profile exceeds B_O: {max_bw:.6f} > {offline.bandwidth:.6f}",
         )
-    # Delay: append D_O drain slots at the profile's final level.
-    tail = np.full(offline.delay, profile[-1] if len(profile) else 0.0)
-    padded_arrivals = np.concatenate([arrivals, np.zeros(offline.delay)])
-    padded_profile = np.concatenate([profile, tail])
-    max_delay, leftover = simulate_fifo_delay(padded_arrivals, padded_profile)
-    if leftover > _EPS or max_delay > offline.delay:
+    max_delay, leftover, timely = _drained_delay(arrivals, profile, offline)
+    if not timely:
         return FeasibilityReport(
             feasible=False,
             max_delay=max_delay,
@@ -112,26 +146,41 @@ def check_stream_against_profile(
             detail=f"delay {max_delay} > D_O={offline.delay} "
             f"(leftover {leftover:.6f})",
         )
-    min_util = float("inf")
-    if offline.utilization is not None and offline.window is not None:
-        ratios = window_utilizations(arrivals, profile, offline.window)
-        finite = ratios[~np.isnan(ratios)]
-        if finite.size:
-            min_util = float(finite.min())
-        if min_util < offline.utilization * (1 - _EPS):
-            return FeasibilityReport(
-                feasible=False,
-                max_delay=max_delay,
-                min_window_utilization=min_util,
-                max_bandwidth_used=max_bw,
-                detail=f"window utilization {min_util:.6f} < "
-                f"U_O={offline.utilization:.6f}",
-            )
+    min_util, utilized = _min_window_utilization(arrivals, profile, offline)
+    if not utilized:
+        return FeasibilityReport(
+            feasible=False,
+            max_delay=max_delay,
+            min_window_utilization=min_util,
+            max_bandwidth_used=max_bw,
+            detail=f"window utilization {min_util:.6f} < "
+            f"U_O={offline.utilization:.6f}",
+        )
     return FeasibilityReport(
         feasible=True,
         max_delay=max_delay,
         min_window_utilization=min_util,
         max_bandwidth_used=max_bw,
+    )
+
+
+def profile_serves(
+    arrivals: np.ndarray,
+    profile: np.ndarray,
+    offline: OfflineConstraints,
+) -> bool:
+    """``check_stream_against_profile(...).feasible``, cheapest check first.
+
+    The ``B_O`` cap and the window utilizations are a few vector passes;
+    the FIFO replay walks the queue slot by slot, so it runs only for a
+    profile that passes both.
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    profile = np.asarray(profile, dtype=float)
+    return (
+        _peak_bandwidth(profile, offline)[1]
+        and _min_window_utilization(arrivals, profile, offline)[1]
+        and _drained_delay(arrivals, profile, offline)[2]
     )
 
 

@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from repro.analysis.feasibility import check_stream_against_profile
+from repro.analysis.feasibility import profile_serves
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 
@@ -74,8 +74,7 @@ def min_changes_bruteforce(
         raise ConfigError("empty level grid")
     for changes in range(0, max_changes + 1):
         for schedule in iter_schedules(horizon, levels, changes):
-            report = check_stream_against_profile(arrivals, schedule, offline)
-            if report.feasible:
+            if profile_serves(arrivals, schedule, offline):
                 return changes
     return None
 

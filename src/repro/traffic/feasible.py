@@ -16,10 +16,13 @@ with delay ``<= D_O`` and local utilization ``>= U_O``:
 The stream therefore satisfies footnote 1's feasibility assumption by
 construction, and ``profile`` is a feasible offline schedule: OPT's change
 count is at most the profile's.  Generated streams are re-verified with
-:mod:`repro.analysis.feasibility`; on the rare marginal failure the
-generator retries with less time-shifting (a zero shift is always
-feasible) and raises :class:`~repro.errors.FeasibilityError` only if even
-that fails (which would indicate a bug).
+:func:`repro.analysis.feasibility.profile_serves`, which tries the
+vectorized checks first: a candidate whose ``W``-windows fall short of
+``U_O`` (the usual failure) is rejected before the slot-by-slot FIFO
+replay runs.  On a failure the generator retries with less time-shifting
+(a zero shift is always feasible) and raises
+:class:`~repro.errors.FeasibilityError` only if even that fails (which
+would indicate a bug).
 """
 
 from __future__ import annotations
@@ -125,25 +128,48 @@ def _release_early(
     mode: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Turn a served-bits schedule into arrivals released <= max_shift early."""
+    """Turn a served-bits schedule into arrivals released <= max_shift early.
+
+    ``"smooth"`` releases slot ``t``'s bits at ``t - shift(t)`` with
+    ``shift(t)`` uniform in ``[0, max_shift]``; ``"blocks"`` cuts the
+    horizon into blocks of uniform length in ``[1, max_shift]`` and
+    releases each block's bits at its head.  ``max_shift == 0`` returns
+    ``served`` unchanged and draws nothing.
+
+    Both modes produce the floats, and leave ``rng`` in the state, of the
+    per-slot and per-block loops they replaced: ``np.bincount`` adds each
+    slot's bits into its release slot in slot order, starting at 0.0, as
+    ``arrivals[t - shift] += served[t]`` did (the loop skipped zero bits,
+    which add nothing; served bits are never negative); one array draw of
+    block lengths yields what per-block scalar draws did; and each block
+    sum is a row sum of a contiguous ``(blocks, L)`` gather, which numpy
+    reduces in the same pairwise order as ``served[t:t + L].sum()``.
+    """
+    if mode not in ("smooth", "blocks"):
+        raise ConfigError(f"mode must be 'smooth' or 'blocks', got {mode!r}")
     horizon = len(served)
-    arrivals = np.zeros(horizon, dtype=float)
     if max_shift == 0:
         return served.copy()
     if mode == "smooth":
         shifts = rng.integers(0, max_shift + 1, size=horizon)
-        for t in range(horizon):
-            if served[t] > 0:
-                arrivals[max(0, t - int(shifts[t]))] += served[t]
-    elif mode == "blocks":
-        t = 0
-        while t < horizon:
-            block = int(rng.integers(1, max_shift + 1))
-            end = min(horizon, t + block)
-            arrivals[t] += float(served[t:end].sum())
-            t = end
-    else:
-        raise ConfigError(f"mode must be 'smooth' or 'blocks', got {mode!r}")
+        release = np.maximum(np.arange(horizon) - shifts, 0)
+        arrivals = np.bincount(release, weights=served, minlength=horizon)
+        return arrivals.astype(float, copy=False)  # int64 when horizon is 0
+    arrivals = np.zeros(horizon, dtype=float)
+    if horizon == 0:
+        return arrivals
+    # Every block holds at least one slot, so ``horizon`` draws cover the
+    # horizon; count the blocks that do, then draw exactly that many.
+    state = rng.bit_generator.state
+    ends = np.cumsum(rng.integers(1, max_shift + 1, size=horizon))
+    blocks = int(np.searchsorted(ends, horizon)) + 1
+    rng.bit_generator.state = state
+    ends = np.minimum(np.cumsum(rng.integers(1, max_shift + 1, size=blocks)), horizon)
+    heads = np.concatenate(([0], ends[:-1]))
+    lengths = ends - heads
+    for length in np.unique(lengths).tolist():
+        starts = heads[lengths == length]
+        arrivals[starts] += served[starts[:, None] + np.arange(length)].sum(axis=1)
     return arrivals
 
 
@@ -177,7 +203,7 @@ def generate_feasible_stream(
     """
     if offline.utilization is None or offline.window is None:
         raise ConfigError("generate_feasible_stream needs a utilization constraint")
-    from repro.analysis.feasibility import check_stream_against_profile
+    from repro.analysis.feasibility import profile_serves
 
     rng = make_rng(seed)
     utilization = offline.utilization
@@ -209,8 +235,7 @@ def generate_feasible_stream(
 
     for shift in _shrinking_shifts(offline.delay):
         arrivals = _release_early(served, shift, burstiness, rng)
-        report = check_stream_against_profile(arrivals, profile, offline)
-        if report.feasible:
+        if profile_serves(arrivals, profile, offline):
             return FeasibleStream(arrivals=arrivals, profile=profile, offline=offline)
     raise FeasibilityError(
         "could not certify a feasible stream even with zero shift — "

@@ -87,6 +87,8 @@ def generate_multi_feasible(
         raise ConfigError(f"fill_jitter must be in [0,1), got {fill_jitter!r}")
     if concentration <= 0:
         raise ConfigError(f"concentration must be > 0, got {concentration!r}")
+    if offline_delay < 1:
+        raise ConfigError(f"offline_delay must be >= 1 slot, got {offline_delay!r}")
     from repro.analysis.feasibility import check_multi_against_profiles
 
     rng = make_rng(seed)

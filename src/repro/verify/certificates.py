@@ -1053,10 +1053,12 @@ def certify_multi(
             if not ok:
                 bad_slots.append((t, i))
                 continue
-            v = q + a - d
-            q = v if v > 0.0 else 0.0
-            # Below the dust floor, the session served bits it never held.
-            if v < -_DUST * (t + 1) or abs(q - b) / max(1.0, abs(b)) > _EPS:
+            # q keeps its dust below 0, as certify_single's queue does, so
+            # phantom deliveries add up against the floor; below it, the
+            # session served bits it never held.
+            q = q + a - d
+            held = q if q > 0.0 else 0.0
+            if q < -_DUST * (t + 1) or abs(held - b) / max(1.0, abs(b)) > _EPS:
                 bad_slots.append((t, i))
                 q = b  # resynchronize so one slip reports once
     report.add(

@@ -131,6 +131,14 @@ class TestGenerateMultiFeasible:
         with pytest.raises(ConfigError):
             generate_multi_feasible(2, 8.0, 2, horizon=10, segments=5)
 
+    def test_rejects_unknown_burstiness(self):
+        with pytest.raises(ConfigError, match="'smooth' or 'blocks'"):
+            generate_multi_feasible(2, 8.0, 2, 100, seed=1, burstiness="bogus")
+
+    def test_rejects_zero_offline_delay(self):
+        with pytest.raises(ConfigError, match="offline_delay"):
+            generate_multi_feasible(2, 8.0, 0, 100, seed=1)
+
     def test_budget_respected(self):
         workload = generate_multi_feasible(
             3, offline_bandwidth=16.0, offline_delay=4, horizon=800,

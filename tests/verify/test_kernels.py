@@ -174,10 +174,9 @@ def _multi_conservation_oracle(kept, delivered, backlog, finite):
             if not session_finite[t]:
                 bad_slots.append((t, i))
                 continue
-            v = q + kept[t, i] - delivered[t, i]
-            q = max(0.0, v)
-            gap = abs(q - backlog[t, i]) / max(1.0, abs(backlog[t, i]))
-            if v < -_DUST * (t + 1) or gap > _EPS:
+            q = q + kept[t, i] - delivered[t, i]
+            gap = abs(max(0.0, q) - backlog[t, i]) / max(1.0, abs(backlog[t, i]))
+            if q < -_DUST * (t + 1) or gap > _EPS:
                 bad_slots.append((t, i))
                 q = backlog[t, i]  # resynchronize so one slip reports once
     return bad_slots
@@ -533,6 +532,19 @@ class TestMultiConservation:
     def test_every_slot_slips(self):
         trace = _multi_trace(4)
         trace.backlog += 10.0  # the recursion never catches up
+        _assert_conservation_matches(trace)
+
+    def test_phantom_dust_adds_up_against_the_floor(self):
+        # 5e-7 bits each sit above the per-slot floor -1e-9·(t+1) after
+        # slot 2000; a recursion that reset q to 0 every slot missed them.
+        trace = _multi_trace(3, k=2, slots=3000)
+        idle = (trace.arrivals == 0) & (trace.delivered == 0) & (trace.backlog == 0)
+        idle[:2000] = False
+        assert idle.sum() > 100
+        trace.delivered[idle] += 5e-7
+        report = certify_multi(trace, phased_bounds(32.0, 4, 2, feasible=False))
+        (check,) = [c for c in report.checks if c.name == "conservation"]
+        assert check.passed is False
         _assert_conservation_matches(trace)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.envelope import LowTracker
+from repro.core.envelope import LowTracker, arrival_array
 from repro.errors import ConfigError
 from repro.network.queue import BitQueue
 from repro.params import OfflineConstraints
@@ -234,8 +234,8 @@ def constant_bandwidth_needed(arrivals: np.ndarray, delay: int) -> float:
     """Smallest constant bandwidth meeting the delay bound (global low)."""
     tracker = LowTracker(delay)
     peak = 0.0
-    for bits in np.asarray(arrivals, dtype=float):
-        peak = tracker.push(float(bits))
+    for bits in arrival_array(arrivals).tolist():
+        peak = tracker.push(bits)
     return peak
 
 

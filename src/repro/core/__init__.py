@@ -12,13 +12,7 @@ from repro.core.baselines import (
 from repro.core.combined import CombinedMultiSession
 from repro.core.continuous import ContinuousMultiSession
 from repro.core.epoch import EpochDrivenMultiSession
-from repro.core.envelope import (
-    EnvelopePair,
-    HighTracker,
-    LowTracker,
-    NaiveLowTracker,
-    StageArrivals,
-)
+from repro.core.envelope import HighTracker, LowTracker, NaiveLowTracker
 from repro.core.hull import MaxSlopeHull
 from repro.core.maxminfair import (
     MaxMinFairAllocator,
@@ -65,7 +59,6 @@ __all__ = [
     "min_changes_bruteforce_multi",
     "CombinedMultiSession",
     "ContinuousMultiSession",
-    "EnvelopePair",
     "EpochDrivenMultiSession",
     "EqualSplitMultiSession",
     "EwmaAllocator",
@@ -86,7 +79,6 @@ __all__ = [
     "PowerOfTwoQuantizer",
     "PriorityTierAllocator",
     "SingleSessionOnline",
-    "StageArrivals",
     "StageCertificate",
     "StaticAllocator",
     "StoreAndForwardMultiSession",

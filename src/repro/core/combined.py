@@ -5,10 +5,10 @@ joint utilization constraint.  The paper's construction layers the two
 previous algorithms:
 
 * A **global controller** runs the single-session envelope (``low``/``high``
-  of Section 2) on the *aggregate* arrival stream and maintains
-  ``B_glob = pow2(low)`` — the online estimate of the offline total
-  bandwidth.  A **global stage** ends when ``high < low`` (the offline
-  algorithm made a *global* change); the online makes at most
+  of Section 2, on Figure 3's stage kernel) on the *aggregate* arrival
+  stream and maintains ``B_glob = pow2(low)`` — the online estimate of the
+  offline total bandwidth.  A **global stage** ends when ``high < low``
+  (the offline algorithm made a *global* change); the online makes at most
   ``log2(B_A)`` global moves per global stage.
 
 * An **inner multi-session algorithm** (Figure 4 phased, or Figure 5
@@ -37,9 +37,9 @@ from typing import Sequence
 
 from repro.core.allocator import MultiSessionPolicy
 from repro.core.continuous import ContinuousMultiSession
-from repro.core.envelope import EnvelopePair
 from repro.core.phased import PhasedMultiSession
 from repro.core.powers import PowerOfTwoQuantizer, Quantizer
+from repro.core.stagekernel import StageKernel
 from repro.errors import ConfigError
 from repro.network.link import Link
 from repro.network.queue import EPSILON, BitQueue, ServeResult
@@ -103,7 +103,7 @@ class CombinedMultiSession(MultiSessionPolicy):
         self.max_bandwidth = bandwidth_slack * self.offline_bandwidth
         self.online_delay = 2 * self.offline_delay
 
-        self._envelope = EnvelopePair(
+        self._kernel = StageKernel(
             self.offline_delay,
             self.offline_utilization,
             self.window,
@@ -116,12 +116,21 @@ class CombinedMultiSession(MultiSessionPolicy):
         self.global_overflow_capacity = 2.0 * self.offline_bandwidth
         self._global_queues = [BitQueue(f"s{i}.global.q") for i in range(k)]
         self._b_glob = 1.0
+        # The run's first slot is end-tested like every later one: the
+        # fresh kernel meets it through advance(), against B_glob = 1.
+        self._kernel.set_rung(self._b_glob, 1.0)
         self._started = False
 
     # -- global machinery ------------------------------------------------------
 
-    def _global_target(self) -> float:
-        return max(1.0, self.quantizer(self._envelope.low))
+    def _global_target(self, low: float) -> float:
+        return max(1.0, self.quantizer(low))
+
+    def _move(self, t: int, target: float) -> None:
+        """Set ``B_glob``; the inner loop restarts its local stage."""
+        self.global_link.set(t, target)
+        self._b_glob = target
+        self.inner.restart_stage(t, target)
 
     def _global_reset(self, t: int, arrivals_total: float) -> None:
         """GLOBAL RESET: steal all queues into the global overflow channel
@@ -132,13 +141,12 @@ class CombinedMultiSession(MultiSessionPolicy):
             channels.overflow_queue.drain_to(global_queue)
             channels.regular_queue.drain_to(global_queue)
         self.inner.cancel_overflow(t)
-        self._envelope.reset()
-        self._envelope.push(arrivals_total)
+        # The new stage's first slot is not end-tested, and B_glob is not
+        # capped at B_O (a rung at or above B_O only disables climbing).
+        target = self._global_target(self._kernel.start(arrivals_total))
+        self._kernel.set_rung(target, 1.0)
         self.stage_starts.append(t)
-        target = self._global_target()
-        self.global_link.set(t, target)
-        self._b_glob = target
-        self.inner.restart_stage(t, target)
+        self._move(t, target)
 
     def _serve_global_overflow(self, t: int) -> list[ServeResult]:
         """Serve the stolen queues with ``2·B_O`` split proportionally."""
@@ -167,17 +175,22 @@ class CombinedMultiSession(MultiSessionPolicy):
             # initial start; drop it from the inner stage accounting.
             if self.inner.resets:
                 self.inner.resets.pop()
-        low, high = self._envelope.push(total_arrivals)
-        if high < low:
+        kernel = self._kernel
+        end, rung = kernel.advance(total_arrivals)
+        if end:
             self._global_reset(t, total_arrivals)
-        else:
-            target = self._global_target()
-            if target > self._b_glob:
-                # Global move: the total-bandwidth envelope climbs one or
-                # more power-of-two rungs; the local stage restarts.
-                self.global_link.set(t, target)
-                self._b_glob = target
-                self.inner.restart_stage(t, target)
+        elif rung:
+            # Global move: the total-bandwidth envelope climbs one or
+            # more power-of-two rungs; the local stage restarts.
+            self._move(
+                t,
+                kernel.climb(
+                    self._b_glob,
+                    self._global_target(kernel.current_low()),
+                    self.quantizer,
+                    1.0,
+                ),
+            )
         results = self.inner.step(t, arrivals)
         overflow_results = self._serve_global_overflow(t)
         merged = []

@@ -21,65 +21,46 @@ A stage ends at the first ``t`` with ``high(t) < low(t)``: no constant
 offline bandwidth can satisfy both constraints, hence the offline algorithm
 changed its allocation at least once during the stage (Lemma 1).
 
-Both trackers are incremental: ``push`` one slot's arrivals, get the new
-bound.  ``LowTracker`` uses the convex-hull max-slope structure
-(O(log n) per slot); ``NaiveLowTracker`` is the O(n)-per-slot reference.
-
-Both bounds are functions of the *same* stage-relative arrival prefix sums,
-so the trackers read them from one shared :class:`StageArrivals` stream
-instead of each maintaining a private accumulator.  A policy that needs
-both bounds (Figure 3, the combined algorithm, the offline certifiers)
-should use :class:`EnvelopePair`: one ``push`` per slot feeds the shared
-stream and advances both trackers, and the utilization window sum is a
-prefix-sum difference rather than a sliding-deque recomputation.
-Standalone construction (``LowTracker(delay)``) keeps the old one-tracker
-``push`` API by owning a private stream.
+Every stage decision — Figure 3, Theorem 7, the combined controller's
+global stages and :func:`~repro.core.offline.stage_certificate` — runs on
+the multiply-form tests of :class:`~repro.core.stagekernel.StageKernel`.
+This module holds the materialized bounds: ``LowTracker`` (convex-hull
+max-slope queries, O(log n) per slot) for the delay-only checks of
+feasibility and the multi-session certificates, and the references the
+tests compare against, ``NaiveLowTracker`` (O(n) per slot) and
+``HighTracker``.  :func:`arrival_array` is the one input check every
+whole-stream consumer shares.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.hull import MaxSlopeHull
 from repro.errors import ConfigError
 
 
-class StageArrivals:
-    """Stage-relative arrival prefix sums shared by the envelope trackers.
+def arrival_array(
+    arrivals: Sequence[float] | np.ndarray, ndim: int = 1
+) -> np.ndarray:
+    """``arrivals`` as a float array of ``ndim`` dimensions, or ConfigError.
 
-    ``sums[r]`` is the total arrivals over the first ``r`` slots of the
-    stage; one ``push`` per slot appends the next cumulative value with a
-    single addition, and every consumer reads window sums as differences.
+    Rejects NaN and infinite values as well as negative ones: a NaN
+    compares False against every threshold, so it would silently poison
+    every envelope bound after it.
     """
-
-    __slots__ = ("_sums",)
-
-    def __init__(self) -> None:
-        self._sums: list[float] = [0.0]
-
-    @property
-    def slots(self) -> int:
-        """Slots pushed since the last reset."""
-        return len(self._sums) - 1
-
-    @property
-    def total(self) -> float:
-        """Total arrivals this stage."""
-        return self._sums[-1]
-
-    def cumulative(self, n: int) -> float:
-        """Total arrivals over the first ``n`` slots of the stage."""
-        return self._sums[n]
-
-    def push(self, arrivals: float) -> float:
-        """Append one slot's arrivals; return the new stage total."""
-        if arrivals < 0:
-            raise ConfigError(f"arrivals must be >= 0, got {arrivals!r}")
-        total = self._sums[-1] + arrivals
-        self._sums.append(total)
-        return total
-
-    def reset(self) -> None:
-        """Start a new stage."""
-        del self._sums[1:]
+    array = np.asarray(arrivals, dtype=float)
+    if array.ndim != ndim:
+        raise ConfigError(f"arrivals must be {ndim}-dimensional, got {array.ndim}")
+    if array.size:
+        # isfinite first: NaN slips through a plain `min() < 0` comparison.
+        if not np.isfinite(array).all():
+            raise ConfigError("arrivals must be finite (no NaN/inf values)")
+        if float(array.min()) < 0:
+            raise ConfigError("arrivals must be non-negative")
+    return array
 
 
 class LowTracker:
@@ -88,20 +69,15 @@ class LowTracker:
     Slot indices are stage-relative: the ``r``-th ``push`` (``r = 0, 1, ...``)
     corresponds to absolute slot ``ts + r``.  ``low`` is monotone
     non-decreasing within a stage.
-
-    With ``arrivals=`` the tracker reads a shared :class:`StageArrivals`
-    stream (the caller pushes the stream, then calls :meth:`advance`);
-    without it the tracker owns a private stream and ``push`` does both.
     """
 
-    def __init__(self, offline_delay: int, arrivals: StageArrivals | None = None):
+    def __init__(self, offline_delay: int):
         if offline_delay < 1:
             raise ConfigError(f"offline_delay must be >= 1, got {offline_delay!r}")
         self.offline_delay = int(offline_delay)
-        self._shared = arrivals is not None
-        self._arrivals = arrivals if arrivals is not None else StageArrivals()
+        # sums[r]: stage arrivals over the first r slots.
+        self._sums: list[float] = [0.0]
         self._hull = MaxSlopeHull()
-        self._slot = 0
         self._low = 0.0
 
     @property
@@ -112,44 +88,30 @@ class LowTracker:
     @property
     def slots_seen(self) -> int:
         """Number of slots consumed since the last reset."""
-        return self._slot
+        return len(self._sums) - 1
 
     def reset(self) -> None:
-        """Start a new stage (a private arrival stream resets too)."""
-        if not self._shared:
-            self._arrivals.reset()
+        """Start a new stage."""
+        del self._sums[1:]
         self._hull.clear()
-        self._slot = 0
         self._low = 0.0
 
     def push(self, arrivals: float) -> float:
         """Advance one slot with ``arrivals`` bits; return the new low(t).
-
-        Only valid for a tracker owning its arrival stream; with a shared
-        stream the owner pushes once and calls :meth:`advance`.
-        """
-        if self._shared:
-            raise ConfigError(
-                "push() on a shared-stream LowTracker; push the shared "
-                "StageArrivals and call advance() instead"
-            )
-        self._arrivals.push(arrivals)
-        return self.advance()
-
-    def advance(self) -> float:
-        """Consume the next slot from the arrival stream; return low(t).
 
         For window start ``u = r`` the relevant history point is
         ``(r - 1, C(r))`` with ``C`` the stage-relative cumulative sum
         (``C(r)`` = arrivals before this slot), and the query point is
         ``(r + D_O, C(r + 1))``.
         """
-        r = self._slot
-        self._hull.add(r - 1, self._arrivals.cumulative(r))
-        self._slot += 1
-        candidate = self._hull.max_slope_from(
-            r + self.offline_delay, self._arrivals.cumulative(r + 1)
-        )
+        if arrivals < 0:
+            raise ConfigError(f"arrivals must be >= 0, got {arrivals!r}")
+        sums = self._sums
+        r = len(sums) - 1
+        before = sums[-1]
+        sums.append(before + arrivals)
+        self._hull.add(r - 1, before)
+        candidate = self._hull.max_slope_from(r + self.offline_delay, sums[-1])
         if candidate > self._low:
             self._low = candidate
         return self._low
@@ -190,19 +152,16 @@ class NaiveLowTracker:
 
 
 class HighTracker:
-    """Incremental ``high(t)``: the utilization upper bound on offline BW.
+    """Reference ``high(t)``: the utilization upper bound on offline BW.
 
     While the stage has seen fewer than ``window`` slots the bound is the
     maximum bandwidth ``B_A``; afterwards it is the running minimum of
     ``IN(window) / (U_O * W)`` over complete in-stage windows, with the
-    window sum read off the stage prefix sums in O(1).  ``high`` is
-    monotone non-increasing within a stage.
+    window sum read off the stage prefix sums (the float the stage kernel
+    forms).  ``high`` is monotone non-increasing within a stage.
 
     With ``utilization=None`` the tracker degenerates to the constant
     ``B_A`` (the pure multi-session case has no utilization constraint).
-    Like :class:`LowTracker`, pass ``arrivals=`` to read a shared
-    :class:`StageArrivals` stream and drive the tracker with
-    :meth:`advance`.
     """
 
     def __init__(
@@ -210,7 +169,6 @@ class HighTracker:
         utilization: float | None,
         window: int | None,
         max_bandwidth: float,
-        arrivals: StageArrivals | None = None,
     ):
         if max_bandwidth <= 0:
             raise ConfigError(f"max_bandwidth must be > 0, got {max_bandwidth!r}")
@@ -222,9 +180,7 @@ class HighTracker:
         self.utilization = utilization
         self.window = int(window) if window is not None else None
         self.max_bandwidth = float(max_bandwidth)
-        self._shared = arrivals is not None
-        self._arrivals = arrivals if arrivals is not None else StageArrivals()
-        self._slot = 0
+        self._sums: list[float] = [0.0]
         self._high = self.max_bandwidth
 
     @property
@@ -233,84 +189,19 @@ class HighTracker:
         return self._high
 
     def reset(self) -> None:
-        """Start a new stage (a private arrival stream resets too)."""
-        if not self._shared:
-            self._arrivals.reset()
-        self._slot = 0
+        """Start a new stage."""
+        del self._sums[1:]
         self._high = self.max_bandwidth
 
     def push(self, arrivals: float) -> float:
-        """Advance one slot with ``arrivals`` bits; return the new high(t).
-
-        Only valid for a tracker owning its arrival stream; with a shared
-        stream the owner pushes once and calls :meth:`advance`.
-        """
-        if self._shared:
-            raise ConfigError(
-                "push() on a shared-stream HighTracker; push the shared "
-                "StageArrivals and call advance() instead"
-            )
-        self._arrivals.push(arrivals)
-        return self.advance()
-
-    def advance(self) -> float:
-        """Consume the next slot from the arrival stream; return high(t)."""
-        self._slot += 1
-        if self.utilization is None or self.window is None:
+        """Advance one slot with ``arrivals`` bits; return the new high(t)."""
+        sums = self._sums
+        sums.append(sums[-1] + arrivals)
+        slots = len(sums) - 1
+        if self.utilization is None or slots < self.window:
             return self._high
-        if self._slot >= self.window:
-            window_sum = self._arrivals.cumulative(
-                self._slot
-            ) - self._arrivals.cumulative(self._slot - self.window)
-            bound = window_sum / (self.utilization * self.window)
-            if bound < self._high:
-                self._high = bound
+        window_sum = sums[slots] - sums[slots - self.window]
+        bound = window_sum / (self.utilization * self.window)
+        if bound < self._high:
+            self._high = bound
         return self._high
-
-
-class EnvelopePair:
-    """``low``/``high`` trackers over one shared arrival prefix-sum stream.
-
-    One :meth:`push` per slot appends to the shared :class:`StageArrivals`
-    and advances both trackers, so ``decide()`` loops stop feeding the same
-    arrival into two private accumulators (and the utilization window sum
-    is a prefix difference instead of a deque update).
-    """
-
-    __slots__ = ("arrivals", "low_tracker", "high_tracker")
-
-    def __init__(
-        self,
-        offline_delay: int,
-        utilization: float | None,
-        window: int | None,
-        max_bandwidth: float,
-    ):
-        self.arrivals = StageArrivals()
-        self.low_tracker = LowTracker(offline_delay, arrivals=self.arrivals)
-        self.high_tracker = HighTracker(
-            utilization, window, max_bandwidth, arrivals=self.arrivals
-        )
-
-    @property
-    def low(self) -> float:
-        return self.low_tracker.low
-
-    @property
-    def high(self) -> float:
-        return self.high_tracker.high
-
-    @property
-    def slots_seen(self) -> int:
-        return self.low_tracker.slots_seen
-
-    def push(self, arrivals: float) -> tuple[float, float]:
-        """Advance one slot; return the new ``(low, high)`` pair."""
-        self.arrivals.push(arrivals)
-        return self.low_tracker.advance(), self.high_tracker.advance()
-
-    def reset(self) -> None:
-        """Start a new stage on both trackers and the shared stream."""
-        self.arrivals.reset()
-        self.low_tracker.reset()
-        self.high_tracker.reset()

@@ -32,9 +32,18 @@ Our reconstruction handles the young-stage window (``t < ts + W``, where
 
 With ``U_O >= 1/2`` the coarse base degenerates to 2 and the algorithm
 coincides with Figure 3.
+
+The decisions run on Figure 3's stage kernel.  The kernel tests
+``low(t)`` against a rung, and the target exceeds the held allocation
+exactly when ``low(t)`` passes the largest value of the *current* grid at
+or below it.  While the stage is young that is the coarse rung itself;
+at the slot the stage matures the rung is re-installed on the fine grid,
+and the allocation climbs at once when that rung is already passed.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.core.powers import GeometricQuantizer, Quantizer
 from repro.core.single_session import SingleSessionOnline
@@ -47,9 +56,8 @@ class ModifiedSingleSessionOnline(SingleSessionOnline):
         max_bandwidth: ``B_A`` (power of two).
         offline_delay: ``D_O``.
         offline_utilization: ``U_O``; also sets the coarse ladder base
-            ``max(2, 1/U_O)`` unless ``early_base`` overrides it.
+            ``max(2, 1/U_O)``.
         window: ``W >= D_O``.
-        early_base: optional explicit base for the young-stage ladder.
         quantizer: the mature-stage quantizer (default: powers of two).
     """
 
@@ -59,7 +67,6 @@ class ModifiedSingleSessionOnline(SingleSessionOnline):
         offline_delay: int,
         offline_utilization: float,
         window: int,
-        early_base: float | None = None,
         quantizer: Quantizer | None = None,
         name: str = "thm7",
     ):
@@ -71,16 +78,34 @@ class ModifiedSingleSessionOnline(SingleSessionOnline):
             quantizer=quantizer,
             name=name,
         )
-        base = early_base if early_base is not None else max(
-            2.0, 1.0 / offline_utilization
-        )
-        self.early_quantizer = GeometricQuantizer(base)
+        self.early_quantizer = GeometricQuantizer(max(2.0, 1.0 / offline_utilization))
 
-    def _stage_target(self, low: float) -> float:
-        if self._envelope.slots_seen <= self.window:
+    def _grid(self) -> Quantizer:
+        if self._kernel.slots_seen <= self.window:
             # Young stage: high(t) = B_A constrains nothing yet; climb the
             # coarse ladder so a burst of any size costs O(log_base B_A)
             # changes instead of O(log2 B_A).
-            return min(self.early_quantizer(low), self.max_bandwidth)
+            return self.early_quantizer
         # Mature stage: the band high/low <= 2/U_O caps further climbs.
-        return self.quantizer(low)
+        return self.quantizer
+
+    def decide(self, t: int, arrivals: float, backlog: float) -> float:
+        bandwidth = super().decide(t, arrivals, backlog)
+        if self._in_stage and self._kernel.slots_seen == self.window + 1:
+            # The stage matured this slot: the ladder moves to the fine grid.
+            rung = self._fine_floor(self.link.requested)
+            if self._kernel.set_rung(rung, self.headroom):
+                self._set(t, self._climb())
+                bandwidth = self.link.bandwidth
+        return bandwidth
+
+    def _fine_floor(self, allocation: float) -> float:
+        """The largest fine-grid value at or below ``allocation``."""
+        fine = self.quantizer
+        if fine(allocation) == allocation:
+            return allocation
+        # Walk up from the lowest positive rung.
+        rung, g = 0.0, fine(math.ulp(0.0))
+        while g < allocation:
+            rung, g = g, fine(math.nextafter(g, math.inf))
+        return rung

@@ -6,11 +6,12 @@ bandwidth changes any offline algorithm with the stringent constraints
 from both sides:
 
 * :func:`stage_lower_bound` — a *certificate lower bound*: scan the stream
-  once with the ``low``/``high`` envelope; every time the envelope empties
-  (``high < low``) no constant offline bandwidth can span the interval, so
-  the offline algorithm changed at least once inside it (Lemma 1's
-  argument).  Consecutive certificate intervals are kept disjoint, so the
-  count is a true lower bound on OPT.
+  once with the ``low``/``high`` envelope (the end test of
+  :class:`~repro.core.stagekernel.StageKernel`); every time the envelope
+  empties (``high < low``) no constant offline bandwidth can span the
+  interval, so the offline algorithm changed at least once inside it
+  (Lemma 1's argument).  Consecutive certificate intervals are kept
+  disjoint, so the count is a true lower bound on OPT.
 
 * :func:`constructive_offline_via_online` — a *feasible upper bound*: run
   the online algorithm itself with twice-tightened parameters
@@ -30,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.envelope import EnvelopePair, LowTracker
+from repro.core.envelope import arrival_array
 from repro.core.single_session import SingleSessionOnline
+from repro.core.stagekernel import StageKernel
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.sim.engine import run_single_session
@@ -59,23 +61,28 @@ def stage_certificate(
     bandwidth that satisfies both the delay bound ``D_O`` and the local
     utilization ``U_O`` within the interval, hence the offline algorithm
     changed its allocation somewhere inside it.  The scan restarts at
-    ``e + 1`` so intervals never share a slot.
+    ``e + 1`` so intervals never share a slot.  Every slot is end-tested,
+    an interval's first included.
     """
     if offline.utilization is None or offline.window is None:
         raise ConfigError(
             "stage_certificate needs a utilization constraint; use "
             "multi_stage_certificate for the delay-only case"
         )
-    envelope = EnvelopePair(
+    values = arrival_array(arrivals).tolist()
+    kernel = StageKernel(
         offline.delay, offline.utilization, offline.window, offline.bandwidth
     )
+    # A rung at B_O disables the ladder test: only the end test matters.
+    kernel.set_rung(offline.bandwidth, 1.0)
     intervals: list[tuple[int, int]] = []
     start = 0
-    for t, bits in enumerate(arrivals):
-        low_value, high_value = envelope.push(float(bits))
-        if high_value < low_value:
+    for t, bits in enumerate(values):
+        end, _ = kernel.advance(bits)
+        if end:
             intervals.append((start, t))
-            envelope.reset()
+            kernel.reset()
+            kernel.set_rung(offline.bandwidth, 1.0)
             start = t + 1
     return StageCertificate(intervals=tuple(intervals))
 

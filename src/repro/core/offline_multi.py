@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.envelope import LowTracker
+from repro.core.envelope import LowTracker, arrival_array
 from repro.errors import ConfigError
 
 
@@ -54,9 +54,7 @@ def multi_stage_certificate(
     ``Σ_i low_i(t) > B_O`` is therefore a contradiction certificate.  The
     scan restarts all trackers at the next slot, keeping intervals disjoint.
     """
-    array = np.asarray(arrivals, dtype=float)
-    if array.ndim != 2:
-        raise ConfigError(f"arrivals must be (T, k), got shape {array.shape}")
+    array = arrival_array(arrivals, ndim=2)
     if offline_bandwidth <= 0:
         raise ConfigError("offline_bandwidth must be > 0")
     horizon, k = array.shape
@@ -103,9 +101,7 @@ def equal_split_offline(
     within ``D_O`` by constant bandwidth ``B_O/k`` iff its global
     ``low_i`` never exceeds that quota.
     """
-    array = np.asarray(arrivals, dtype=float)
-    if array.ndim != 2:
-        raise ConfigError(f"arrivals must be (T, k), got shape {array.shape}")
+    array = arrival_array(arrivals, ndim=2)
     horizon, k = array.shape
     quota = offline_bandwidth / k
     worst_session = -1

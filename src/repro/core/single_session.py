@@ -22,17 +22,19 @@ stage's first arrivals, matching "whenever a stage is started the queue is
 empty".  At stage start the allocation drops from ``B_A`` to the quantized
 ``low`` — the standard reading of "B_on is set to the smallest power of two
 that is at least low(t)".
+
+Both per-slot tests run on the multiply-form
+:class:`~repro.core.stagekernel.StageKernel` (the same state the sliced
+engine fast-forwards), so the quantizer must have a finite ``levels()``
+bound: the rung ladder is walked grid point by grid point.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core.allocator import BandwidthPolicy
-from repro.core.envelope import EnvelopePair
 from repro.core.powers import PowerOfTwoQuantizer, Quantizer
 from repro.core.stagekernel import StageKernel
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.network.link import CHANGE_EPSILON
 from repro.network.queue import EPSILON
 from repro.obs.runtime import count as obs_count
@@ -49,7 +51,8 @@ class SingleSessionOnline(BandwidthPolicy):
         offline_utilization: ``U_O`` in (0, 1] — the comparator's local
             utilization floor; the online guarantee is ``U_O / 3``.
         window: ``W >= D_O`` — the local-utilization window.
-        quantizer: allocation rounding rule (default: powers of two).
+        quantizer: allocation rounding rule (default: powers of two); it
+            must have a finite ``levels()`` bound.
         headroom: multiply ``low(t)`` by this factor before quantizing
             (ablation knob; 1.0 = the paper's algorithm).  Larger headroom
             trades utilization for earlier ladder rungs.
@@ -85,7 +88,9 @@ class SingleSessionOnline(BandwidthPolicy):
         self.online_delay = 2 * self.offline_delay
         self.online_utilization = self.offline_utilization / 3.0
 
-        self._envelope = EnvelopePair(
+        # A grid without a finite levels() bound has no ladder to walk.
+        self.quantizer.levels(self.max_bandwidth)
+        self._kernel = StageKernel(
             self.offline_delay,
             self.offline_utilization,
             self.window,
@@ -96,39 +101,9 @@ class SingleSessionOnline(BandwidthPolicy):
         self.stage_change_counts: list[int] = []
         self._changes_this_stage = 0
 
-        # Kernel mode: the O(1)-per-slot multiply-form envelope tests
-        # (StageKernel) replace the hull tracker when the decision rule is
-        # the stock Figure 3 one and the quantizer grid is finite.
-        # Subclasses that override decide() or _stage_target() keep the
-        # EnvelopePair path untouched.
-        self._kernel: StageKernel | None = None
-        self._ladder_guard = 0
-        if (
-            type(self).decide is SingleSessionOnline.decide
-            and type(self)._stage_target is SingleSessionOnline._stage_target
-        ):
-            try:
-                grid_levels = self.quantizer.levels(self.max_bandwidth)
-            except ConfigError:
-                grid_levels = None
-            if grid_levels is not None:
-                self._kernel = StageKernel(
-                    self.offline_delay,
-                    self.offline_utilization,
-                    self.window,
-                    self.max_bandwidth,
-                )
-                self._ladder_guard = int(grid_levels) + 64
-
-    @property
-    def kernel_mode(self) -> bool:
-        """True when decisions run on the multiply-form stage kernel."""
-        return self._kernel is not None
-
     # -- stage machinery ---------------------------------------------------
 
     def _start_stage(self, t: int) -> None:
-        self._envelope.reset()
         self._in_stage = True
         if self.stage_starts:
             # Close the previous stage's accounting period, which spans
@@ -151,61 +126,31 @@ class SingleSessionOnline(BandwidthPolicy):
             self._changes_this_stage += 1
         link.set(t, bandwidth)
 
+    def _grid(self) -> Quantizer:
+        """The grid the allocation ladder climbs."""
+        return self.quantizer
+
     def _stage_target(self, low: float) -> float:
         """The in-stage allocation for the current ``low`` value."""
-        return min(self.max_bandwidth, self.quantizer(self.headroom * low))
+        return min(self.max_bandwidth, self._grid()(self.headroom * low))
 
     # -- the decision rule ---------------------------------------------------
 
     def decide(self, t: int, arrivals: float, backlog: float) -> float:
-        if self._kernel is not None:
-            return self._decide_kernel(t, arrivals, backlog)
-        return self._decide_envelope(t, arrivals, backlog)
-
-    def _decide_envelope(self, t: int, arrivals: float, backlog: float) -> float:
-        """Figure 3 on the division-form hull envelope (reference path)."""
-        if not self._in_stage and backlog <= EPSILON:
-            # RESET finished draining (or initial start): new stage opens
-            # with an empty queue at this slot.
-            self._start_stage(t)
-            low, _ = self._envelope.push(arrivals)
-            self._set(t, self._stage_target(low))
-            return self.link.bandwidth
-
-        if self._in_stage:
-            low, high = self._envelope.push(arrivals)
-            if high < low:
-                # No constant offline bandwidth fits the whole stage: the
-                # offline adversary changed at least once (Lemma 1).
-                self._end_stage(t)
-                self._set(t, self.max_bandwidth)
-                return self.link.bandwidth
-            target = self._stage_target(low)
-            if self.link.requested < target:
-                self._set(t, target)
-            return self.link.bandwidth
-
-        # Mid-RESET: hold B_A until the queue drains.
-        self._set(t, self.max_bandwidth)
-        return self.link.bandwidth
-
-    def _decide_kernel(self, t: int, arrivals: float, backlog: float) -> float:
         """Figure 3 on the multiply-form stage kernel (O(1) per slot).
 
-        Identical stage structure to :meth:`_decide_envelope`; the ladder
-        and stage-end tests are threshold margins rather than materialized
-        ``low(t)`` floats, so threshold crossings engineered to land within
-        one ulp of a rung may resolve differently between the two paths
-        (see ``stagekernel`` module docs).  The vectorized engine shares
-        this exact kernel, which is what makes scalar and vector traces
-        bit-identical.
+        The ladder and stage-end tests are threshold margins rather than
+        materialized ``low(t)`` floats (see the ``stagekernel`` module
+        docs).  The vectorized engine shares this kernel, which is what
+        makes scalar and vector traces bit-identical.
         """
         if arrivals < 0:
             raise ConfigError(f"arrivals must be >= 0, got {arrivals!r}")
         if not self._in_stage and backlog <= EPSILON:
+            # RESET finished draining (or initial start): new stage opens
+            # with an empty queue at this slot.
             self._start_stage(t)
-            low = self._kernel.start(arrivals)
-            target = self._stage_target(low)
+            target = self._stage_target(self._kernel.start(arrivals))
             self._set(t, target)
             self._kernel.set_rung(target, self.headroom)
             return self.link.bandwidth
@@ -213,6 +158,8 @@ class SingleSessionOnline(BandwidthPolicy):
         if self._in_stage:
             end, rung = self._kernel.advance(arrivals)
             if end:
+                # No constant offline bandwidth fits the whole stage: the
+                # offline adversary changed at least once (Lemma 1).
                 self._end_stage(t)
                 self._set(t, self.max_bandwidth)
                 return self.link.bandwidth
@@ -224,32 +171,14 @@ class SingleSessionOnline(BandwidthPolicy):
         self._set(t, self.max_bandwidth)
         return self.link.bandwidth
 
-    def _next_rung(self, g: float) -> float:
-        """The smallest quantizer grid point strictly above ``g``."""
-        return self.quantizer(math.nextafter(g, math.inf))
-
     def _climb(self) -> float:
-        """Walk the allocation ladder up past the violated rung.
-
-        Jumps to the quantized exact ``low(t)`` first (one Dinkelbach
-        evaluation), then steps grid rungs while the multiply-form test
-        still reports a violation — at most one extra rung in practice,
-        bounded by the grid size in all cases.
-        """
-        current = self.link.requested
-        g = self._stage_target(self._kernel.current_low())
-        if g <= current:
-            g = self._next_rung(current)
-        for _ in range(self._ladder_guard):
-            if g >= self.max_bandwidth:
-                self._kernel.set_rung(self.max_bandwidth, self.headroom)
-                return self.max_bandwidth
-            if not self._kernel.set_rung(g, self.headroom):
-                return g
-            g = self._next_rung(g)
-        raise SimulationError(
-            "allocation ladder failed to converge; the quantizer grid "
-            f"({self.quantizer!r}) is inconsistent with its levels() bound"
+        """Walk the allocation ladder up past the violated rung."""
+        kernel = self._kernel
+        return kernel.climb(
+            self.link.requested,
+            self._stage_target(kernel.current_low()),
+            self._grid(),
+            self.headroom,
         )
 
     # -- diagnostics ---------------------------------------------------------
@@ -259,18 +188,14 @@ class SingleSessionOnline(BandwidthPolicy):
         """Current ``low(t)`` (0 outside a stage)."""
         if not self._in_stage:
             return 0.0
-        if self._kernel is not None:
-            return self._kernel.current_low()
-        return self._envelope.low
+        return self._kernel.current_low()
 
     @property
     def high(self) -> float:
         """Current ``high(t)`` (``B_A`` outside a stage)."""
         if not self._in_stage:
             return self.max_bandwidth
-        if self._kernel is not None:
-            return self._kernel.high
-        return self._envelope.high
+        return self._kernel.high
 
     @property
     def max_changes_per_stage(self) -> int:

@@ -1,18 +1,25 @@
-"""Multiply-form stage envelope kernel shared by the scalar and vector paths.
+"""Multiply-form stage envelope kernel: every stage decision runs on it.
 
-The Figure 3 decision rule needs two per-slot facts about the stage so far:
+Section 2's stage rule needs two per-slot facts about the stage so far:
 
 * did ``low(t)`` cross the current allocation rung (climb the ladder)?
 * did ``low(t)`` cross ``high(t)`` (end the stage)?
+
+Figure 3 (:class:`~repro.core.single_session.SingleSessionOnline`),
+Theorem 7 (:class:`~repro.core.modified_single.ModifiedSingleSessionOnline`),
+the combined controller's global stages
+(:class:`~repro.core.combined.CombinedMultiSession`), the stage certificate
+(:func:`~repro.core.offline.stage_certificate`) and the event-sliced engine
+(:mod:`repro.sim.vector`) all answer them here, so there is one
+implementation of the stage tests.
 
 Both are threshold tests against the max-slope envelope
 
     low(t) = max over r' <= r, u <= r' of  (C(r'+1) - C(u)) / (r'+D+1-u)
 
 with ``C`` the stage-relative arrival prefix sums.  Rather than computing
-the division-form maximum each slot (the convex-hull tracker of
-:mod:`repro.core.envelope`), this kernel keeps the *multiply-form* margin
-state for a fixed threshold ``theta``::
+the division-form maximum each slot, the kernel keeps the *multiply-form*
+margin state for a fixed threshold ``theta``::
 
     viol(theta)  <=>  max_{r'} [ lhs(r') - min_{u <= r'} (C(u) - theta*u) ] > 0
     with  lhs(r') = C(r'+1) - theta*(r'+D+1)
@@ -24,12 +31,11 @@ rung, or ``high`` drops to a new window minimum) the pair is recomputed
 over the stage history with two numpy accumulates — an O(r) vector
 operation that happens only at *events*, never per slot.
 
-The same formulation powers the event-sliced vectorized engine
-(:mod:`repro.sim.vector`): :meth:`StageKernel.scan` advances the kernel
-through the longest event-free prefix of an arrival chunk using
-``np.add.accumulate`` / ``np.minimum.accumulate`` /
-``np.maximum.accumulate``, which are bitwise-identical to the sequential
-scalar updates, so the scalar and vector paths cannot disagree.
+:meth:`StageKernel.scan` advances the kernel through the longest
+event-free prefix of an arrival chunk using ``np.add.accumulate`` /
+``np.minimum.accumulate`` / ``np.maximum.accumulate``, which are
+bitwise-identical to the sequential scalar updates, so the scalar and
+vector paths cannot disagree.
 
 Exactness notes (why scalar and vector agree bit-for-bit):
 
@@ -41,11 +47,22 @@ Exactness notes (why scalar and vector agree bit-for-bit):
   (integers below 2**53 convert exactly);
 * all remaining per-slot work is elementwise subtraction, bitwise equal
   between scalar and vector evaluation.
+
+The multiply form is exact whenever every product and difference is: with
+integer arrivals and ``theta`` a dyadic rational (an integer rung, or
+``high`` when ``U_O * W`` is a power of two) the tests equal the exact
+rational comparisons ``low(t) > theta`` (``tests/core/test_exact_stage.py``
+checks this against a :class:`fractions.Fraction` reference).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from repro.core.powers import Quantizer
+from repro.errors import SimulationError
 
 #: Margin value meaning "no slot processed yet at this threshold".
 _NEG_INF = float("-inf")
@@ -54,10 +71,9 @@ _NEG_INF = float("-inf")
 class StageKernel:
     """Incremental multiply-form envelope state for one stage.
 
-    Mirrors the semantics of :class:`repro.core.envelope.EnvelopePair` as
-    consumed by Figure 3 — ``high(t)`` is tracked as the same running
-    minimum float; ``low(t)`` is never materialized per slot, only the two
-    threshold tests the decision rule actually needs.
+    ``high(t)`` is tracked as a running minimum float; ``low(t)`` is never
+    materialized per slot, only the two threshold tests the decision rule
+    actually needs (:meth:`current_low` computes it on demand).
 
     Args:
         offline_delay: ``D_O`` (slope denominators are ``r + D_O + 1 - u``).
@@ -97,8 +113,8 @@ class StageKernel:
         self.utilization = utilization
         self.window = int(window) if window is not None else None
         self.max_bandwidth = float(max_bandwidth)
-        # Precomputed once; identical float to the per-slot product the
-        # envelope tracker forms (U_O * W with W converted exactly).
+        # Precomputed once; identical float to the per-slot product
+        # U_O * W (W converted exactly).
         self._uw = (
             self.utilization * self.window if utilization is not None else None
         )
@@ -179,9 +195,12 @@ class StageKernel:
 
         Covers every step ``r' in [0, n-1]`` with the same elementwise
         operations the incremental path performs, so switching between the
-        two never changes a float.
+        two never changes a float.  An empty stage has no step yet: the
+        reset pair.
         """
         n = self.n
+        if n == 0:
+            return 0.0, _NEG_INF
         c = self._buf[: n + 1]
         u = np.arange(float(n))
         cmin = np.minimum.accumulate(c[:n] - theta * u)
@@ -194,8 +213,8 @@ class StageKernel:
         """Open a stage with its first slot; return ``low(0)``.
 
         ``low(0)`` has a single candidate window, so the exact division
-        ``C(1) / (D_O + 1)`` is available (and matches the hull tracker's
-        first query bit-for-bit).
+        ``C(1) / (D_O + 1)`` is available.  The slot is not end-tested:
+        :meth:`advance` on a fresh kernel is the end-tested way in.
         """
         self.reset()
         self._append(arrivals)
@@ -210,7 +229,8 @@ class StageKernel:
         Violated means ``headroom * low(t) > rung`` somewhere in the stage
         history, i.e. the caller should keep climbing.  Rungs at or above
         ``B_A`` are capped: the allocation can never exceed ``B_A``, so the
-        test is disabled until the next stage.
+        test is disabled until the next stage.  Allowed before the first
+        slot, where nothing can be violated yet.
         """
         self.theta_rung = rung / headroom
         self.maxed = rung >= self.max_bandwidth
@@ -242,6 +262,34 @@ class StageKernel:
             self.theta_rung, self._m_rung, self._v_rung
         )
         return False, self._v_rung > 0.0
+
+    def climb(
+        self, current: float, target: float, grid: Quantizer, headroom: float
+    ) -> float:
+        """Install the lowest rung that holds after ``current`` was violated.
+
+        ``target`` is the caller's quantized exact ``low(t)`` (from
+        :meth:`current_low`); when it is no higher than ``current`` the
+        climb starts one ``grid`` rung above ``current``.  Rungs are then
+        stepped while the multiply-form test still reports a violation —
+        at most one extra rung in practice, bounded by the grid's
+        ``levels()`` in all cases.  A rung at or above ``B_A`` ends the
+        climb at ``B_A``.  Returns the installed rung.
+        """
+        g = target
+        if g <= current:
+            g = grid(math.nextafter(current, math.inf))
+        for _ in range(grid.levels(self.max_bandwidth) + 64):
+            if g >= self.max_bandwidth:
+                self.set_rung(self.max_bandwidth, headroom)
+                return self.max_bandwidth
+            if not self.set_rung(g, headroom):
+                return g
+            g = grid(math.nextafter(g, math.inf))
+        raise SimulationError(
+            f"allocation ladder failed to converge; the quantizer grid ({grid!r}) "
+            "is inconsistent with its levels() bound"
+        )
 
     def walk(self, values) -> int:
         """:meth:`scan` by repeated :meth:`advance`, for short windows.

@@ -87,6 +87,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.baselines import StaticAllocator
+from repro.core.envelope import arrival_array
 from repro.core.maxminfair import MaxMinFairAllocator
 from repro.core.phased import PhasedMultiSession
 from repro.core.prioritytier import PriorityTierAllocator
@@ -114,19 +115,6 @@ CHUNK = 16384
 _FIRST_WINDOW = 32
 
 
-def _as_array(arrivals: Sequence[float] | np.ndarray, ndim: int) -> np.ndarray:
-    array = np.asarray(arrivals, dtype=float)
-    if array.ndim != ndim:
-        raise ConfigError(f"arrivals must be {ndim}-dimensional, got {array.ndim}")
-    if array.size:
-        # isfinite first: NaN slips through a plain `min() < 0` comparison.
-        if not np.isfinite(array).all():
-            raise ConfigError("arrivals must be finite (no NaN/inf values)")
-        if float(array.min()) < 0:
-            raise ConfigError("arrivals must be non-negative")
-    return array
-
-
 def vector_capable(policy) -> bool:
     """True when ``policy`` supports policy-quiet slices.
 
@@ -134,9 +122,7 @@ def vector_capable(policy) -> bool:
     machinery in ways a slice cannot see, so they stay on the scalar
     step.
     """
-    if type(policy) is SingleSessionOnline:
-        return policy.kernel_mode
-    return type(policy) is StaticAllocator
+    return type(policy) in (SingleSessionOnline, StaticAllocator)
 
 
 def multi_vector_capable(policy) -> bool:
@@ -350,7 +336,7 @@ class EngineState:
         self.recorder = SingleSessionRecorder()
         self.drain = bool(drain)
         self._max_drain_slots = max_drain_slots
-        initial = _as_array(arrivals, ndim=1)
+        initial = arrival_array(arrivals, ndim=1)
         self._arrivals = _Column(initial)
         self._values: list[float] = initial.tolist()
         self._faults = _FaultSchedule(faults)
@@ -387,7 +373,7 @@ class EngineState:
         """Append more arrival slots (streaming ingestion)."""
         if self.closed:
             raise ConfigError("cannot feed a closed EngineState")
-        chunk = _as_array(arrivals, ndim=1)
+        chunk = arrival_array(arrivals, ndim=1)
         if chunk.size:
             self._arrivals.extend(chunk)
             self._values.extend(chunk.tolist())
@@ -635,7 +621,7 @@ class MultiEngineState:
         faults: "FaultPlan | None" = None,
         vector: bool = True,
     ):
-        array = _as_array(arrivals, ndim=2)
+        array = arrival_array(arrivals, ndim=2)
         horizon, k = array.shape
         if k != policy.k:
             raise ConfigError(f"arrivals have k={k} but policy has k={policy.k}")

@@ -135,3 +135,11 @@ class TestConstantBandwidth:
         arrivals[0] = 30.0
         assert is_delay_feasible(arrivals, 10.0, 2)
         assert not is_delay_feasible(arrivals, 9.0, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_and_negative_arrivals(self, bad):
+        # [1, nan, 900] used to count as served by bandwidth 1.
+        with pytest.raises(ConfigError, match="finite|non-negative"):
+            is_delay_feasible([1.0, bad, 900.0], 1.0, 8)
+        with pytest.raises(ConfigError, match="finite|non-negative"):
+            constant_bandwidth_needed([1.0, bad, 900.0], 8)

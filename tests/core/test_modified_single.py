@@ -33,10 +33,6 @@ class TestLadderStructure:
         assert make_modified(1 / 16).early_quantizer.base == 16.0
         assert make_modified(0.9).early_quantizer.base == 2.0
 
-    def test_explicit_early_base(self):
-        policy = make_modified(1 / 16, early_base=4.0)
-        assert policy.early_quantizer.base == 4.0
-
     def test_early_target_is_coarse(self):
         policy = make_modified(1 / 16)
         # First slot of a stage: low = 48/(1+4) = 9.6 -> coarse ladder 16.

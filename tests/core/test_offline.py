@@ -42,6 +42,16 @@ class TestStageCertificate:
         with pytest.raises(ConfigError):
             stage_lower_bound([1.0], OfflineConstraints(bandwidth=8, delay=2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_rejects_non_finite_and_negative_arrivals(self, bad):
+        """A NaN compares False against every bound, so it used to poison
+        the stage silently: ``[1, nan, 900, 5, 5]`` certified nothing
+        while ``[1, 900, 5]`` certifies ``(0, 1)``."""
+        offline = OfflineConstraints(bandwidth=64, delay=8, utilization=0.25, window=16)
+        assert stage_certificate([1.0, 900.0, 5.0], offline).intervals == ((0, 1),)
+        with pytest.raises(ConfigError, match="finite|non-negative"):
+            stage_certificate([1.0, bad, 900.0, 5.0, 5.0], offline)
+
     def test_lower_bound_below_generator_certificate(self):
         """Soundness: the lower bound never exceeds a concrete feasible
         schedule's change count (+1 for the boundary convention)."""

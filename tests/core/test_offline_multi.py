@@ -73,3 +73,19 @@ class TestEqualSplit:
         assert not result.feasible
         assert result.worst_session == 0
         assert result.worst_low > result.per_session_quota
+
+
+class TestArrivalValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_certificate_rejects(self, bad):
+        arrivals = np.ones((6, 2))
+        arrivals[2, 1] = bad
+        with pytest.raises(ConfigError, match="finite|non-negative"):
+            multi_stage_certificate(arrivals, 8.0, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_equal_split_rejects(self, bad):
+        arrivals = np.ones((6, 2))
+        arrivals[2, 0] = bad
+        with pytest.raises(ConfigError, match="finite|non-negative"):
+            equal_split_offline(arrivals, 8.0, 2)

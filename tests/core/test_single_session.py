@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.powers import GeometricQuantizer, is_power_of_two
+from repro.core.powers import GeometricQuantizer, IdentityQuantizer, is_power_of_two
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
@@ -57,6 +57,11 @@ class TestValidation:
             max_bandwidth=81.0, quantizer=GeometricQuantizer(3.0)
         )
         assert policy.max_bandwidth == 81.0
+
+    def test_grid_without_finite_levels_rejected(self):
+        """The stage kernel walks the rung ladder grid point by grid point."""
+        with pytest.raises(ConfigError, match="unbounded levels"):
+            make_policy(quantizer=IdentityQuantizer())
 
     def test_derived_guarantees(self):
         policy = make_policy()

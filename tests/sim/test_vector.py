@@ -65,7 +65,8 @@ class TestVectorCapability:
         assert vector_capable(StaticAllocator(bandwidth=8.0))
 
     def test_subclasses_are_not(self):
-        # Overrides _stage_target, which a policy-quiet slice cannot see.
+        # Switches ladders when a stage matures, which a policy-quiet
+        # slice cannot see.
         policy = ModifiedSingleSessionOnline(
             max_bandwidth=64, offline_delay=8, offline_utilization=0.25, window=16
         )

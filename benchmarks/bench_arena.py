@@ -110,7 +110,7 @@ def _priority(k: int) -> PriorityTierAllocator:
 
 
 def require_fast_path() -> None:
-    """Exit 1 unless the epoch allocators take the phase-slice path.
+    """Exit 1 unless the epoch allocators take the session-major slice path.
 
     A run that silently fell back to scalar steps would still pass the
     identity check, so the check alone cannot catch it.

@@ -20,7 +20,7 @@ optimality properties the certificates and property tests check.
 
 All decisions happen at fixed epochs via
 :class:`~repro.core.epoch.EpochDrivenMultiSession`, so the engine's
-phase slices advance it between epochs (:mod:`repro.sim.vector`).
+session-major slices advance it between epochs (:mod:`repro.sim.vector`).
 """
 
 from __future__ import annotations

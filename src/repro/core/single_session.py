@@ -31,7 +31,7 @@ bound: the rung ladder is walked grid point by grid point.
 
 from __future__ import annotations
 
-from repro.core.allocator import BandwidthPolicy
+from repro.core.allocator import BandwidthPolicy, check_arrival
 from repro.core.powers import PowerOfTwoQuantizer, Quantizer
 from repro.core.stagekernel import StageKernel
 from repro.errors import ConfigError
@@ -144,8 +144,7 @@ class SingleSessionOnline(BandwidthPolicy):
         docs).  The vectorized engine shares this kernel, which is what
         makes scalar and vector traces bit-identical.
         """
-        if arrivals < 0:
-            raise ConfigError(f"arrivals must be >= 0, got {arrivals!r}")
+        check_arrival(arrivals)
         if not self._in_stage and backlog <= EPSILON:
             # RESET finished draining (or initial start): new stage opens
             # with an empty queue at this slot.

@@ -44,7 +44,7 @@ traces are bit-identical whether it is on or off, and the run itself
 takes the same code path either way.
 
 The one reference switch is ``vector=False``: it turns off the
-policy-quiet slices and phase slices so every slot takes the scalar
+policy-quiet and session-major slices so every slot takes the scalar
 step.  Traces are bit-identical either way; the identity tests compare
 the two.  When slices apply is stated once, in :mod:`repro.sim.vector`.
 """
@@ -150,7 +150,7 @@ def run_multi_session(
             remove arriving bits before they reach the policy.  (The
             combined algorithm's global channel is served inside the policy
             and is not degraded.)
-        vector: advance in phase slices (:mod:`repro.sim.vector`) when
+        vector: advance in session-major slices (:mod:`repro.sim.vector`) when
             the policy supports them
             (:func:`~repro.sim.vector.multi_vector_capable`); ``False``
             makes every slot a scalar step.  Traces are bit-identical

@@ -371,7 +371,7 @@ class MultiSessionRecorder:
         self._requested: list[float] = []
         self._dropped: list[float] = []
         #: Per-session bits-weighted delay histograms; :meth:`record` folds
-        #: each slot's deliveries into them, and the engine's phase slices
+        #: each slot's deliveries into them, and the engine's slices
         #: fold theirs directly (:meth:`SessionChannels.replay
         #: <repro.network.channel.SessionChannels.replay>`).
         self.histograms: list[dict[int, float]] = [dict() for _ in range(k)]
@@ -416,7 +416,7 @@ class MultiSessionRecorder:
         delivered: np.ndarray,
         backlog: np.ndarray,
     ) -> None:
-        """Bulk-append part of a phase slice: ``len(arrivals)`` slots at
+        """Bulk-append part of a slice: ``len(arrivals)`` slots at
         constant allocations, whose queues were replayed by
         :meth:`SessionChannels.replay
         <repro.network.channel.SessionChannels.replay>`.

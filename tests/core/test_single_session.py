@@ -44,6 +44,13 @@ def make_policy(**overrides) -> SingleSessionOnline:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_arrivals_rejected(self, bad):
+        policy = make_policy()
+        policy.decide(0, 1.0, 0.0)
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            policy.decide(1, bad, 0.0)
+
     def test_window_below_delay_rejected(self):
         with pytest.raises(ConfigError, match="W >= D_O"):
             make_policy(window=2)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
+from repro.core.continuous import ContinuousMultiSession
 from repro.core.maxminfair import MaxMinFairAllocator
 from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.phased import PhasedMultiSession
@@ -247,6 +248,10 @@ class _MaxMinSubclass(MaxMinFairAllocator):
     """A subclass that changes nothing: the gate still turns it away."""
 
 
+class _ContinuousSubclass(ContinuousMultiSession):
+    """A subclass that changes nothing: the gate still turns it away."""
+
+
 class TestMultiExactTypeGate:
     """``multi_vector_capable`` matches exact types, never subclasses."""
 
@@ -280,6 +285,19 @@ class TestMultiExactTypeGate:
             return _MaxMinSubclass(3, capacity=12.0, period=4)
 
         arrivals = self._calm(3)
+        assert not multi_vector_capable(policy())
+        default = run_multi_session(policy(), arrivals)
+        assert bulk_commits == []
+        TestMultiVector._assert_multi_identical(
+            default, run_multi_session(policy(), arrivals, vector=False)
+        )
+
+    def test_continuous_subclass_is_not_capable(self, bulk_commits):
+        def policy():
+            return _ContinuousSubclass(2, offline_bandwidth=16.0, offline_delay=8)
+
+        arrivals = self._calm(2)
+        assert multi_vector_capable(ContinuousMultiSession(2, offline_bandwidth=16.0, offline_delay=8))
         assert not multi_vector_capable(policy())
         default = run_multi_session(policy(), arrivals)
         assert bulk_commits == []

@@ -50,10 +50,11 @@ def test_low_tracker_naive_small(benchmark):
 def test_bit_queue_cycle(benchmark):
     def run():
         queue = BitQueue()
+        histogram = {}
         delivered = 0.0
         for t, bits in enumerate(STREAM[:2000]):
             queue.push(t, float(bits))
-            delivered += queue.serve(t, 5.0).bits
+            delivered += queue.serve(t, 5.0, histogram)
         return delivered
 
     assert benchmark(run) > 0

@@ -10,9 +10,9 @@ Two shapes of policy exist in the paper:
 * **Multi-session** (:class:`MultiSessionPolicy`) — owns its per-session
   regular/overflow queues because the algorithms *re-parent* bits between
   queues (Figures 4 and 5, and the combined algorithm of §4).  Each slot the
-  policy ingests the arrival vector, updates allocations, serves the queues,
-  and returns the per-session delivery records; the engine only feeds and
-  records.
+  policy ingests the arrival vector, updates allocations, serves the queues
+  (each delivery folds into its session's delay histogram), and returns
+  the bits each session delivered; the engine only feeds and records.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.errors import ConfigError
 from repro.network.channel import SessionChannels
 from repro.network.link import BandwidthChange, Link
-from repro.network.queue import EPSILON, ServeResult
+from repro.network.queue import EPSILON
 from repro.network.session import Session
 from repro.obs.runtime import count as obs_count
 
@@ -106,13 +106,20 @@ class MultiSessionPolicy(ABC):
         self.extra_link: Link | None = None
 
     @abstractmethod
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         """Run one slot: ingest arrivals, adjust allocations, serve.
 
-        Returns one :class:`ServeResult` per session, in session order;
-        deliveries routed through an extra global channel must be folded
-        into the owning session's result so delay accounting stays exact.
+        Returns the bits each session delivered, in session order;
+        deliveries routed through an extra global channel count for the
+        owning session and fold into its histogram, so delay accounting
+        stays exact.
         """
+
+    def _serve_sessions(self, t: int) -> list[float]:
+        """Serve every session's channels for slot ``t``, in session order;
+        return the bits each delivered."""
+        fifo = self.fifo
+        return [session.channels.serve(t, fifo, session) for session in self.sessions]
 
     # -- uniform accounting ------------------------------------------------
 

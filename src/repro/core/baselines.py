@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.allocator import BandwidthPolicy, MultiSessionPolicy
 from repro.errors import ConfigError
-from repro.network.queue import EPSILON, ServeResult
+from repro.network.queue import EPSILON
 
 
 class StaticAllocator(BandwidthPolicy):
@@ -163,20 +163,16 @@ class EqualSplitMultiSession(MultiSessionPolicy):
         self.max_bandwidth = k * self.offline_bandwidth
         self._started = False
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         if not self._started:
             self._started = True
             self.stage_starts.append(t)
             for session in self.sessions:
                 session.channels.regular_link.set(t, self.offline_bandwidth)
-        results = []
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)
-            result = session.channels.serve(t, fifo=self.fifo)
-            session.account(result)
-            results.append(result)
-        return results
+        return self._serve_sessions(t)
 
 
 class StoreAndForwardMultiSession(MultiSessionPolicy):
@@ -196,7 +192,7 @@ class StoreAndForwardMultiSession(MultiSessionPolicy):
         self.offline_delay = int(offline_delay)
         self._next_boundary = self.offline_delay
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         if t == 0:
             self.stage_starts.append(0)
         if t >= self._next_boundary:
@@ -207,11 +203,7 @@ class StoreAndForwardMultiSession(MultiSessionPolicy):
                     t, channels.overflow_queue.size / self.offline_delay
                 )
             self._next_boundary = t + self.offline_delay
-        results = []
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)
-            result = session.channels.serve(t, fifo=self.fifo)
-            session.account(result)
-            results.append(result)
-        return results
+        return self._serve_sessions(t)

@@ -41,8 +41,9 @@ from repro.core.phased import PhasedMultiSession
 from repro.core.powers import PowerOfTwoQuantizer, Quantizer
 from repro.core.stagekernel import StageKernel
 from repro.errors import ConfigError
+from repro.network.channel import serve_for
 from repro.network.link import Link
-from repro.network.queue import EPSILON, BitQueue, ServeResult
+from repro.network.queue import EPSILON, BitQueue
 
 
 class CombinedMultiSession(MultiSessionPolicy):
@@ -148,23 +149,26 @@ class CombinedMultiSession(MultiSessionPolicy):
         self.stage_starts.append(t)
         self._move(t, target)
 
-    def _serve_global_overflow(self, t: int) -> list[ServeResult]:
-        """Serve the stolen queues with ``2·B_O`` split proportionally."""
+    def _serve_global_overflow(self, t: int) -> list[float]:
+        """Serve the stolen queues with ``2·B_O`` split proportionally; each
+        delivery counts for the session the bits were stolen from.
+        Returns the bits each session got."""
         sizes = [q.size for q in self._global_queues]
         total = sum(sizes)
         if total <= EPSILON:
             self.extra_link.set(t, 0.0)
-            return [ServeResult() for _ in range(self.k)]
+            return [0.0] * self.k
         self.extra_link.set(t, self.global_overflow_capacity)
-        results = []
-        for size, queue in zip(sizes, self._global_queues):
-            share = self.global_overflow_capacity * (size / total)
-            results.append(queue.serve(t, share))
-        return results
+        served = []
+        for session, size, queue in zip(self.sessions, sizes, self._global_queues):
+            bits = serve_for(session, queue, t, self.global_overflow_capacity * (size / total))
+            session.bits_delivered += bits
+            served.append(bits)
+        return served
 
     # -- the slot step -----------------------------------------------------------
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         total_arrivals = float(sum(arrivals))
         if not self._started:
             self._started = True
@@ -191,21 +195,9 @@ class CombinedMultiSession(MultiSessionPolicy):
                     1.0,
                 ),
             )
-        results = self.inner.step(t, arrivals)
-        overflow_results = self._serve_global_overflow(t)
-        merged = []
-        for session, inner_result, extra_result in zip(
-            self.sessions, results, overflow_results
-        ):
-            if extra_result.bits > 0:
-                session.account(extra_result)
-            merged.append(
-                ServeResult(
-                    bits=inner_result.bits + extra_result.bits,
-                    deliveries=inner_result.deliveries + extra_result.deliveries,
-                )
-            )
-        return merged
+        inner = self.inner.step(t, arrivals)
+        extra = self._serve_global_overflow(t)
+        return [a + b for a, b in zip(inner, extra)]
 
     # -- accounting ---------------------------------------------------------------
 

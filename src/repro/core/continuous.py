@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.core.allocator import RegularOverflowPolicy, check_arrival
 from repro.network.channel import SessionChannels
-from repro.network.queue import EPSILON, ServeResult
+from repro.network.queue import EPSILON
 from repro.obs.runtime import count as obs_count
 from repro.sim.events import EventQueue
 
@@ -134,7 +134,7 @@ class ContinuousMultiSession(RegularOverflowPolicy):
 
     # -- the slot step ---------------------------------------------------------
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         for bits in arrivals:  # before anything changes
             check_arrival(bits)
         self.begin_slot(t)
@@ -150,12 +150,7 @@ class ContinuousMultiSession(RegularOverflowPolicy):
                 for other in range(self.k):
                     self._spill(t, other)
                 self._reset(t, initial=False)
-        results = []
-        for session in self.sessions:
-            result = session.channels.serve(t, fifo=self.fifo)
-            session.account(result)
-            results.append(result)
-        return results
+        return self._serve_sessions(t)
 
     # -- diagnostics -------------------------------------------------------------
 

@@ -27,7 +27,6 @@ from typing import Sequence
 
 from repro.core.allocator import MultiSessionPolicy
 from repro.errors import ConfigError
-from repro.network.queue import ServeResult
 
 
 class EpochDrivenMultiSession(MultiSessionPolicy):
@@ -128,17 +127,12 @@ class EpochDrivenMultiSession(MultiSessionPolicy):
 
     # -- the slot step -------------------------------------------------------
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         self.begin_slot(t)
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)
-        results = []
-        for session in self.sessions:
-            result = session.channels.serve(t, fifo=self.fifo)
-            session.account(result)
-            results.append(result)
-        return results
+        return self._serve_sessions(t)
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -32,7 +32,6 @@ from typing import Sequence
 
 from repro.core.allocator import RegularOverflowPolicy, check_arrival
 from repro.network.channel import SessionChannels
-from repro.network.queue import ServeResult
 from repro.obs.runtime import count as obs_count
 
 
@@ -164,7 +163,7 @@ class PhasedMultiSession(RegularOverflowPolicy):
 
     # -- the slot step -------------------------------------------------------
 
-    def step(self, t: int, arrivals: Sequence[float]) -> list[ServeResult]:
+    def step(self, t: int, arrivals: Sequence[float]) -> list[float]:
         for bits in arrivals:  # before anything changes
             check_arrival(bits)
         self.begin_slot(t)
@@ -173,9 +172,4 @@ class PhasedMultiSession(RegularOverflowPolicy):
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)
-        results = []
-        for session in self.sessions:
-            result = session.channels.serve(t, fifo=self.fifo)
-            session.account(result)
-            results.append(result)
-        return results
+        return self._serve_sessions(t)

@@ -2,16 +2,14 @@
 
 from repro.network.channel import SessionChannels
 from repro.network.link import BandwidthChange, Link
-from repro.network.queue import BitQueue, Delivery, ServeResult
+from repro.network.queue import BitQueue
 from repro.network.session import Session
 from repro.network.shaper import TokenBucket, is_conforming
 
 __all__ = [
     "BandwidthChange",
     "BitQueue",
-    "Delivery",
     "Link",
-    "ServeResult",
     "TokenBucket",
     "is_conforming",
     "Session",

@@ -12,6 +12,9 @@ and implements the service disciplines:
   (whose bits are older) and then the regular queue, which serves bits in
   exact arrival order (the Remark after Theorem 14).
 
+Both queues serve through :func:`~repro.network.queue.serve_fifo`, which
+folds every delivery into the owning :class:`~repro.network.session.Session`'s
+delay histogram.  :meth:`SessionChannels.serve` runs one slot;
 :meth:`SessionChannels.replay` runs a session's slots up to its next
 allocation event in one fused loop: the multi-session engine's
 session-major slices (:mod:`repro.sim.vector`).
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.network.link import Link
-from repro.network.queue import EPSILON, KEEPUP_RUN, BitQueue, ServeResult
+from repro.network.queue import EPSILON, KEEPUP_RUN, BitQueue, serve_fifo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.network.session import Session
@@ -82,26 +85,21 @@ class SessionChannels:
         """Move ``Q_i^r`` wholesale into ``Q_i^o``; return the bits moved."""
         return self.regular_queue.drain_to(self.overflow_queue)
 
-    def serve(self, t: int, fifo: bool = False) -> ServeResult:
-        """Serve one slot; return the merged delivery record."""
+    def serve(self, t: int, fifo: bool, session: "Session") -> float:
+        """Serve one slot for ``session``, overflow queue first, each queue
+        with :func:`serve_for`; add the bits served to its
+        ``bits_delivered`` and return them."""
         factor = self.capacity_factor
         if fifo:
-            capacity = self.total_bandwidth * factor
-            first = self.overflow_queue.serve(t, capacity)
+            pooled = self.total_bandwidth * factor
+            served = serve_for(session, self.overflow_queue, t, pooled)
             # Guard against float dust pushing the remainder below zero.
-            second = self.regular_queue.serve(t, max(0.0, capacity - first.bits))
+            served += serve_for(session, self.regular_queue, t, max(0.0, pooled - served))
         else:
-            first = self.overflow_queue.serve(
-                t, self.overflow_link.bandwidth * factor
-            )
-            second = self.regular_queue.serve(
-                t, self.regular_link.bandwidth * factor
-            )
-        merged = ServeResult(
-            bits=first.bits + second.bits,
-            deliveries=first.deliveries + second.deliveries,
-        )
-        return merged
+            served = serve_for(session, self.overflow_queue, t, self.overflow_link.bandwidth * factor)
+            served += serve_for(session, self.regular_queue, t, self.regular_link.bandwidth * factor)
+        session.bits_delivered += served
+        return served
 
     def max_age(self, t: int) -> int:
         """Age of the oldest bit queued in either channel."""
@@ -111,22 +109,19 @@ class SessionChannels:
         self,
         t: int,
         arrivals: Sequence[float] | np.ndarray,
-        histogram: dict[int, float],
         fifo: bool,
         session: "Session",
         limit: float = math.inf,
         phase: tuple[int, int] | None = None,
     ) -> tuple[list[float], list[float]]:
-        """Run ``Session.push``, :meth:`serve` and ``Session.account`` for
-        slots ``t, t+1, ...`` at the current bandwidths, up to the session's
-        next local event.
+        """Run ``Session.push`` and :meth:`serve` for slots ``t, t+1, ...``
+        at the current bandwidths, up to the session's next local event.
 
         Slot ``t + i`` takes ``arrivals[i]``.  The float operations are the
-        per-slot methods', in the same order; no :class:`ServeResult` is
-        built.  Each slot's deliveries fold into ``histogram`` (delay ->
-        bits) overflow first, then regular, as the recorder folds a merged
-        result, and ``session``'s ``bits_arrived``, ``bits_delivered`` and
-        ``max_delay`` are current when the call returns.
+        per-slot methods', in the same order: each slot's deliveries fold
+        into ``session``'s delay histogram overflow first, then regular,
+        and its ``bits_arrived``, ``bits_delivered`` and ``max_delay`` are
+        current when the call returns.
 
         The replay stops before the first slot at which the regular queue
         holds more than ``limit`` bits: with ``phase=(first, period)`` the
@@ -187,6 +182,7 @@ class SessionChannels:
         o_chunks = overflow._chunks
         r_size = regular._size
         o_size = overflow._size
+        histogram = session.histogram
         arrived = session.bits_arrived
         total = session.bits_delivered
         worst = session.max_delay
@@ -255,13 +251,13 @@ class SessionChannels:
                         remaining = pooled if fifo else overflow_capacity
                         if remaining > 0.0 and slot - o_chunks[0][0] > worst:
                             worst = slot - o_chunks[0][0]
-                        served, o_size = _serve(o_chunks, o_size, slot, remaining, histogram)
+                        served, o_size = serve_fifo(o_chunks, o_size, slot, remaining, histogram)
                     second = 0.0  # then the regular queue
                     if r_chunks:
                         remaining = max(0.0, pooled - served) if fifo else regular_capacity
                         if remaining > 0.0 and slot - r_chunks[0][0] > worst:
                             worst = slot - r_chunks[0][0]
-                        second, r_size = _serve(r_chunks, r_size, slot, remaining, histogram)
+                        second, r_size = serve_fifo(r_chunks, r_size, slot, remaining, histogram)
                     served += second
                     total += served
                     delivered.append(served)
@@ -290,27 +286,15 @@ class SessionChannels:
         return delivered, backlog
 
 
-def _serve(chunks, size, slot, remaining, histogram):
-    """:meth:`BitQueue.serve`'s float operations on a queue's raw chunks,
-    folding each delivery into ``histogram``; returns ``(bits served, new
-    size)``, with the queue's sub-epsilon dust cleared as ``serve`` does."""
-    served = 0.0
-    while remaining > 0.0 and chunks:
-        chunk = chunks[0]
-        arrival, queued = chunk
-        take = queued if queued <= remaining else remaining
-        delay = slot - arrival
-        histogram[delay] = histogram.get(delay, 0.0) + take
-        served += take
-        remaining -= take
-        size -= take
-        if take >= queued - EPSILON:
-            chunks.popleft()
-        else:
-            chunk[1] = queued - take
-    if not chunks:
-        return served, 0.0
-    if size < EPSILON:
-        chunks.clear()
-        return served, 0.0
-    return served, size
+def serve_for(session: "Session", queue: BitQueue, slot: int, capacity: float) -> float:
+    """Serve ``queue`` during ``slot`` on behalf of ``session``; return the bits.
+
+    Each delivery folds into ``session``'s delay histogram, and its
+    ``max_delay`` takes the head-of-queue delay when the queue has bits
+    and ``capacity > 0``.  The caller adds the bits to ``bits_delivered``.
+    """
+    chunks = queue._chunks
+    if chunks and capacity > 0.0 and slot - chunks[0][0] > session.max_delay:
+        session.max_delay = slot - chunks[0][0]
+    served, queue._size = serve_fifo(chunks, queue._size, slot, capacity, session.histogram)
+    return served

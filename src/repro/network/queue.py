@@ -2,16 +2,20 @@
 
 The paper's model is fluid: a slot may carry a fractional number of bits.
 The queue therefore stores *chunks* — (arrival slot, bits) pairs — served in
-FIFO order; serving may split a chunk.  Every delivery reports the delay of
-the served bits, which feeds the latency metrics, and chunks can be moved
-wholesale between queues (the multi-session algorithms re-parent bits from
-regular to overflow queues while preserving arrival stamps).
+FIFO order; serving may split a chunk.  Every delivery folds the delay of
+the served bits into a delay histogram, which feeds the latency metrics,
+and chunks can be moved wholesale between queues (the multi-session
+algorithms re-parent bits from regular to overflow queues while preserving
+arrival stamps).
+
+:func:`serve_fifo` is the one FIFO serve loop: :meth:`BitQueue.serve`,
+:meth:`BitQueue.replay` and the channel pair of
+:mod:`repro.network.channel` all serve through it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,33 +29,42 @@ EPSILON = 1e-9
 KEEPUP_RUN = 32
 
 
-@dataclass
-class Delivery:
-    """Bits delivered in one slot from one arrival cohort."""
+def serve_fifo(
+    chunks: deque, size: float, slot: int, remaining: float, histogram: dict[int, float]
+) -> tuple[float, float]:
+    """Serve up to ``remaining`` bits of a queue's raw ``chunks`` FIFO
+    during ``slot``, folding each take into ``histogram`` (delay -> bits)
+    in delivery order.
 
-    arrival: int
-    served_at: int
-    bits: float
-
-    @property
-    def delay(self) -> int:
-        """Slots between arrival and delivery (0 = same slot)."""
-        return self.served_at - self.arrival
-
-
-@dataclass
-class ServeResult:
-    """Outcome of one :meth:`BitQueue.serve` call."""
-
-    bits: float = 0.0
-    deliveries: list[Delivery] = field(default_factory=list)
-
-    @property
-    def max_delay(self) -> int:
-        """Largest delay among the served bits (-1 when nothing served)."""
-        if not self.deliveries:
-            return -1
-        return max(d.delay for d in self.deliveries)
+    Returns ``(bits served, new size)``.  Serving runs down to exact-zero
+    remaining capacity: refusing sub-epsilon capacities while the queue
+    holds sub-epsilon residue would trap geometric-decay policies short of
+    draining (a Zeno stall).  Popping a chunk may leave up to EPSILON of
+    untracked size behind (a take can undershoot the chunk by EPSILON), so
+    once no chunks remain the size is zeroed, and a size below EPSILON
+    clears the chunks: otherwise the queue would report non-empty forever
+    and drain loops would stall.
+    """
+    served = 0.0
+    while remaining > 0.0 and chunks:
+        chunk = chunks[0]
+        arrival, queued = chunk
+        take = queued if queued <= remaining else remaining
+        delay = slot - arrival
+        histogram[delay] = histogram.get(delay, 0.0) + take
+        served += take
+        remaining -= take
+        size -= take
+        if take >= queued - EPSILON:
+            chunks.popleft()
+        else:
+            chunk[1] = queued - take
+    if not chunks:
+        return served, 0.0
+    if size < EPSILON:
+        chunks.clear()
+        return served, 0.0
+    return served, size
 
 
 class BitQueue:
@@ -98,7 +111,7 @@ class BitQueue:
         With a finite capacity, bits that would overflow are tail-dropped
         (the newest bits are lost, as in a real ingress buffer).
         """
-        if bits < 0:
+        if not bits >= 0:  # NaN fails it too
             raise ConfigError(f"bits must be >= 0, got {bits!r}")
         if bits <= EPSILON:
             return 0.0
@@ -122,34 +135,13 @@ class BitQueue:
         self._size += bits
         return lost
 
-    def serve(self, t: int, capacity: float) -> ServeResult:
-        """Serve up to ``capacity`` bits FIFO during slot ``t``."""
-        if capacity < 0:
+    def serve(self, t: int, capacity: float, histogram: dict[int, float]) -> float:
+        """Serve up to ``capacity`` bits FIFO during slot ``t``, folding each
+        delivery into ``histogram`` (delay -> bits); return the bits served."""
+        if not capacity >= 0:  # NaN fails it too
             raise ConfigError(f"capacity must be >= 0, got {capacity!r}")
-        result = ServeResult()
-        remaining = capacity
-        # Serve down to exact-zero remaining capacity: refusing sub-epsilon
-        # capacities while the queue holds sub-epsilon residue would trap
-        # geometric-decay policies short of draining (a Zeno stall).
-        while remaining > 0.0 and self._chunks:
-            arrival, bits = self._chunks[0]
-            take = bits if bits <= remaining else remaining
-            result.deliveries.append(Delivery(arrival=arrival, served_at=t, bits=take))
-            result.bits += take
-            remaining -= take
-            self._size -= take
-            if take >= bits - EPSILON:
-                self._chunks.popleft()
-            else:
-                self._chunks[0][1] = bits - take
-        # Popping a chunk may leave up to EPSILON of untracked size behind
-        # (take can undershoot bits by EPSILON); once no chunks remain the
-        # accumulated dust MUST be zeroed or the queue reports non-empty
-        # forever and drain loops stall.
-        if not self._chunks or self._size < EPSILON:
-            self._size = 0.0
-            self._chunks.clear()
-        return result
+        served, self._size = serve_fifo(self._chunks, self._size, t, capacity, histogram)
+        return served
 
     def replay(
         self,
@@ -163,10 +155,9 @@ class BitQueue:
 
         Slot ``t + i`` pushes ``arrivals[i]`` and serves ``capacity`` (a
         float for every slot, or an array as long as ``arrivals``) with the
-        same float operations, in the same order, as the per-slot methods.
-        No :class:`ServeResult` or :class:`Delivery` is built: each delivery
-        folds into ``histogram`` (delay -> bits) in delivery order, which is
-        what folding every slot's ``serve`` result would do.
+        same float operations, in the same order, as the per-slot methods,
+        folding each delivery into ``histogram`` (delay -> bits) in delivery
+        order.
 
         While the queue is exactly empty and arrivals stay at or below the
         capacity, each slot delivers its own arrivals at delay 0 (dust
@@ -274,25 +265,7 @@ class BitQueue:
                         else:
                             chunks.append([slot, bits])
                         size += bits
-                    total = 0.0
-                    while remaining > 0.0 and chunks:  # serve
-                        chunk = chunks[0]
-                        arrival, queued = chunk
-                        take = queued if queued <= remaining else remaining
-                        delay = slot - arrival
-                        histogram[delay] = histogram.get(delay, 0.0) + take
-                        total += take
-                        remaining -= take
-                        size -= take
-                        if take >= queued - EPSILON:
-                            chunks.popleft()
-                        else:
-                            chunk[1] = queued - take
-                    if not chunks:
-                        size = 0.0
-                    elif size < EPSILON:
-                        size = 0.0
-                        chunks.clear()
+                    total, size = serve_fifo(chunks, size, slot, remaining, histogram)
                     served.append(total)
                     after.append(size if size > EPSILON else 0.0)
                     if not chunks and k >= resume:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from repro.network.channel import SessionChannels
-from repro.network.queue import ServeResult
 
 
 class Session:
-    """A session: channel pair plus cumulative traffic counters."""
+    """A session: channel pair, cumulative traffic counters and the
+    bits-weighted delay histogram its deliveries fold into."""
 
     def __init__(self, index: int):
         self.index = index
@@ -15,6 +15,8 @@ class Session:
         self.bits_arrived = 0.0
         self.bits_delivered = 0.0
         self.max_delay = 0
+        #: Delay (slots) -> bits delivered at that delay, in first-delivery order.
+        self.histogram: dict[int, float] = {}
 
     def __repr__(self) -> str:
         return (
@@ -26,14 +28,6 @@ class Session:
         """Record and enqueue new arrivals."""
         self.bits_arrived += bits
         self.channels.push(t, bits)
-
-    def account(self, result: ServeResult) -> None:
-        """Fold one slot's deliveries into the counters."""
-        self.bits_delivered += result.bits
-        if result.deliveries:
-            worst = result.max_delay
-            if worst > self.max_delay:
-                self.max_delay = worst
 
     @property
     def backlog(self) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.network.link import BandwidthChange
-from repro.network.queue import ServeResult
 
 
 def merge_histograms(histograms: list[dict[int, float]]) -> dict[int, float]:
@@ -256,9 +255,9 @@ class SingleSessionRecorder:
         self._dropped: list[float] = []
         self._requested: list[float] = []
         self._effective: list[float] = []
-        #: Bits-weighted delay histogram; :meth:`record` folds each slot's
-        #: deliveries into it, and the engine's bulk slices fold theirs
-        #: directly (:meth:`~repro.network.queue.BitQueue.replay`).
+        #: Bits-weighted delay histogram: the engine's queue folds every
+        #: delivery into it as it serves (:meth:`BitQueue.serve
+        #: <repro.network.queue.BitQueue.serve>` and ``replay``).
         self.histogram: dict[int, float] = {}
         #: Deferred bulk slices ``(pos, columns)`` for :func:`_splice`:
         #: the bulk path never pays per-slot appends.
@@ -269,7 +268,7 @@ class SingleSessionRecorder:
         t: int,
         arrivals: float,
         allocation: float,
-        result: ServeResult,
+        delivered: float,
         backlog_after: float,
         dropped: float = 0.0,
         requested: float | None = None,
@@ -277,16 +276,11 @@ class SingleSessionRecorder:
     ) -> None:
         self._arrivals.append(arrivals)
         self._allocation.append(allocation)
-        self._delivered.append(result.bits)
+        self._delivered.append(delivered)
         self._backlog.append(backlog_after)
         self._dropped.append(dropped)
         self._requested.append(allocation if requested is None else requested)
         self._effective.append(allocation if effective is None else effective)
-        histogram = self.histogram
-        for delivery in result.deliveries:
-            histogram[delivery.delay] = (
-                histogram.get(delivery.delay, 0.0) + delivery.bits
-            )
 
     def record_keepup_block(
         self,
@@ -307,10 +301,8 @@ class SingleSessionRecorder:
         ``dropped`` the bits an ingress fault removed (a per-slot array, or
         0 for none) and ``effective`` the per-slot bandwidth the wire served
         with (None: the allocation); requested bandwidth equals the
-        allocation.  The replay has already folded the slice's deliveries
-        into :attr:`histogram` in delivery order, so this call only defers
-        the per-slot columns: the slice is spliced in at :meth:`finalize`,
-        which keeps it O(1).
+        allocation.  This call only defers the per-slot columns: the slice
+        is spliced in at :meth:`finalize`, which keeps it O(1).
         """
         if effective is None:
             effective = allocation
@@ -358,7 +350,13 @@ class SingleSessionRecorder:
 
 
 class MultiSessionRecorder:
-    """Accumulates per-slot data for a multi-session run."""
+    """Accumulates per-slot data for a multi-session run.
+
+    The delay histograms are not the recorder's: each
+    :class:`~repro.network.session.Session` owns one, and its channels fold
+    every delivery into it as they serve.  :meth:`finalize` copies them
+    into the trace.
+    """
 
     def __init__(self, k: int):
         self.k = k
@@ -370,11 +368,6 @@ class MultiSessionRecorder:
         self._extra: list[float] = []
         self._requested: list[float] = []
         self._dropped: list[float] = []
-        #: Per-session bits-weighted delay histograms; :meth:`record` folds
-        #: each slot's deliveries into them, and the engine's slices
-        #: fold theirs directly (:meth:`SessionChannels.replay
-        #: <repro.network.channel.SessionChannels.replay>`).
-        self.histograms: list[dict[int, float]] = [dict() for _ in range(k)]
         #: Deferred slice blocks ``(pos, columns)`` for :func:`_splice`.
         self._blocks: list[tuple[int, tuple]] = []
 
@@ -384,7 +377,7 @@ class MultiSessionRecorder:
         arrivals: list[float],
         regular: list[float],
         overflow: list[float],
-        results: list[ServeResult],
+        delivered: list[float],
         backlogs: list[float],
         extra_allocation: float,
         requested_total: float | None = None,
@@ -393,19 +386,13 @@ class MultiSessionRecorder:
         self._arrivals.append(list(arrivals))
         self._regular.append(list(regular))
         self._overflow.append(list(overflow))
-        self._delivered.append([r.bits for r in results])
+        self._delivered.append(list(delivered))
         self._backlog.append(list(backlogs))
         self._extra.append(extra_allocation)
         if requested_total is None:
             requested_total = sum(regular) + sum(overflow) + extra_allocation
         self._requested.append(requested_total)
         self._dropped.append(dropped)
-        for i, result in enumerate(results):
-            histogram = self.histograms[i]
-            for delivery in result.deliveries:
-                histogram[delivery.delay] = (
-                    histogram.get(delivery.delay, 0.0) + delivery.bits
-                )
 
     def record_keepup_block(
         self,
@@ -426,9 +413,8 @@ class MultiSessionRecorder:
         of arrival rows, bits served and end-of-slot backlogs, ``regular``
         and ``overflow`` the per-session allocations, there is no extra
         channel and nothing is dropped (``requested_total=None`` records
-        :meth:`record`'s default).  The replay has already folded the
-        deliveries into :attr:`histograms`, so this call only defers the
-        columns: the block is spliced in at :meth:`finalize`.
+        :meth:`record`'s default).  This call only defers the columns: the
+        block is spliced in at :meth:`finalize`.
         """
         if requested_total is None:
             requested_total = sum(regular) + sum(overflow) + 0.0
@@ -446,6 +432,7 @@ class MultiSessionRecorder:
         stage_starts: list[int],
         resets: list[int],
         horizon: int,
+        delay_histograms: list[dict[int, float]],
     ) -> MultiSessionTrace:
         scalar = (
             self._arrivals,
@@ -467,7 +454,8 @@ class MultiSessionRecorder:
             delivered=delivered,
             backlog=backlog,
             extra_allocation=extra,
-            delay_histograms=[dict(h) for h in self.histograms],  # copied, as above
+            # Copied: a later step keeps folding deliveries into the live dicts.
+            delay_histograms=[dict(h) for h in delay_histograms],
             local_changes=list(local_changes),
             extra_changes=list(extra_changes),
             stage_starts=list(stage_starts),

@@ -77,8 +77,9 @@ Exactness of a slice rests on "same float operations, same order":
 * ``StageKernel.scan`` commits the kernel state repeated
   ``StageKernel.advance`` calls would (its accumulates are sequential);
 * ``BitQueue.replay`` and ``SessionChannels.replay`` run the per-slot
-  ``push`` and ``serve`` float operations in the per-slot order and fold
-  deliveries into the delay histograms in the order ``record`` would;
+  ``push`` and ``serve`` float operations in the per-slot order, and all
+  of them serve through one kernel (:func:`~repro.network.queue.serve_fifo`),
+  which folds each delivery into the delay histogram as it is served;
   a session's floats depend only on its own arrivals and allocations,
   so replaying sessions one after another instead of slot by slot
   changes none of them;
@@ -440,6 +441,7 @@ class EngineState:
         decide = policy.decide
         push = queue.push
         serve = queue.serve
+        histogram = recorder.histogram
         record = recorder.record
         faults = self._faults if self._faults.plan is not None else None
         link = policy.link
@@ -492,18 +494,18 @@ class EngineState:
                         f"policy returned negative bandwidth at t={t}"
                     )
                 if faults is None:
-                    result = serve(t, bandwidth)
-                    record(t, offered, bandwidth, result, queue.size, dropped=lost)
+                    served = serve(t, bandwidth, histogram)
+                    record(t, offered, bandwidth, served, queue.size, dropped=lost)
                 else:
                     # Link degradation: the wire serves less than granted.
                     requested = link.requested
                     effective = bandwidth * faults.capacity_at(t)
-                    result = serve(t, effective)
+                    served = serve(t, effective, histogram)
                     record(
                         t,
                         offered,
                         bandwidth,
-                        result,
+                        served,
                         queue.size,
                         dropped=lost + fault_dropped,
                         requested=requested,
@@ -616,13 +618,12 @@ class _Lane:
     collects are used."""
 
     __slots__ = (
-        "session", "arrivals", "histogram", "pos", "pushed", "delivered", "backlog", "_mark"
+        "session", "arrivals", "pos", "pushed", "delivered", "backlog", "_mark"
     )
 
-    def __init__(self, session, arrivals: np.ndarray, histogram: dict[int, float], t: int):
+    def __init__(self, session, arrivals: np.ndarray, t: int):
         self.session = session
         self.arrivals = arrivals
-        self.histogram = histogram
         #: First slot not yet replayed: the session's next local event,
         #: the edge of the replay window or the end of the slice.
         self.pos = t
@@ -644,7 +645,7 @@ class _Lane:
             arrivals = [0.0] + arrivals[1:].tolist()
         session = self.session
         delivered, backlog = session.channels.replay(
-            self.pos, arrivals, self.histogram, fifo, session, limit, phase
+            self.pos, arrivals, fifo, session, limit, phase
         )
         self.delivered += delivered
         self.backlog += backlog
@@ -666,7 +667,7 @@ class _Lane:
             session.bits_arrived,
             session.bits_delivered,
             session.max_delay,
-            dict(self.histogram),
+            dict(session.histogram),
             self.pushed,
         )
 
@@ -687,8 +688,8 @@ class _Lane:
         session.bits_arrived = arrived
         session.bits_delivered = delivered
         session.max_delay = worst
-        self.histogram.clear()
-        self.histogram.update(histogram)
+        session.histogram.clear()
+        session.histogram.update(histogram)
         del self.delivered[count:]
         del self.backlog[count:]
         self.advance(at, fifo)
@@ -815,10 +816,10 @@ class MultiEngineState:
                             fault_dropped = sum(offered) - sum(kept)
                 for link in plane:
                     link.tick(t)
-                results = policy_step(t, kept)
-                if len(results) != k:
+                delivered = policy_step(t, kept)
+                if len(delivered) != k:
                     raise SimulationError(
-                        f"policy returned {len(results)} results for k={k} at t={t}"
+                        f"policy returned {len(delivered)} results for k={k} at t={t}"
                     )
                 regular = [s.channels.regular_link.bandwidth for s in sessions]
                 overflow = [s.channels.overflow_link.bandwidth for s in sessions]
@@ -834,7 +835,7 @@ class MultiEngineState:
                     offered,
                     regular,
                     overflow,
-                    results,
+                    delivered,
                     backlogs,
                     extra,
                     requested_total=(
@@ -880,12 +881,7 @@ class MultiEngineState:
         if faulted:  # what a scalar step sets for a slot no fault acts on
             for session in policy.sessions:
                 session.channels.capacity_factor = 1.0
-        lanes = [
-            _Lane(session, row, histogram, t)
-            for session, row, histogram in zip(
-                policy.sessions, self._by_session, self.recorder.histograms
-            )
-        ]
+        lanes = [_Lane(session, row, t) for session, row in zip(policy.sessions, self._by_session)]
         blocks: list[tuple] = []
         if policy.local_events:
             stop = self._session_major(t, stop, plane, faulted, lanes, blocks)
@@ -946,8 +942,7 @@ class MultiEngineState:
         policy = self.policy
         fifo = policy.fifo
         replays = [
-            (lane.session.channels.replay, lane.session, column, lane.histogram,
-             lane.delivered, lane.backlog)
+            (lane.session.channels.replay, lane.session, column, lane.delivered, lane.backlog)
             for lane, column in zip(lanes, self._by_session[:, t:stop].tolist())
         ]
         edge = t
@@ -957,8 +952,8 @@ class MultiEngineState:
             joint = policy.next_joint_decision
             end = stop if joint is None else min(stop, joint)
             lo, hi = edge - t, end - t
-            for replay, session, column, histogram, delivered, backlog in replays:
-                served, after = replay(edge, column[lo:hi], histogram, fifo, session)
+            for replay, session, column, delivered, backlog in replays:
+                served, after = replay(edge, column[lo:hi], fifo, session)
                 delivered += served  # the lane's lists, extended in place
                 backlog += after
             edge = end
@@ -1021,4 +1016,5 @@ class MultiEngineState:
             stage_starts=policy.stage_starts,
             resets=policy.resets,
             horizon=self.horizon,
+            delay_histograms=[session.histogram for session in policy.sessions],
         )

@@ -607,13 +607,18 @@ def switch_count(series: np.ndarray) -> int:
     """Allocation changes a series implies: the initial set plus switches.
 
     Links start at 0 bandwidth, so a nonzero first value is one change;
-    every later slot whose value differs from the previous adds one.
+    every later slot whose value differs from the previous adds one.  A
+    step into, out of or between non-finite values is a change too (its
+    difference, NaN or infinite, says nothing about a no-op).
     """
     series = np.asarray(series, dtype=float)
     if len(series) == 0:
         return 0
-    count = 1 if abs(series[0]) > _CHANGE_EPS else 0
-    return count + int(np.count_nonzero(np.abs(np.diff(series)) > _CHANGE_EPS))
+    count = 0 if abs(series[0]) <= _CHANGE_EPS else 1
+    finite = np.isfinite(series)
+    with np.errstate(invalid="ignore", over="ignore"):
+        steps = np.abs(np.diff(series)) > _CHANGE_EPS
+    return count + int(np.count_nonzero(steps | ~(finite[1:] & finite[:-1])))
 
 
 def _all_finite(*series: np.ndarray) -> np.ndarray:

@@ -1,9 +1,11 @@
 """``BitQueue.replay`` and ``simulate_fifo_delay`` against per-slot oracles.
 
 The oracle is the per-slot ``push``/``serve`` loop ``simulate_fifo_delay``
-ran before it moved onto the fused replay; it builds a ``ServeResult`` per
-slot.  Both must agree exactly: max delay, leftover bits, and for the
-replay itself every per-slot delivery, backlog and histogram float.
+ran before it moved onto the fused replay, on the serve path from before
+the FIFO serve kernel (``tests/network/test_serve_oracle.py``), which
+builds a ``ServeResult`` per slot.  Both must agree exactly: max delay,
+leftover bits, and for the replay itself every per-slot delivery, backlog
+and histogram float.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from repro.analysis.feasibility import simulate_fifo_delay
 from repro.errors import ConfigError, SimulationError
 from repro.network.queue import EPSILON, BitQueue
+from tests.network.test_serve_oracle import fold, queue_serve
 from tests.strategies import FUZZ_EXAMPLES
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -27,7 +30,7 @@ def oracle_fifo_delay(arrivals, capacities):
     max_delay = 0
     for t in range(len(arrivals)):
         queue.push(t, float(arrivals[t]))
-        result = queue.serve(t, float(capacities[t]))
+        result = queue_serve(queue, t, float(capacities[t]))
         if result.deliveries:
             max_delay = max(max_delay, result.max_delay)
     if not queue.is_empty:
@@ -44,9 +47,8 @@ def oracle_replay(queue, t, arrivals, capacities, histogram, until_empty=False):
         if until_empty and queue.is_empty:
             break
         queue.push(t + i, float(bits))
-        result = queue.serve(t + i, float(capacities[i]))
-        for delivery in result.deliveries:
-            histogram[delivery.delay] = histogram.get(delivery.delay, 0.0) + delivery.bits
+        result = queue_serve(queue, t + i, float(capacities[i]))
+        fold(histogram, result)
         delivered.append(result.bits)
         backlog.append(queue.size)
     return delivered, backlog

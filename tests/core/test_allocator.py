@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.allocator import BandwidthPolicy, MultiSessionPolicy
 from repro.errors import ConfigError
-from repro.network.queue import ServeResult
 
 
 class _FixedPolicy(BandwidthPolicy):
@@ -18,7 +17,7 @@ class _NoopMulti(MultiSessionPolicy):
         for session, bits in zip(self.sessions, arrivals):
             if bits > 0:
                 session.push(t, bits)
-        return [ServeResult() for _ in range(self.k)]
+        return [0.0] * self.k
 
 
 class TestBandwidthPolicy:

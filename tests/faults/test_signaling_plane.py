@@ -182,9 +182,9 @@ def _reference_single(policy, arrivals, plan, retry, out_links):
         plane.set(t, desired)
         granted = plane.bandwidth
         effective = granted * plan.capacity_factor(t)
-        result = queue.serve(t, effective)
+        served = queue.serve(t, effective, recorder.histogram)
         recorder.record(
-            t, offered, granted, result, queue.size,
+            t, offered, granted, served, queue.size,
             dropped=lost + fault_dropped, requested=desired, effective=effective,
         )
         t += 1
@@ -234,14 +234,14 @@ def _reference_multi(policy, arrivals, plan, retry, out_links):
                 fault_dropped = sum(offered) - sum(kept)
         for link in out_links:
             link.tick(t)
-        results = policy.step(t, kept)
+        delivered = policy.step(t, kept)
         extra = policy.extra_link.bandwidth if policy.extra_link is not None else 0.0
         recorder.record(
             t,
             offered,
             [s.channels.regular_link.bandwidth for s in sessions],
             [s.channels.overflow_link.bandwidth for s in sessions],
-            results,
+            delivered,
             policy.session_backlogs(),
             extra,
             requested_total=policy.total_requested,
@@ -266,6 +266,7 @@ def _reference_multi(policy, arrivals, plan, retry, out_links):
         stage_starts=policy.stage_starts,
         resets=policy.resets,
         horizon=horizon,
+        delay_histograms=[session.histogram for session in sessions],
     )
     return trace, None
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.network.channel import SessionChannels
 from repro.network.queue import EPSILON
 from repro.network.session import Session
+from tests.network.test_serve_oracle import account, channels_serve, fold
 from tests.strategies import FUZZ_EXAMPLES
 
 
@@ -36,30 +37,30 @@ class TestSessionChannels:
         assert c.overflow_queue.size == 5
 
     def test_literal_serve_respects_per_channel_bandwidth(self):
-        c = SessionChannels(0)
+        session = Session(0)
+        c = session.channels
         c.push(0, 10)
         c.move_regular_to_overflow()
         c.push(1, 10)
         c.regular_link.set(1, 3)
         c.overflow_link.set(1, 2)
-        result = c.serve(1)
-        assert result.bits == pytest.approx(5)
+        assert c.serve(1, False, session) == pytest.approx(5)
         assert c.overflow_queue.size == pytest.approx(8)
         assert c.regular_queue.size == pytest.approx(7)
 
     def test_fifo_serve_pools_bandwidth_overflow_first(self):
-        c = SessionChannels(0)
+        session = Session(0)
+        c = session.channels
         c.push(0, 4)
         c.move_regular_to_overflow()
         c.push(1, 4)
         c.regular_link.set(1, 5)
         c.overflow_link.set(1, 0)
-        result = c.serve(1, fifo=True)
         # Pooled capacity 5: all 4 overflow bits (older) then 1 regular bit.
-        assert result.bits == pytest.approx(5)
+        assert c.serve(1, True, session) == pytest.approx(5)
         assert c.overflow_queue.is_empty
-        arrivals = [d.arrival for d in result.deliveries]
-        assert arrivals == sorted(arrivals)
+        delays = list(session.histogram)  # in delivery order
+        assert delays == sorted(delays, reverse=True)
 
     def test_max_age_spans_both_queues(self):
         c = SessionChannels(0)
@@ -156,19 +157,18 @@ def _stops(session, slot, bits, limit, phase) -> bool:
     return trial.channels.regular_queue.size > limit
 
 
-def _oracle(session, t, arrivals, histogram, fifo, limit=math.inf, phase=None):
-    """The per-slot loop a scalar ``PhasedMultiSession.step`` runs, up to
-    the first local event."""
+def _oracle(session, t, arrivals, fifo, limit=math.inf, phase=None):
+    """The per-slot loop a scalar ``PhasedMultiSession.step`` ran, up to
+    the first local event, on the serve path before the kernel."""
     delivered, backlog = [], []
     for i, bits in enumerate(arrivals):
         if _stops(session, t + i, bits, limit, phase):
             break
         if bits > 0:
             session.push(t + i, bits)
-        result = session.channels.serve(t + i, fifo=fifo)
-        session.account(result)
-        for delivery in result.deliveries:
-            histogram[delivery.delay] = histogram.get(delivery.delay, 0.0) + delivery.bits
+        result = channels_serve(session.channels, t + i, fifo=fifo)
+        account(session, result)
+        fold(session.histogram, result)
         delivered.append(result.bits)
         backlog.append(session.backlog)
     return delivered, backlog
@@ -178,11 +178,11 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-def _state(session, histogram):
+def _state(session):
     """Everything the replay must leave bit-identical."""
     channels = session.channels
     return {
-        "histogram": {d: b.hex() for d, b in histogram.items()},
+        "histogram": [(d, b.hex()) for d, b in session.histogram.items()],
         "arrived": session.bits_arrived.hex(),
         "delivered": session.bits_delivered.hex(),
         "max_delay": session.max_delay,
@@ -194,20 +194,19 @@ def _state(session, histogram):
 
 
 def _assert_replay_matches_oracle(case: _Case, histogram=None, limit=math.inf, phase=None):
-    """``phase`` is ``(offset, period)``: phase ends at ``t + offset + m·period``."""
-    histogram = dict(histogram or {})
+    """``phase`` is ``(offset, period)``: phase ends at ``t + offset + m·period``;
+    both sessions start from ``histogram``."""
     reference, t = _build(case)
+    reference.histogram = dict(histogram or {})
     if phase is not None:
         phase = (t + phase[0], phase[1])
-    expected_histogram = dict(histogram)
-    expected = _oracle(reference, t, case.arrivals, expected_histogram, case.fifo, limit, phase)
+    expected = _oracle(reference, t, case.arrivals, case.fifo, limit, phase)
     session, _ = _build(case)
-    got = session.channels.replay(
-        t, case.arrivals, histogram, case.fifo, session, limit, phase
-    )
+    session.histogram = dict(histogram or {})
+    got = session.channels.replay(t, case.arrivals, case.fifo, session, limit, phase)
     assert _hex(got[0]) == _hex(expected[0])
     assert _hex(got[1]) == _hex(expected[1])
-    assert _state(session, histogram) == _state(reference, expected_histogram)
+    assert _state(session) == _state(reference)
     return got
 
 
@@ -226,18 +225,14 @@ class TestReplay:
     @_SETTINGS
     def test_split_calls_match_one_call(self, case, cut):
         whole, t = _build(case)
-        whole_histogram: dict[int, float] = {}
-        columns = whole.channels.replay(t, case.arrivals, whole_histogram, case.fifo, whole)
+        columns = whole.channels.replay(t, case.arrivals, case.fifo, whole)
         split, _ = _build(case)
-        histogram: dict[int, float] = {}
         cut = min(cut, len(case.arrivals))
-        head = split.channels.replay(t, case.arrivals[:cut], histogram, case.fifo, split)
-        tail = split.channels.replay(
-            t + cut, case.arrivals[cut:], histogram, case.fifo, split
-        )
+        head = split.channels.replay(t, case.arrivals[:cut], case.fifo, split)
+        tail = split.channels.replay(t + cut, case.arrivals[cut:], case.fifo, split)
         assert _hex(head[0] + tail[0]) == _hex(columns[0])
         assert _hex(head[1] + tail[1]) == _hex(columns[1])
-        assert _state(split, histogram) == _state(whole, whole_histogram)
+        assert _state(split) == _state(whole)
 
     @pytest.mark.parametrize("fifo", [False, True])
     def test_dust_arrivals_count_but_never_queue(self, fifo):
@@ -281,12 +276,12 @@ class TestReplay:
     def test_same_delay_from_both_queues_folds_overflow_first(self):
         # Both queues hold slot-0 bits, so one slot delivers delay 2 from
         # each; the bin's sum depends on the fold order.
-        histogram = {2: 0.1}
         case = _Case([(0, 0.2)], [(0, 0.6)], 0.6, 0.2, 2, 0, [0.0], False)
-        _assert_replay_matches_oracle(case, histogram)
+        _assert_replay_matches_oracle(case, {2: 0.1})
         reference, t = _build(case)
-        reference.channels.replay(t, case.arrivals, histogram, False, reference)
-        assert histogram[2] == (0.1 + 0.2) + 0.6 != (0.1 + 0.6) + 0.2
+        reference.histogram = {2: 0.1}
+        reference.channels.replay(t, case.arrivals, False, reference)
+        assert reference.histogram[2] == (0.1 + 0.2) + 0.6 != (0.1 + 0.6) + 0.2
 
     @pytest.mark.parametrize("fifo", [False, True])
     def test_long_keepup_stretches_with_dust(self, fifo):
@@ -340,5 +335,5 @@ class TestReplay:
         case = _Case([(0, 4.0)], [(3, 4.0)], 1.0, 1.0, 2, 1, [1.0] * 6, fifo)
         _assert_replay_matches_oracle(case)
         session, t = _build(case)
-        session.channels.replay(t, case.arrivals, {}, fifo, session)
+        session.channels.replay(t, case.arrivals, fifo, session)
         assert session.max_delay > case.max_delay

@@ -38,7 +38,7 @@ class TestQueueCapacity:
     def test_serving_frees_room(self):
         q = BitQueue(capacity=4)
         q.push(0, 4)
-        q.serve(0, 3)
+        q.serve(0, 3, {})
         assert q.push(1, 3) == 0.0
         assert q.size == pytest.approx(4.0)
 
@@ -69,7 +69,7 @@ class TestQueueCapacity:
                 offered += bits
             q.push(t, bits)
             assert q.size <= capacity + 1e-9
-            delivered += q.serve(t, serve_cap).bits
+            delivered += q.serve(t, serve_cap, {})
         assert offered == pytest.approx(
             delivered + q.size + q.dropped, abs=1e-6
         )

@@ -27,6 +27,14 @@ class TestBasics:
         with pytest.raises(ConfigError):
             BitQueue().push(0, -1)
 
+    def test_push_nan_raises(self):
+        # NaN fails `bits < 0` too: it used to enqueue a chunk that `size`
+        # hid (the queue read empty while holding a NaN).
+        q = BitQueue()
+        with pytest.raises(ConfigError):
+            q.push(0, float("nan"))
+        assert q.peek_chunks() == []
+
     def test_push_dust_ignored(self):
         q = BitQueue()
         q.push(0, EPSILON / 10)
@@ -48,30 +56,40 @@ class TestBasics:
 class TestServe:
     def test_serve_negative_capacity_raises(self):
         with pytest.raises(ConfigError):
-            BitQueue().serve(0, -1)
+            BitQueue().serve(0, -1, {})
+
+    def test_serve_nan_capacity_raises(self):
+        # A NaN capacity used to serve nothing without a word.
+        q = BitQueue()
+        q.push(0, 4)
+        with pytest.raises(ConfigError):
+            q.serve(0, float("nan"), {})
+        assert q.size == 4
 
     def test_fifo_order_and_delays(self):
         q = BitQueue()
         q.push(0, 4)
         q.push(1, 4)
-        result = q.serve(2, 6)
-        assert result.bits == 6
-        assert [(d.arrival, d.bits) for d in result.deliveries] == [(0, 4.0), (1, 2.0)]
-        assert result.max_delay == 2
+        histogram = {}
+        assert q.serve(2, 6, histogram) == 6
+        # Delays 2 and 1 are arrivals 0 and 1, in delivery order.
+        assert list(histogram.items()) == [(2, 4.0), (1, 2.0)]
+        assert max(histogram) == 2
         assert q.size == 2
 
     def test_serve_empty(self):
-        result = BitQueue().serve(0, 10)
-        assert result.bits == 0
-        assert result.max_delay == -1
+        histogram = {}
+        assert BitQueue().serve(0, 10, histogram) == 0
+        assert histogram == {}
 
     def test_partial_chunk_preserves_stamp(self):
         q = BitQueue()
         q.push(0, 10)
-        q.serve(1, 4)
+        q.serve(1, 4, {})
         assert q.peek_chunks() == [(0, pytest.approx(6.0))]
-        result = q.serve(5, 100)
-        assert result.max_delay == 5
+        histogram = {}
+        q.serve(5, 100, histogram)
+        assert max(histogram) == 5
 
     def test_max_age(self):
         q = BitQueue()
@@ -117,12 +135,12 @@ def test_conservation_property(slots):
     for t, (bits, capacity) in enumerate(slots):
         q.push(t, bits)
         total_in += bits if bits > EPSILON else 0.0
-        result = q.serve(t, capacity)
-        total_out += result.bits
-        for delivery in result.deliveries:
-            assert delivery.arrival >= last_arrival_served
-            last_arrival_served = delivery.arrival
-            assert delivery.delay >= 0
+        histogram = {}
+        total_out += q.serve(t, capacity, histogram)
+        for delay in histogram:  # delivery order
+            assert t - delay >= last_arrival_served
+            last_arrival_served = t - delay
+            assert delay >= 0
     assert total_in == pytest.approx(total_out + q.size, rel=1e-9, abs=1e-6)
 
 
@@ -135,7 +153,7 @@ def test_chunk_pop_dust_does_not_stall_drain():
     dust = EPSILON / 2
     for t in range(4):
         q.push(t, 1.0)
-        q.serve(t, 1.0 - dust)  # pops the chunk, strands `dust` bits
+        q.serve(t, 1.0 - dust, {})  # pops the chunk, strands `dust` bits
     assert not q.peek_chunks()
     assert q.is_empty
     assert q.size == 0.0

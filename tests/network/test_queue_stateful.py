@@ -32,10 +32,11 @@ class QueueModel(RuleBasedStateMachine):
 
     @rule(capacity=st.floats(min_value=0, max_value=150))
     def serve(self, capacity):
-        result = self.queue.serve(self.clock, capacity)
-        self.total_out += result.bits
+        histogram = {}
+        served = self.queue.serve(self.clock, capacity, histogram)
+        self.total_out += served
         # Drain the shadow model FIFO by the same amount.
-        remaining = result.bits
+        remaining = served
         while remaining > EPSILON and self.shadow:
             arrival, bits = self.shadow[0]
             take = min(bits, remaining)
@@ -46,10 +47,10 @@ class QueueModel(RuleBasedStateMachine):
                 self.shadow[0] = (arrival, bits - take)
         # Deliveries must be FIFO and delays non-negative.
         previous = -1
-        for delivery in result.deliveries:
-            assert delivery.arrival >= previous
-            previous = delivery.arrival
-            assert 0 <= delivery.delay <= self.clock
+        for delay in histogram:  # delivery order
+            assert self.clock - delay >= previous
+            previous = self.clock - delay
+            assert 0 <= delay <= self.clock
 
     @rule()
     def tick(self):

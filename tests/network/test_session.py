@@ -1,8 +1,5 @@
 """Tests for the per-session counters."""
 
-import pytest
-
-from repro.network.queue import Delivery, ServeResult
 from repro.network.session import Session
 
 
@@ -14,27 +11,24 @@ class TestSession:
         assert s.bits_arrived == 8
         assert s.backlog == 8
 
-    def test_account_tracks_delay_and_bits(self):
+    def test_serve_tracks_delay_and_bits(self):
         s = Session(0)
-        s.account(
-            ServeResult(
-                bits=4,
-                deliveries=[
-                    Delivery(arrival=0, served_at=3, bits=2),
-                    Delivery(arrival=2, served_at=3, bits=2),
-                ],
-            )
-        )
+        s.push(0, 2)
+        s.push(2, 2)
+        s.channels.regular_link.set(0, 4)
+        assert s.channels.serve(3, False, s) == 4
         assert s.bits_delivered == 4
         assert s.max_delay == 3
+        assert s.histogram == {3: 2.0, 1: 2.0}
         # A later, smaller delay does not lower the max.
-        s.account(
-            ServeResult(bits=1, deliveries=[Delivery(arrival=3, served_at=4, bits=1)])
-        )
+        s.push(3, 1)
+        s.channels.serve(4, False, s)
         assert s.max_delay == 3
 
-    def test_account_empty(self):
+    def test_serve_empty(self):
         s = Session(0)
-        s.account(ServeResult())
+        s.channels.regular_link.set(0, 4)
+        assert s.channels.serve(0, False, s) == 0
         assert s.bits_delivered == 0
         assert s.max_delay == 0
+        assert s.histogram == {}

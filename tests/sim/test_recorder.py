@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.link import BandwidthChange
-from repro.network.queue import Delivery, ServeResult
+from repro.network.queue import BitQueue
 from repro.sim.recorder import (
     MultiSessionRecorder,
     SingleSessionRecorder,
@@ -50,17 +50,13 @@ class TestHistogramHelpers:
         assert histogram_quantile({}, 0.9) == 0
 
 
-def _result(arrival, served_at, bits):
-    return ServeResult(
-        bits=bits, deliveries=[Delivery(arrival=arrival, served_at=served_at, bits=bits)]
-    )
-
-
 class TestSingleSessionRecorder:
     def test_roundtrip(self):
         rec = SingleSessionRecorder()
-        rec.record(0, 5.0, 4.0, _result(0, 0, 4.0), 1.0)
-        rec.record(1, 0.0, 4.0, _result(0, 1, 1.0), 0.0)
+        queue = BitQueue()
+        queue.push(0, 5.0)
+        rec.record(0, 5.0, 4.0, queue.serve(0, 4.0, rec.histogram), queue.size)
+        rec.record(1, 0.0, 4.0, queue.serve(1, 4.0, rec.histogram), queue.size)
         trace = rec.finalize(
             changes=[BandwidthChange(t=0, old=0, new=4.0)],
             stage_starts=[0],
@@ -85,7 +81,7 @@ class TestMultiSessionRecorder:
             [3.0, 1.0],
             [2.0, 1.0],
             [0.5, 0.0],
-            [_result(0, 0, 2.0), _result(0, 0, 1.0)],
+            [2.0, 1.0],
             [1.0, 0.0],
             extra_allocation=1.5,
         )
@@ -95,6 +91,7 @@ class TestMultiSessionRecorder:
             stage_starts=[0],
             resets=[0],
             horizon=1,
+            delay_histograms=[{0: 2.0}, {0: 1.0}],
         )
         assert trace.k == 2
         assert trace.slots == 1

@@ -271,6 +271,16 @@ class TestNonFiniteTracesFail:
             report = certify(trace, phased_bounds(32.0, 4, 2, feasible=False))
         assert _failed(report, "conservation")
 
+    def test_multi_consecutive_infinite_allocations_are_changes(self):
+        # inf - inf is NaN: the steps into, between and out of the two
+        # infinite slots are three changes the log does not hold.
+        trace = _clean_multi_trace()
+        trace.regular_allocation[50:52, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = certify_multi(trace, phased_bounds(32.0, 4, 2, feasible=False))
+        assert _failed(report, "changes")
+
     def test_cli_rejects_a_nan_trace(self, tmp_path, capsys):
         from repro.cli import main
         from repro.sim.serialize import load_single_trace, save_single_trace
@@ -356,6 +366,13 @@ class TestSeriesHelpers:
         assert switch_count(np.array([2.0, 2.0])) == 1  # 0 -> 2 at t=0
         assert switch_count(np.array([0.0, 0.0])) == 0
         assert switch_count(np.array([])) == 0
+
+    def test_switch_count_counts_non_finite_steps(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert switch_count(np.array([2.0, np.inf, np.inf, 2.0])) == 4
+            assert switch_count(np.array([np.nan, np.nan])) == 2  # 0 -> NaN, NaN -> NaN
+            assert switch_count(np.array([0.0, -np.inf, 1e308, -1e308])) == 3
 
     def test_best_window_utilizations_flat_full_load(self):
         arrivals = np.full(10, 4.0)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.feasibility import check_multi_against_profiles, profile_serves
+from repro.analysis.feasibility import profile_serves, profiles_serve
 from repro.errors import ConfigError, FeasibilityError
 from repro.params import OfflineConstraints
 from repro.traffic.adversary import doubling_stream, sawtooth_stream
@@ -538,21 +538,19 @@ def phase_resonant_attack(
         "episode_phases": episode_phases,
         "trickle_fraction": trickle_fraction,
     }
-    report = check_multi_against_profiles(
-        arrivals, profiles, offline_bandwidth, offline_delay
-    )
-    if not report.feasible:
+    feasible = profiles_serve(arrivals, profiles, offline_bandwidth, offline_delay)
+    if not feasible:
         # The hand-off overlap can exceed B_O when the rotation lands on
         # a neighbour; fall back to a non-overlapping witness.
         profiles = np.full((horizon, k), trickle, dtype=float)
         hot_mask = arrivals >= hot_rate - _EPS
         profiles[hot_mask] = hot_rate
-        report = check_multi_against_profiles(
+        feasible = profiles_serve(
             arrivals, profiles, offline_bandwidth, offline_delay
         )
     return AttackCandidate(
         arrivals=arrivals,
-        profile=profiles if report.feasible else None,
+        profile=profiles if feasible else None,
         family="phase-resonant",
         params=params,
     )
@@ -604,12 +602,10 @@ def leaky_bucket_multi_attack(
     # bucket within D_O; fall back to uncertified when that overflows B_O.
     level = max(rate, bucket / offline_delay)
     profiles = np.full((horizon, k), level, dtype=float)
-    report = check_multi_against_profiles(
-        arrivals, profiles, offline_bandwidth, offline_delay
-    )
+    feasible = profiles_serve(arrivals, profiles, offline_bandwidth, offline_delay)
     return AttackCandidate(
         arrivals=arrivals,
-        profile=profiles if report.feasible else None,
+        profile=profiles if feasible else None,
         family="leaky-bucket-multi",
         params={
             "k": k,

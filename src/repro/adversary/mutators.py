@@ -30,7 +30,7 @@ from repro.adversary.generators import (
     sawtooth_attack,
     threshold_oscillator_attack,
 )
-from repro.analysis.feasibility import check_multi_against_profiles, profile_serves
+from repro.analysis.feasibility import profile_serves, profiles_serve
 from repro.errors import ConfigError, ReproError
 from repro.params import OfflineConstraints
 
@@ -301,9 +301,9 @@ def mutate_multi(
         arrivals, profile, op = _splice_arrays(
             candidate.arrivals, candidate.profile, rng, burst
         )
-        if profile is None or check_multi_against_profiles(
+        if profile is None or profiles_serve(
             arrivals, profile, offline_bandwidth, offline_delay
-        ).feasible:
+        ):
             return AttackCandidate(
                 arrivals=arrivals,
                 profile=profile,

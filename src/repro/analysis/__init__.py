@@ -6,8 +6,10 @@ from repro.analysis.feasibility import (
     check_multi_against_profiles,
     check_stream_against_profile,
     constant_bandwidth_needed,
+    fifo_serves_within,
     is_delay_feasible,
     profile_serves,
+    profiles_serve,
     simulate_fifo_delay,
     window_utilizations,
 )
@@ -46,10 +48,12 @@ __all__ = [
     "check_multi_against_profiles",
     "check_stream_against_profile",
     "constant_bandwidth_needed",
+    "fifo_serves_within",
     "global_utilization",
     "is_delay_feasible",
     "min_fixed_window_utilization",
     "profile_serves",
+    "profiles_serve",
     "render_ascii_series",
     "render_markdown_table",
     "render_table",

@@ -103,7 +103,7 @@ def min_changes_bruteforce_multi(
     session, matching the online accounting).  Exhaustive over change
     slots and level vectors — keep ``T``, ``k`` and the grid tiny.
     """
-    from repro.analysis.feasibility import check_multi_against_profiles
+    from repro.analysis.feasibility import profiles_serve
 
     array = np.asarray(arrivals, dtype=float)
     if array.ndim != 2:
@@ -146,10 +146,7 @@ def min_changes_bruteforce_multi(
                     start = boundaries[piece_index]
                     end = boundaries[piece_index + 1]
                     profiles[start:end, :] = vector
-                report = check_multi_against_profiles(
-                    array, profiles, offline_bandwidth, offline_delay
-                )
-                if report.feasible:
+                if profiles_serve(array, profiles, offline_bandwidth, offline_delay):
                     if best is None or change_total < best:
                         best = change_total
                         if best == 0:

@@ -16,10 +16,11 @@ with delay ``<= D_O`` and local utilization ``>= U_O``:
 The stream therefore satisfies footnote 1's feasibility assumption by
 construction, and ``profile`` is a feasible offline schedule: OPT's change
 count is at most the profile's.  Generated streams are re-verified with
-:func:`repro.analysis.feasibility.profile_serves`, which tries the
-vectorized checks first: a candidate whose ``W``-windows fall short of
-``U_O`` (the usual failure) is rejected before the slot-by-slot FIFO
-replay runs.  On a failure the generator retries with less time-shifting
+:func:`repro.analysis.feasibility.profile_serves`, whose checks are all
+vector passes: the ``B_O`` cap, the ``W``-window utilizations and a FIFO
+delay verdict read from cumulative curves, which replays the queue only
+when its margin is within rounding of zero.  On a failure the generator
+retries with less time-shifting
 (a zero shift is always feasible) and raises
 :class:`~repro.errors.FeasibilityError` only if even that fails (which
 would indicate a bug).

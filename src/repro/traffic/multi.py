@@ -89,7 +89,7 @@ def generate_multi_feasible(
         raise ConfigError(f"concentration must be > 0, got {concentration!r}")
     if offline_delay < 1:
         raise ConfigError(f"offline_delay must be >= 1 slot, got {offline_delay!r}")
-    from repro.analysis.feasibility import check_multi_against_profiles
+    from repro.analysis.feasibility import check_multi_against_profiles, profiles_serve
 
     rng = make_rng(seed)
     floor = min_segment if min_segment is not None else 4 * offline_delay
@@ -121,10 +121,10 @@ def generate_multi_feasible(
         served = fills * profiles[:, i]
         arrivals[:, i] = _release_early(served, offline_delay, burstiness, rng)
 
-    report = check_multi_against_profiles(
-        arrivals, profiles, offline_bandwidth, offline_delay
-    )
-    if not report.feasible:
+    if not profiles_serve(arrivals, profiles, offline_bandwidth, offline_delay):
+        report = check_multi_against_profiles(
+            arrivals, profiles, offline_bandwidth, offline_delay
+        )
         raise FeasibilityError(
             f"generated multi-session workload failed verification: "
             f"{report.detail}"

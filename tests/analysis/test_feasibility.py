@@ -7,7 +7,10 @@ from repro.analysis.feasibility import (
     check_multi_against_profiles,
     check_stream_against_profile,
     constant_bandwidth_needed,
+    fifo_serves_within,
     is_delay_feasible,
+    profile_serves,
+    profiles_serve,
     simulate_fifo_delay,
     window_utilizations,
 )
@@ -122,6 +125,51 @@ class TestCheckMulti:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             check_multi_against_profiles(np.ones((5, 2)), np.ones((5, 3)), 8, 2)
+
+
+class TestBadInput:
+    """Every check rejects bad input with ConfigError before any arithmetic."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_and_negative_arrivals(self, bad):
+        arrivals = np.array([1.0, bad, 1.0])
+        profile = np.full(3, 8.0)
+        for check in (check_stream_against_profile, profile_serves):
+            with pytest.raises(ConfigError, match="finite|non-negative"):
+                check(arrivals, profile, OFFLINE)
+        with pytest.raises(ConfigError, match="finite|non-negative"):
+            fifo_serves_within(arrivals, profile, 2)
+        for check in (check_multi_against_profiles, profiles_serve):
+            with pytest.raises(ConfigError, match="finite|non-negative"):
+                check(np.column_stack([arrivals, arrivals]), np.full((3, 2), 2.0), 8.0, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_rejects_negative_and_nan_profiles(self, bad):
+        profile = np.array([8.0, bad, 8.0])
+        for check in (check_stream_against_profile, profile_serves):
+            with pytest.raises(ConfigError, match="capacities"):
+                check(np.ones(3), profile, OFFLINE)
+        with pytest.raises(ConfigError, match="capacities"):
+            fifo_serves_within(np.ones(3), profile, 2)
+        for check in (check_multi_against_profiles, profiles_serve):
+            with pytest.raises(ConfigError, match="capacities"):
+                check(np.ones((3, 2)), np.column_stack([profile, profile]), 8.0, 2)
+
+    def test_rejects_wrong_dimensions(self):
+        for check in (check_multi_against_profiles, profiles_serve):
+            with pytest.raises(ConfigError, match="2-dimensional"):
+                check(np.ones(10), np.ones(10), 8.0, 2)
+        for check in (check_stream_against_profile, profile_serves):
+            with pytest.raises(ConfigError, match="1-dimensional"):
+                check(np.ones((10, 2)), np.ones((10, 2)), OFFLINE)
+
+    def test_length_mismatch_on_delay_only_constraints(self):
+        offline = OfflineConstraints(bandwidth=8, delay=2)
+        for check in (check_stream_against_profile, profile_serves):
+            with pytest.raises(ConfigError, match="shapes differ"):
+                check(np.ones(10), np.full(12, 8.0), offline)
+        with pytest.raises(ConfigError, match="shapes differ"):
+            profiles_serve(np.ones((5, 2)), np.ones((5, 3)), 8.0, 2)
 
 
 class TestConstantBandwidth:

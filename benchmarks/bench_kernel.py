@@ -3,7 +3,7 @@
 Not a paper artifact — these track the simulator's own performance so
 regressions in the envelope trackers, queues, or run loops are visible:
 
-* ``LowTracker`` (hull-based) vs the naive O(n^2) reference,
+* ``LowTracker`` (hull-based) pushes,
 * FIFO queue push/serve cycles,
 * single-session engine slots/second,
 * multi-session engine slots/second at k=8.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.envelope import LowTracker, NaiveLowTracker
+from repro.core.envelope import LowTracker
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.network.queue import BitQueue
@@ -29,18 +29,6 @@ def test_low_tracker_hull(benchmark):
     def run():
         tracker = LowTracker(8)
         for bits in STREAM:
-            tracker.push(float(bits))
-        return tracker.low
-
-    assert benchmark(run) > 0
-
-
-def test_low_tracker_naive_small(benchmark):
-    small = STREAM[:500]
-
-    def run():
-        tracker = NaiveLowTracker(8)
-        for bits in small:
             tracker.push(float(bits))
         return tracker.low
 

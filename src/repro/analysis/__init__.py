@@ -4,7 +4,6 @@ from repro.analysis.competitive import CompetitiveReport, bracket
 from repro.analysis.feasibility import (
     FeasibilityReport,
     check_multi_against_profiles,
-    check_stream_against_profile,
     constant_bandwidth_needed,
     fifo_serves_within,
     is_delay_feasible,
@@ -21,7 +20,7 @@ from repro.analysis.metrics import (
     summarize_single,
 )
 from repro.analysis.fairness import delay_fairness, jain_index, service_fairness
-from repro.analysis.fitting import LinearFit, fit_against_log2, fit_linear, growth_exponent
+from repro.analysis.fitting import LinearFit, fit_linear, growth_exponent
 from repro.analysis.pricing import CostBreakdown, PricingModel, cheapest
 from repro.analysis.stages import StageBreakdown, stage_breakdown
 from repro.analysis.report import (
@@ -36,7 +35,6 @@ __all__ = [
     "PricingModel",
     "cheapest",
     "LinearFit",
-    "fit_against_log2",
     "fit_linear",
     "growth_exponent",
     "delay_fairness",
@@ -46,7 +44,6 @@ __all__ = [
     "QosSummary",
     "bracket",
     "check_multi_against_profiles",
-    "check_stream_against_profile",
     "constant_bandwidth_needed",
     "fifo_serves_within",
     "global_utilization",

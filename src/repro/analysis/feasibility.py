@@ -201,68 +201,19 @@ def _min_window_utilization(
     return min_util, not min_util < offline.utilization * (1 - _EPS)
 
 
-def check_stream_against_profile(
-    arrivals: np.ndarray,
-    profile: np.ndarray,
-    offline: OfflineConstraints,
-) -> FeasibilityReport:
-    """Does ``profile`` serve ``arrivals`` within the offline constraints?
-
-    Checks (i) the profile respects ``B_O``; (ii) FIFO service under the
-    profile meets the delay bound ``D_O`` and drains; (iii) every full
-    ``W``-window of the profile achieves utilization ``>= U_O`` (skipped
-    when the scenario has no utilization constraint).  The report
-    describes the first check that fails, with the exact replay's delay
-    and leftover; :func:`profile_serves` gives the same verdict faster.
-    """
-    arrivals, profile = _checked(arrivals, profile, 1)
-    max_bw, capped = _peak_bandwidth(profile, offline.bandwidth)
-    if not capped:
-        return FeasibilityReport(
-            feasible=False,
-            max_delay=-1,
-            min_window_utilization=float("nan"),
-            max_bandwidth_used=max_bw,
-            detail=f"profile exceeds B_O: {max_bw:.6f} > {offline.bandwidth:.6f}",
-        )
-    max_delay, leftover, timely = _drained_delay(arrivals, profile, offline.delay)
-    if not timely:
-        return FeasibilityReport(
-            feasible=False,
-            max_delay=max_delay,
-            min_window_utilization=float("nan"),
-            max_bandwidth_used=max_bw,
-            detail=f"delay {max_delay} > D_O={offline.delay} "
-            f"(leftover {leftover:.6f})",
-        )
-    min_util, utilized = _min_window_utilization(arrivals, profile, offline)
-    if not utilized:
-        return FeasibilityReport(
-            feasible=False,
-            max_delay=max_delay,
-            min_window_utilization=min_util,
-            max_bandwidth_used=max_bw,
-            detail=f"window utilization {min_util:.6f} < "
-            f"U_O={offline.utilization:.6f}",
-        )
-    return FeasibilityReport(
-        feasible=True,
-        max_delay=max_delay,
-        min_window_utilization=min_util,
-        max_bandwidth_used=max_bw,
-    )
-
-
 def profile_serves(
     arrivals: np.ndarray,
     profile: np.ndarray,
     offline: OfflineConstraints,
 ) -> bool:
-    """``check_stream_against_profile(...).feasible``, without the report.
+    """Does ``profile`` serve ``arrivals`` within the offline constraints?
 
-    The ``B_O`` cap, the window utilizations and the delay verdict of
-    :func:`fifo_serves_within` are each a few vector passes; only a delay
-    margin within float and EPSILON error of zero replays the queue.
+    Checks that the profile respects ``B_O``, that every full ``W``-window
+    of it achieves utilization ``>= U_O`` (skipped when the scenario has
+    no utilization constraint), and that FIFO service under it meets the
+    delay bound ``D_O`` and drains.  Each is a few vector passes; only a
+    delay margin within float and EPSILON error of zero replays the queue
+    (:func:`fifo_serves_within`).
     """
     arrivals, profile = _checked(arrivals, profile, 1)
     return (

@@ -49,11 +49,6 @@ def fit_linear(xs: list[float], ys: list[float]) -> LinearFit:
     return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 
-def fit_against_log2(xs: list[float], ys: list[float]) -> LinearFit:
-    """Fit ``y`` against ``log2(x)`` — the Theorem 6 / Theorem 7 shape."""
-    return fit_linear([math.log2(x) for x in xs], ys)
-
-
 def growth_exponent(xs: list[float], ys: list[float]) -> float:
     """Log-log slope: ~1 for linear growth, ~0 for bounded series.
 

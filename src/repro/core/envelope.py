@@ -24,12 +24,10 @@ changed its allocation at least once during the stage (Lemma 1).
 Every stage decision — Figure 3, Theorem 7, the combined controller's
 global stages and :func:`~repro.core.offline.stage_certificate` — runs on
 the multiply-form tests of :class:`~repro.core.stagekernel.StageKernel`.
-This module holds the materialized bounds: ``LowTracker`` (convex-hull
+This module holds the materialized ``low(t)``: ``LowTracker`` (convex-hull
 max-slope queries, O(log n) per slot) for the delay-only checks of
-feasibility and the multi-session certificates, and the references the
-tests compare against, ``NaiveLowTracker`` (O(n) per slot) and
-``HighTracker``.  :func:`arrival_array` is the one input check every
-whole-stream consumer shares.
+feasibility and the multi-session certificates.  :func:`arrival_array` is
+the one input check every whole-stream consumer shares.
 """
 
 from __future__ import annotations
@@ -115,93 +113,3 @@ class LowTracker:
         if candidate > self._low:
             self._low = candidate
         return self._low
-
-
-class NaiveLowTracker:
-    """Reference implementation of ``low(t)``: O(n) scan per slot."""
-
-    def __init__(self, offline_delay: int):
-        if offline_delay < 1:
-            raise ConfigError(f"offline_delay must be >= 1, got {offline_delay!r}")
-        self.offline_delay = int(offline_delay)
-        self._arrivals: list[float] = []
-        self._low = 0.0
-
-    @property
-    def low(self) -> float:
-        return self._low
-
-    @property
-    def slots_seen(self) -> int:
-        return len(self._arrivals)
-
-    def reset(self) -> None:
-        self._arrivals.clear()
-        self._low = 0.0
-
-    def push(self, arrivals: float) -> float:
-        self._arrivals.append(arrivals)
-        t = len(self._arrivals) - 1
-        window_sum = 0.0
-        for u in range(t, -1, -1):
-            window_sum += self._arrivals[u]
-            needed = window_sum / (t - u + 1 + self.offline_delay)
-            if needed > self._low:
-                self._low = needed
-        return self._low
-
-
-class HighTracker:
-    """Reference ``high(t)``: the utilization upper bound on offline BW.
-
-    While the stage has seen fewer than ``window`` slots the bound is the
-    maximum bandwidth ``B_A``; afterwards it is the running minimum of
-    ``IN(window) / (U_O * W)`` over complete in-stage windows, with the
-    window sum read off the stage prefix sums (the float the stage kernel
-    forms).  ``high`` is monotone non-increasing within a stage.
-
-    With ``utilization=None`` the tracker degenerates to the constant
-    ``B_A`` (the pure multi-session case has no utilization constraint).
-    """
-
-    def __init__(
-        self,
-        utilization: float | None,
-        window: int | None,
-        max_bandwidth: float,
-    ):
-        if max_bandwidth <= 0:
-            raise ConfigError(f"max_bandwidth must be > 0, got {max_bandwidth!r}")
-        if utilization is not None:
-            if not 0 < utilization <= 1:
-                raise ConfigError(f"utilization must be in (0,1], got {utilization!r}")
-            if window is None or window < 1:
-                raise ConfigError(f"window must be >= 1, got {window!r}")
-        self.utilization = utilization
-        self.window = int(window) if window is not None else None
-        self.max_bandwidth = float(max_bandwidth)
-        self._sums: list[float] = [0.0]
-        self._high = self.max_bandwidth
-
-    @property
-    def high(self) -> float:
-        """Current value of ``high(t)`` (``B_A`` before any push)."""
-        return self._high
-
-    def reset(self) -> None:
-        """Start a new stage."""
-        del self._sums[1:]
-        self._high = self.max_bandwidth
-
-    def push(self, arrivals: float) -> float:
-        """Advance one slot with ``arrivals`` bits; return the new high(t)."""
-        sums = self._sums
-        sums.append(sums[-1] + arrivals)
-        slots = len(sums) - 1
-        if self.utilization is None or slots < self.window:
-            return self._high
-        window_sum = sums[slots] - sums[slots - self.window]
-        bound = window_sum / (self.utilization * self.window)
-        if bound < self._high:
-            self._high = bound
-        return self._high

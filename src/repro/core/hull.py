@@ -91,17 +91,3 @@ class MaxSlopeHull:
             else:
                 lo = mid + 1
         return (qy - ys[lo]) / (qx - xs[lo])
-
-
-def naive_max_slope(
-    points_x: list[float], points_y: list[float], qx: float, qy: float
-) -> float:
-    """Reference O(n) implementation used by tests and small workloads."""
-    if not points_x:
-        raise ConfigError("no points")
-    best = float("-inf")
-    for x, y in zip(points_x, points_y):
-        slope = (qy - y) / (qx - x)
-        if slope > best:
-            best = slope
-    return best

@@ -12,10 +12,6 @@ is why shifting demand forces offline changes.
   ``Σ_i low_i(t) > B_O``.  Intervals are disjoint, so the count is a true
   lower bound (the aggregate form of Lemma 13's argument).
 
-* :func:`equal_split_offline` — the zero-change schedule ``b_i = B_O / k``;
-  feasible only for symmetric workloads, used by tests and as a sanity
-  baseline.
-
 The constructive upper bound for multi-session experiments is the workload
 generator's per-session profile certificate
 (:mod:`repro.traffic.multi`).
@@ -80,43 +76,3 @@ def multi_stage_lower_bound(
     return multi_stage_certificate(
         arrivals, offline_bandwidth, offline_delay
     ).lower_bound
-
-
-@dataclass(frozen=True)
-class EqualSplitResult:
-    """Feasibility report of the zero-change equal split ``b_i = B_O/k``."""
-
-    feasible: bool
-    worst_session: int
-    worst_low: float
-    per_session_quota: float
-
-
-def equal_split_offline(
-    arrivals: np.ndarray, offline_bandwidth: float, offline_delay: int
-) -> EqualSplitResult:
-    """Check whether the static equal split serves every session in time.
-
-    Sufficient condition via the delay envelope: session ``i`` is served
-    within ``D_O`` by constant bandwidth ``B_O/k`` iff its global
-    ``low_i`` never exceeds that quota.
-    """
-    array = arrival_array(arrivals, ndim=2)
-    horizon, k = array.shape
-    quota = offline_bandwidth / k
-    worst_session = -1
-    worst_low = 0.0
-    for i in range(k):
-        tracker = LowTracker(offline_delay)
-        peak = 0.0
-        for t in range(horizon):
-            peak = tracker.push(float(array[t, i]))
-        if peak > worst_low:
-            worst_low = peak
-            worst_session = i
-    return EqualSplitResult(
-        feasible=worst_low <= quota * (1 + 1e-12),
-        worst_session=worst_session,
-        worst_low=worst_low,
-        per_session_quota=quota,
-    )

@@ -3,9 +3,8 @@
 Figure 3 sets the online bandwidth to "the smallest power of two that is at
 least ``low(t)``".  Keeping allocations on a geometric grid is what bounds
 the number of changes per stage by ``log2(B_A)``.  This module provides the
-default integer power-of-two quantizer plus pluggable variants used by the
-ablation experiments (fractional exponents for fluid streams, arbitrary
-geometric bases, identity for the "change every slot" extreme).
+default integer power-of-two quantizer plus the geometric and clamped
+variants the ablation experiments and Theorem 7 use.
 """
 
 from __future__ import annotations
@@ -14,24 +13,6 @@ import math
 from typing import Protocol
 
 from repro.errors import ConfigError
-
-
-def is_power_of_two(x: float) -> bool:
-    """Return True when ``x`` equals ``2**j`` for some integer ``j``.
-
-    Works for fractional powers (``0.5``, ``0.25``, ...) as well.
-    """
-    if x <= 0:
-        return False
-    mantissa, _ = math.frexp(x)
-    return mantissa == 0.5
-
-
-def exact_log2(x: float) -> int:
-    """Return integer ``j`` with ``2**j == x``; raise for non-powers."""
-    if not is_power_of_two(x):
-        raise ConfigError(f"{x!r} is not a power of two")
-    return int(round(math.log2(x)))
 
 
 def next_power_of_two(x: float) -> float:
@@ -118,41 +99,6 @@ class GeometricQuantizer:
         return f"GeometricQuantizer(base={self.base})"
 
 
-class FractionalPowerOfTwoQuantizer:
-    """Powers of two with exponents allowed down to ``min_exponent``.
-
-    Useful for fluid experiments where demands are well below one bit per
-    slot; ``min_exponent=0`` recovers :class:`PowerOfTwoQuantizer`.
-    """
-
-    def __init__(self, min_exponent: int = -10):
-        if min_exponent > 0:
-            raise ConfigError("min_exponent must be <= 0")
-        self.min_exponent = int(min_exponent)
-
-    def __call__(self, x: float) -> float:
-        floor_level = 2.0**self.min_exponent
-        if x <= 0:
-            return 0.0
-        if x <= floor_level:
-            return floor_level
-        j = math.ceil(math.log2(x))
-        while 2.0 ** (j - 1) >= x:
-            j -= 1
-        while 2.0**j < x:
-            j += 1
-        return 2.0**j
-
-    def levels(self, max_bandwidth: float) -> int:
-        top = math.floor(math.log2(max_bandwidth)) if max_bandwidth > 0 else 0
-        if top < self.min_exponent:
-            return 0
-        return int(top) - self.min_exponent + 1
-
-    def __repr__(self) -> str:
-        return f"FractionalPowerOfTwoQuantizer(min_exponent={self.min_exponent})"
-
-
 class ClampedQuantizer:
     """Clamp another quantizer's output at ``cap`` (``cap`` becomes a
     fixed point, so any ``max_bandwidth == cap`` is on the grid).
@@ -185,16 +131,3 @@ class ClampedQuantizer:
 
     def __repr__(self) -> str:
         return f"ClampedQuantizer({self.inner!r}, cap={self.cap})"
-
-
-class IdentityQuantizer:
-    """No quantization: allocate exactly the demand (Fig. 2(c) extreme)."""
-
-    def __call__(self, x: float) -> float:
-        return max(0.0, x)
-
-    def levels(self, max_bandwidth: float) -> int:
-        raise ConfigError("IdentityQuantizer has unbounded levels")
-
-    def __repr__(self) -> str:
-        return "IdentityQuantizer()"

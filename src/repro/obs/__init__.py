@@ -43,7 +43,6 @@ from repro.obs.manifest import (
 )
 from repro.obs.profiling import ProfileRecord, ProfileTimer
 from repro.obs.progress import (
-    CollectingProgress,
     JsonlProgress,
     ProgressEvent,
     ProgressTracker,
@@ -65,7 +64,6 @@ from repro.obs.runtime import (
     Telemetry,
     count,
     get_telemetry,
-    observe,
     set_telemetry,
     telemetry_session,
 )
@@ -79,7 +77,6 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "CollectingProgress",
     "Counter",
     "DISABLED",
     "Gauge",
@@ -115,7 +112,6 @@ __all__ = [
     "git_revision",
     "load_manifest",
     "load_spans_jsonl",
-    "observe",
     "openmetrics_name",
     "parse_openmetrics",
     "parse_serve",

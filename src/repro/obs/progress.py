@@ -27,7 +27,7 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Seconds between keep-alive re-emissions while no job completes.
 HEARTBEAT_SECONDS = 2.0
@@ -324,16 +324,6 @@ class JsonlProgress:
     def __call__(self, event: ProgressEvent) -> None:
         self.stream.write(json.dumps(event.as_dict(), sort_keys=True) + "\n")
         self.stream.flush()
-
-
-@dataclass
-class CollectingProgress:
-    """A sink that keeps every event (tests and programmatic callers)."""
-
-    events: list = field(default_factory=list)
-
-    def __call__(self, event: ProgressEvent) -> None:
-        self.events.append(event)
 
 
 def progress_sink(mode: str, stream=None):

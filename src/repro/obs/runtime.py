@@ -88,9 +88,3 @@ def count(name: str, amount: float = 1.0) -> None:
     """Increment a counter on the current telemetry (no-op when disabled)."""
     if _current.enabled:
         _current.registry.counter(name).inc(amount)
-
-
-def observe(name: str, value: float) -> None:
-    """Observe a histogram value on the current telemetry (no-op when off)."""
-    if _current.enabled:
-        _current.registry.histogram(name).observe(value)

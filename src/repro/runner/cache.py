@@ -38,12 +38,14 @@ on demand.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import os
 import shutil
 import tempfile
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -376,126 +378,72 @@ def _count(outcome: str) -> None:
 # -- cached workload generators -------------------------------------------
 
 
-def cached_feasible_stream(
-    offline: OfflineConstraints,
-    horizon: int,
-    segments: int = 8,
-    seed: int | None = None,
-    burstiness: str = "smooth",
-    fill_low: float | None = None,
-    fill_high: float = 1.0,
-    power_of_two_levels: bool = False,
-    min_segment: int | None = None,
-) -> FeasibleStream:
-    """:func:`~repro.traffic.feasible.generate_feasible_stream`, cached.
+#: The generators' signatures, taken at import: a tracer or profiler may
+#: later replace the generators with ``(*args, **kwargs)`` wrappers.
+_SIGNATURES = {
+    "feasible_stream": inspect.signature(generate_feasible_stream),
+    "multi_feasible": inspect.signature(generate_multi_feasible),
+}
 
-    Only deterministic calls (integer ``seed``) are cacheable; a live RNG
-    or ``None`` seed bypasses the cache entirely.  The key covers every
-    generator argument, so any knob change regenerates.
+
+def _cached_arrays(section: str, generator, build, names: tuple[str, ...], args, kwargs):
+    """``generator(*args, **kwargs)``, with its ``names`` arrays cached.
+
+    The key is the generator's bound arguments with its defaults applied,
+    so it covers every option the generator has, and each option is
+    stated only in the generator's signature.  Only deterministic calls
+    (integer ``seed``) are cacheable; a live RNG or ``None`` seed bypasses
+    the cache entirely.  A hit is rebuilt by ``build(arrays, arguments)``.
     """
+    bound = _SIGNATURES[section].bind(*args, **kwargs)
+    bound.apply_defaults()
+    arguments = bound.arguments
     cache = get_cache()
-    cacheable = cache is not None and isinstance(seed, int)
+    if cache is None or not isinstance(arguments["seed"], int):
+        return generator(*args, **kwargs)
     config = {
-        "offline": {
-            "bandwidth": offline.bandwidth,
-            "delay": offline.delay,
-            "utilization": offline.utilization,
-            "window": offline.window,
-        },
-        "horizon": horizon,
-        "segments": segments,
-        "seed": seed,
-        "burstiness": burstiness,
-        "fill_low": fill_low,
-        "fill_high": fill_high,
-        "power_of_two_levels": power_of_two_levels,
-        "min_segment": min_segment,
+        name: asdict(value) if isinstance(value, OfflineConstraints) else value
+        for name, value in arguments.items()
     }
-    if cacheable:
-        key = ContentCache.key("feasible_stream", config)
-        arrays = cache.load_arrays(key)
-        if arrays is not None and {"arrivals", "profile"} <= arrays.keys():
-            _count("hits")
-            return FeasibleStream(
-                arrivals=arrays["arrivals"],
-                profile=arrays["profile"],
-                offline=offline,
-            )
-        _count("misses")
-    stream = generate_feasible_stream(
-        offline,
-        horizon,
-        segments=segments,
-        seed=seed,
-        burstiness=burstiness,
-        fill_low=fill_low,
-        fill_high=fill_high,
-        power_of_two_levels=power_of_two_levels,
-        min_segment=min_segment,
+    key = ContentCache.key(section, config)
+    arrays = cache.load_arrays(key)
+    if arrays is not None and set(names) <= arrays.keys():
+        _count("hits")
+        return build(arrays, arguments)
+    _count("misses")
+    result = generator(*args, **kwargs)
+    cache.store_arrays(key, {name: getattr(result, name) for name in names})
+    return result
+
+
+def cached_feasible_stream(*args, **kwargs) -> FeasibleStream:
+    """:func:`~repro.traffic.feasible.generate_feasible_stream`, cached."""
+    return _cached_arrays(
+        "feasible_stream",
+        generate_feasible_stream,
+        lambda arrays, arguments: FeasibleStream(
+            arrivals=arrays["arrivals"],
+            profile=arrays["profile"],
+            offline=arguments["offline"],
+        ),
+        ("arrivals", "profile"),
+        args,
+        kwargs,
     )
-    if cacheable:
-        cache.store_arrays(
-            key, {"arrivals": stream.arrivals, "profile": stream.profile}
-        )
-    return stream
 
 
-def cached_multi_feasible(
-    k: int,
-    offline_bandwidth: float,
-    offline_delay: int,
-    horizon: int,
-    segments: int = 6,
-    seed: int | None = None,
-    fill: float = 0.9,
-    concentration: float = 1.0,
-    fill_jitter: float = 0.2,
-    burstiness: str = "smooth",
-    min_segment: int | None = None,
-) -> MultiSessionWorkload:
+def cached_multi_feasible(*args, **kwargs) -> MultiSessionWorkload:
     """:func:`~repro.traffic.multi.generate_multi_feasible`, cached."""
-    cache = get_cache()
-    cacheable = cache is not None and isinstance(seed, int)
-    config = {
-        "k": k,
-        "offline_bandwidth": offline_bandwidth,
-        "offline_delay": offline_delay,
-        "horizon": horizon,
-        "segments": segments,
-        "seed": seed,
-        "fill": fill,
-        "concentration": concentration,
-        "fill_jitter": fill_jitter,
-        "burstiness": burstiness,
-        "min_segment": min_segment,
-    }
-    if cacheable:
-        key = ContentCache.key("multi_feasible", config)
-        arrays = cache.load_arrays(key)
-        if arrays is not None and {"arrivals", "profiles"} <= arrays.keys():
-            _count("hits")
-            return MultiSessionWorkload(
-                arrivals=arrays["arrivals"],
-                profiles=arrays["profiles"],
-                offline_bandwidth=float(offline_bandwidth),
-                offline_delay=int(offline_delay),
-            )
-        _count("misses")
-    workload = generate_multi_feasible(
-        k,
-        offline_bandwidth,
-        offline_delay,
-        horizon,
-        segments=segments,
-        seed=seed,
-        fill=fill,
-        concentration=concentration,
-        fill_jitter=fill_jitter,
-        burstiness=burstiness,
-        min_segment=min_segment,
+    return _cached_arrays(
+        "multi_feasible",
+        generate_multi_feasible,
+        lambda arrays, arguments: MultiSessionWorkload(
+            arrivals=arrays["arrivals"],
+            profiles=arrays["profiles"],
+            offline_bandwidth=float(arguments["offline_bandwidth"]),
+            offline_delay=int(arguments["offline_delay"]),
+        ),
+        ("arrivals", "profiles"),
+        args,
+        kwargs,
     )
-    if cacheable:
-        cache.store_arrays(
-            key, {"arrivals": workload.arrivals, "profiles": workload.profiles}
-        )
-    return workload

@@ -6,7 +6,6 @@ from repro.traffic.adversary import (
     sawtooth_stream,
 )
 from repro.traffic.base import ArrivalProcess, make_rng
-from repro.traffic.constant import ConstantRate, RepeatingPattern
 from repro.traffic.feasible import (
     FeasibleStream,
     generate_feasible_stream,
@@ -22,34 +21,17 @@ from repro.traffic.multi import (
 from repro.traffic.onoff import OnOffBursts
 from repro.traffic.pareto import ParetoBursts
 from repro.traffic.poisson import CompoundPoisson, PoissonArrivals
-from repro.traffic.spikes import (
-    GeometricDoubling,
-    Ramp,
-    Spikes,
-    SquareWave,
-    figure1_demand,
-)
+from repro.traffic.spikes import Spikes, figure1_demand
 from repro.traffic.diurnal import Diurnal, staggered_diurnal_sessions
-from repro.traffic.shaped import Shaped
-from repro.traffic.selfsimilar import SelfSimilarAggregate, variance_time_slopes
-from repro.traffic.trace import (
-    TraceReplay,
-    load_trace,
-    load_trace_json,
-    save_trace,
-    save_trace_json,
-)
-from repro.traffic.transforms import ClipTo, Jittered, Scaled, Shifted, Superpose
+from repro.traffic.selfsimilar import SelfSimilarAggregate
+from repro.traffic.transforms import Jittered, Superpose
 from repro.traffic.vbr import MpegVbr
 
 __all__ = [
     "ArrivalProcess",
-    "ClipTo",
     "CompoundPoisson",
     "Diurnal",
-    "ConstantRate",
     "FeasibleStream",
-    "GeometricDoubling",
     "Jittered",
     "MarkovModulatedPoisson",
     "MpegVbr",
@@ -57,30 +39,18 @@ __all__ = [
     "OnOffBursts",
     "ParetoBursts",
     "PoissonArrivals",
-    "Ramp",
-    "RepeatingPattern",
-    "Scaled",
     "SelfSimilarAggregate",
-    "Shaped",
-    "Shifted",
     "Spikes",
-    "SquareWave",
     "Superpose",
     "TightTrackingAllocator",
-    "TraceReplay",
     "doubling_stream",
     "figure1_demand",
     "generate_feasible_stream",
     "generate_multi_feasible",
     "independent_processes_workload",
-    "load_trace",
-    "load_trace_json",
     "make_profile",
     "make_rng",
     "profile_switch_count",
     "sawtooth_stream",
     "staggered_diurnal_sessions",
-    "save_trace",
-    "save_trace_json",
-    "variance_time_slopes",
 ]

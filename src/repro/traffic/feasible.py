@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.powers import next_power_of_two
 from repro.errors import ConfigError, FeasibilityError
 from repro.params import OfflineConstraints
 from repro.traffic.base import make_rng
@@ -71,10 +70,11 @@ def make_profile(
     max_bandwidth: float,
     rng: np.random.Generator,
     min_segment: int = 1,
-    min_bandwidth: float | None = None,
-    power_of_two_levels: bool = False,
 ) -> np.ndarray:
     """Draw a piecewise-constant bandwidth profile with distinct levels.
+
+    Levels are log-uniform between ``max_bandwidth / 64`` and
+    ``max_bandwidth``.
 
     Args:
         horizon: total slots.
@@ -82,8 +82,6 @@ def make_profile(
         max_bandwidth: level ceiling ``B_O``.
         rng: randomness source.
         min_segment: minimum piece length in slots.
-        min_bandwidth: level floor (default ``max_bandwidth / 64``).
-        power_of_two_levels: snap levels to powers of two.
     """
     if segments < 1:
         raise ConfigError(f"segments must be >= 1, got {segments!r}")
@@ -92,10 +90,9 @@ def make_profile(
             f"horizon {horizon} too short for {segments} segments of "
             f">= {min_segment} slots"
         )
-    floor = min_bandwidth if min_bandwidth is not None else max_bandwidth / 64.0
-    floor = max(floor, 1e-6)
+    floor = max(max_bandwidth / 64.0, 1e-6)
     if floor > max_bandwidth:
-        raise ConfigError("min_bandwidth exceeds max_bandwidth")
+        raise ConfigError(f"max_bandwidth must be >= 1e-6, got {max_bandwidth!r}")
 
     # Segment lengths: min_segment each plus a random split of the slack.
     slack = horizon - segments * min_segment
@@ -111,10 +108,6 @@ def make_profile(
             level = float(
                 np.exp(rng.uniform(np.log(floor), np.log(max_bandwidth)))
             )
-            if power_of_two_levels:
-                level = min(next_power_of_two(level), next_power_of_two(max_bandwidth))
-                if level > max_bandwidth:
-                    level = max_bandwidth
             if previous is None or abs(level - previous) > 1e-9:
                 break
         profile[position : position + length] = level
@@ -180,12 +173,14 @@ def generate_feasible_stream(
     segments: int = 8,
     seed: int | np.random.Generator | None = None,
     burstiness: str = "smooth",
-    fill_low: float | None = None,
-    fill_high: float = 1.0,
-    power_of_two_levels: bool = False,
-    min_segment: int | None = None,
 ) -> FeasibleStream:
     """Generate a ``(B_O, D_O, U_O)``-feasible stream with a certificate.
+
+    Each profile piece lasts at least ``max(W, 4 * D_O)`` slots, so
+    utilization windows mostly see one level, and each slot serves a fill
+    factor uniform in ``[min(0.95, max(2 U_O, U_O + 0.25)), 1]`` of its
+    level, well above ``U_O``, so window utilization survives the time
+    shifting.
 
     Args:
         offline: the stringent constraints the certificate must satisfy.
@@ -195,12 +190,6 @@ def generate_feasible_stream(
         seed: RNG seed or Generator.
         burstiness: ``"smooth"`` (per-slot early release) or ``"blocks"``
             (burst trains with all bits at the block head).
-        fill_low / fill_high: per-slot fill-factor band; the default low
-            end sits well above ``U_O`` so window utilization survives the
-            time shifting.
-        power_of_two_levels: snap certificate levels to powers of two.
-        min_segment: minimum piece length (default ``max(W, 4 * D_O)`` so
-            utilization windows mostly see one level).
     """
     if offline.utilization is None or offline.window is None:
         raise ConfigError("generate_feasible_stream needs a utilization constraint")
@@ -208,30 +197,15 @@ def generate_feasible_stream(
 
     rng = make_rng(seed)
     utilization = offline.utilization
-    low_fill = (
-        fill_low
-        if fill_low is not None
-        else min(0.95, max(2.0 * utilization, utilization + 0.25))
-    )
-    if not utilization <= low_fill <= fill_high <= 1.0:
-        raise ConfigError(
-            f"need U_O <= fill_low <= fill_high <= 1, got "
-            f"{utilization}, {low_fill}, {fill_high}"
-        )
-    segment_floor = (
-        min_segment
-        if min_segment is not None
-        else max(offline.window, 4 * offline.delay)
-    )
+    low_fill = min(0.95, max(2.0 * utilization, utilization + 0.25))
     profile = make_profile(
         horizon,
         segments,
         offline.bandwidth,
         rng,
-        min_segment=segment_floor,
-        power_of_two_levels=power_of_two_levels,
+        min_segment=max(offline.window, 4 * offline.delay),
     )
-    fills = rng.uniform(low_fill, fill_high, size=horizon)
+    fills = rng.uniform(low_fill, 1.0, size=horizon)
     served = fills * profile
 
     for shift in _shrinking_shifts(offline.delay):

@@ -55,13 +55,14 @@ def generate_multi_feasible(
     horizon: int,
     segments: int = 6,
     seed: int | np.random.Generator | None = None,
-    fill: float = 0.9,
     concentration: float = 1.0,
-    fill_jitter: float = 0.2,
     burstiness: str = "smooth",
-    min_segment: int | None = None,
 ) -> MultiSessionWorkload:
     """Generate a certified ``(B_O, D_O)``-feasible multi-session workload.
+
+    The offline assignment hands out 90% of ``B_O`` and is re-drawn in
+    segments of at least ``4 * D_O`` slots; each slot serves a fill factor
+    uniform in ``[0.8, 1]`` of each session's profile.
 
     Args:
         k: number of sessions.
@@ -71,20 +72,15 @@ def generate_multi_feasible(
         segments: how many times the session weight vector is re-drawn;
             the certificate change count grows with ``segments * k``.
         seed: RNG seed or Generator.
-        fill: fraction of ``B_O`` the offline assignment hands out.
         concentration: Dirichlet concentration of the session weights
             (< 1 = skewed toward few sessions, > 1 = near-equal).
-        fill_jitter: per-slot service-fill variation below the profile.
         burstiness: arrival release mode (see
             :func:`repro.traffic.feasible._release_early`).
-        min_segment: minimum segment length (default ``4 * D_O``).
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k!r}")
-    if not 0 < fill <= 1:
-        raise ConfigError(f"fill must be in (0,1], got {fill!r}")
-    if not 0 <= fill_jitter < 1:
-        raise ConfigError(f"fill_jitter must be in [0,1), got {fill_jitter!r}")
+    if segments < 1:
+        raise ConfigError(f"segments must be >= 1, got {segments!r}")
     if concentration <= 0:
         raise ConfigError(f"concentration must be > 0, got {concentration!r}")
     if offline_delay < 1:
@@ -92,7 +88,7 @@ def generate_multi_feasible(
     from repro.analysis.feasibility import check_multi_against_profiles, profiles_serve
 
     rng = make_rng(seed)
-    floor = min_segment if min_segment is not None else 4 * offline_delay
+    floor = 4 * offline_delay
     if horizon < segments * floor:
         raise ConfigError(
             f"horizon {horizon} too short for {segments} segments of "
@@ -107,7 +103,7 @@ def generate_multi_feasible(
         extras = np.asarray([slack])
     lengths = [floor + int(extra) for extra in extras]
 
-    budget = fill * offline_bandwidth
+    budget = 0.9 * offline_bandwidth
     profiles = np.zeros((horizon, k), dtype=float)
     position = 0
     for length in lengths:
@@ -117,7 +113,7 @@ def generate_multi_feasible(
 
     arrivals = np.zeros_like(profiles)
     for i in range(k):
-        fills = rng.uniform(1.0 - fill_jitter, 1.0, size=horizon)
+        fills = rng.uniform(0.8, 1.0, size=horizon)
         served = fills * profiles[:, i]
         arrivals[:, i] = _release_early(served, offline_delay, burstiness, rng)
 

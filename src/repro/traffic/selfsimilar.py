@@ -80,27 +80,3 @@ class SelfSimilarAggregate(ArrivalProcess):
             f"SelfSimilarAggregate(sources={self.sources}, "
             f"shape={self.shape})"
         )
-
-
-def variance_time_slopes(
-    arrivals: np.ndarray, scales: list[int]
-) -> list[float]:
-    """Aggregate-variance statistics for self-similarity diagnostics.
-
-    Returns ``log10(var(X^(m)) / var(X))`` for each aggregation scale
-    ``m``; for an exactly self-similar process with Hurst ``H`` the slope
-    of these values against ``log10(m)`` is ``2H - 2`` (flatter than the
-    ``-1`` of short-range-dependent traffic).
-    """
-    arrivals = np.asarray(arrivals, dtype=float)
-    base_var = float(arrivals.var())
-    if base_var <= 0:
-        raise ConfigError("series has zero variance")
-    out = []
-    for scale in scales:
-        if scale < 1 or scale > len(arrivals) // 2:
-            raise ConfigError(f"bad aggregation scale {scale!r}")
-        usable = (len(arrivals) // scale) * scale
-        blocks = arrivals[:usable].reshape(-1, scale).mean(axis=1)
-        out.append(float(np.log10(max(blocks.var(), 1e-300) / base_var)))
-    return out

@@ -1,8 +1,4 @@
-"""Deterministic shaped demand: square waves, ramps, spikes, Figure 1.
-
-These shapes make algorithm behaviour easy to reason about in tests and
-regenerate the qualitative demand example of the paper's Figure 1.
-"""
+"""Deterministic spikes and the paper's Figure 1 demand example."""
 
 from __future__ import annotations
 
@@ -12,48 +8,6 @@ from repro.errors import ConfigError
 from repro.traffic.base import ArrivalProcess
 from repro.traffic.onoff import OnOffBursts
 from repro.traffic.transforms import Superpose
-
-
-class SquareWave(ArrivalProcess):
-    """Alternate between ``low`` and ``high`` rates with a fixed period."""
-
-    def __init__(self, low: float, high: float, period: int, duty: float = 0.5):
-        if low < 0 or high < 0:
-            raise ConfigError("rates must be >= 0")
-        if period < 2:
-            raise ConfigError(f"period must be >= 2, got {period!r}")
-        if not 0 < duty < 1:
-            raise ConfigError(f"duty must be in (0,1), got {duty!r}")
-        self.low = float(low)
-        self.high = float(high)
-        self.period = int(period)
-        self.duty = float(duty)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        phase = np.arange(horizon) % self.period
-        high_slots = phase < self.duty * self.period
-        return np.where(high_slots, self.high, self.low).astype(float)
-
-    def __repr__(self) -> str:
-        return f"SquareWave(low={self.low}, high={self.high}, period={self.period})"
-
-
-class Ramp(ArrivalProcess):
-    """Linear ramp from ``start`` to ``end`` over the horizon."""
-
-    def __init__(self, start: float, end: float):
-        if start < 0 or end < 0:
-            raise ConfigError("rates must be >= 0")
-        self.start = float(start)
-        self.end = float(end)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        if horizon == 0:
-            return np.zeros(0)
-        return np.linspace(self.start, self.end, horizon)
-
-    def __repr__(self) -> str:
-        return f"Ramp(start={self.start}, end={self.end})"
 
 
 class Spikes(ArrivalProcess):
@@ -76,37 +30,6 @@ class Spikes(ArrivalProcess):
 
     def __repr__(self) -> str:
         return f"Spikes(n={len(self.slots)}, height={self.height})"
-
-
-class GeometricDoubling(ArrivalProcess):
-    """Bursts that double each time: 1, 2, 4, ... every ``gap`` slots.
-
-    This is the stream that forces a power-of-two tracker through every
-    rung of its ladder — the worst case behind the ``Ω(log B_A)`` lower
-    bound for global utilization (Remark in §2).
-    """
-
-    def __init__(self, gap: int, start: float = 1.0, cap: float | None = None):
-        if gap < 1:
-            raise ConfigError(f"gap must be >= 1, got {gap!r}")
-        if start <= 0:
-            raise ConfigError(f"start must be > 0, got {start!r}")
-        self.gap = int(gap)
-        self.start = float(start)
-        self.cap = float(cap) if cap is not None else None
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        arrivals = np.zeros(horizon, dtype=float)
-        size = self.start
-        for t in range(0, horizon, self.gap):
-            arrivals[t] = size
-            size *= 2.0
-            if self.cap is not None and size > self.cap:
-                size = self.cap
-        return arrivals
-
-    def __repr__(self) -> str:
-        return f"GeometricDoubling(gap={self.gap}, start={self.start})"
 
 
 def figure1_demand(mean_rate: float = 8.0) -> ArrivalProcess:

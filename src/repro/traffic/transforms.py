@@ -1,4 +1,4 @@
-"""Combinators over arrival processes: scale, shift, clip, superpose, jitter."""
+"""Combinators over arrival processes: superpose and jitter."""
 
 from __future__ import annotations
 
@@ -6,55 +6,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.traffic.base import ArrivalProcess
-
-
-class Scaled(ArrivalProcess):
-    """Multiply another process's output by a constant factor."""
-
-    def __init__(self, inner: ArrivalProcess, factor: float):
-        if factor < 0:
-            raise ConfigError(f"factor must be >= 0, got {factor!r}")
-        self.inner = inner
-        self.factor = float(factor)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        return self.factor * self.inner.generate(horizon, rng)
-
-    def __repr__(self) -> str:
-        return f"Scaled({self.inner!r}, factor={self.factor})"
-
-
-class Shifted(ArrivalProcess):
-    """Delay another process by ``delay`` slots (zeros at the front)."""
-
-    def __init__(self, inner: ArrivalProcess, delay: int):
-        if delay < 0:
-            raise ConfigError(f"delay must be >= 0, got {delay!r}")
-        self.inner = inner
-        self.delay = int(delay)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        body = self.inner.generate(max(0, horizon - self.delay), rng)
-        return np.concatenate([np.zeros(min(self.delay, horizon)), body])
-
-    def __repr__(self) -> str:
-        return f"Shifted({self.inner!r}, delay={self.delay})"
-
-
-class ClipTo(ArrivalProcess):
-    """Cap another process's per-slot output at ``ceiling``."""
-
-    def __init__(self, inner: ArrivalProcess, ceiling: float):
-        if ceiling < 0:
-            raise ConfigError(f"ceiling must be >= 0, got {ceiling!r}")
-        self.inner = inner
-        self.ceiling = float(ceiling)
-
-    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
-        return np.minimum(self.inner.generate(horizon, rng), self.ceiling)
-
-    def __repr__(self) -> str:
-        return f"ClipTo({self.inner!r}, ceiling={self.ceiling})"
 
 
 class Superpose(ArrivalProcess):

@@ -6,9 +6,9 @@ re-derives every bounded series from scratch (no imports from the policy
 code in :mod:`repro.core`), :mod:`repro.verify.oracle` computes exact
 offline change-count optima by DP, :mod:`repro.verify.scenarios` maps
 every registered experiment to certifiable traces, and
-:mod:`repro.verify.differential` hosts the hypothesis-driven harness
-that cross-checks engines, slices, and fault configurations against
-the certificates and the oracle.
+:mod:`repro.verify.differential` runs an engine configuration and
+certifies its trace in one step (the adversary's scoring hook and the
+differential tests' harness).
 """
 
 from repro.verify.certificates import (
@@ -20,7 +20,6 @@ from repro.verify.certificates import (
     certify_single,
     claim2_margins,
     claim2_violations,
-    claim9_excess,
     claim9_series,
     claim9_violations,
     combined_bounds,
@@ -46,7 +45,6 @@ from repro.verify.oracle import (
     OracleResult,
     RatioVerdict,
     classify_ratio,
-    competitive_ratio,
     default_levels,
     min_changes_oracle,
     ratio_rank_key,
@@ -73,12 +71,10 @@ __all__ = [
     "certify_tier_trace",
     "claim2_margins",
     "claim2_violations",
-    "claim9_excess",
     "claim9_series",
     "claim9_violations",
     "classify_ratio",
     "combined_bounds",
-    "competitive_ratio",
     "continuous_bounds",
     "corollary4_slack",
     "default_levels",

@@ -511,17 +511,6 @@ def claim9_violations(excess: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
     return np.flatnonzero(excess > _EPS * np.maximum(1.0, cumulative))
 
 
-def claim9_excess(
-    arrivals: np.ndarray, offline_bandwidth: float, offline_delay: int
-) -> tuple[float, int]:
-    """Worst excess over the Claim 9 envelope and the first slot it peaked."""
-    excess, _ = claim9_series(arrivals, offline_bandwidth, offline_delay)
-    if not excess.size:
-        return -math.inf, -1
-    worst_t = int(np.argmax(excess))
-    return float(excess[worst_t]), worst_t
-
-
 def claim2_margins(trace, online_delay: int) -> tuple[np.ndarray, np.ndarray]:
     """Claim 2 slack ``B_on·D_A - q`` per slot, and the queue ``q``.
 

@@ -1,8 +1,8 @@
 """Exact offline change-count optimum by dynamic programming.
 
-:func:`repro.core.opt_bruteforce.min_changes_bruteforce` enumerates
-piecewise-constant schedules, which caps it at a handful of changes on
-toy horizons.  This module computes the same grid optimum by DP in
+Enumerating piecewise-constant schedules (the test suite's brute-force
+reference) caps out at a handful of changes on toy horizons.  This
+module computes the same grid optimum by DP in
 ``O(T · levels² · max_changes)`` — exact on horizons of hundreds of
 slots — so Theorem 6/7 competitive ratios can be checked against a true
 optimum rather than a heuristic.
@@ -26,7 +26,7 @@ queue``.  Queue dynamics ``q' = max(0, q + a - c)`` are monotone in
 arriving at ``t`` must leave by ``t + D_O``, so the end-of-slot queue
 may hold at most the last ``D_O`` slots' arrivals), hence the minimal
 queue dominates and the DP is exact over the grid.  Termination mirrors
-:func:`repro.analysis.feasibility.check_stream_against_profile`: ``D_O``
+the drain rule of :mod:`repro.analysis.feasibility`: ``D_O``
 zero-arrival drain slots are appended at the frozen final level, whose
 delay ceilings force a full drain.
 """
@@ -81,8 +81,9 @@ RATIO_NO_STATEMENT = "no-statement"
 class RatioVerdict:
     """A competitive-ratio measurement with its degenerate cases named.
 
-    ``value`` keeps the historical :func:`competitive_ratio` numerics
-    (``inf`` / ``0.0`` / ``nan``); ``kind`` distinguishes the two
+    ``value`` is ``online / OPT`` with the degenerate cases pinned
+    (``inf`` when only the online paid, ``0.0`` when nobody changed,
+    ``nan`` without a feasible OPT); ``kind`` distinguishes the two
     zero-OPT cases that collapse there — "OPT = 0 and the online paid"
     (:data:`RATIO_UNBOUNDED`, the Remark §1.1 signature the adversary
     search hunts for) versus "nobody changed" (:data:`RATIO_TRIVIAL`).
@@ -275,7 +276,7 @@ def _forward(
     """
     horizon = len(arrivals)
     # Padded stream: D_O drain slots, frozen final level (footnote-1
-    # termination, mirroring check_stream_against_profile).
+    # termination, mirroring repro.analysis.feasibility's drain rule).
     padded = np.concatenate([arrivals, np.zeros(delay)])
     total = len(padded)
     cum = np.concatenate([[0.0], np.cumsum(padded)])
@@ -347,16 +348,3 @@ def _validate_witness(
             )
     if q > 1e-6:
         raise RuntimeError(f"oracle witness fails to drain ({q:.6g} bits left)")
-
-
-def competitive_ratio(online_changes: int, opt_changes: int | None) -> float:
-    """``online / OPT`` with the degenerate cases pinned down.
-
-    ``OPT = 0`` (a constant schedule suffices) with nonzero online
-    changes yields ``inf`` — callers comparing against additive-plus-
-    multiplicative bounds should treat OPT = 0 via the additive term.
-    An infeasible oracle (``None``) yields ``nan``: no statement.
-    :func:`classify_ratio` returns the same value together with a kind
-    tag separating the two zero-OPT cases.
-    """
-    return classify_ratio(online_changes, opt_changes).value

@@ -41,7 +41,6 @@ from repro.traffic.feasible import generate_feasible_stream
 from repro.traffic.multi import generate_multi_feasible
 from repro.traffic.spikes import figure1_demand
 from repro.verify.certificates import (
-    TheoremBounds,
     certify_multi,
     certify_single,
     combined_bounds,
@@ -78,10 +77,6 @@ def _scenario(experiment_id: str, description: str):
 
 def scenario_ids() -> list[str]:
     return sorted(_SCENARIOS)
-
-
-def describe_scenarios() -> list[tuple[str, str]]:
-    return [(sid, _SCENARIOS[sid].description) for sid in scenario_ids()]
 
 
 def certify_experiment(

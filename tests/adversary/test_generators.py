@@ -15,13 +15,11 @@ from repro.adversary import (
     sawtooth_attack,
     threshold_oscillator_attack,
 )
-from repro.analysis.feasibility import (
-    check_multi_against_profiles,
-    check_stream_against_profile,
-)
+from repro.analysis.feasibility import check_multi_against_profiles
 from repro.errors import ConfigError
 from repro.network.shaper import is_conforming
 from repro.params import OfflineConstraints
+from tests.references import check_stream_against_profile
 
 OFFLINE = OfflineConstraints(bandwidth=64.0, delay=4, utilization=0.25, window=8)
 

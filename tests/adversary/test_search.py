@@ -16,13 +16,11 @@ from repro.adversary import (
     score_single,
     threshold_oscillator_attack,
 )
-from repro.analysis.feasibility import (
-    check_multi_against_profiles,
-    check_stream_against_profile,
-)
+from repro.analysis.feasibility import check_multi_against_profiles
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.runner.resilience import SweepJournal
+from tests.references import check_stream_against_profile
 
 OFFLINE = OfflineConstraints(bandwidth=64.0, delay=4, utilization=0.25, window=8)
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.feasibility import (
     check_multi_against_profiles,
-    check_stream_against_profile,
     constant_bandwidth_needed,
     fifo_serves_within,
     is_delay_feasible,
@@ -16,6 +15,7 @@ from repro.analysis.feasibility import (
 )
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
+from tests.references import check_stream_against_profile
 
 OFFLINE = OfflineConstraints(bandwidth=8, delay=2, utilization=0.5, window=4)
 

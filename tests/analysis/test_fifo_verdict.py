@@ -21,7 +21,6 @@ import repro.analysis.feasibility as feasibility
 from repro.analysis.feasibility import (
     _EPS,
     check_multi_against_profiles,
-    check_stream_against_profile,
     fifo_serves_within,
     profile_serves,
     profiles_serve,
@@ -35,6 +34,7 @@ from tests.strategies import (
     feasible_multi_workloads,
     feasible_single_workloads,
 )
+from tests.references import check_stream_against_profile
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 

@@ -1,13 +1,11 @@
 """Tests for the trend-fitting helpers."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fitting import fit_against_log2, fit_linear, growth_exponent
+from repro.analysis.fitting import fit_linear, growth_exponent
 from repro.errors import ConfigError
 
 
@@ -54,13 +52,6 @@ class TestFitLinear:
 
 
 class TestShapeHelpers:
-    def test_log2_fit(self):
-        xs = [16, 64, 256, 1024]
-        ys = [3 * math.log2(x) + 2 for x in xs]
-        fit = fit_against_log2(xs, ys)
-        assert fit.slope == pytest.approx(3.0)
-        assert fit.intercept == pytest.approx(2.0)
-
     def test_growth_exponent_linear(self):
         xs = [2.0, 4.0, 8.0, 16.0]
         assert growth_exponent(xs, [3 * x for x in xs]) == pytest.approx(1.0)

@@ -6,8 +6,9 @@ import pytest
 from repro.arena import TournamentConfig, run_tournament, scorecard_json
 from repro.arena import tournament
 from repro.errors import ConfigError
-from repro.obs.progress import CollectingProgress, ProgressTracker
+from repro.obs.progress import ProgressTracker
 from repro.runner import ContentCache, RunPolicy, SweepJournal
+from tests.references import CollectingProgress
 
 _SMALL = dict(
     policies=("max-min", "equal-split"),

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.envelope import HighTracker, LowTracker, NaiveLowTracker
+from repro.core.envelope import LowTracker
 from repro.errors import ConfigError
+from tests.references import HighTracker, NaiveLowTracker
 
 arrivals_strategy = st.lists(
     st.floats(min_value=0, max_value=1e4), min_size=1, max_size=150

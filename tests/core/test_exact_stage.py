@@ -20,6 +20,7 @@ when a stage matures.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,6 @@ from hypothesis import strategies as st
 from repro.core.combined import CombinedMultiSession
 from repro.core.modified_single import ModifiedSingleSessionOnline
 from repro.core.offline import stage_certificate
-from repro.core.powers import is_power_of_two
 from repro.core.single_session import SingleSessionOnline
 from repro.params import OfflineConstraints
 from repro.sim.engine import run_multi_session, run_single_session
@@ -172,7 +172,7 @@ EXACT_WINDOWS = [
     (u, w)
     for u in (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6, 1 / 8, 1 / 10, 1 / 12, 1 / 16)
     for w in range(2, 21)
-    if is_power_of_two(u * w) and (1 / u).is_integer()
+    if math.frexp(u * w)[0] == 0.5 and (1 / u).is_integer()
 ]
 
 

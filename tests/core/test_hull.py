@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hull import MaxSlopeHull, naive_max_slope
+from repro.core.hull import MaxSlopeHull
 from repro.errors import ConfigError
+from tests.references import naive_max_slope
 
 
 def build_points(increments, ys):

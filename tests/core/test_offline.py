@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.offline import (
-    constant_offline_schedule,
-    constructive_offline_via_online,
-    stage_certificate,
-    stage_lower_bound,
-)
-from repro.core.single_session import SingleSessionOnline
+from repro.core.offline import stage_certificate, stage_lower_bound
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
-from repro.sim.engine import run_single_session
 from repro.traffic.feasible import generate_feasible_stream
 
 OFFLINE = OfflineConstraints(bandwidth=64, delay=4, utilization=0.25, window=8)
@@ -61,54 +54,3 @@ class TestStageCertificate:
             )
             lower = stage_lower_bound(stream.arrivals, OFFLINE)
             assert lower <= stream.profile_changes + 1
-
-
-class TestConstantSchedule:
-    def test_delay_only(self):
-        offline = OfflineConstraints(bandwidth=16, delay=4)
-        schedule = constant_offline_schedule(np.ones(10), offline)
-        assert schedule.change_count == 0
-        assert (schedule.bandwidths == 16).all()
-
-    def test_rejects_utilization(self):
-        with pytest.raises(ConfigError):
-            constant_offline_schedule(np.ones(10), OFFLINE)
-
-
-class TestConstructiveViaOnline:
-    def test_parameter_validation(self):
-        odd = OfflineConstraints(bandwidth=64, delay=5, utilization=0.25, window=8)
-        with pytest.raises(ConfigError, match="even"):
-            constructive_offline_via_online(np.ones(10), odd)
-        high_util = OfflineConstraints(
-            bandwidth=64, delay=4, utilization=0.5, window=8
-        )
-        with pytest.raises(ConfigError, match="1/3"):
-            constructive_offline_via_online(np.ones(10), high_util)
-
-    def test_produces_schedule_within_offline_constraints(self):
-        stream = generate_feasible_stream(
-            # Tighten generation so the doubled-constraint run stays feasible.
-            OfflineConstraints(bandwidth=64, delay=2, utilization=0.75, window=8),
-            horizon=1500,
-            segments=4,
-            seed=2,
-            burstiness="smooth",
-        )
-        schedule = constructive_offline_via_online(stream.arrivals, OFFLINE)
-        assert schedule.max_delay <= OFFLINE.delay
-        assert schedule.bandwidths.max() <= OFFLINE.bandwidth
-        assert schedule.change_count >= 1
-
-    def test_bracket_sandwich(self):
-        """lower <= constructive upper on streams feasible for the
-        tightened constraints."""
-        tight = OfflineConstraints(
-            bandwidth=64, delay=2, utilization=0.75, window=8
-        )
-        stream = generate_feasible_stream(
-            tight, horizon=2000, segments=6, seed=9, burstiness="smooth"
-        )
-        lower = stage_lower_bound(stream.arrivals, OFFLINE)
-        upper = constructive_offline_via_online(stream.arrivals, OFFLINE)
-        assert lower <= upper.change_count + 1

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.offline_multi import (
-    equal_split_offline,
-    multi_stage_certificate,
-    multi_stage_lower_bound,
-)
+from repro.core.offline_multi import multi_stage_certificate, multi_stage_lower_bound
 from repro.errors import ConfigError
 from repro.traffic.multi import generate_multi_feasible
 
@@ -59,22 +55,6 @@ class TestMultiStageCertificate:
             assert lower <= workload.profile_changes + 1
 
 
-class TestEqualSplit:
-    def test_feasible_for_uniform_load(self):
-        arrivals = np.full((200, 4), 1.0)
-        result = equal_split_offline(arrivals, 16.0, 4)
-        assert result.feasible
-        assert result.per_session_quota == 4.0
-
-    def test_infeasible_for_skewed_load(self):
-        arrivals = np.zeros((200, 4))
-        arrivals[:, 0] = 10.0  # one session needs 10 > quota 4
-        result = equal_split_offline(arrivals, 16.0, 4)
-        assert not result.feasible
-        assert result.worst_session == 0
-        assert result.worst_low > result.per_session_quota
-
-
 class TestArrivalValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_certificate_rejects(self, bad):
@@ -82,10 +62,3 @@ class TestArrivalValidation:
         arrivals[2, 1] = bad
         with pytest.raises(ConfigError, match="finite|non-negative"):
             multi_stage_certificate(arrivals, 8.0, 2)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-    def test_equal_split_rejects(self, bad):
-        arrivals = np.ones((6, 2))
-        arrivals[2, 0] = bad
-        with pytest.raises(ConfigError, match="finite|non-negative"):
-            equal_split_offline(arrivals, 8.0, 2)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.offline import stage_lower_bound
-from repro.core.opt_bruteforce import iter_schedules, min_changes_bruteforce
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
+from tests.opt_bruteforce import iter_schedules, min_changes_bruteforce
 
 TINY = OfflineConstraints(bandwidth=8, delay=2, utilization=0.5, window=2)
 

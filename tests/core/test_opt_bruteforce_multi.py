@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.offline_multi import multi_stage_lower_bound
-from repro.core.opt_bruteforce import min_changes_bruteforce_multi
 from repro.errors import ConfigError
+from tests.opt_bruteforce import min_changes_bruteforce_multi
 
 B_O = 8.0
 D_O = 2

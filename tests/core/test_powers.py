@@ -7,12 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.powers import (
-    FractionalPowerOfTwoQuantizer,
     GeometricQuantizer,
-    IdentityQuantizer,
     PowerOfTwoQuantizer,
-    exact_log2,
-    is_power_of_two,
     next_power_of_two,
 )
 from repro.errors import ConfigError
@@ -40,33 +36,9 @@ class TestNextPowerOfTwo:
     def test_properties(self, x):
         p = next_power_of_two(x)
         assert p >= x
-        assert is_power_of_two(p)
+        assert math.frexp(p)[0] == 0.5  # a power of two
         # Tight: the next lower power is below x (unless p == 1).
         assert p == 1.0 or p / 2 < x
-
-
-class TestIsPowerOfTwo:
-    def test_positives(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(2)
-        assert is_power_of_two(0.5)
-        assert is_power_of_two(2**30)
-
-    def test_negatives(self):
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(-2)
-        assert not is_power_of_two(3)
-        assert not is_power_of_two(0.3)
-
-
-class TestExactLog2:
-    def test_roundtrip(self):
-        for j in range(-10, 30):
-            assert exact_log2(2.0**j) == j
-
-    def test_rejects_non_powers(self):
-        with pytest.raises(ConfigError):
-            exact_log2(3.0)
 
 
 class TestPowerOfTwoQuantizer:
@@ -108,30 +80,3 @@ class TestGeometricQuantizer:
     def test_levels_count(self):
         g = GeometricQuantizer(4.0)
         assert g.levels(64) == 4  # 1, 4, 16, 64
-
-
-class TestFractionalQuantizer:
-    def test_floor_level(self):
-        q = FractionalPowerOfTwoQuantizer(min_exponent=-3)
-        assert q(0.01) == 0.125
-        assert q(0.2) == 0.25
-        assert q(3) == 4.0
-
-    def test_levels(self):
-        q = FractionalPowerOfTwoQuantizer(min_exponent=-2)
-        assert q.levels(4) == 5  # 1/4, 1/2, 1, 2, 4
-
-    def test_rejects_positive_min_exponent(self):
-        with pytest.raises(ConfigError):
-            FractionalPowerOfTwoQuantizer(min_exponent=1)
-
-
-class TestIdentityQuantizer:
-    def test_passthrough(self):
-        q = IdentityQuantizer()
-        assert q(3.7) == 3.7
-        assert q(-1) == 0.0
-
-    def test_levels_unbounded(self):
-        with pytest.raises(ConfigError):
-            IdentityQuantizer().levels(8)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.powers import GeometricQuantizer, IdentityQuantizer, is_power_of_two
+from repro.core.powers import GeometricQuantizer
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
@@ -67,8 +67,18 @@ class TestValidation:
 
     def test_grid_without_finite_levels_rejected(self):
         """The stage kernel walks the rung ladder grid point by grid point."""
+
+        class NoGrid:
+            """Allocates exactly the demand: no ladder of levels."""
+
+            def __call__(self, x):
+                return max(0.0, x)
+
+            def levels(self, max_bandwidth):
+                raise ConfigError("unbounded levels")
+
         with pytest.raises(ConfigError, match="unbounded levels"):
-            make_policy(quantizer=IdentityQuantizer())
+            make_policy(quantizer=NoGrid())
 
     def test_derived_guarantees(self):
         policy = make_policy()
@@ -94,7 +104,7 @@ class TestStageMechanics:
             if policy.resets:
                 break
             assert bandwidth >= previous
-            assert is_power_of_two(bandwidth) or bandwidth == 0.0
+            assert bandwidth == 0.0 or math.frexp(bandwidth)[0] == 0.5
             previous = bandwidth
 
     def test_trickle_then_burst_forces_reset(self):

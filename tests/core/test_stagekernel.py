@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.envelope import HighTracker, NaiveLowTracker
 from repro.core.stagekernel import StageKernel
 from tests.strategies import FUZZ_EXAMPLES, arrival_streams
+from tests.references import HighTracker, NaiveLowTracker
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 

@@ -31,7 +31,7 @@ from repro.verify.certificates import (
     phased_bounds,
     single_session_bounds,
 )
-from repro.verify.differential import assert_certified
+from tests.differential import assert_certified
 
 SLOW = settings(
     max_examples=25,

@@ -1,4 +1,4 @@
-"""Breadth matrix: every traffic generator × every allocator family.
+"""Breadth matrix: the traffic generators × every allocator family.
 
 These runs make no feasibility assumptions, so they only assert the
 unconditional properties — no crash, bit conservation, bandwidth caps,
@@ -20,18 +20,17 @@ from repro.core.single_session import SingleSessionOnline
 from repro.sim.engine import run_single_session
 from repro.traffic import (
     CompoundPoisson,
-    ConstantRate,
     MarkovModulatedPoisson,
     MpegVbr,
     OnOffBursts,
     ParetoBursts,
     PoissonArrivals,
     SelfSimilarAggregate,
-    Shaped,
-    SquareWave,
     figure1_demand,
 )
+from repro.traffic.base import ArrivalProcess
 from repro.verify.certificates import claim2_margins, claim2_violations
+from tests.fakes import Constant
 
 B_A = 256.0
 D_O = 4
@@ -39,8 +38,40 @@ U_O = 0.25
 W = 8
 HORIZON = 600
 
+
+class _Square(ArrivalProcess):
+    """``high`` bits for the first half of every ``period``, ``low`` after."""
+
+    def __init__(self, low: float, high: float, period: int):
+        self.low, self.high, self.period = low, high, period
+
+    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
+        high = np.arange(horizon) % self.period < self.period / 2
+        return np.where(high, self.high, self.low)
+
+
+class _TokenBucket(ArrivalProcess):
+    """``inner`` through a ``(rate, burst)`` token bucket that holds the
+    excess back, so every window of ``w`` slots carries at most
+    ``rate·w + burst`` bits."""
+
+    def __init__(self, inner: ArrivalProcess, rate: float, burst: float):
+        self.inner, self.rate, self.burst = inner, rate, burst
+
+    def generate(self, horizon: int, rng: np.random.Generator) -> np.ndarray:
+        tokens, backlog, out = self.burst, 0.0, []
+        for bits in self.inner.generate(horizon, rng):
+            tokens += self.rate
+            backlog += bits
+            sent = min(backlog, tokens)
+            tokens = min(tokens - sent, self.burst)
+            backlog -= sent
+            out.append(sent)
+        return np.asarray(out)
+
+
 WORKLOADS = {
-    "constant": ConstantRate(6.0),
+    "constant": Constant(6.0),
     "poisson": PoissonArrivals(6.0),
     "compound": CompoundPoisson(burst_rate=0.3, mean_burst=15.0),
     "onoff": OnOffBursts(on_rate=20.0, mean_on=15, mean_off=25, jitter=0.3),
@@ -50,9 +81,9 @@ WORKLOADS = {
         burst_prob=0.08, mean_burst=40.0, shape=1.6, cap=B_A * D_O
     ),
     "selfsimilar": SelfSimilarAggregate(sources=12, rate_per_source=1.5),
-    "square": SquareWave(low=2.0, high=30.0, period=40),
+    "square": _Square(low=2.0, high=30.0, period=40),
     "figure1": figure1_demand(mean_rate=8.0),
-    "shaped": Shaped(ParetoBursts(0.2, 60.0, shape=1.5), rate=20.0, burst=80.0),
+    "shaped": _TokenBucket(ParetoBursts(0.2, 60.0, shape=1.5), rate=20.0, burst=80.0),
 }
 
 POLICIES = {

@@ -1,4 +1,4 @@
-"""Tests for the token-bucket shaper and the (ρ, b) conformance check."""
+"""Tests for the (ρ, b) token-bucket conformance check."""
 
 import math
 
@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.feasibility import is_delay_feasible
 from repro.errors import ConfigError
-from repro.network.shaper import TokenBucket, is_conforming
-from repro.traffic.poisson import PoissonArrivals
-from repro.traffic.shaped import Shaped
+from repro.network.shaper import is_conforming
 from repro.verify.certificates import claim9_series
 from tests.strategies import FUZZ_EXAMPLES
 
@@ -58,44 +55,6 @@ def _worst_window_excess(arrivals, rate, burst) -> float:
     )
 
 
-class TestTokenBucket:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TokenBucket(0, 1)
-        with pytest.raises(ConfigError):
-            TokenBucket(1, -1)
-        with pytest.raises(ConfigError):
-            TokenBucket(1, 1).offer(-1)
-
-    def test_passes_conforming_traffic_untouched(self):
-        bucket = TokenBucket(rate=4.0, burst=10.0)
-        out = bucket.shape(np.full(20, 3.0))
-        np.testing.assert_allclose(out[:20], 3.0)
-
-    def test_delays_excess(self):
-        bucket = TokenBucket(rate=2.0, burst=2.0)
-        out = bucket.shape(np.asarray([10.0, 0.0, 0.0]))
-        assert out[0] == pytest.approx(4.0)  # burst + one slot of tokens
-        assert out.sum() == pytest.approx(10.0)  # drained eventually
-
-    def test_backlog_property(self):
-        bucket = TokenBucket(rate=1.0, burst=0.0)
-        bucket.offer(5.0)
-        assert bucket.backlog == pytest.approx(4.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        arrivals=st.lists(st.floats(min_value=0, max_value=50), min_size=1, max_size=60),
-        rate=st.floats(min_value=0.5, max_value=10),
-        burst=st.floats(min_value=0, max_value=30),
-    )
-    def test_output_always_conforming(self, arrivals, rate, burst):
-        bucket = TokenBucket(rate=rate, burst=burst)
-        out = bucket.shape(np.asarray(arrivals))
-        assert is_conforming(out, rate, burst)
-        assert out.sum() == pytest.approx(sum(arrivals), abs=1e-6)
-
-
 class TestIsConforming:
     def test_accepts_within_envelope(self):
         assert is_conforming(np.full(10, 2.0), rate=2.0, burst=0.0)
@@ -104,6 +63,20 @@ class TestIsConforming:
     def test_rejects_violations(self):
         assert not is_conforming(np.asarray([5.0]), rate=1.0, burst=3.0)
         assert not is_conforming(np.full(10, 3.0), rate=2.0, burst=5.0)
+
+    @pytest.mark.parametrize(
+        "arrivals, message",
+        [
+            ([1.0, float("nan"), 1e9], "finite"),
+            ([1.0, float("inf")], "finite"),
+            ([1.0, -0.5], "non-negative"),
+            ([[1.0, 2.0], [3.0, 4.0]], "1-dimensional"),
+        ],
+        ids=["nan", "inf", "negative", "2-d"],
+    )
+    def test_rejects_bad_arrivals(self, arrivals, message):
+        with pytest.raises(ConfigError, match=message):
+            is_conforming(np.asarray(arrivals), rate=1.0, burst=1.0)
 
     @_FUZZ
     @given(arrivals=exact_arrivals, rate=quarter_rates, half_burst=st.integers(0, 80))
@@ -139,19 +112,3 @@ class TestIsConforming:
         excess, _ = claim9_series(np.asarray(arrivals), bandwidth, delay)
         conforming = is_conforming(np.asarray(arrivals), bandwidth, delay * bandwidth)
         assert conforming == bool(excess.max(initial=-np.inf) <= 0.0)
-
-
-class TestShapedProcess:
-    def test_shaped_output_is_feasible(self):
-        process = Shaped(PoissonArrivals(8.0), rate=6.0, burst=12.0)
-        arrivals = process.materialize(500, seed=0)
-        assert is_conforming(arrivals, 6.0, 12.0)
-        # Conforming (rate, burst) traffic is (B_O, D_O)-feasible for
-        # B_O = rate + burst/D_O.
-        assert is_delay_feasible(arrivals, 6.0 + 12.0 / 4, 4)
-
-    def test_reproducible(self):
-        process = Shaped(PoissonArrivals(8.0), rate=6.0, burst=12.0)
-        a = process.materialize(100, seed=3)
-        b = process.materialize(100, seed=3)
-        np.testing.assert_array_equal(a, b)

@@ -7,7 +7,6 @@ import threading
 import time
 
 from repro.obs.progress import (
-    CollectingProgress,
     JsonlProgress,
     ProgressEvent,
     ProgressTracker,
@@ -16,6 +15,7 @@ from repro.obs.progress import (
     snapshot_slots,
     sparkline,
 )
+from tests.references import CollectingProgress
 
 
 class FakeClock:

@@ -6,7 +6,6 @@ from repro.obs.runtime import (
     Telemetry,
     count,
     get_telemetry,
-    observe,
     set_telemetry,
     telemetry_session,
 )
@@ -55,17 +54,14 @@ class TestCurrentTelemetry:
 
 
 class TestHelpers:
-    def test_count_and_observe_when_enabled(self):
+    def test_count_when_enabled(self):
         with telemetry_session() as tele:
             count("events")
             count("events", 2)
-            observe("depth", 5.0)
         assert tele.registry.counter_value("events") == 3.0
-        assert tele.registry.histogram("depth").count == 1
 
-    def test_count_and_observe_no_op_when_disabled(self):
+    def test_count_no_op_when_disabled(self):
         count("events")  # outside any session: must not blow up or record
-        observe("depth", 5.0)
         assert DISABLED.registry.snapshot()["counters"] == {}
 
 

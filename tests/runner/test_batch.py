@@ -259,7 +259,7 @@ class TestBatchProgress:
     """The live progress layer: observational, complete, deterministic."""
 
     def _events(self, **kwargs):
-        from repro.obs.progress import CollectingProgress
+        from tests.references import CollectingProgress
 
         sink = CollectingProgress()
         report = run_batch(IDS, seed=7, scale=SCALE, progress=sink, **kwargs)
@@ -299,7 +299,7 @@ class TestBatchProgress:
         assert events[-1].slots > 0
 
     def test_progress_does_not_change_results(self):
-        from repro.obs.progress import CollectingProgress
+        from tests.references import CollectingProgress
 
         silent = run_batch(IDS, seed=7, scale=SCALE, jobs=2)
         watched = run_batch(

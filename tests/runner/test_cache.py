@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments.common import Check, ExperimentResult
 from repro.obs import telemetry_session
 from repro.params import OfflineConstraints
@@ -120,6 +121,40 @@ class TestCachedGenerators:
         use_cache(None)
         stream = cached_feasible_stream(_offline(), 800, segments=3, seed=5)
         assert stream.horizon == 800
+
+    def test_key_is_the_bound_arguments_with_defaults(self, cache):
+        cached_feasible_stream(_offline(), 800, 3, 5)
+        cached_feasible_stream(_offline(), 800, segments=3, seed=5, burstiness="smooth")
+        assert cache.info()["sections"]["workloads"]["entries"] == 1
+        cached_feasible_stream(_offline(), 800, segments=3, seed=5, burstiness="blocks")
+        assert cache.info()["sections"]["workloads"]["entries"] == 2
+
+    def test_generators_behind_plain_wrappers(self, cache, monkeypatch):
+        """A tracer that swaps in ``(*args, **kwargs)`` wrappers keeps the keys."""
+        import repro.runner.cache as module
+
+        for name in ("generate_feasible_stream", "generate_multi_feasible"):
+            original = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args, _f=original, **kwargs: _f(*args, **kwargs)
+            )
+        cached_feasible_stream(_offline(), 800, segments=3, seed=5)
+        cached_multi_feasible(2, 48.0, 8, 600, seed=2)
+        assert cache.info()["sections"]["workloads"]["entries"] == 2
+
+    def test_warm_multi_keeps_the_generator_types(self, cache):
+        kwargs = dict(k=2, offline_bandwidth=48, offline_delay=8, horizon=600, seed=2)
+        cached_multi_feasible(**kwargs)
+        warm = cached_multi_feasible(**kwargs)
+        assert type(warm.offline_bandwidth) is float
+        assert warm.offline_bandwidth == 48.0
+
+    @pytest.mark.parametrize("segments", [0, -1])
+    def test_multi_rejects_fewer_than_one_segment(self, cache, segments):
+        for active in (cache, None):
+            use_cache(active)
+            with pytest.raises(ConfigError, match="segments must be >= 1"):
+                cached_multi_feasible(2, 16.0, 4, 200, segments=segments, seed=1)
 
 
 class TestIntegrity:

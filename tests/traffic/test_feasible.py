@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.feasibility import (
-    check_multi_against_profiles,
-    check_stream_against_profile,
-)
+from repro.analysis.feasibility import check_multi_against_profiles
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.traffic.feasible import (
@@ -20,7 +17,8 @@ from repro.traffic.multi import (
     generate_multi_feasible,
     independent_processes_workload,
 )
-from repro.traffic.constant import ConstantRate
+from tests.fakes import Constant
+from tests.references import check_stream_against_profile
 
 OFFLINE = OfflineConstraints(bandwidth=64, delay=4, utilization=0.25, window=8)
 
@@ -35,13 +33,6 @@ class TestMakeProfile:
     def test_switch_count_matches_segments(self, rng):
         profile = make_profile(500, 5, 64.0, rng, min_segment=20)
         assert profile_switch_count(profile) == 4
-
-    def test_power_of_two_levels(self, rng):
-        profile = make_profile(
-            300, 3, 64.0, rng, min_segment=20, power_of_two_levels=True
-        )
-        for level in np.unique(profile):
-            assert level == 2 ** round(np.log2(level))
 
     def test_too_short_horizon_rejected(self, rng):
         with pytest.raises(ConfigError):
@@ -69,12 +60,6 @@ class TestGenerateFeasibleStream:
         with pytest.raises(ConfigError):
             generate_feasible_stream(
                 OfflineConstraints(bandwidth=8, delay=2), horizon=100
-            )
-
-    def test_bad_fill_band_rejected(self):
-        with pytest.raises(ConfigError):
-            generate_feasible_stream(
-                OFFLINE, horizon=500, fill_low=0.1, seed=0
             )
 
     def test_reproducible(self):
@@ -127,8 +112,6 @@ class TestGenerateMultiFeasible:
         with pytest.raises(ConfigError):
             generate_multi_feasible(0, 8.0, 2, 100)
         with pytest.raises(ConfigError):
-            generate_multi_feasible(2, 8.0, 2, 100, fill=0.0)
-        with pytest.raises(ConfigError):
             generate_multi_feasible(2, 8.0, 2, horizon=10, segments=5)
 
     def test_rejects_unknown_burstiness(self):
@@ -142,16 +125,25 @@ class TestGenerateMultiFeasible:
     def test_budget_respected(self):
         workload = generate_multi_feasible(
             3, offline_bandwidth=16.0, offline_delay=4, horizon=800,
-            segments=3, seed=3, fill=0.8,
+            segments=3, seed=3,
         )
         totals = workload.profiles.sum(axis=1)
-        assert totals.max() <= 16.0 * 0.8 + 1e-9
+        # The offline assignment hands out 90% of B_O.
+        assert totals.max() <= 16.0 * 0.9 + 1e-9
+
+    @pytest.mark.parametrize("segments", [0, -1])
+    def test_rejects_fewer_than_one_segment(self, segments):
+        with pytest.raises(ConfigError, match="segments must be >= 1"):
+            generate_multi_feasible(2, 16.0, 4, 200, segments=segments, seed=1)
+        # The single-session generator rejects the same input.
+        with pytest.raises(ConfigError, match="segments must be >= 1"):
+            generate_feasible_stream(OFFLINE, 200, segments=segments, seed=1)
 
 
 class TestIndependentProcesses:
     def test_shapes(self):
         arrivals = independent_processes_workload(
-            [ConstantRate(1.0), ConstantRate(2.0)], horizon=50, seed=0
+            [Constant(1.0), Constant(2.0)], horizon=50, seed=0
         )
         assert arrivals.shape == (50, 2)
         assert (arrivals[:, 1] == 2.0).all()

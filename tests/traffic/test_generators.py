@@ -2,37 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.traffic.constant import ConstantRate, RepeatingPattern
 from repro.traffic.mmpp import MarkovModulatedPoisson
 from repro.traffic.onoff import OnOffBursts
 from repro.traffic.pareto import ParetoBursts
 from repro.traffic.poisson import CompoundPoisson, PoissonArrivals
-from repro.traffic.spikes import (
-    GeometricDoubling,
-    Ramp,
-    Spikes,
-    SquareWave,
-    figure1_demand,
-)
+from repro.traffic.spikes import Spikes, figure1_demand
 from repro.traffic.vbr import MpegVbr
 
 ALL_PROCESSES = [
-    ConstantRate(5.0),
-    RepeatingPattern([1, 2, 3]),
     PoissonArrivals(4.0),
     CompoundPoisson(burst_rate=0.2, mean_burst=10.0),
     OnOffBursts(on_rate=8.0, mean_on=10, mean_off=20, jitter=0.3),
     MarkovModulatedPoisson.bursty(low=1.0, high=10.0),
     MpegVbr(mean_rate=6.0),
     ParetoBursts(burst_prob=0.1, mean_burst=20.0, shape=1.8, spread=3),
-    SquareWave(low=1.0, high=9.0, period=20),
-    Ramp(0.0, 10.0),
     Spikes(slots=[5, 50], height=40.0),
-    GeometricDoubling(gap=10),
     figure1_demand(),
 ]
 
@@ -59,13 +45,6 @@ class TestCommonContract:
 
 
 class TestSpecificBehaviours:
-    def test_constant_rate(self):
-        assert (ConstantRate(3.0).materialize(10) == 3.0).all()
-
-    def test_repeating_pattern_cycles(self):
-        arrivals = RepeatingPattern([1, 2]).materialize(5)
-        np.testing.assert_array_equal(arrivals, [1, 2, 1, 2, 1])
-
     def test_poisson_mean(self):
         arrivals = PoissonArrivals(6.0).materialize(20_000, seed=1)
         assert arrivals.mean() == pytest.approx(6.0, rel=0.05)
@@ -124,36 +103,16 @@ class TestSpecificBehaviours:
         process = ParetoBursts(burst_prob=0.3, mean_burst=10.0, cap=15.0)
         assert process.materialize(5000, seed=9).max() <= 15.0
 
-    def test_square_wave_levels(self):
-        arrivals = SquareWave(low=1.0, high=9.0, period=10, duty=0.3).materialize(20)
-        np.testing.assert_array_equal(arrivals[:3], 9.0)
-        np.testing.assert_array_equal(arrivals[3:10], 1.0)
-
-    def test_ramp_endpoints(self):
-        arrivals = Ramp(2.0, 10.0).materialize(5)
-        assert arrivals[0] == 2.0
-        assert arrivals[-1] == 10.0
-
     def test_spikes_placement(self):
         arrivals = Spikes(slots=[2, 100], height=7.0).materialize(10)
         assert arrivals[2] == 7.0
         assert arrivals.sum() == 7.0  # slot 100 beyond horizon
-
-    def test_doubling_sequence(self):
-        arrivals = GeometricDoubling(gap=5, start=1.0).materialize(20)
-        assert list(arrivals[[0, 5, 10, 15]]) == [1.0, 2.0, 4.0, 8.0]
-
-    def test_doubling_cap(self):
-        arrivals = GeometricDoubling(gap=2, start=1.0, cap=4.0).materialize(40)
-        assert arrivals.max() <= 4.0
 
 
 class TestValidationErrors:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: ConstantRate(-1),
-            lambda: RepeatingPattern([]),
             lambda: PoissonArrivals(-1),
             lambda: CompoundPoisson(-0.1, 5),
             lambda: CompoundPoisson(0.1, 0),
@@ -163,11 +122,7 @@ class TestValidationErrors:
             lambda: MpegVbr(mean_rate=1, frame_interval=0),
             lambda: ParetoBursts(2.0, 5),
             lambda: ParetoBursts(0.1, 5, shape=0.9),
-            lambda: SquareWave(1, 2, period=1),
-            lambda: SquareWave(1, 2, period=10, duty=0),
-            lambda: Ramp(-1, 5),
             lambda: Spikes([-1], 5),
-            lambda: GeometricDoubling(gap=0),
         ],
     )
     def test_bad_config_raises(self, build):

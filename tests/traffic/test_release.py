@@ -18,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.feasibility import check_stream_against_profile, profile_serves
+import repro.analysis.feasibility as feasibility
+from repro.analysis.feasibility import profile_serves
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.traffic.feasible import _release_early, generate_feasible_stream
 from repro.traffic.multi import generate_multi_feasible
 from tests.strategies import FUZZ_EXAMPLES, seeds
+from tests.references import check_stream_against_profile
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 
@@ -218,20 +220,12 @@ _STREAM_CASES = {
         {"burstiness": "blocks"},
         ["47132fc6b1393790", "0ddab090eeeb9165", "a3bd8e74355233b9"],
     ),
-    "power-of-two levels": (
-        {"power_of_two_levels": True},
-        ["d20c6b280677809c", "736fbfc1f398c0a0", "c550cf9a679180cf"],
-    ),
-    "power-of-two blocks": (
-        {"power_of_two_levels": True, "burstiness": "blocks"},
-        ["f2935b494bac8fd9", "3c62f18d1b4cd473", "da429742826e4011"],
-    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_STREAM_CASES))
 def test_feasible_stream_digests_pinned(name):
-    # Five of these twelve streams retry with a smaller shift at least once.
+    # Two of the three block streams retry with a smaller shift.
     kwargs, pinned = _STREAM_CASES[name]
     digests = []
     for i in range(3):
@@ -239,6 +233,22 @@ def test_feasible_stream_digests_pinned(name):
         stream = generate_feasible_stream(_LEDGER_OFFLINE, 20_000, seed=rng, **kwargs)
         digests.append(_digest(stream.arrivals, stream.profile, rng=rng))
     assert digests == pinned
+
+
+def test_block_streams_reach_the_shift_retry_ladder(monkeypatch):
+    serves = feasibility.profile_serves
+    verdicts = []
+
+    def recording(*args):
+        verdicts.append(serves(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(feasibility, "profile_serves", recording)
+    for i in range(3):
+        generate_feasible_stream(
+            _LEDGER_OFFLINE, 20_000, seed=np.random.default_rng([5, i]), burstiness="blocks"
+        )
+    assert verdicts.count(False) == 2 and verdicts.count(True) == 3
 
 
 @pytest.mark.parametrize(

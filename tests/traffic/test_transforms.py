@@ -1,44 +1,17 @@
-"""Tests for arrival-process combinators and trace persistence."""
+"""Tests for the arrival-process combinators."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.traffic.constant import ConstantRate
 from repro.traffic.poisson import PoissonArrivals
-from repro.traffic.trace import (
-    TraceReplay,
-    load_trace,
-    load_trace_json,
-    save_trace,
-    save_trace_json,
-)
-from repro.traffic.transforms import ClipTo, Jittered, Scaled, Shifted, Superpose
+from repro.traffic.transforms import Jittered, Superpose
+from tests.fakes import Constant
 
 
 class TestTransforms:
-    def test_scaled(self):
-        arrivals = Scaled(ConstantRate(2.0), 3.0).materialize(5)
-        assert (arrivals == 6.0).all()
-
-    def test_scaled_validation(self):
-        with pytest.raises(ConfigError):
-            Scaled(ConstantRate(1.0), -1)
-
-    def test_shifted(self):
-        arrivals = Shifted(ConstantRate(2.0), 3).materialize(6)
-        np.testing.assert_array_equal(arrivals, [0, 0, 0, 2, 2, 2])
-
-    def test_shifted_beyond_horizon(self):
-        arrivals = Shifted(ConstantRate(2.0), 10).materialize(4)
-        assert (arrivals == 0).all()
-
-    def test_clip(self):
-        arrivals = ClipTo(ConstantRate(9.0), 4.0).materialize(3)
-        assert (arrivals == 4.0).all()
-
     def test_superpose(self):
-        process = Superpose([ConstantRate(1.0), ConstantRate(2.0)])
+        process = Superpose([Constant(1.0), Constant(2.0)])
         assert (process.materialize(4) == 3.0).all()
 
     def test_superpose_empty_rejected(self):
@@ -46,15 +19,15 @@ class TestTransforms:
             Superpose([])
 
     def test_add_operator(self):
-        process = ConstantRate(1.0) + ConstantRate(4.0)
+        process = Constant(1.0) + Constant(4.0)
         assert (process.materialize(3) == 5.0).all()
 
     def test_jittered_zero_sigma_passthrough(self):
-        arrivals = Jittered(ConstantRate(2.0), 0.0).materialize(5, seed=0)
+        arrivals = Jittered(Constant(2.0), 0.0).materialize(5, seed=0)
         assert (arrivals == 2.0).all()
 
     def test_jittered_preserves_mean_roughly(self):
-        arrivals = Jittered(ConstantRate(2.0), 0.3).materialize(20_000, seed=1)
+        arrivals = Jittered(Constant(2.0), 0.3).materialize(20_000, seed=1)
         assert arrivals.mean() == pytest.approx(
             2.0 * np.exp(0.3**2 / 2), rel=0.05
         )
@@ -64,39 +37,3 @@ class TestTransforms:
         a = process.materialize(100, seed=7)
         b = process.materialize(100, seed=7)
         np.testing.assert_array_equal(a, b)
-
-
-class TestTraceReplay:
-    def test_truncates(self):
-        replay = TraceReplay([1, 2, 3, 4])
-        np.testing.assert_array_equal(replay.materialize(2), [1, 2])
-
-    def test_pads_with_zeros(self):
-        replay = TraceReplay([1, 2])
-        np.testing.assert_array_equal(replay.materialize(4), [1, 2, 0, 0])
-
-    def test_loops(self):
-        replay = TraceReplay([1, 2], loop=True)
-        np.testing.assert_array_equal(replay.materialize(5), [1, 2, 1, 2, 1])
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            TraceReplay([[1, 2]])
-        with pytest.raises(ConfigError):
-            TraceReplay([-1.0])
-
-
-class TestPersistence:
-    def test_csv_roundtrip(self, tmp_path):
-        values = np.asarray([1.5, 0.0, 42.25])
-        path = tmp_path / "trace.csv"
-        save_trace(path, values)
-        replay = load_trace(path)
-        np.testing.assert_allclose(replay.materialize(3), values)
-
-    def test_json_roundtrip(self, tmp_path):
-        values = np.asarray([0.1, 2.0, 3.75])
-        path = tmp_path / "trace.json"
-        save_trace_json(path, values)
-        replay = load_trace_json(path)
-        np.testing.assert_allclose(replay.materialize(3), values)

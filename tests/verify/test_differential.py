@@ -18,13 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.verify.differential import (
-    assert_certified,
     certified_multi_run,
     certified_single_run,
     default_policy,
-    vector_mismatch_multi,
-    vector_mismatch_single,
-    oracle_ratio_check,
 )
 from tests.strategies import (
     FUZZ_EXAMPLES,
@@ -33,6 +29,12 @@ from tests.strategies import (
     feasible_multi_workloads,
     feasible_single_workloads,
     seeds,
+)
+from tests.differential import (
+    assert_certified,
+    oracle_ratio_check,
+    vector_mismatch_multi,
+    vector_mismatch_single,
 )
 
 _FUZZ = settings(

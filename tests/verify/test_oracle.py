@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.opt_bruteforce import min_changes_bruteforce
 from repro.errors import ConfigError
 from repro.params import OfflineConstraints
 from repro.traffic.feasible import generate_feasible_stream
@@ -27,11 +26,11 @@ from repro.verify.oracle import (
     RATIO_TRIVIAL,
     RATIO_UNBOUNDED,
     classify_ratio,
-    competitive_ratio,
     default_levels,
     min_changes_oracle,
 )
 from tests.strategies import FUZZ_EXAMPLES, seeds
+from tests.opt_bruteforce import min_changes_bruteforce
 
 
 def _oracle_tables_loop(arrivals, delay, levels, max_changes):
@@ -262,10 +261,10 @@ class TestLowerBound:
 
 class TestCompetitiveRatio:
     def test_cases(self):
-        assert math.isnan(competitive_ratio(5, None))
-        assert competitive_ratio(0, 0) == 0.0
-        assert competitive_ratio(3, 0) == math.inf
-        assert competitive_ratio(6, 2) == pytest.approx(3.0)
+        assert math.isnan(classify_ratio(5, None).value)
+        assert classify_ratio(0, 0).value == 0.0
+        assert classify_ratio(3, 0).value == math.inf
+        assert classify_ratio(6, 2).value == pytest.approx(3.0)
 
 
 class TestClassifyRatio:

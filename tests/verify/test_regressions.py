@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import StaticAllocator
-from repro.core.opt_bruteforce import min_changes_bruteforce
 from repro.obs.registry import MetricsRegistry
 from repro.params import OfflineConstraints
 from repro.sim.engine import run_single_session
@@ -19,6 +18,7 @@ from repro.verify.certificates import (
     single_session_bounds,
 )
 from repro.verify.oracle import min_changes_oracle
+from tests.opt_bruteforce import min_changes_bruteforce
 
 
 class TestSubUnitBandwidthGrid:

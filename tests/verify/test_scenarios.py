@@ -10,21 +10,11 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.verify.scenarios import (
-    certify_experiment,
-    describe_scenarios,
-    scenario_ids,
-)
+from repro.verify.scenarios import certify_experiment, scenario_ids
 
 
 def test_every_experiment_has_a_scenario():
     assert scenario_ids() == registry.all_ids()
-
-
-def test_describe_pairs_ids_with_descriptions():
-    described = describe_scenarios()
-    assert [eid for eid, _ in described] == scenario_ids()
-    assert all(desc for _, desc in described)
 
 
 def test_unknown_experiment_rejected():

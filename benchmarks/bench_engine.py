@@ -12,8 +12,8 @@ against the scalar fast loops it replaces, in slots/second:
    and their fused FIFO replay.
 3. ``multi_k2`` / ``multi_k8`` — :class:`PhasedMultiSession` over calm
    per-session piecewise-constant rates, exercising the session-major
-   slices (one fused ``SessionChannels.replay`` per session up to its
-   next local event, no-op phase ends booked in bulk).
+   slices (one ``replay_fifo`` call per session up to its next local
+   event, no-op phase ends booked in bulk).
 4. ``batched_64`` — 64 independent sessions, one
    :func:`~repro.sim.engine.run_single_session` each, vs the same loop
    with ``vector=False``.

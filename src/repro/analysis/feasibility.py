@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.envelope import LowTracker, arrival_array
 from repro.errors import ConfigError
-from repro.network.queue import EPSILON, BitQueue
+from repro.network.queue import EPSILON, BitQueue, replay_fifo
 from repro.params import OfflineConstraints
 
 _EPS = 1e-6
@@ -43,16 +43,13 @@ def simulate_fifo_delay(
     Returns ``(max_delay, leftover_bits)``.  FIFO equals EDF here because
     deadlines are ordered by arrival, so if any schedule with these
     capacities meets the deadlines, this one does.  One
-    :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>` runs the
-    whole stream: the engine's queue kernel.
+    :func:`~repro.network.queue.replay_fifo` runs the whole stream: the
+    engine's queue kernel.
     """
-    arrivals = np.asarray(arrivals, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    if len(arrivals) != len(capacities):
-        raise ConfigError("arrivals and capacities must have equal length")
+    arrivals, capacities = _checked(arrivals, capacities, 1)
     queue = BitQueue("feasibility")
     histogram: dict[int, float] = {}
-    queue.replay(0, arrivals, capacities, histogram)
+    replay_fifo(0, arrivals, queue, capacities, histogram)
     max_delay = max(histogram, default=0)
     oldest = queue.oldest_arrival
     if oldest is not None:

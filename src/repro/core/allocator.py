@@ -266,9 +266,9 @@ class RegularOverflowPolicy(MultiSessionPolicy):
     @abstractmethod
     def watch(self, index: int, t: int) -> tuple[int | None, float, tuple[int, int] | None]:
         """Session ``index``'s next local event at or after slot ``t``, as
-        ``(end, limit, phase)`` for :meth:`SessionChannels.replay`: an event
-        at slot ``end`` (None: no timed event) or at the first slot whose
-        regular queue holds more than ``limit`` bits."""
+        ``(end, limit, phase)`` for :func:`~repro.network.queue.replay_fifo`:
+        an event at slot ``end`` (None: no timed event) or at the first
+        slot whose regular queue holds more than ``limit`` bits."""
 
     @abstractmethod
     def local_event(self, t: int, index: int, bits: float) -> bool:

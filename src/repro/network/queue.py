@@ -9,22 +9,31 @@ algorithms re-parent bits from regular to overflow queues while preserving
 arrival stamps).
 
 :func:`serve_fifo` is the one FIFO serve loop: :meth:`BitQueue.serve`,
-:meth:`BitQueue.replay` and the channel pair of
-:mod:`repro.network.channel` all serve through it.
+:func:`replay_fifo` and the channel pair of :mod:`repro.network.channel`
+all serve through it.  :func:`replay_fifo` is the one replay loop: it
+pushes and serves a regular queue, and optionally an overflow queue, for
+a run of slots at the per-slot float operations, which is the queue work
+of every engine slice (:mod:`repro.sim.vector`) and of
+:func:`~repro.analysis.feasibility.simulate_fifo_delay`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.network.session import Session
+
 #: Bits below this threshold are treated as zero (floating-point dust).
 EPSILON = 1e-9
 
-#: Shortest keep-up stretch :meth:`BitQueue.replay` commits with numpy;
+#: Shortest keep-up stretch :func:`replay_fifo` commits with numpy;
 #: shorter ones cost less per slot than the numpy calls.
 KEEPUP_RUN = 32
 
@@ -143,148 +152,6 @@ class BitQueue:
         served, self._size = serve_fifo(self._chunks, self._size, t, capacity, histogram)
         return served
 
-    def replay(
-        self,
-        t: int,
-        arrivals: np.ndarray,
-        capacity: float | np.ndarray,
-        histogram: dict[int, float],
-        until_empty: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run :meth:`push` then :meth:`serve` for slots ``t, t+1, ...``.
-
-        Slot ``t + i`` pushes ``arrivals[i]`` and serves ``capacity`` (a
-        float for every slot, or an array as long as ``arrivals``) with the
-        same float operations, in the same order, as the per-slot methods,
-        folding each delivery into ``histogram`` (delay -> bits) in delivery
-        order.
-
-        While the queue is exactly empty and arrivals stay at or below the
-        capacity, each slot delivers its own arrivals at delay 0 (dust
-        delivers nothing) and leaves the queue exactly empty.  Stretches of
-        at least :data:`KEEPUP_RUN` such slots are committed with numpy
-        (``np.add.accumulate`` sums in slot order, like the per-slot fold).
-
-        Args:
-            t: slot of ``arrivals[0]``.
-            arrivals: bits arriving per slot (1-D float array).
-            capacity: serving capacity per slot.
-            histogram: delay histogram the deliveries fold into.
-            until_empty: stop before the first slot whose pre-push backlog
-                is ``<= EPSILON``.
-
-        Returns:
-            ``(delivered, backlog)``: bits served and :attr:`size` after
-            each replayed slot.
-        """
-        if self.capacity is not None:
-            raise ConfigError("replay needs an unbounded queue")
-        arrivals = np.asarray(arrivals, dtype=float)
-        per_slot = np.ndim(capacity) > 0
-        if per_slot:
-            capacity = np.asarray(capacity, dtype=float)
-            if capacity.shape != arrivals.shape:
-                raise ConfigError("arrivals and capacities must have equal length")
-        # NaN fails both tests, so the numpy keep-up commit never sees one.
-        if not np.all(capacity >= 0):
-            raise ConfigError("capacity must be >= 0 (and not NaN)")
-        if not np.all(arrivals >= 0):
-            raise ConfigError("bits must be >= 0 (and not NaN)")
-        n = len(arrivals)
-        values = arrivals.tolist()
-        caps = capacity.tolist() if per_slot else [float(capacity)] * n
-        # Slots whose arrivals exceed the capacity, then a sentinel: a
-        # keep-up stretch from an empty queue runs to the next of them.
-        loud = [] if until_empty else np.flatnonzero(arrivals > capacity).tolist()
-        loud.append(n)
-        parts: list[tuple[np.ndarray, np.ndarray]] = []
-        served: list[float] = []
-        after: list[float] = []
-        chunks = self._chunks
-        size = self._size
-        i = 0  # next slot (index into arrivals)
-        j = 0  # index into loud
-        try:
-            while i < n:
-                if until_empty:
-                    if size <= EPSILON:
-                        break
-                    resume = i
-                elif not chunks and size == 0.0:
-                    while loud[j] < i:
-                        j += 1
-                    resume = loud[j]
-                    if resume - i >= KEEPUP_RUN:
-                        if served:
-                            parts.append((np.array(served), np.array(after)))
-                            served, after = [], []
-                        quiet = arrivals[i:resume]
-                        positive = quiet[quiet > EPSILON]
-                        if positive.size:
-                            histogram[0] = float(
-                                np.add.accumulate(
-                                    np.concatenate(([histogram.get(0, 0.0)], positive))
-                                )[-1]
-                            )
-                        parts.append(
-                            (np.where(quiet > EPSILON, quiet, 0.0), np.zeros(resume - i))
-                        )
-                        i = resume
-                        continue
-                else:
-                    resume = i
-                # Per slot until the queue is empty again at or past resume.
-                for k in range(i, n):
-                    if until_empty and size <= EPSILON:
-                        break
-                    bits = values[k]
-                    remaining = caps[k]
-                    if not chunks and bits <= remaining:
-                        # push + serve on an empty queue: the slot's own
-                        # bits (dust: none) go out at delay 0 and the queue
-                        # ends exactly empty.
-                        if bits > EPSILON:
-                            histogram[0] = histogram.get(0, 0.0) + bits
-                            served.append(bits)
-                        else:
-                            served.append(0.0)
-                        after.append(0.0)
-                        size = 0.0
-                        if k >= resume:
-                            k += 1
-                            break
-                        continue
-                    slot = t + k
-                    if bits > EPSILON:  # push
-                        if chunks and chunks[-1][0] >= slot:
-                            if chunks[-1][0] > slot:
-                                raise SimulationError(
-                                    f"push at t={slot} after chunk stamped {chunks[-1][0]}"
-                                )
-                            chunks[-1][1] += bits
-                        else:
-                            chunks.append([slot, bits])
-                        size += bits
-                    total, size = serve_fifo(chunks, size, slot, remaining, histogram)
-                    served.append(total)
-                    after.append(size if size > EPSILON else 0.0)
-                    if not chunks and k >= resume:
-                        k += 1
-                        break
-                else:
-                    k = n
-                i = k
-        finally:
-            self._size = size
-        if served or not parts:
-            parts.append((np.array(served, dtype=float), np.array(after, dtype=float)))
-        if len(parts) == 1:
-            return parts[0]
-        return (
-            np.concatenate([d for d, _ in parts]),
-            np.concatenate([b for _, b in parts]),
-        )
-
     def drain_to(self, other: "BitQueue") -> float:
         """Move all chunks to ``other`` preserving arrival order; return bits.
 
@@ -310,3 +177,221 @@ class BitQueue:
         if oldest is None:
             return 0
         return t - oldest
+
+
+def replay_fifo(
+    t: int,
+    arrivals: Sequence[float] | np.ndarray,
+    queue: BitQueue,
+    capacity: float | np.ndarray,
+    histogram: dict[int, float],
+    *,
+    overflow: BitQueue | None = None,
+    overflow_capacity: float | None = None,
+    session: "Session | None" = None,
+    until_empty: bool = False,
+    limit: float = math.inf,
+    phase: tuple[int, int] | None = None,
+) -> tuple[list[float], list[float]]:
+    """Push, then serve, slots ``t, t+1, ...`` of a regular ``queue`` and
+    an optional ``overflow`` queue: the one fused replay loop.
+
+    Slot ``t + i`` pushes ``arrivals[i]`` into ``queue`` and serves it with
+    ``capacity`` (a float for every slot, or an array as long as
+    ``arrivals``).  With an ``overflow`` queue, each slot serves it first
+    (its bits are older): with its own ``overflow_capacity`` (the proofs'
+    literal mode), or, when that is None, out of ``capacity``, leaving the
+    regular queue what it does not take (FIFO mode, the Remark after
+    Theorem 14).  The float operations are those of
+    :meth:`BitQueue.push` and :func:`serve_fifo`, slot by slot, in the
+    per-slot order: every delivery folds into ``histogram`` (delay ->
+    bits), overflow first.  With a ``session``, its ``bits_arrived``,
+    ``bits_delivered`` and ``max_delay`` are current when the call returns,
+    as :meth:`Session.push <repro.network.session.Session.push>` and
+    :meth:`SessionChannels.serve
+    <repro.network.channel.SessionChannels.serve>` leave them.
+
+    The replay stops early, and the lists returned are then shorter than
+    ``arrivals``:
+
+    * ``until_empty``: before the first slot whose pre-push backlog is
+      ``<= EPSILON`` (the single-session RESET drain);
+    * ``phase=(first, period)``: before the push at the first of slots
+      ``first + m * period`` (Figure 4's phase ends) that finds ``queue``
+      above ``limit``;
+    * otherwise a finite ``limit``: before the first positive push that
+      would leave ``queue`` above it (Figure 5's TEST).
+
+    While both queues are empty and a slot's arrivals are at or below its
+    capacity (and, for the push test, ``limit``), the slot delivers its own
+    arrivals at delay 0 (dust: nothing) and leaves the queues empty.
+    Stretches of at least :data:`KEEPUP_RUN` such slots are committed with
+    numpy (``np.add.accumulate`` sums in slot order, like the per-slot
+    fold); shorter runs and backlogged slots take the pure-Python loop.  A
+    stretch can start only where the replay starts or where a slot leaves
+    both queues empty, so only there does the loop look for one.
+
+    ``arrivals`` and the capacities must be non-negative and not NaN (a
+    NaN would slip through every test above); the engine validates them
+    when it takes them in, :func:`~repro.analysis.feasibility.simulate_fifo_delay`
+    at its boundary.
+
+    Returns:
+        ``(delivered, backlog)``: bits served and the bits queued in both
+        queues (each :attr:`BitQueue.size`) after each replayed slot.
+    """
+    if queue.capacity is not None or (overflow is not None and overflow.capacity is not None):
+        raise ConfigError("replay needs an unbounded queue")
+    arrivals = np.asarray(arrivals, dtype=float)
+    n = len(arrivals)
+    per_slot = not isinstance(capacity, (int, float))
+    if per_slot:
+        capacity = np.asarray(capacity, dtype=float)
+        if capacity.shape != arrivals.shape:
+            raise ConfigError("arrivals and capacities must have equal length")
+        caps = capacity.tolist()
+    else:
+        caps = [float(capacity)] * n
+    values = arrivals.tolist()
+    pooled = overflow_capacity is None
+    due = -1  # index of the next phase end to read (-1: none)
+    period = 0
+    pushtest = False
+    # An empty slot keeps up with arrivals up to its gate: they fit the
+    # capacity and the TEST cannot fire.
+    gate, gates = capacity, caps
+    if phase is not None:
+        due = phase[0] - t
+        period = phase[1]
+    elif limit < math.inf:
+        pushtest = True
+        gate = np.minimum(capacity, limit)
+        gates = gate.tolist() if per_slot else [float(gate)] * n
+    # Slots above the gate, then a sentinel: a keep-up stretch from empty
+    # queues runs to the next of them.  ``retry`` is the first slot worth
+    # another look for one.
+    if n >= KEEPUP_RUN and not until_empty:
+        loud = np.flatnonzero(arrivals > gate).tolist()
+        loud.append(n)
+        j = 0  # index into loud
+        retry = 0
+    else:
+        retry = n + 1  # no stretch fits
+    r_chunks = queue._chunks
+    r_size = queue._size
+    o_chunks = overflow._chunks if overflow is not None else deque()
+    o_size = overflow._size if overflow is not None else 0.0
+    track = session is not None  # only a session keeps max_delay
+    if track:
+        arrived, total, worst = session.bits_arrived, session.bits_delivered, session.max_delay
+    else:
+        arrived, total, worst = 0.0, 0.0, 0
+    delivered: list[float] = []
+    backlog: list[float] = []
+    if until_empty and r_size <= EPSILON:
+        n = 0
+    i = 0  # next slot (index into arrivals)
+    try:
+        while i < n:
+            if i >= retry and not r_chunks and not o_chunks:
+                while loud[j] < i:
+                    j += 1
+                retry = loud[j]
+                if retry - i >= KEEPUP_RUN:
+                    quiet = arrivals[i:retry]
+                    served = np.where(quiet > EPSILON, quiet, 0.0)
+                    # Adding 0.0 leaves a sum unchanged, so one column-wise
+                    # running sum folds what the slots below fold one by one.
+                    sums = np.empty((retry - i + 1, 3))
+                    sums[0] = (arrived, total, histogram.get(0, 0.0))
+                    sums[1:, 0] = quiet
+                    sums[1:, 1] = served
+                    sums[1:, 2] = served
+                    arrived, total, first = np.add.accumulate(sums)[-1].tolist()
+                    if served.any():
+                        histogram[0] = first
+                    delivered += served.tolist()
+                    backlog += [0.0] * (retry - i)
+                    if 0 <= due < retry:
+                        due += (retry - due + period - 1) // period * period
+                    i = retry
+                    continue
+            for i in range(i, n):
+                bits = values[i]
+                if not r_chunks and not o_chunks and bits <= gates[i]:
+                    # The arrivals go out at delay 0 (dust: nothing) and the
+                    # queues stay empty; a phase end finds the queue empty.
+                    if i == due:
+                        due += period
+                    arrived += bits
+                    if bits > EPSILON:
+                        histogram[0] = histogram.get(0, 0.0) + bits
+                        total += bits
+                        delivered.append(bits)
+                    else:
+                        delivered.append(0.0)
+                    backlog.append(0.0)
+                    continue
+                if i == due:  # Figure 4's phase end reads the queue first
+                    if r_size > limit:
+                        n = i  # stop before this slot
+                        break
+                    due += period
+                elif pushtest and bits > 0 and (r_size + bits if bits > EPSILON else r_size) > limit:
+                    n = i
+                    break
+                slot = t + i
+                arrived += bits  # Session.push (adding 0.0 changes nothing)
+                if bits > EPSILON:  # BitQueue.push
+                    if r_chunks and r_chunks[-1][0] >= slot:
+                        if r_chunks[-1][0] > slot:
+                            raise SimulationError(
+                                f"push at t={slot} after chunk stamped {r_chunks[-1][0]}"
+                            )
+                        r_chunks[-1][1] += bits
+                    else:
+                        r_chunks.append([slot, bits])
+                    r_size += bits
+                remaining = caps[i]
+                served = 0.0
+                if o_chunks:  # the overflow queue's older bits go first
+                    share = remaining if pooled else overflow_capacity
+                    if track and share > 0.0 and slot - o_chunks[0][0] > worst:
+                        worst = slot - o_chunks[0][0]
+                    served, o_size = serve_fifo(o_chunks, o_size, slot, share, histogram)
+                    if pooled:  # float dust must not push the rest below zero
+                        remaining = max(0.0, remaining - served)
+                if r_chunks:
+                    if track and remaining > 0.0 and slot - r_chunks[0][0] > worst:
+                        worst = slot - r_chunks[0][0]
+                    second, r_size = serve_fifo(r_chunks, r_size, slot, remaining, histogram)
+                    served += second
+                total += served
+                delivered.append(served)
+                after = r_size if r_size > EPSILON else 0.0
+                backlog.append(after + o_size if o_size > EPSILON else after)
+                if until_empty and r_size <= EPSILON:
+                    i += 1
+                    n = i  # the next slot would find the queue drained
+                    break
+                if not r_chunks and not o_chunks and i + 1 >= retry:
+                    # Emptied: a keep-up stretch may start at the next slot;
+                    # the outer loop commits it.
+                    while loud[j] <= i:
+                        j += 1
+                    retry = loud[j]
+                    if retry - i > KEEPUP_RUN:
+                        i += 1
+                        retry = i
+                        break
+            else:
+                break
+    finally:
+        queue._size = r_size
+        if overflow is not None:
+            overflow._size = o_size
+        if track:
+            session.bits_arrived = arrived
+            session.bits_delivered = total
+            session.max_delay = worst
+    return delivered, backlog

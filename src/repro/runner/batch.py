@@ -180,10 +180,8 @@ def run_batch(
     seed: int = 0,
     scale: float = 1.0,
     jobs: int = 1,
-    telemetry: bool = False,
     progress=None,
     policy: RunPolicy | None = None,
-    strict: bool | None = None,
     journal: str | Path | SweepJournal | None = None,
     chaos: ChaosPlan | None = None,
 ) -> BatchReport:
@@ -200,11 +198,11 @@ def run_batch(
 
     * ``policy`` — retry budget, backoff, per-run deadline, strictness
       (default :data:`~repro.runner.resilience.DEFAULT_POLICY`: 3
-      attempts, no deadline, keep-going).  ``strict`` overrides just the
-      policy's ``strict`` flag.  In keep-going mode, exhausted shards
-      land in ``report.failed`` and their experiments are omitted from
-      ``report.results`` with a note.  ``run_timeout`` is only enforced
-      in pool mode — an in-process run cannot be interrupted from within.
+      attempts, no deadline, keep-going).  In keep-going mode,
+      exhausted shards land in ``report.failed`` and their experiments
+      are omitted from ``report.results`` with a note.  ``run_timeout``
+      is only enforced in pool mode — an in-process run cannot be
+      interrupted from within.
     * ``journal`` — a path (or an open
       :class:`~repro.runner.resilience.SweepJournal`) checkpointing
       completed jobs; a rerun with the same journal, at any ``jobs``,
@@ -215,10 +213,14 @@ def run_batch(
       unwinding.
     * ``chaos`` — a seeded, deterministic failure injector (tests only).
 
+    Workers run with telemetry when the caller's telemetry is live (a
+    telemetry session, or ``--serve``), and their snapshots fold into
+    its registry.
+
     ``progress`` is an optional sink (any callable taking a
     :class:`~repro.obs.progress.ProgressEvent`): per-job completion
     events carry completed/total counts, worker slots/sec (when
-    ``telemetry`` is on), retries/failures, and an ETA.  Progress is
+    telemetry is on), retries/failures, and an ETA.  Progress is
     observational only — it never changes what is computed or in what
     order it is merged.
     """
@@ -230,8 +232,7 @@ def run_batch(
         registry.get(experiment_id)  # fail fast on unknown ids
 
     policy = policy if policy is not None else DEFAULT_POLICY
-    if strict is not None and strict != policy.strict:
-        policy = replace(policy, strict=strict)
+    telemetry = get_telemetry().enabled
 
     cache = get_cache()
     report = BatchReport(

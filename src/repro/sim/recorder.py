@@ -293,7 +293,7 @@ class SingleSessionRecorder:
     ) -> None:
         """Bulk-append a policy-quiet slice: a constant allocation over
         ``len(arrivals)`` slots, whose queue was replayed by
-        :meth:`BitQueue.replay <repro.network.queue.BitQueue.replay>`.
+        :func:`~repro.network.queue.replay_fifo`.
 
         Equivalent to ``record`` once per slot with those outcomes:
         ``arrivals`` are the offered bits, ``delivered`` and ``backlog`` the
@@ -405,8 +405,7 @@ class MultiSessionRecorder:
     ) -> None:
         """Bulk-append part of a slice: ``len(arrivals)`` slots at
         constant allocations, whose queues were replayed by
-        :meth:`SessionChannels.replay
-        <repro.network.channel.SessionChannels.replay>`.
+        :func:`~repro.network.queue.replay_fifo`.
 
         Equivalent to ``record`` once per slot with those outcomes:
         ``arrivals``, ``delivered`` and ``backlog`` are ``(n, k)`` arrays

@@ -27,10 +27,9 @@ capacity.  This module exploits that:
   see the kept arrivals ``offered - offered * (1.0 - keep)`` and the
   queue serves ``allocation * capacity`` per slot.  A slice thus ends
   only at a policy event, the ``step`` budget or the horizon.  Its queue
-  work is one fused :meth:`BitQueue.replay
-  <repro.network.queue.BitQueue.replay>` and its columns one
-  ``record_keepup_block`` call; the event slot after it takes the
-  ordinary scalar step, as does the drain tail.
+  work is one :func:`~repro.network.queue.replay_fifo` call and its
+  columns one ``record_keepup_block`` call; the event slot after it
+  takes the ordinary scalar step, as does the drain tail.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
   owns the policy/recorder pair behind ``run_multi_session`` and exposes
   the same ``step(n_slots)`` slicing contract.
@@ -39,12 +38,11 @@ capacity.  This module exploits that:
   no-op for it (its regular queue above ``B_i^r·D_O``, or a non-zero
   overflow allocation to clear), a TEST that fires after a push, or one
   of its REDUCE timers.  Only the stage-end test on the total regular
-  bandwidth couples the sessions.  So a slice replays each session with
-  one fused :meth:`SessionChannels.replay
-  <repro.network.channel.SessionChannels.replay>` up to its own next
-  event (the policy's ``watch`` names it), runs the session's rule there
-  (``local_event``, once ``stage_ends`` has ruled out a RESET) and goes
-  on, in global event order.  The epoch allocators
+  bandwidth couples the sessions.  So a slice replays each session's
+  two queues with one :func:`~repro.network.queue.replay_fifo` call up
+  to its own next event (the policy's ``watch`` names it), runs the
+  session's rule there (``local_event``, once ``stage_ends`` has ruled
+  out a RESET) and goes on, in global event order.  The epoch allocators
   (:class:`MaxMinFairAllocator`, :class:`PriorityTierAllocator`) have no
   local events (``local_events`` is False), but an epoch reads every
   session (``next_joint_decision``): every session replays straight from
@@ -76,10 +74,11 @@ Exactness of a slice rests on "same float operations, same order":
 
 * ``StageKernel.scan`` commits the kernel state repeated
   ``StageKernel.advance`` calls would (its accumulates are sequential);
-* ``BitQueue.replay`` and ``SessionChannels.replay`` run the per-slot
-  ``push`` and ``serve`` float operations in the per-slot order, and all
-  of them serve through one kernel (:func:`~repro.network.queue.serve_fifo`),
-  which folds each delivery into the delay histogram as it is served;
+* :func:`~repro.network.queue.replay_fifo`, the one replay loop, runs
+  the per-slot ``push`` and ``serve`` float operations in the per-slot
+  order, and it serves through the one serve kernel
+  (:func:`~repro.network.queue.serve_fifo`), which folds each delivery
+  into the delay histogram as it is served;
   a session's floats depend only on its own arrivals and allocations,
   so replaying sessions one after another instead of slot by slot
   changes none of them;
@@ -110,7 +109,7 @@ from repro.core.prioritytier import PriorityTierAllocator
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError, SimulationError
 from repro.faults.signaling import UnreliableLink
-from repro.network.queue import EPSILON, BitQueue
+from repro.network.queue import EPSILON, BitQueue, replay_fifo
 from repro.obs.runtime import get_telemetry
 from repro.sim.recorder import (
     MultiSessionRecorder,
@@ -533,8 +532,8 @@ class EngineState:
         Quiet: the policy keeps its allocation and runs no decision that
         reads the queue.  A fault plan is part of the slice: the policy
         and the queue see the kept arrivals, and the queue work is one
-        :meth:`BitQueue.replay` at the allocation times each slot's
-        capacity factor.
+        :func:`~repro.network.queue.replay_fifo` at the allocation times
+        each slot's capacity factor.
         """
         stop = t + budget
         policy = self.policy
@@ -546,8 +545,9 @@ class EngineState:
         if not self._kernel_policy:  # StaticAllocator: quiet once primed.
             if allocation != policy.bandwidth:
                 return 0
-            delivered, backlog = queue.replay(
-                t, faults.kept(offered, t, stop), faults.served(allocation, t, stop), histogram
+            delivered, backlog = replay_fifo(
+                t, faults.kept(offered, t, stop), queue, faults.served(allocation, t, stop),
+                histogram,
             )
         elif policy._in_stage:
             kernel = policy._kernel
@@ -560,34 +560,35 @@ class EngineState:
             n, self._window = _gallop(t, stop, quiet, self._window)
             if n == 0:
                 return 0
-            delivered, backlog = queue.replay(
-                t, faults.kept(offered, t, t + n), faults.served(allocation, t, t + n), histogram
+            delivered, backlog = replay_fifo(
+                t, faults.kept(offered, t, t + n), queue, faults.served(allocation, t, t + n),
+                histogram,
             )
         elif queue._size > EPSILON:  # RESET holds B_A until the queue drains.
-            parts = []
+            delivered, backlog = [], []
 
             def drain(at: int, width: int) -> int:
-                part = queue.replay(
+                served, after = replay_fifo(
                     at,
                     faults.kept(offered, at, at + width),
+                    queue,
                     faults.served(allocation, at, at + width),
                     histogram,
                     until_empty=True,
                 )
-                parts.append(part)
-                return len(part[0])
+                delivered.extend(served)
+                backlog.extend(after)
+                return len(served)
 
             _, self._window = _gallop(t, stop, drain, self._window)
-            delivered = np.concatenate([d for d, _ in parts])
-            backlog = np.concatenate([b for _, b in parts])
         else:  # the slot opens a stage
             return 0
         n = len(delivered)
         self.recorder.record_keepup_block(
             offered[t : t + n],
             allocation,
-            delivered,
-            backlog,
+            np.array(delivered),
+            np.array(backlog),
             faults.dropped(offered, t, t + n),
             faults.served(allocation, t, t + n),
         )
@@ -614,8 +615,8 @@ class _Lane:
     """One session's progress through a session-major slice: it replays
     up to its own next local event (:meth:`advance`), and a
     :meth:`snapshot` taken at each resume lets it go back
-    (:meth:`rollback`).  Without local events, only the lists it
-    collects are used."""
+    (:meth:`rollback`).  Without local events, it replays from one joint
+    decision to the next."""
 
     __slots__ = (
         "session", "arrivals", "pos", "pushed", "delivered", "backlog", "_mark"
@@ -642,10 +643,22 @@ class _Lane:
             return
         arrivals = self.arrivals[self.pos : end]
         if self.pushed:
-            arrivals = [0.0] + arrivals[1:].tolist()
+            arrivals = arrivals.copy()
+            arrivals[0] = 0.0
         session = self.session
-        delivered, backlog = session.channels.replay(
-            self.pos, arrivals, fifo, session, limit, phase
+        channels = session.channels
+        capacity, overflow_capacity = channels.capacities(fifo)
+        delivered, backlog = replay_fifo(
+            self.pos,
+            arrivals,
+            channels.regular_queue,
+            capacity,
+            session.histogram,
+            overflow=channels.overflow_queue,
+            overflow_capacity=overflow_capacity,
+            session=session,
+            limit=limit,
+            phase=phase,
         )
         self.delivered += delivered
         self.backlog += backlog
@@ -941,22 +954,14 @@ class MultiEngineState:
         Returns where the slice stops."""
         policy = self.policy
         fifo = policy.fifo
-        replays = [
-            (lane.session.channels.replay, lane.session, column, lane.delivered, lane.backlog)
-            for lane, column in zip(lanes, self._by_session[:, t:stop].tolist())
-        ]
         edge = t
         while edge < stop:
             if not self._open(edge, plane, faulted, blocks):
                 return edge
             joint = policy.next_joint_decision
-            end = stop if joint is None else min(stop, joint)
-            lo, hi = edge - t, end - t
-            for replay, session, column, delivered, backlog in replays:
-                served, after = replay(edge, column[lo:hi], fifo, session)
-                delivered += served  # the lane's lists, extended in place
-                backlog += after
-            edge = end
+            edge = stop if joint is None else min(stop, joint)
+            for lane in lanes:
+                lane.advance(edge, fifo)
         return stop
 
     def _open(self, edge: int, plane: list[UnreliableLink], faulted: bool, blocks: list) -> bool:

@@ -496,9 +496,20 @@ def claim9_series(
     Claim 9 bounds the bits of any interval of length Δ by
     ``(Δ + D_O)·B_O``; with ``G(t) = C(t) - B_O·t`` this is
     ``G(t) - min_{u<t} G(u) <= D_O·B_O``, one running minimum.  The
-    excess at slot ``t`` is the left side minus ``D_O·B_O``.
+    excess at slot ``t`` is the left side minus ``D_O·B_O``.  With
+    ``B_O = ρ`` and ``D_O = b / ρ`` it is the ``(ρ, b)`` token-bucket
+    envelope (footnote 1).  ``arrivals`` must be 1-D, finite and
+    non-negative.
     """
+    # The rules of ``repro.core.envelope.arrival_array``, restated: the
+    # checker imports nothing from the code it checks.
     arrivals = np.asarray(arrivals, dtype=float)
+    if arrivals.ndim != 1:
+        raise ConfigError(f"arrivals must be 1-dimensional, got {arrivals.ndim}")
+    if not np.isfinite(arrivals).all():
+        raise ConfigError("arrivals must be finite (no NaN/inf values)")
+    if arrivals.size and arrivals.min() < 0:
+        raise ConfigError("arrivals must be non-negative")
     cumulative = np.cumsum(arrivals)
     g = cumulative - offline_bandwidth * np.arange(1, len(arrivals) + 1)
     previous_min = np.minimum.accumulate(np.concatenate(([0.0], g[:-1])))

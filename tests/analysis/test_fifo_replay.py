@@ -1,4 +1,4 @@
-"""``BitQueue.replay`` and ``simulate_fifo_delay`` against per-slot oracles.
+"""``replay_fifo`` and ``simulate_fifo_delay`` against per-slot oracles.
 
 The oracle is the per-slot ``push``/``serve`` loop ``simulate_fifo_delay``
 ran before it moved onto the fused replay, on the serve path from before
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.feasibility import simulate_fifo_delay
 from repro.errors import ConfigError, SimulationError
-from repro.network.queue import EPSILON, BitQueue
+from repro.network.queue import EPSILON, BitQueue, replay_fifo
 from tests.network.test_serve_oracle import fold, queue_serve
 from tests.strategies import FUZZ_EXAMPLES
 
@@ -120,14 +120,14 @@ class TestReplay:
                 queue.push(t, 7.5)
         fast_hist, slow_hist = {2: 0.25}, {2: 0.25}
         capacity = float(capacities[0]) if constant and len(capacities) else capacities
-        delivered, backlog = fast.replay(
-            preload, arrivals, capacity, fast_hist, until_empty=until_empty
+        delivered, backlog = replay_fifo(
+            preload, arrivals, fast, capacity, fast_hist, until_empty=until_empty
         )
         want_delivered, want_backlog = oracle_replay(
             slow, preload, arrivals, capacities, slow_hist, until_empty
         )
-        assert delivered.tolist() == want_delivered
-        assert backlog.tolist() == want_backlog
+        assert delivered == want_delivered
+        assert backlog == want_backlog
         assert fast_hist == slow_hist
         assert fast.peek_chunks() == slow.peek_chunks()
         assert fast.size == slow.size
@@ -137,9 +137,9 @@ class TestReplay:
         arrivals = np.array([1.0, EPSILON, 2.0, 9.0, 0.5, 0.0])
         fast, slow = BitQueue(), BitQueue()
         fast_hist, slow_hist = {}, {}
-        delivered, backlog = fast.replay(10, arrivals, 3.0, fast_hist)
+        delivered, backlog = replay_fifo(10, arrivals, fast, 3.0, fast_hist)
         want = oracle_replay(slow, 10, arrivals, [3.0] * 6, slow_hist)
-        assert (delivered.tolist(), backlog.tolist()) == want
+        assert (delivered, backlog) == want
         assert want == ([1.0, 0.0, 2.0, 3.0, 3.0, 3.0], [0.0, 0.0, 0.0, 6.0, 3.5, 0.5])
         assert fast_hist == slow_hist == {0: 6.0, 1: 3.0, 2: 3.0}
 
@@ -157,10 +157,10 @@ class TestReplay:
         fast, slow = BitQueue(), BitQueue()
         fast_hist, slow_hist = {}, {}
         capacity = capacities if per_slot else 4.0
-        delivered, backlog = fast.replay(0, arrivals, capacity, fast_hist)
+        delivered, backlog = replay_fifo(0, arrivals, fast, capacity, fast_hist)
         want_delivered, want_backlog = oracle_replay(slow, 0, arrivals, capacities, slow_hist)
-        assert delivered.tolist() == want_delivered
-        assert backlog.tolist() == want_backlog
+        assert delivered == want_delivered
+        assert backlog == want_backlog
         assert fast_hist == slow_hist
         assert fast.peek_chunks() == slow.peek_chunks()
 
@@ -170,9 +170,9 @@ class TestReplay:
         capacities = np.array([0.0, 5.0 - 5e-10, 1.0, 1.0])
         fast, slow = BitQueue(), BitQueue()
         fast_hist, slow_hist = {}, {}
-        delivered, backlog = fast.replay(0, arrivals, capacities, fast_hist)
+        delivered, backlog = replay_fifo(0, arrivals, fast, capacities, fast_hist)
         want = oracle_replay(slow, 0, arrivals, capacities, slow_hist)
-        assert (delivered.tolist(), backlog.tolist()) == want
+        assert (delivered, backlog) == want
         assert fast_hist == slow_hist
         # Slot 2 serves the second chunk, not 5e-10 of dust left by slot 1.
         assert fast_hist[2] == 1.0
@@ -181,16 +181,16 @@ class TestReplay:
     def test_until_empty_stops_before_the_drained_slot(self):
         queue = BitQueue()
         queue.push(0, 10.0)
-        delivered, backlog = queue.replay(1, np.zeros(8), 4.0, {}, until_empty=True)
-        assert delivered.tolist() == [4.0, 4.0, 2.0]
-        assert backlog.tolist() == [6.0, 2.0, 0.0]
+        delivered, backlog = replay_fifo(1, np.zeros(8), queue, 4.0, {}, until_empty=True)
+        assert delivered == [4.0, 4.0, 2.0]
+        assert backlog == [6.0, 2.0, 0.0]
 
     def test_rejects_a_bounded_queue(self):
         with pytest.raises(ConfigError):
-            BitQueue(capacity=5.0).replay(0, np.ones(3), 1.0, {})
+            replay_fifo(0, np.ones(3), BitQueue(capacity=5.0), 1.0, {})
 
     def test_rejects_out_of_order_slots(self):
         queue = BitQueue()
         queue.push(5, 1.0)
         with pytest.raises(SimulationError, match="push at t=3"):
-            queue.replay(3, np.array([1.0]), 0.0, {})
+            replay_fifo(3, np.array([1.0]), queue, 0.0, {})

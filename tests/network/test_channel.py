@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.channel import SessionChannels
-from repro.network.queue import EPSILON
+from repro.network.queue import EPSILON, replay_fifo
 from repro.network.session import Session
 from tests.network.test_serve_oracle import account, channels_serve, fold
 from tests.strategies import FUZZ_EXAMPLES
@@ -77,7 +77,7 @@ class TestSessionChannels:
         assert c.change_count == 3
 
 
-# -- SessionChannels.replay against the per-slot oracle ----------------------
+# -- the session replay against the per-slot oracle --------------------------
 
 #: Arrival sizes: nothing, dust at and around EPSILON, fractional bits,
 #: and magnitudes large enough to absorb dust-sized chunks into the size.
@@ -174,6 +174,26 @@ def _oracle(session, t, arrivals, fifo, limit=math.inf, phase=None):
     return delivered, backlog
 
 
+def replay_session(session, t, arrivals, fifo, limit=math.inf, phase=None):
+    """``replay_fifo`` for ``session`` as the engine's lanes call it, at
+    the session's current capacities; the columns come back as lists."""
+    channels = session.channels
+    capacity, overflow_capacity = channels.capacities(fifo)
+    delivered, backlog = replay_fifo(
+        t,
+        arrivals,
+        channels.regular_queue,
+        capacity,
+        session.histogram,
+        overflow=channels.overflow_queue,
+        overflow_capacity=overflow_capacity,
+        session=session,
+        limit=limit,
+        phase=phase,
+    )
+    return delivered, backlog
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -203,7 +223,7 @@ def _assert_replay_matches_oracle(case: _Case, histogram=None, limit=math.inf, p
     expected = _oracle(reference, t, case.arrivals, case.fifo, limit, phase)
     session, _ = _build(case)
     session.histogram = dict(histogram or {})
-    got = session.channels.replay(t, case.arrivals, case.fifo, session, limit, phase)
+    got = replay_session(session, t, case.arrivals, case.fifo, limit, phase)
     assert _hex(got[0]) == _hex(expected[0])
     assert _hex(got[1]) == _hex(expected[1])
     assert _state(session) == _state(reference)
@@ -214,7 +234,7 @@ _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 
 
 class TestReplay:
-    """``SessionChannels.replay`` is the per-slot loop, bit for bit."""
+    """``replay_fifo`` on a session is the per-slot loop, bit for bit."""
 
     @given(case=_cases())
     @_SETTINGS
@@ -225,11 +245,11 @@ class TestReplay:
     @_SETTINGS
     def test_split_calls_match_one_call(self, case, cut):
         whole, t = _build(case)
-        columns = whole.channels.replay(t, case.arrivals, case.fifo, whole)
+        columns = replay_session(whole, t, case.arrivals, case.fifo)
         split, _ = _build(case)
         cut = min(cut, len(case.arrivals))
-        head = split.channels.replay(t, case.arrivals[:cut], case.fifo, split)
-        tail = split.channels.replay(t + cut, case.arrivals[cut:], case.fifo, split)
+        head = replay_session(split, t, case.arrivals[:cut], case.fifo)
+        tail = replay_session(split, t + cut, case.arrivals[cut:], case.fifo)
         assert _hex(head[0] + tail[0]) == _hex(columns[0])
         assert _hex(head[1] + tail[1]) == _hex(columns[1])
         assert _state(split) == _state(whole)
@@ -280,7 +300,7 @@ class TestReplay:
         _assert_replay_matches_oracle(case, {2: 0.1})
         reference, t = _build(case)
         reference.histogram = {2: 0.1}
-        reference.channels.replay(t, case.arrivals, False, reference)
+        replay_session(reference, t, case.arrivals, False)
         assert reference.histogram[2] == (0.1 + 0.2) + 0.6 != (0.1 + 0.6) + 0.2
 
     @pytest.mark.parametrize("fifo", [False, True])
@@ -335,5 +355,5 @@ class TestReplay:
         case = _Case([(0, 4.0)], [(3, 4.0)], 1.0, 1.0, 2, 1, [1.0] * 6, fifo)
         _assert_replay_matches_oracle(case)
         session, t = _build(case)
-        session.channels.replay(t, case.arrivals, fifo, session)
+        replay_session(session, t, case.arrivals, fifo)
         assert session.max_delay > case.max_delay

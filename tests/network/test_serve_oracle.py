@@ -1,10 +1,9 @@
 """The FIFO serve kernel against the object-building path it replaced.
 
 ``repro.network.queue.serve_fifo`` is the one FIFO serve loop:
-``BitQueue.serve``, ``BitQueue.replay``, ``SessionChannels.serve``,
-``SessionChannels.replay`` and the combined algorithm's global queues all
-run it, so checking any of them against another checks the kernel against
-itself.  The oracles here are the earlier per-slot path, kept verbatim
+``BitQueue.serve``, ``replay_fifo``, ``SessionChannels.serve`` and the
+combined algorithm's global queues all run it, so checking any of them
+against another checks the kernel against itself.  The oracles here are the earlier per-slot path, kept verbatim
 (``self`` became an argument): ``BitQueue.serve`` building one
 :class:`Delivery` per arrival cohort into a :class:`ServeResult`,
 ``SessionChannels.serve`` merging the two queues' results,

@@ -5,12 +5,15 @@ The acceptance bar: ``repro report`` output is byte-identical for every
 ``--jobs`` value and for cold vs warm caches.
 """
 
+import io
+
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.obs import telemetry_session
+from repro.obs.live import serve_session
 from repro.obs.registry import MetricsRegistry, NullRegistry
 from repro.runner import run_batch, use_cache
 
@@ -90,9 +93,19 @@ class TestCacheDeterminism:
 class TestTelemetryMerge:
     def test_worker_snapshots_fold_into_parent(self):
         with telemetry_session() as tele:
-            report = run_batch(["E-T6"], seed=0, scale=SCALE, jobs=2, telemetry=True)
+            report = run_batch(["E-T6"], seed=0, scale=SCALE, jobs=2)
         assert report.worker_snapshots > 0
         counters = tele.registry.snapshot()["counters"]
+        assert counters.get("engine.single.runs", 0) > 0
+
+    def test_serve_folds_worker_snapshots(self):
+        """``repro report --serve`` runs the batch inside the
+        observatory's telemetry and passes no flag: the workers' counters
+        still reach the registry it serves."""
+        with serve_session(":0", stream=io.StringIO()) as obs:
+            report = run_batch(["E-T6"], seed=0, scale=SCALE, jobs=2)
+        assert report.worker_snapshots > 0
+        counters = obs.registry.snapshot()["counters"]
         assert counters.get("engine.single.runs", 0) > 0
 
     def test_merge_snapshot_counters_add(self):
@@ -179,7 +192,7 @@ class TestTelemetryMerge:
 
         def run():
             with telemetry_session() as tele:
-                run_batch(["E-T6"], seed=0, scale=SCALE, jobs=2, telemetry=True)
+                run_batch(["E-T6"], seed=0, scale=SCALE, jobs=2)
             return tele.registry.snapshot()
 
         assert run() == run()
@@ -191,8 +204,7 @@ class TestTelemetryMerge:
         def run(jobs):
             with telemetry_session() as tele:
                 run_batch(
-                    ["E-T6", "E-T14"], seed=0, scale=SCALE, jobs=jobs,
-                    telemetry=True,
+                    ["E-T6", "E-T14"], seed=0, scale=SCALE, jobs=jobs
                 )
             return tele.registry.snapshot()
 
@@ -294,7 +306,7 @@ class TestBatchProgress:
 
     def test_telemetry_slots_fold_into_progress(self):
         with telemetry_session():
-            report, events = self._events(jobs=2, telemetry=True)
+            report, events = self._events(jobs=2)
         assert report.worker_snapshots > 0
         assert events[-1].slots > 0
 

@@ -158,15 +158,6 @@ class TestQuarantine:
                 policy=RunPolicy(max_attempts=2, strict=True, **FAST),
             )
 
-    def test_strict_flag_overrides_policy(self):
-        with pytest.raises(ResilienceError):
-            run_batch(
-                ["E-F2"], seed=SEED, scale=SCALE, jobs=2,
-                chaos=self.PERMANENT,
-                policy=RunPolicy(max_attempts=2, **FAST),
-                strict=True,
-            )
-
 
 class TestInterruptAndResume:
     """Satellite: SIGTERM mid-sweep -> journal flushed, no leaked workers,

@@ -1,8 +1,7 @@
 """Session-major slices are invisible: bit-identity against ``vector=False``.
 
 A slice replays each session's queues with one
-:meth:`SessionChannels.replay <repro.network.channel.SessionChannels.replay>`
-up to that session's own next local event (a phase end that is not a
+:func:`~repro.network.queue.replay_fifo` call up to that session's own next local event (a phase end that is not a
 no-op for it, a TEST after a push, a REDUCE timer, an epoch), runs the
 session's rule there and goes on; a RESET rolls back the sessions that
 replayed past it and takes the scalar step.  Every recorded float must

@@ -1,8 +1,8 @@
 """Policy-quiet slices are invisible: bit-identity against ``vector=False``.
 
 A slice advances Figure 3 (or a primed static allocation) through many
-slots with one :meth:`StageKernel.scan` search and one fused
-:meth:`BitQueue.replay`, backlog or not.  Every recorded float must equal
+slots with one :meth:`StageKernel.scan` search and one
+:func:`~repro.network.queue.replay_fifo` call, backlog or not.  Every recorded float must equal
 the all-scalar run's: every trace column, the delay histogram, changes,
 stage starts and resets.  The streams below are chosen to keep the queue
 backlogged, to force RESET drains, to put events on galloping-window

@@ -7,9 +7,11 @@ every decorated function), ``examples/``, ``benchmarks/ledger/``, and
 what ``.github/workflows/`` runs (its inline Python and the benchmark
 scripts it calls).  A definition is reached when a reached piece of code
 names it, as an AST ``Name`` or ``Attribute``; docstrings, strings and
-imports do not count.  Names resolve by their bare identifier, so two
-definitions that share a name are reached together, which can only keep
-a definition, never flag one wrongly.
+imports do not count.  Names resolve to the module that defines them:
+``x`` to the module's own ``x`` or to what it imported as ``x``, and
+``a.x`` to ``x`` of the module ``a`` names, through package re-exports.
+An attribute of any other object (``args.x``) reaches no top-level
+definition.
 
 A public name that only ``tests/`` reach belongs in ``tests/``; one that
 nothing reaches should not exist.
@@ -39,19 +41,87 @@ ALLOWED = {
     "last_worker_pids": "the only way tests can read a pool's worker pids",
 }
 
+#: The ``src/`` modules that are roots themselves: the CLI.
+_ROOT_MODULE = re.compile(r"repro/(cli(_\w+)?|__main__)\.py")
+
 
 _parse = lru_cache(maxsize=None)(ast.parse)
 
 
-def _names(node: ast.AST) -> set[str]:
-    """Identifiers ``node`` refers to, by ``Name`` or ``Attribute``."""
-    found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+def _module_name(path: str) -> str:
+    """``repro/network/queue.py`` -> ``repro.network.queue``."""
+    parts = path.removesuffix(".py").split("/")
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+@lru_cache(maxsize=None)
+def _bindings(source: str) -> dict[str, tuple]:
+    """What each name a module imports is bound to, wherever the import
+    sits: ``("module", dotted)`` or ``("member", dotted, name)``."""
+    found: dict[str, tuple] = {}
+    for node in ast.walk(_parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    found[alias.asname] = ("module", alias.name)
+                else:  # ``import a.b`` binds ``a``
+                    top = alias.name.split(".")[0]
+                    found[top] = ("module", top)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                found[alias.asname or alias.name] = ("member", node.module, alias.name)
     return found
+
+
+class _Resolver:
+    """Resolves a ``Name`` or ``Attribute`` to the definition it names:
+    a ``(module, name)`` key, a module's dotted name, or None."""
+
+    def __init__(self, modules: dict[str, str], defs: dict[tuple, list]):
+        self.sources = {_module_name(path): source for path, source in modules.items()}
+        self.defs = defs
+
+    def member(self, module: str, name: str, seen: frozenset = frozenset()):
+        """``name`` in ``module``: its definition, a submodule, or what
+        the module imported under that name (a re-export)."""
+        if (module, name) in self.defs:
+            return (module, name)
+        if f"{module}.{name}" in self.sources:
+            return f"{module}.{name}"
+        source = self.sources.get(module)
+        binding = _bindings(source).get(name) if source is not None else None
+        if binding is None or (module, name) in seen:
+            return None
+        return self.bound(binding, seen | {(module, name)})
+
+    def bound(self, binding: tuple, seen: frozenset = frozenset()):
+        if binding[0] == "module":
+            return binding[1]
+        return self.member(binding[1], binding[2], seen)
+
+    def resolve(self, node: ast.AST, module: str | None, bindings: dict):
+        if isinstance(node, ast.Name):
+            if (module, node.id) in self.defs:
+                return (module, node.id)
+            binding = bindings.get(node.id)
+            return self.bound(binding) if binding is not None else None
+        if isinstance(node, ast.Attribute):
+            base = self.resolve(node.value, module, bindings)
+            if isinstance(base, str):  # an attribute of a module
+                return self.member(base, node.attr)
+        return None
+
+    def references(self, node: ast.AST, module: str | None, bindings: dict) -> set[tuple]:
+        """Definition keys ``node`` names, by ``Name`` or ``Attribute``."""
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Name, ast.Attribute)):
+                key = self.resolve(sub, module, bindings)
+                if isinstance(key, tuple):
+                    found.add(key)
+        return found
 
 
 def _workflow_roots(text: str) -> tuple[list[str], list[Path]]:
@@ -76,9 +146,8 @@ def _workflow_roots(text: str) -> tuple[list[str], list[Path]]:
 
 
 def root_sources() -> list[str]:
-    paths = [SRC / "cli.py", SRC / "__main__.py", *SRC.glob("cli_*.py")]
-    paths += ROOT.glob("examples/*.py")
-    paths += ROOT.glob("benchmarks/ledger/*.py")
+    """The roots outside ``src/`` (the CLI modules are roots inside it)."""
+    paths = [*ROOT.glob("examples/*.py"), *ROOT.glob("benchmarks/ledger/*.py")]
     sources = []
     for workflow in sorted(ROOT.glob(".github/workflows/*.yml")):
         inline, scripts = _workflow_roots(workflow.read_text())
@@ -100,25 +169,28 @@ def unreached(
     """Public top-level functions and classes of ``modules`` no root reaches.
 
     ``modules`` maps a path under ``src/`` to its source; ``roots`` are
-    whole sources whose every line counts as run; ``allowed`` names count
-    as reached.
+    whole sources whose every line counts as run, as does every line of
+    the CLI modules among ``modules``; ``allowed`` names count as reached.
     """
-    defs: dict[str, list[ast.AST]] = {}
+    defs: dict[tuple, list[ast.AST]] = {}
     public: dict[str, list[str]] = {}
-    reached: set[str] = set(allowed)
-    for source in roots:
-        reached |= _names(_parse(source))
+    reached: set[tuple] = set()
+    runs: list[tuple] = []  # (code that runs, its module, its imports)
     for path, source in modules.items():
+        module = _module_name(path)
+        tree = _parse(source)
+        if _ROOT_MODULE.fullmatch(path):
+            runs.append((tree, module, _bindings(source)))
         experiment = path.startswith("repro/experiments/")
-        for node in _parse(source).body:
+        for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
+                defs.setdefault((module, node.name), []).append(node)
                 if not node.name.startswith("_"):
                     public.setdefault(path, []).append(node.name)
                 if node.decorator_list and not isinstance(node, ast.ClassDef):
-                    reached.add(node.name)  # registered, e.g. an experiment
+                    reached.add((module, node.name))  # registered, e.g. an experiment
                 continue
             targets = []
             if isinstance(node, ast.Assign):
@@ -127,18 +199,24 @@ def unreached(
                 targets = [node.target.id]
             if targets and not experiment:
                 for name in targets:
-                    defs.setdefault(name, []).append(node)
+                    defs.setdefault((module, name), []).append(node)
             else:
-                reached |= _names(node)
-    expanded: set[str] = set()
+                runs.append((node, module, _bindings(source)))
+    runs += [(_parse(source), None, _bindings(source)) for source in roots]
+    resolver = _Resolver(modules, defs)
+    reached |= {key for key in defs if key[1] in allowed}
+    for node, module, bindings in runs:
+        reached |= resolver.references(node, module, bindings)
+    expanded: set[tuple] = set()
     frontier = set(reached)
     while frontier:
-        name = frontier.pop()
-        expanded.add(name)
-        for node in defs.get(name, ()):
-            frontier |= _names(node) - expanded - frontier
+        key = frontier.pop()
+        expanded.add(key)
+        bindings = _bindings(resolver.sources[key[0]])
+        for node in defs[key]:
+            frontier |= resolver.references(node, key[0], bindings) - expanded
     missing = {
-        path: sorted(n for n in names if n not in expanded)
+        path: sorted(n for n in names if (_module_name(path), n) not in expanded)
         for path, names in public.items()
     }
     return {path: names for path, names in missing.items() if names}
@@ -182,7 +260,7 @@ RETIRED = [
     "OfflineScheduleResult", "equal_split_offline", "EqualSplitResult",
     "claim9_excess", "competitive_ratio", "describe_scenarios",
     "check_stream_against_profile", "iter_schedules", "RepeatingPattern",
-    "TraceReplay", "is_power_of_two",
+    "TraceReplay", "is_power_of_two", "save_trace", "is_conforming",
 ]
 
 
@@ -208,4 +286,24 @@ def test_a_name_reached_only_through_an_unreached_one_is_flagged():
     # A docstring or string mentioning a name does not reach it.
     assert unreached(modules, ['"""live() and dead()"""\nx = "live"\n']) == {
         "repro/lib.py": ["dead", "live", "used_by_dead"]
+    }
+
+
+def test_names_resolve_to_the_module_that_defines_them():
+    modules = {
+        "repro/lib.py": "def save_trace():\n    pass\n\ndef live():\n    pass\n",
+        "repro/pkg/__init__.py": "from repro.pkg.impl import exported\n",
+        "repro/pkg/impl.py": "def exported():\n    pass\n\ndef live():\n    pass\n",
+    }
+    # ``args.save_trace`` is an attribute of an object, not of a module;
+    # ``pkg.exported`` reaches impl's definition through the re-export.
+    root = (
+        "import repro.lib as lib\nfrom repro import pkg\n"
+        "lib.live()\npkg.exported()\nargs.save_trace\n"
+    )
+    assert unreached(modules, [root]) == {
+        "repro/lib.py": ["save_trace"], "repro/pkg/impl.py": ["live"]
+    }
+    assert unreached(modules, ["import repro.pkg.impl\nrepro.pkg.impl.live()\n"]) == {
+        "repro/lib.py": ["live", "save_trace"], "repro/pkg/impl.py": ["exported"]
     }

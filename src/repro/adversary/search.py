@@ -27,6 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.adversary.differential import (
+    certified_attack_run,
+    certified_multi_run,
+    default_policy,
+)
 from repro.adversary.generators import AttackCandidate
 from repro.analysis.competitive import bracket
 from repro.core.offline import stage_lower_bound
@@ -35,7 +40,6 @@ from repro.errors import ConfigError
 from repro.obs.runtime import get_telemetry
 from repro.params import OfflineConstraints
 from repro.runner.cache import get_cache
-from repro.verify.differential import certified_attack_run, certified_multi_run
 from repro.verify.oracle import RATIO_NO_STATEMENT, classify_ratio
 
 
@@ -129,8 +133,6 @@ def score_single(
     """
 
     def compute() -> AttackScore:
-        from repro.verify.differential import default_policy
-
         policy = policy_factory() if policy_factory else default_policy(offline)
         trace, report, verdict = certified_attack_run(
             candidate.arrivals,

@@ -1,7 +1,7 @@
 """The ``verify`` subcommand: certify experiments or saved traces.
 
 ``repro verify all`` rebuilds every registered experiment's scenario
-(:mod:`repro.verify.scenarios`), replays the traces through the
+(:mod:`repro.experiments.scenarios`), replays the traces through the
 engine-independent certificate checker, and prints one report per trace;
 ``repro verify E-T6 out/trace.npz`` mixes experiment ids with ``.npz``
 trace files saved by ``simulate --save-trace``.  Exit code 0 iff every
@@ -126,7 +126,7 @@ def _certify_file(path: Path, args) -> CertificateReport:
 def run_verify(args) -> int:
     """Execute the subcommand; returns the process exit code."""
     from repro.experiments import registry
-    from repro.verify.scenarios import certify_experiment, scenario_ids
+    from repro.experiments.scenarios import certify_experiment, scenario_ids
 
     targets = list(args.targets)
     if targets == ["all"]:

@@ -1,12 +1,13 @@
 """E-VER — certificate verification as a first-class experiment.
 
-Rebuilds every experiment's verify scenario (:mod:`repro.verify.scenarios`),
-replays the traces through the engine-independent certificate checker,
-and tabulates the verdicts: one row per certified trace with the number
-of bounds checked, skipped, and the tightest margin observed.  The
-experiment fails iff any trace fails certification — making ``repro
-report`` a standing regression gate for Claim 2, Lemma 3, Corollary 4,
-Lemma 5 and Lemmas 10/16 across the whole experiment zoo.
+Rebuilds every experiment's verify scenario
+(:mod:`repro.experiments.scenarios`), replays the traces through the
+engine-independent certificate checker, and tabulates the verdicts: one
+row per certified trace with the number of bounds checked, skipped, and
+the tightest margin observed.  The experiment fails iff any trace fails
+certification — making ``repro report`` a standing regression gate for
+Claim 2, Lemma 3, Corollary 4, Lemma 5 and Lemmas 10/16 across the whole
+experiment zoo.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 
 from repro.experiments.common import ExperimentResult, fmt
 from repro.experiments.registry import register
-from repro.verify.scenarios import certify_experiment, scenario_ids
+from repro.experiments.scenarios import certify_experiment, scenario_ids
 
 _HEADERS = ["experiment", "trace", "checked", "skipped", "failed", "min margin"]
 

@@ -1,14 +1,18 @@
-"""Verification layer: theorem certificates, offline oracle, fuzzing.
+"""Verification layer: theorem certificates and the offline oracle.
 
 The package is the repo's *second implementation* of the paper's
 guarantees: :mod:`repro.verify.certificates` replays recorded traces and
-re-derives every bounded series from scratch (no imports from the policy
-code in :mod:`repro.core`), :mod:`repro.verify.oracle` computes exact
-offline change-count optima by DP, :mod:`repro.verify.scenarios` maps
-every registered experiment to certifiable traces, and
-:mod:`repro.verify.differential` runs an engine configuration and
-certifies its trace in one step (the adversary's scoring hook and the
-differential tests' harness).
+re-derives every bounded series from scratch,
+:mod:`repro.verify.fairness` certifies the arena's epoch allocators, and
+:mod:`repro.verify.oracle` computes exact offline change-count optima by
+DP.
+
+It imports nothing it checks: a module here imports from ``repro`` only
+:mod:`repro.verify` itself, :mod:`repro.errors` and :mod:`repro.params`,
+at module level or inside a function.  The code that runs an engine and
+certifies its trace lives with its callers:
+:mod:`repro.experiments.scenarios` (E-VER and ``repro verify <id>``) and
+:mod:`repro.adversary.differential` (the adversary search).
 """
 
 from repro.verify.certificates import (
@@ -30,7 +34,6 @@ from repro.verify.certificates import (
     peak,
     phased_bounds,
     raw_single_bounds,
-    replay_fifo_delays,
     replay_fifo_service,
     session_sums,
     single_session_bounds,
@@ -85,7 +88,6 @@ __all__ = [
     "phased_bounds",
     "ratio_rank_key",
     "raw_single_bounds",
-    "replay_fifo_delays",
     "replay_fifo_service",
     "session_sums",
     "single_session_bounds",

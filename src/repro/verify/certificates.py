@@ -17,10 +17,13 @@ conservation   ``q(t) = q(t-1) + kept(t) - delivered(t)`` matches the
                (accounting honesty, not a theorem)
 claim2         Claim 2: ``B_on >= q / D_A`` after arrivals, before serve
 lemma3         Lemma 3 / 11 / 15: every bit delivered within ``D_A``
-delay-replay   the recorded deliveries and delay histogram match an
-               independent FIFO replay (single session: of arrivals served
-               at the effective bandwidth; multi-session: of arrivals and
-               the delivered series)
+delay-replay   one FIFO replay (:func:`replay_fifo_service`) agrees
+               with the recorder.  Single session: arrivals served at
+               the effective bandwidth reproduce the recorded deliveries
+               and delay histogram.  Multi-session: arrivals served at
+               the recorded deliveries hold every delivered bit, and each
+               session's histogram holds those bits with a max delay no
+               smaller than the replay's
 corollary4     Corollary 4: ``q_online <= q_offline + B_O·D_O`` against
                a certificate profile
 lemma5         Lemma 5: some window of ``<= W + 5·D_O`` slots ending at
@@ -34,11 +37,11 @@ changes        the sparse change log is consistent with the dense
                allocation series (count and values)
 =============  ========================================================
 
-**Independence.**  The checker deliberately imports nothing from
-:mod:`repro.core`, :mod:`repro.sim`, :mod:`repro.network`, or
-:mod:`repro.analysis` — every series above is re-derived here from the
-trace's numpy arrays with standalone implementations (its own FIFO
-replay, its own Lindley recursion, its own window scans).  A bug shared
+**Independence.**  The checker imports from ``repro`` only
+:mod:`repro.errors`, :mod:`repro.params` and :mod:`repro.verify.report`
+— every series above is re-derived here from the trace's numpy arrays
+with standalone implementations (its own FIFO replay, its own Lindley
+recursion, its own window scans).  A bug shared
 between the engine and its checker would certify garbage; two
 implementations must now agree slot by slot.
 
@@ -94,8 +97,8 @@ _CHANGE_EPS = 1e-9
 #: Cap on counterexamples collected per check.
 _MAX_EXAMPLES = 25
 
-#: Slots converted to Python floats at a time by the FIFO replay and the
-#: conservation check (bounds their transient lists).
+#: Slots converted to Python floats at a time by the FIFO replay, and the
+#: longest span of the conservation accumulate.
 _REPLAY_BLOCK = 4096
 
 #: Python's float ``sum`` is Neumaier-compensated from 3.12 on.
@@ -126,9 +129,11 @@ class TheoremBounds:
     assume_feasible: bool = True
 
     def __post_init__(self) -> None:
-        if self.offline_bandwidth <= 0:
+        # Every comparison with NaN is false, so NaN fails this test too.
+        if not 0 < self.offline_bandwidth < math.inf:
             raise ConfigError(
-                f"offline_bandwidth must be > 0, got {self.offline_bandwidth!r}"
+                f"offline_bandwidth must be finite and > 0, "
+                f"got {self.offline_bandwidth!r}"
             )
         if self.offline_delay < 1 or self.online_delay < 1:
             raise ConfigError("delays must be >= 1 slot")
@@ -263,47 +268,6 @@ def _paired_series(first, second, names: str) -> tuple[np.ndarray, np.ndarray]:
             f"{names} must be 1-D of equal length, got {first.shape}, {second.shape}"
         )
     return first, second
-
-
-def replay_fifo_delays(
-    arrivals: np.ndarray, delivered: np.ndarray
-) -> tuple[dict[int, float], float]:
-    """Re-derive the bits-weighted delay histogram of a FIFO server.
-
-    Pushes ``arrivals[t]`` then removes ``delivered[t]`` bits from the
-    front each slot, stamping every removed chunk with its delay.  Returns
-    ``(histogram, unserved_excess)`` where the excess is the total of
-    delivered bits the replayed queue did not hold — any value above dust
-    means the trace's own conservation is broken.  A slot that finds the
-    queue empty and delivers its own arrivals keeps up: one take.
-    """
-    arrivals, delivered = _paired_series(arrivals, delivered, "arrivals and delivered")
-    chunks: deque[list] = deque()  # [arrival_slot, bits]
-    push, pop = chunks.append, chunks.popleft
-    histogram: dict[int, float] = {}
-    get = histogram.get
-    excess = 0.0
-    pairs = zip(arrivals.tolist(), delivered.tolist())
-    for t, (bits_in, remaining) in enumerate(pairs):
-        if not chunks and _DUST < bits_in <= remaining:
-            histogram[0] = get(0, 0.0) + bits_in
-            remaining -= bits_in
-        else:
-            if bits_in > _DUST:
-                push([t, bits_in])
-            while remaining > _DUST and chunks:
-                arrival, bits = chunks[0]
-                take = bits if bits <= remaining else remaining
-                delay = t - arrival
-                histogram[delay] = get(delay, 0.0) + take
-                remaining -= take
-                if take >= bits - _DUST:
-                    pop()
-                else:
-                    chunks[0][1] = bits - take
-        if remaining > _DUST:
-            excess += remaining
-    return histogram, excess
 
 
 @dataclass(frozen=True)
@@ -579,6 +543,25 @@ def _conserved_queue(
     return np.where(queue < 0.0, 0.0, queue), clamps
 
 
+def _conservation_faults(
+    kept: np.ndarray, delivered: np.ndarray, backlog: np.ndarray, finite: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One session's conservation check against its recorded backlog.
+
+    Returns the :func:`_conserved_queue`, its clamp mask (slots that
+    delivered bits the queue never held), the relative gap to the
+    recorded backlog, and the mask of slots that fail either way.  A
+    non-finite value compares false against every bound, so it would
+    pass each later check; the gap is ``inf`` wherever ``finite`` is not
+    set, which fails it here at its slot instead.
+    """
+    derived, overdrawn = _conserved_queue(kept, delivered)
+    scale = np.maximum(1.0, np.abs(backlog))
+    with np.errstate(invalid="ignore"):
+        mismatch = np.where(finite, np.abs(derived - backlog) / scale, np.inf)
+    return derived, overdrawn, mismatch, overdrawn | (mismatch > _EPS)
+
+
 def session_sums(series: np.ndarray) -> np.ndarray:
     """Per-slot sum across sessions, in session order.
 
@@ -631,6 +614,122 @@ def _collect(indices, detail_fn, limit: int = _MAX_EXAMPLES):
 
 
 # ---------------------------------------------------------------------------
+# Checks both certifiers run
+
+
+def _corollary4_sessions(
+    backlog: np.ndarray, kept: np.ndarray, profile, bounds: TheoremBounds
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Corollary 4 per session: ``(slack, q_offline, violating slots)``.
+
+    ``backlog`` and ``kept`` hold one session (1-D) or one per column;
+    the certificate ``profile`` must be shaped alike, finite and
+    non-negative.  :func:`lindley_backlog` would read a NaN or infinite
+    capacity as an emptied queue and a negative one as extra arrivals,
+    and so check the trace against a schedule no offline link can run.
+
+    Raises:
+        ConfigError: on a profile of the wrong shape or with values
+            that are not finite and ``>= 0``.
+    """
+    profile = np.asarray(profile, dtype=float)
+    if profile.ndim != backlog.ndim or profile.shape[1:] != backlog.shape[1:]:
+        raise ConfigError(
+            f"certificate profile of shape {profile.shape} does not fit a "
+            f"trace of shape {backlog.shape}: it must be 1-D for one session "
+            "and have one column per session otherwise"
+        )
+    if not np.isfinite(profile).all() or (profile < 0).any():
+        raise ConfigError("certificate profile must be finite and >= 0")
+
+    def columns(series: np.ndarray) -> np.ndarray:
+        return (series if series.ndim == 2 else series[:, None]).T
+
+    sessions = []
+    for online, arrived, capacity in zip(
+        columns(backlog), columns(kept), columns(profile)
+    ):
+        slack, offline = corollary4_slack(
+            online, arrived, capacity, bounds.offline_bandwidth, bounds.offline_delay
+        )
+        bad = np.flatnonzero(slack < -_EPS * np.maximum(1.0, online[: len(slack)]))
+        sessions.append((slack, offline, bad))
+    return sessions
+
+
+def _session_slots(per_session) -> tuple[int, list[tuple[int, int]]]:
+    """How many ``(slot, session)`` pairs failed, given each session's
+    failing slots in session order, and the first of them to report."""
+    count, first = 0, []
+    for i, slots in enumerate(per_session):
+        count += slots.size
+        first += [(int(t), i) for t in slots[: _MAX_EXAMPLES - len(first)]]
+    return count, first
+
+
+#: Each allocation cap's wording: its source, the detail when it holds
+#: and when it breaks (formatted with ``peak``, ``cap``, ``count`` of
+#: failing slots and ``bounds``), its counterexamples' description and
+#: value key, and the detail when the bounds give no cap.
+_CAPS = {
+    "max-bandwidth": (
+        "model",
+        "total allocation peak {peak:.4f} <= B_A={cap:.4f}",
+        "allocation exceeds B_A at {count} slots (peak {peak:.4f})",
+        ("total allocation above B_A", "total"),
+        "skipped: no B_A supplied",
+    ),
+    "lemma10-16": (
+        "Lemma 10 / 16",
+        "overflow channel peak {peak:.4f} <= "
+        "{bounds.overflow_factor:g}·B_O = {cap:.4f}",
+        "overflow channel exceeds {cap:.4f} at {count} slots",
+        ("overflow above the lemma bound", "overflow"),
+        "skipped: no overflow-channel bound for this variant",
+    ),
+    "regular-cap": (
+        "phase invariant",
+        "regular channel peak {peak:.4f} <= 2·B_O + B_O/k = {cap:.4f}",
+        "regular channel exceeds {cap:.4f} at {count} slots",
+        ("regular channel above its cap", "regular"),
+        "skipped: no regular-channel bound for this variant",
+    ),
+}
+
+
+def _check_cap(
+    report: CertificateReport,
+    name: str,
+    totals: np.ndarray,
+    cap: float | None,
+    bounds: TheoremBounds,
+) -> None:
+    """The allocation cap ``name``: ``totals <= cap`` at every slot, up to
+    float noise, worded by :data:`_CAPS`; skipped when ``cap`` is None."""
+    source, held, broken, (description, key), skipped = _CAPS[name]
+    if cap is None:
+        report.add(name, source, None, skipped)
+        return
+    top = peak(totals)
+    bad = np.flatnonzero(totals > cap * (1 + _EPS) + _EPS)
+    report.add(
+        name,
+        source,
+        bool(bad.size == 0),
+        (broken if bad.size else held).format(
+            peak=top, cap=cap, count=bad.size, bounds=bounds
+        ),
+        margin=cap - top,
+        counterexamples=_collect(
+            bad,
+            lambda t: Counterexample(
+                t, description, {key: float(totals[t]), "cap": float(cap)}
+            ),
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Single-session certification
 
 
@@ -661,20 +760,16 @@ def certify_single(
     kept = arrivals - dropped
 
     # -- conservation: re-derive the queue and compare -----------------------
-    derived, overdrawn = _conserved_queue(kept, delivered)
-    # A non-finite value compares false against every bound, so it would
-    # pass each check below; conservation fails it at its slot instead.
     finite = _all_finite(
         arrivals, allocation, delivered, backlog, dropped, effective, requested
     )
-    scale = np.maximum(1.0, np.abs(backlog))
+    derived, overdrawn, mismatch, faults = _conservation_faults(
+        kept, delivered, backlog, finite
+    )
     with np.errstate(invalid="ignore"):
-        mismatch = np.where(finite, np.abs(derived - backlog) / scale, np.inf)
         over_effective = delivered - effective
     bad = np.flatnonzero(
-        overdrawn
-        | (mismatch > _EPS)
-        | (over_effective > _EPS * np.maximum(1.0, effective))
+        faults | (over_effective > _EPS * np.maximum(1.0, effective))
     )
     report.add(
         "conservation",
@@ -805,17 +900,10 @@ def certify_single(
 
     # -- Corollary 4: q_online <= q_offline + B_O * D_O ----------------------
     if profile is not None and bounds.assume_feasible:
-        slack, offline_backlog = corollary4_slack(
-            backlog,
-            kept,
-            np.asarray(profile, dtype=float),
-            bounds.offline_bandwidth,
-            bounds.offline_delay,
+        ((slack, offline_backlog, bad),) = _corollary4_sessions(
+            backlog, kept, profile, bounds
         )
         budget = bounds.offline_bandwidth * bounds.offline_delay
-        bad = np.flatnonzero(
-            slack < -_EPS * np.maximum(1.0, backlog[: len(slack)])
-        )
         report.add(
             "corollary4",
             "Corollary 4",
@@ -887,7 +975,7 @@ def certify_single(
         )
 
     # -- max bandwidth --------------------------------------------------------
-    _check_max_bandwidth(report, allocation, bounds)
+    _check_cap(report, "max-bandwidth", allocation, bounds.max_bandwidth, bounds)
 
     # -- change-log consistency ----------------------------------------------
     strict = bool(np.array_equal(requested, allocation))
@@ -925,33 +1013,6 @@ def _check_claim9(
                 t,
                 "arrivals exceed the Claim 9 envelope",
                 {"excess": float(excess[t])},
-            ),
-        ),
-    )
-
-
-def _check_max_bandwidth(
-    report: CertificateReport, totals: np.ndarray, bounds: TheoremBounds
-) -> None:
-    if bounds.max_bandwidth is None:
-        report.add("max-bandwidth", "model", None, "skipped: no B_A supplied")
-        return
-    top = peak(totals)
-    bad = np.flatnonzero(totals > bounds.max_bandwidth * (1 + _EPS) + _EPS)
-    report.add(
-        "max-bandwidth",
-        "model",
-        bool(bad.size == 0),
-        f"total allocation peak {top:.4f} <= B_A={bounds.max_bandwidth:.4f}"
-        if bad.size == 0
-        else f"allocation exceeds B_A at {bad.size} slots (peak {top:.4f})",
-        margin=bounds.max_bandwidth - top,
-        counterexamples=_collect(
-            bad,
-            lambda t: Counterexample(
-                t,
-                "total allocation above B_A",
-                {"total": float(totals[t]), "cap": float(bounds.max_bandwidth)},
             ),
         ),
     )
@@ -1050,34 +1111,26 @@ def certify_multi(
     finite = _all_finite(arrivals, regular, overflow, delivered, backlog)
     requested = np.asarray(trace.requested_total, dtype=float)
     finite &= _all_finite(extra, dropped, requested)[:, None]
-    bad_slots: list[tuple[int, int]] = []
-    columns = (finite, kept, delivered, backlog)
-    for i in range(k):
-        q = 0.0
-        for t, (ok, a, d, b) in enumerate(zip(*(c[:, i].tolist() for c in columns))):
-            if not ok:
-                bad_slots.append((t, i))
-                continue
-            # q keeps its dust below 0, as certify_single's queue does, so
-            # phantom deliveries add up against the floor; below it, the
-            # session served bits it never held.
-            q = q + a - d
-            held = q if q > 0.0 else 0.0
-            if q < -_DUST * (t + 1) or abs(held - b) / max(1.0, abs(b)) > _EPS:
-                bad_slots.append((t, i))
-                q = b  # resynchronize so one slip reports once
+    slipped, first_slips = _session_slots(
+        np.flatnonzero(
+            _conservation_faults(
+                kept[:, i], delivered[:, i], backlog[:, i], finite[:, i]
+            )[3]
+        )
+        for i in range(k)
+    )
     report.add(
         "conservation",
         "flow conservation",
-        not bad_slots,
+        not slipped,
         "every session's recorded backlog matches its Lindley recursion"
-        if not bad_slots
-        else f"{len(bad_slots)} (slot, session) pairs break conservation",
+        if not slipped
+        else f"{slipped} (slot, session) pairs break conservation",
         counterexamples=tuple(
             Counterexample(
                 t, f"session {i} backlog diverges", {"session": float(i)}
             )
-            for t, i in bad_slots[:_MAX_EXAMPLES]
+            for t, i in first_slips
         ),
     )
 
@@ -1089,7 +1142,14 @@ def certify_multi(
     recorded_max = max((max(h, default=0) for h in histograms), default=0)
     replay_issues: list[str] = []
     for i in range(k):
-        replay_hist, excess = replay_fifo_delays(kept[:, i], delivered[:, i])
+        # Served at the recorded deliveries, the replay serves whatever the
+        # queue holds; a delivery beyond it is a bit the session never held.
+        # (A NaN gap is left to conservation, which fails its slot.)
+        service = replay_fifo_service(kept[:, i], delivered[:, i])
+        with np.errstate(invalid="ignore", over="ignore"):
+            gaps = delivered[:, i] - service.delivered
+            excess = float(gaps[gaps > _DUST].sum())
+        replay_hist = service.histogram
         if excess > _EPS:
             replay_issues.append(
                 f"session {i}: delivered {excess:.3g} bits it never held"
@@ -1101,7 +1161,7 @@ def certify_multi(
                 f"session {i}: histogram holds {recorded_bits:.6g} bits, "
                 f"delivered {replay_bits:.6g}"
             )
-        replay_max = max(replay_hist, default=0)
+        replay_max = service.max_delay
         recorded_session_max = max(histograms[i], default=0)
         if replay_max > recorded_session_max:
             # FIFO is delay-optimal for a fixed delivered series, so the
@@ -1143,106 +1203,36 @@ def certify_multi(
     # -- Claim 9 arrival envelope --------------------------------------------
     _check_claim9(report, offered_totals, bounds)
 
-    # -- Lemma 10 / 16 overflow bound ----------------------------------------
+    # -- Lemma 10 / 16 overflow bound and regular-channel cap -----------------
     overflow_totals = session_sums(overflow)
-    if bounds.overflow_factor is not None:
-        cap = bounds.overflow_factor * bounds.offline_bandwidth
-        overflow_peak = peak(overflow_totals)
-        bad = np.flatnonzero(overflow_totals > cap * (1 + _EPS) + _EPS)
-        report.add(
-            "lemma10-16",
-            "Lemma 10 / 16",
-            bool(bad.size == 0),
-            f"overflow channel peak {overflow_peak:.4f} <= "
-            f"{bounds.overflow_factor:g}·B_O = {cap:.4f}"
-            if bad.size == 0
-            else f"overflow channel exceeds {cap:.4f} at {bad.size} slots",
-            margin=cap - overflow_peak,
-            counterexamples=_collect(
-                bad,
-                lambda t: Counterexample(
-                    t,
-                    "overflow above the lemma bound",
-                    {"overflow": float(overflow_totals[t]), "cap": cap},
-                ),
-            ),
-        )
-    else:
-        report.add(
-            "lemma10-16",
-            "Lemma 10 / 16",
-            None,
-            "skipped: no overflow-channel bound for this variant",
-        )
-
-    # -- regular-channel cap ---------------------------------------------------
+    factor = bounds.overflow_factor
+    overflow_cap = None if factor is None else factor * bounds.offline_bandwidth
+    _check_cap(report, "lemma10-16", overflow_totals, overflow_cap, bounds)
     regular_totals = session_sums(regular)
-    if bounds.regular_bound is not None:
-        regular_peak = peak(regular_totals)
-        bad = np.flatnonzero(regular_totals > bounds.regular_bound * (1 + _EPS) + _EPS)
-        report.add(
-            "regular-cap",
-            "phase invariant",
-            bool(bad.size == 0),
-            f"regular channel peak {regular_peak:.4f} <= 2·B_O + B_O/k = "
-            f"{bounds.regular_bound:.4f}"
-            if bad.size == 0
-            else f"regular channel exceeds {bounds.regular_bound:.4f} "
-            f"at {bad.size} slots",
-            margin=bounds.regular_bound - regular_peak,
-            counterexamples=_collect(
-                bad,
-                lambda t: Counterexample(
-                    t,
-                    "regular channel above its cap",
-                    {
-                        "regular": float(regular_totals[t]),
-                        "cap": float(bounds.regular_bound),
-                    },
-                ),
-            ),
-        )
-    else:
-        report.add(
-            "regular-cap",
-            "phase invariant",
-            None,
-            "skipped: no regular-channel bound for this variant",
-        )
+    _check_cap(report, "regular-cap", regular_totals, bounds.regular_bound, bounds)
 
     # -- total bandwidth cap ----------------------------------------------------
     totals = regular_totals + overflow_totals + extra
-    _check_max_bandwidth(report, totals, bounds)
+    _check_cap(report, "max-bandwidth", totals, bounds.max_bandwidth, bounds)
 
     # -- per-session queue bound against certificate profiles -------------------
     if profiles is not None and bounds.assume_feasible:
-        profiles = np.asarray(profiles, dtype=float)
-        bad_pairs: list[tuple[int, int]] = []
-        min_slack = math.inf
-        for i in range(k):
-            slack, _ = corollary4_slack(
-                backlog[:, i],
-                kept[:, i],
-                profiles[:, i],
-                bounds.offline_bandwidth,
-                bounds.offline_delay,
-            )
-            min_slack = min(min_slack, float(slack.min(initial=math.inf)))
-            for t in np.flatnonzero(
-                slack < -_EPS * np.maximum(1.0, backlog[: len(slack), i])
-            ):
-                bad_pairs.append((int(t), i))
+        sessions = _corollary4_sessions(backlog, kept, profiles, bounds)
+        exceeded, first_pairs = _session_slots(bad for _, _, bad in sessions)
         report.add(
             "corollary4",
             "Corollary 4 (per session)",
-            not bad_pairs,
+            not exceeded,
             "each session's queue stays within its offline queue + B_O·D_O"
-            if not bad_pairs
-            else f"{len(bad_pairs)} (slot, session) pairs exceed the bound",
-            margin=min_slack,
+            if not exceeded
+            else f"{exceeded} (slot, session) pairs exceed the bound",
+            margin=min(
+                [math.inf]
+                + [float(slack.min(initial=math.inf)) for slack, _, _ in sessions]
+            ),
             counterexamples=tuple(
                 Counterexample(t, f"session {i} queue above bound", {})
-                for t, i in bad_pairs[:_MAX_EXAMPLES]
+                for t, i in first_pairs
             ),
         )
     else:

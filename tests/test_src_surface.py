@@ -79,19 +79,32 @@ class _Resolver:
     """Resolves a ``Name`` or ``Attribute`` to the definition it names:
     a ``(module, name)`` key, a module's dotted name, or None."""
 
-    def __init__(self, modules: dict[str, str], defs: dict[tuple, list]):
+    def __init__(
+        self, modules: dict[str, str], defs: dict[tuple, list], resolved: dict
+    ):
         self.sources = {_module_name(path): source for path, source in modules.items()}
         self.defs = defs
+        self.resolved = resolved
+        self.read: dict[tuple, tuple] = {}
+
+    def fact(self, module: str | None, name: str) -> tuple:
+        """All a resolution reads about ``name`` in ``module``."""
+        source = self.sources.get(module)
+        return (
+            (module, name) in self.defs,
+            f"{module}.{name}" in self.sources,
+            _bindings(source).get(name) if source is not None else None,
+        )
 
     def member(self, module: str, name: str, seen: frozenset = frozenset()):
         """``name`` in ``module``: its definition, a submodule, or what
         the module imported under that name (a re-export)."""
-        if (module, name) in self.defs:
+        fact = self.read[(module, name)] = self.fact(module, name)
+        defined, submodule, binding = fact
+        if defined:
             return (module, name)
-        if f"{module}.{name}" in self.sources:
+        if submodule:
             return f"{module}.{name}"
-        source = self.sources.get(module)
-        binding = _bindings(source).get(name) if source is not None else None
         if binding is None or (module, name) in seen:
             return None
         return self.bound(binding, seen | {(module, name)})
@@ -103,7 +116,8 @@ class _Resolver:
 
     def resolve(self, node: ast.AST, module: str | None, bindings: dict):
         if isinstance(node, ast.Name):
-            if (module, node.id) in self.defs:
+            defined, _, _ = self.read[(module, node.id)] = self.fact(module, node.id)
+            if defined:
                 return (module, node.id)
             binding = bindings.get(node.id)
             return self.bound(binding) if binding is not None else None
@@ -113,14 +127,21 @@ class _Resolver:
                 return self.member(base, node.attr)
         return None
 
-    def references(self, node: ast.AST, module: str | None, bindings: dict) -> set[tuple]:
-        """Definition keys ``node`` names, by ``Name`` or ``Attribute``."""
-        found = set()
+    def references(
+        self, node: ast.AST, module: str | None, bindings: dict
+    ) -> set[tuple]:
+        """Definition keys ``node`` names, by ``Name`` or ``Attribute``:
+        resolved again only when a fact the last resolution read changed."""
+        found, read = self.resolved.get((node, module), (None, {}))
+        if found is not None and all(self.fact(*key) == v for key, v in read.items()):
+            return found
+        found, self.read = set(), {}
         for sub in ast.walk(node):
             if isinstance(sub, (ast.Name, ast.Attribute)):
                 key = self.resolve(sub, module, bindings)
                 if isinstance(key, tuple):
                     found.add(key)
+        self.resolved[(node, module)] = (found, self.read)
         return found
 
 
@@ -164,13 +185,17 @@ def src_sources() -> dict[str, str]:
 
 
 def unreached(
-    modules: dict[str, str], roots: list[str], allowed=ALLOWED
+    modules: dict[str, str], roots: list[str], allowed=ALLOWED, resolved=None
 ) -> dict[str, list[str]]:
     """Public top-level functions and classes of ``modules`` no root reaches.
 
     ``modules`` maps a path under ``src/`` to its source; ``roots`` are
     whole sources whose every line counts as run, as does every line of
     the CLI modules among ``modules``; ``allowed`` names count as reached.
+    ``resolved`` keeps each piece of code's resolution, ``(node, module)
+    -> (definition keys it names, the facts the resolution read)``, for
+    the next call: a call that changes one module's source re-resolves
+    that module and only the code that read one of its changed facts.
     """
     defs: dict[tuple, list[ast.AST]] = {}
     public: dict[str, list[str]] = {}
@@ -203,7 +228,7 @@ def unreached(
             else:
                 runs.append((node, module, _bindings(source)))
     runs += [(_parse(source), None, _bindings(source)) for source in roots]
-    resolver = _Resolver(modules, defs)
+    resolver = _Resolver(modules, defs, {} if resolved is None else resolved)
     reached |= {key for key in defs if key[1] in allowed}
     for node, module, bindings in runs:
         reached |= resolver.references(node, module, bindings)
@@ -264,13 +289,19 @@ RETIRED = [
 ]
 
 
+@pytest.fixture(scope="module")
+def resolved() -> dict:
+    """Resolutions the plants share, so each re-resolves only its module."""
+    return {}
+
+
 @pytest.mark.parametrize("name", RETIRED)
-def test_a_retired_name_put_back_is_flagged(name):
+def test_a_retired_name_put_back_is_flagged(name, resolved):
     modules = src_sources()
     for keyword in ("class", "def"):
         planted = dict(modules)
         planted["repro/core/envelope.py"] += f"\n\n{keyword} {name}():\n    pass\n"
-        missing = unreached(planted, root_sources())
+        missing = unreached(planted, root_sources(), resolved=resolved)
         assert name in missing.get("repro/core/envelope.py", []), keyword
 
 

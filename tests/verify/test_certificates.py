@@ -29,7 +29,7 @@ from repro.verify.certificates import (
     lindley_backlog,
     phased_bounds,
     raw_single_bounds,
-    replay_fifo_delays,
+    replay_fifo_service,
     single_session_bounds,
     switch_count,
 )
@@ -61,25 +61,46 @@ def _idle(arrivals, delivered, backlog):
     return (arrivals == 0) & (delivered == 0) & (backlog == 0) & (before == 0)
 
 
+def _imported_modules(source: str, package: str):
+    """Every module a source imports, wherever the import sits, with
+    relative imports resolved against ``package``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            yield ".".join(part for part in (base, node.module) if part)
+
+
 class TestCheckerIndependence:
     def test_no_engine_imports(self):
-        """The checker must not trust the code it is checking: no imports
-        from the policy/engine/analysis layers, ever."""
-        import repro.verify.certificates as module
+        """The checker must not trust the code it is checking: a module of
+        repro.verify imports from repro only repro.verify, repro.errors and
+        repro.params, at module level or inside a function."""
+        import repro.verify as package
 
-        source = Path(module.__file__).read_text()
-        forbidden = ("repro.core", "repro.sim", "repro.network", "repro.analysis")
-        for node in ast.walk(ast.parse(source)):
-            names = []
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            for name in names:
-                assert not name.startswith(forbidden), (
-                    f"certificates.py imports {name}, breaking checker "
-                    "independence"
+        allowed = ("repro.verify", "repro.errors", "repro.params")
+        modules = sorted(Path(package.__file__).parent.glob("*.py"))
+        assert len(modules) >= 5
+        for path in modules:
+            for name in _imported_modules(path.read_text(), "repro.verify"):
+                if name != "repro" and not name.startswith("repro."):
+                    continue
+                assert any(name == a or name.startswith(a + ".") for a in allowed), (
+                    f"{path.name} imports {name}, breaking checker independence"
                 )
+
+    def test_the_boundary_check_sees_function_level_and_relative_imports(self):
+        source = (
+            "def f():\n    from repro.sim.engine import run_single_session\n"
+            "from . import report\nfrom .. import core\nimport repro\n"
+        )
+        assert sorted(_imported_modules(source, "repro.verify")) == [
+            "repro",
+            "repro",
+            "repro.sim.engine",
+            "repro.verify",
+        ]
 
 
 class TestCleanTracesCertify:
@@ -329,19 +350,90 @@ class TestBoundFactories:
         with pytest.raises(ConfigError):
             phased_bounds(16.0, 0, k=2)
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0])
+    def test_offline_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        # A NaN bound compares false against every allocation: it would
+        # certify any trace.
+        for factory in (raw_single_bounds, phased_bounds, continuous_bounds):
+            args = (bandwidth, 4) if factory is raw_single_bounds else (bandwidth, 4, 2)
+            with pytest.raises(ConfigError, match="finite and > 0"):
+                factory(*args)
+
+    def test_cli_rejects_a_nan_bound(self, tmp_path):
+        from repro.cli import main
+
+        single, multi = tmp_path / "single.npz", tmp_path / "multi.npz"
+        simulate = ["simulate", "--horizon", "600", "--save-trace"]
+        onoff = ["--policy", "fig3", "--traffic", "onoff"]
+        assert main(simulate + [str(single)] + onoff) == 0
+        assert main(["verify", str(single), "--uncertified", "--bandwidth", "1"]) != 0
+        phased = ["--policy", "phased", "--traffic", "multi-feasible", "--sessions", "2"]
+        assert main(simulate + [str(multi)] + phased) == 0
+        for path in (single, multi):
+            with pytest.raises(ConfigError, match="finite and > 0"):
+                main(["verify", str(path), "--uncertified", "--bandwidth", "nan"])
+
+
+class TestCorollary4Profiles:
+    """A broken certificate profile is an error, not a pass: the Lindley
+    recursion reads a NaN or negative capacity as service."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_single_rejects_a_non_finite_or_negative_profile(self, value):
+        stream, trace = _clean_trace(horizon=600)
+        bounds = single_session_bounds(_OFFLINE)
+        assert certify_single(trace, bounds, profile=stream.profile).certified
+        profile = np.array(stream.profile, dtype=float)
+        profile[len(profile) // 2] = value
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            certify_single(trace, bounds, profile=profile)
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            certify_single(trace, bounds, profile=np.full(len(profile), value))
+
+    def test_single_rejects_a_2d_profile(self):
+        stream, trace = _clean_trace()
+        bounds = single_session_bounds(_OFFLINE)
+        with pytest.raises(ConfigError, match="does not fit"):
+            certify(trace, bounds, profile=stream.profile[:, None])
+
+    @pytest.mark.parametrize("shape", ["1-D", "one column", "three columns"])
+    def test_multi_needs_one_column_per_session(self, shape):
+        trace = _clean_multi_trace()
+        bounds = phased_bounds(32.0, 4, 2)
+        horizon = len(trace.arrivals)
+        profiles = {
+            "1-D": np.full(horizon, 64.0),
+            "one column": np.full((horizon, 1), 64.0),
+            "three columns": np.full((horizon, 3), 64.0),
+        }[shape]
+        with pytest.raises(ConfigError, match="does not fit"):
+            certify_multi(trace, bounds, profiles=profiles)
+
+    def test_multi_rejects_a_nan_profile(self):
+        trace = _clean_multi_trace()
+        profiles = np.full((len(trace.arrivals), 2), 64.0)
+        bounds = phased_bounds(32.0, 4, 2)
+        assert certify_multi(trace, bounds, profiles=profiles).certified
+        profiles[10, 1] = np.nan
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            certify_multi(trace, bounds, profiles=profiles)
+
 
 class TestSeriesHelpers:
-    def test_replay_fifo_delays_hand_example(self):
-        # 4 bits at t=0 served 2/slot: 2 bits leave at delay 0, 2 at delay 1.
-        histogram, excess = replay_fifo_delays(
-            np.array([4.0, 0.0]), np.array([2.0, 2.0])
-        )
-        assert excess == 0.0
-        assert histogram == {0: 2.0, 1: 2.0}
+    def test_replay_against_delivered_hand_example(self):
+        # The multi-session delay replay serves at the recorded deliveries:
+        # 4 bits at t=0 served 2/slot leave 2 at delay 0 and 2 at delay 1.
+        delivered = np.array([2.0, 2.0])
+        service = replay_fifo_service(np.array([4.0, 0.0]), delivered)
+        assert service.delivered.tolist() == delivered.tolist()
+        assert service.histogram == {0: 2.0, 1: 2.0}
 
     def test_replay_reports_phantom_service(self):
-        _, excess = replay_fifo_delays(np.array([1.0]), np.array([3.0]))
-        assert excess == pytest.approx(2.0)
+        # Delivering 3 bits of a 1-bit queue: the replay serves 1, and the
+        # other 2 are bits the session never held.
+        delivered = np.array([3.0])
+        service = replay_fifo_service(np.array([1.0]), delivered)
+        assert (delivered - service.delivered).sum() == pytest.approx(2.0)
 
     def test_lindley_recursion(self):
         backlog = lindley_backlog(

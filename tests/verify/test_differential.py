@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
-from repro.verify.differential import (
+from repro.adversary.differential import (
     certified_multi_run,
     certified_single_run,
     default_policy,

@@ -1,11 +1,17 @@
 """The certificate checker's per-slot kernels against their old loops.
 
-The conservation accumulate, the Lindley recursion, both FIFO replays,
-the multi-session conservation loop and ``session_sums`` claim to
-compute the floats of the plain per-slot loops they replaced.  Those
-loops are kept here verbatim as oracles, and every comparison is exact:
-the same values, the same signs of zero, NaN where NaN.  Hypothesis
-budgets follow ``REPRO_FUZZ_EXAMPLES``.
+The conservation accumulate, the Lindley recursion, the FIFO replay and
+``session_sums`` claim to compute the floats of the plain per-slot loops
+they replaced.  Those loops are kept here verbatim as oracles, and every
+comparison is exact: the same values, the same signs of zero, NaN where
+NaN.  Hypothesis budgets follow ``REPRO_FUZZ_EXAMPLES``.
+
+``certify_multi`` once had loops of its own: a conservation recursion
+that resynchronized to the recorded backlog after each slip, and a FIFO
+delay replay served at the recorded deliveries.  Both are kept as
+oracles too.  On tampered traces the shared kernels give their verdicts
+and the first conservation counterexample; later slips are counted by
+``certify_single``'s rule.
 
 The last tests pin ``certify(...).as_dict()`` on small traces of the
 ledger's ``degraded`` and ``multi`` kinds to the digests the per-slot
@@ -26,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.continuous import ContinuousMultiSession
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError
@@ -47,7 +54,6 @@ from repro.verify.certificates import (
     lindley_backlog,
     phased_bounds,
     raw_single_bounds,
-    replay_fifo_delays,
     replay_fifo_service,
     session_sums,
     single_session_bounds,
@@ -343,27 +349,6 @@ class TestFifoService:
         _check_fifo_service(kept, np.full(slots, 3.5), 2)
 
 
-class TestFifoDelays:
-    @_SETTINGS
-    @given(series_pairs())
-    def test_matches_oracle_on_edge_values(self, pair):
-        arrivals, delivered = pair
-        histogram, excess = replay_fifo_delays(arrivals, delivered)
-        want_histogram, want_excess = _fifo_delays_oracle(arrivals, delivered)
-        _same_histogram(histogram, want_histogram)
-        _same([excess], [want_excess])
-
-    @_SETTINGS
-    @given(queue_pairs())
-    def test_matches_oracle_on_queues(self, pair):
-        arrivals, capacity = pair
-        delivered, _, _ = _fifo_service_oracle(arrivals, capacity)
-        histogram, excess = replay_fifo_delays(arrivals, delivered)
-        want_histogram, want_excess = _fifo_delays_oracle(arrivals, delivered)
-        _same_histogram(histogram, want_histogram)
-        _same([excess], [want_excess])
-
-
 def _neumaier_sum(row):
     """CPython 3.12's float ``sum``, transcribed: compensated after ``0 + x_0``."""
     if not row:
@@ -427,8 +412,8 @@ class TestSessionSums:
 class TestInputValidation:
     @pytest.mark.parametrize(
         "kernel",
-        [lindley_backlog, replay_fifo_service, replay_fifo_delays],
-        ids=["lindley_backlog", "replay_fifo_service", "replay_fifo_delays"],
+        [lindley_backlog, replay_fifo_service],
+        ids=["lindley_backlog", "replay_fifo_service"],
     )
     @pytest.mark.parametrize(
         "first, second",
@@ -446,24 +431,39 @@ class TestInputValidation:
 
 
 # ---------------------------------------------------------------------------
-# Multi-session conservation, through certify_multi
+# Multi-session checks, through certify_multi
 
 
 _MULTI_FIELDS = ("delivered", "backlog", "arrivals", "dropped", "extra_allocation")
 
 
-def _multi_trace(seed: int, k: int = 2, slots: int = 120):
+def _multi_trace(seed: int, k: int = 2, slots: int = 120, policy: str = "phased"):
     arrivals = np.random.default_rng(seed).poisson(2, size=(slots, k)).astype(float)
-    policy = PhasedMultiSession(k, offline_bandwidth=32.0, offline_delay=4)
-    return run_multi_session(policy, arrivals, max_drain_slots=100_000)
+    if policy == "continuous":
+        engine = ContinuousMultiSession(k, offline_bandwidth=32.0, offline_delay=4)
+    else:
+        engine = PhasedMultiSession(
+            k, offline_bandwidth=32.0, offline_delay=4, fifo=policy == "fifo"
+        )
+    return run_multi_session(engine, arrivals, max_drain_slots=100_000)
 
 
-def _oracle_slips(trace):
-    """The conservation inputs exactly as certify_multi derives them."""
+def _tamper(trace, tampers) -> None:
+    for t, session, name, value in tampers:
+        series = getattr(trace, name)
+        if series.ndim == 2:
+            series[t % len(series), session % trace.k] += value
+        else:
+            series[t % len(series)] += value
+
+
+def _multi_inputs(trace):
+    """kept, delivered, backlog and the finite mask, as certify_multi
+    derives them."""
     arrivals = np.asarray(trace.arrivals, dtype=float)
     dropped = np.asarray(trace.dropped, dtype=float)
     offered_totals = arrivals.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         share = 1.0 - dropped / np.maximum(offered_totals, _DUST)
         keep = np.where(offered_totals > _DUST, share, 1.0)
         kept = arrivals * keep[:, None]
@@ -487,43 +487,97 @@ def _oracle_slips(trace):
     )[:, None]
     delivered = np.asarray(trace.delivered, dtype=float)
     backlog = np.asarray(trace.backlog, dtype=float)
-    return _multi_conservation_oracle(kept, delivered, backlog, finite)
+    return kept, delivered, backlog, finite
+
+
+def _oracle_slips(trace):
+    """The old multi-session loop's slips: it resynchronized q to the
+    recorded backlog after each one."""
+    return _multi_conservation_oracle(*_multi_inputs(trace))
+
+
+def _single_rule_slips(trace):
+    """Each session's slips under certify_single's rule, from the oracles:
+    a clamp at the dust floor, or a gap to the recorded backlog (any
+    non-finite slot fails)."""
+    kept, delivered, backlog, finite = _multi_inputs(trace)
+    slips = []
+    for i in range(trace.k):
+        derived = _conservation_oracle(kept[:, i], delivered[:, i])
+        clamps = set(_clamp_oracle(kept[:, i], delivered[:, i]))
+        recorded = backlog[:, i]
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(derived - recorded) / np.maximum(1.0, np.abs(recorded))
+        for t in range(len(derived)):
+            if t in clamps or not finite[t, i] or gap[t] > _EPS:
+                slips.append((t, i))
+    return slips
+
+
+def _check(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    return check
 
 
 def _assert_conservation_matches(trace) -> None:
     report = certify_multi(trace, phased_bounds(32.0, 4, trace.k, feasible=False))
-    (check,) = [c for c in report.checks if c.name == "conservation"]
-    slips = _oracle_slips(trace)
-    assert check.passed is (not slips)
+    check = _check(report, "conservation")
+    resynced, slips = _oracle_slips(trace), _single_rule_slips(trace)
+    # The old loop's verdict and first counterexample ...
+    assert check.passed is (not resynced)
+    shown = [(c.t, int(c.values["session"])) for c in check.counterexamples]
+    assert shown[:1] == resynced[:1]
+    # ... and certify_single's count of the slips after it.
     if slips:
         assert check.detail == f"{len(slips)} (slot, session) pairs break conservation"
-    shown = [(c.t, int(c.values["session"])) for c in check.counterexamples]
-    assert shown == slips[: len(shown)]
-    assert len(shown) == min(len(slips), certificates._MAX_EXAMPLES)
+    assert shown == slips[: certificates._MAX_EXAMPLES]
+
+
+def _oracle_delay_replay_passes(trace) -> bool:
+    """The old multi-session delay-replay verdict, from its FIFO loop."""
+    kept, delivered, _, _ = _multi_inputs(trace)
+    for i in range(trace.k):
+        histogram, excess = _fifo_delays_oracle(kept[:, i], delivered[:, i])
+        recorded = {
+            int(d): float(b) for d, b in dict(trace.delay_histograms[i]).items()
+        }
+        bits, recorded_bits = sum(histogram.values()), sum(recorded.values())
+        if (
+            excess > _EPS
+            or abs(bits - recorded_bits) > _EPS * max(1.0, bits)
+            or max(histogram, default=0) > max(recorded, default=0)
+        ):
+            return False
+    return True
+
+
+def _assert_delay_replay_matches(trace) -> None:
+    report = certify_multi(trace, phased_bounds(32.0, 4, trace.k, feasible=False))
+    assert _check(report, "delay-replay").passed is _oracle_delay_replay_passes(trace)
+
+
+def tamper_lists(values):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=119),
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from(_MULTI_FIELDS),
+            st.sampled_from(values),
+        ),
+        max_size=6,
+    )
+
+
+_TAMPERS = [4.0, -3.0, 1e-7, 1e-4, math.nan, math.inf]
+_EDGE_TAMPERS = _EDGES + [-value for value in _EDGES if value > 0]
 
 
 class TestMultiConservation:
     @_SETTINGS
-    @given(
-        st.sampled_from([2, 3]),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=119),
-                st.integers(min_value=0, max_value=2),
-                st.sampled_from(_MULTI_FIELDS),
-                st.sampled_from([4.0, -3.0, 1e-7, 1e-4, math.nan, math.inf]),
-            ),
-            max_size=6,
-        ),
-    )
+    @given(st.sampled_from([2, 3]), tamper_lists(_TAMPERS))
     def test_resync_path_matches_oracle(self, k, tampers):
         trace = _multi_trace(7, k)
-        for t, session, name, value in tampers:
-            series = getattr(trace, name)
-            if series.ndim == 2:
-                series[t, session % k] += value
-            else:
-                series[t] += value
+        _tamper(trace, tampers)
         _assert_conservation_matches(trace)
 
     def test_clean_trace(self):
@@ -543,8 +597,34 @@ class TestMultiConservation:
         assert idle.sum() > 100
         trace.delivered[idle] += 5e-7
         report = certify_multi(trace, phased_bounds(32.0, 4, 2, feasible=False))
-        (check,) = [c for c in report.checks if c.name == "conservation"]
-        assert check.passed is False
+        assert _check(report, "conservation").passed is False
+        _assert_conservation_matches(trace)
+
+
+class TestFifoDelays:
+    """The multi-session delay replay: :func:`replay_fifo_service` served
+    at the recorded deliveries, against the old loop's verdict."""
+
+    @_SETTINGS
+    @given(st.sampled_from([2, 3]), tamper_lists(_EDGE_TAMPERS))
+    def test_matches_oracle_on_edge_values(self, k, tampers):
+        trace = _multi_trace(5, k)
+        _tamper(trace, tampers)
+        _assert_delay_replay_matches(trace)
+        _assert_conservation_matches(trace)
+
+    @_SETTINGS
+    @given(
+        seeds,
+        st.integers(min_value=2, max_value=8),
+        st.sampled_from(["phased", "fifo", "continuous"]),
+        tamper_lists(_TAMPERS),
+    )
+    def test_matches_oracle_on_queues(self, seed, k, policy, tampers):
+        trace = _multi_trace(seed, k, policy=policy)
+        _assert_delay_replay_matches(trace)
+        _tamper(trace, tampers)
+        _assert_delay_replay_matches(trace)
         _assert_conservation_matches(trace)
 
 

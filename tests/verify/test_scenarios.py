@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import registry
-from repro.verify.scenarios import certify_experiment, scenario_ids
+from repro.experiments.scenarios import certify_experiment, scenario_ids
 
 
 def test_every_experiment_has_a_scenario():

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests.references
 from bench_parallel import PERF_SCHEMA  # noqa: E402
 
 from repro.arena import TournamentConfig, run_tournament, scorecard_json  # noqa: E402
@@ -41,6 +42,7 @@ from repro.runner import ContentCache  # noqa: E402
 from repro.sim.engine import run_multi_session  # noqa: E402
 from repro.sim.vector import multi_vector_capable  # noqa: E402
 from repro.version import __version__  # noqa: E402
+from tests.references import scalar_reference  # noqa: E402
 
 SEGMENT = 8000
 
@@ -90,7 +92,7 @@ def bench_allocator(name: str, factory, seed: int, scale: float, k: int = 4) -> 
     horizon = max(SEGMENT, int(100_000 * scale))
     arrivals = _piecewise(np.random.default_rng(seed), horizon, k)
     scalar, scalar_s = _best_of(
-        lambda: run_multi_session(factory(k), arrivals, vector=False)
+        lambda: run_multi_session(scalar_reference(factory(k)), arrivals)
     )
     vector, vector_s = _best_of(
         lambda: run_multi_session(factory(k), arrivals)

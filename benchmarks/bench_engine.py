@@ -16,11 +16,14 @@ against the scalar fast loops it replaces, in slots/second:
    event, no-op phase ends booked in bulk).
 4. ``batched_64`` — 64 independent sessions, one
    :func:`~repro.sim.engine.run_single_session` each, vs the same loop
-   with ``vector=False``.
+   on scalar twins.
 
 Every vectorized run must be **bit-identical** to its scalar twin (the
 engine's core guarantee — asserted per workload and recorded as
-``engine.identical``).  Results land in the ``engine`` section of
+``engine.identical``).  A scalar twin is the same policy retyped as a
+trivial subclass (:func:`tests.references.scalar_reference`): the
+engines slice only exact policy types, so it takes the scalar step at
+every slot.  Results land in the ``engine`` section of
 ``BENCH_PERF.json`` (merging with ``bench_parallel.py``'s sections).
 
 Run directly (``python benchmarks/bench_engine.py --scale 1.0``) or let
@@ -38,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests.references
 from bench_parallel import PERF_SCHEMA, validate  # noqa: E402,F401
 
 from repro.core.phased import PhasedMultiSession  # noqa: E402
@@ -47,6 +51,7 @@ from repro.sim.engine import run_multi_session, run_single_session  # noqa: E402
 from repro.sim.vector import multi_vector_capable, vector_capable  # noqa: E402
 from repro.traffic.feasible import generate_feasible_stream  # noqa: E402
 from repro.version import __version__  # noqa: E402
+from tests.references import scalar_reference  # noqa: E402
 
 #: Constant-rate segment length of the piecewise-constant workloads.  Long
 #: enough that quiet keep-up runs dominate the climb transients after each
@@ -139,7 +144,7 @@ def bench_single(seed: int, scale: float) -> dict:
     rng = np.random.default_rng(seed)
     arrivals = _piecewise(rng, horizon, 1.0, 12.0)
     scalar, scalar_s = _best_of(
-        lambda: run_single_session(_single_policy(), arrivals, vector=False)
+        lambda: run_single_session(scalar_reference(_single_policy()), arrivals)
     )
     vector, vector_s = _best_of(
         lambda: run_single_session(_single_policy(), arrivals)
@@ -156,7 +161,7 @@ def bench_single_certified(seed: int, scale: float) -> dict:
     offline = OfflineConstraints(64.0, 8, 0.25, 16)
     arrivals = generate_feasible_stream(offline, horizon, seed=seed).arrivals
     scalar, scalar_s = _best_of(
-        lambda: run_single_session(_single_policy(), arrivals, vector=False)
+        lambda: run_single_session(scalar_reference(_single_policy()), arrivals)
     )
     vector, vector_s = _best_of(
         lambda: run_single_session(_single_policy(), arrivals)
@@ -172,7 +177,7 @@ def bench_multi(seed: int, scale: float, k: int) -> dict:
     rng = np.random.default_rng(seed + k)
     arrivals = _piecewise(rng, horizon, 0.5, 4.0, k=k)
     scalar, scalar_s = _best_of(
-        lambda: run_multi_session(_multi_policy(k), arrivals, vector=False)
+        lambda: run_multi_session(scalar_reference(_multi_policy(k)), arrivals)
     )
     vector, vector_s = _best_of(
         lambda: run_multi_session(_multi_policy(k), arrivals)
@@ -193,7 +198,7 @@ def bench_batched(seed: int, scale: float, sessions: int = 64) -> dict:
 
     def scalar_pass():
         return [
-            run_single_session(_single_policy(), row, vector=False)
+            run_single_session(scalar_reference(_single_policy()), row)
             for row in matrix
         ]
 

@@ -39,14 +39,15 @@ active they time themselves with a profiling hook (slots/sec), and after
 the run fill the queue-depth and allocation histograms from the finished
 trace (``Histogram.observe_many`` in slot order, so counts and totals
 equal per-slot sampling), count slots/changes/stages/drops, and
-synthesize stage/phase spans from the policy's event lists.  Telemetry never feeds back into the simulation, so
-traces are bit-identical whether it is on or off, and the run itself
-takes the same code path either way.
+synthesize stage/phase spans from the policy's event lists, in one
+sequence for both entry points.  Telemetry never feeds back into the
+simulation, so traces are bit-identical whether it is on or off, and the
+run itself takes the same code path either way.
 
-The one reference switch is ``vector=False``: it turns off the
-policy-quiet and session-major slices so every slot takes the scalar
-step.  Traces are bit-identical either way; the identity tests compare
-the two.  When slices apply is stated once, in :mod:`repro.sim.vector`.
+Which runs take slices is the exact-type rule stated once in
+:mod:`repro.sim.vector`: an exact subclass of a policy takes the scalar
+step, so an all-scalar reference run is a run of a trivial subclass.
+Traces are bit-identical either way; the identity tests compare the two.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ def run_single_session(
     max_drain_slots: int | None = None,
     queue_capacity: float | None = None,
     faults: "FaultPlan | None" = None,
-    vector: bool = True,
 ) -> SingleSessionTrace:
     """Simulate one session under ``policy``; return the finalized trace.
 
@@ -88,10 +88,6 @@ def run_single_session(
             in the trace's ``dropped`` series.
         faults: a :class:`~repro.faults.plan.FaultPlan` injecting link
             degradation and ingress drops (None = fault-free).
-        vector: run policy-quiet slices when the queue is unbounded and
-            the policy supports them
-            (:func:`~repro.sim.vector.vector_capable`); ``False`` makes
-            every slot a scalar step.  Traces are bit-identical either way.
     """
     state = EngineState(
         policy,
@@ -100,33 +96,8 @@ def run_single_session(
         max_drain_slots=max_drain_slots,
         queue_capacity=queue_capacity,
         faults=faults,
-        vector=vector,
     )
-    tele = get_telemetry()
-    try:
-        with tele.profile("engine.run_single_session") as timer:
-            state.run()
-            timer.slots = state.t
-    except SimulationError:
-        if tele.enabled:
-            _observe_single(tele, state.finalize())
-        raise
-    trace = state.finalize()
-    if tele.enabled:
-        _observe_single(tele, trace)
-        _emit_run_telemetry(
-            tele,
-            prefix="engine.single",
-            run_name="run_single_session",
-            slots=trace.slots,
-            horizon=trace.horizon,
-            changes=trace.change_count,
-            stage_starts=trace.stage_starts,
-            resets=trace.resets,
-            dropped=trace.total_dropped,
-            max_backlog=trace.max_backlog,
-        )
-    return trace
+    return _run(state, "run_single_session", "engine.single", _single_series)
 
 
 def run_multi_session(
@@ -136,7 +107,6 @@ def run_multi_session(
     drain: bool = True,
     max_drain_slots: int | None = None,
     faults: "FaultPlan | None" = None,
-    vector: bool = True,
 ) -> MultiSessionTrace:
     """Simulate ``k`` sessions under ``policy``; return the finalized trace.
 
@@ -150,54 +120,65 @@ def run_multi_session(
             remove arriving bits before they reach the policy.  (The
             combined algorithm's global channel is served inside the policy
             and is not degraded.)
-        vector: advance in session-major slices (:mod:`repro.sim.vector`) when
-            the policy supports them
-            (:func:`~repro.sim.vector.multi_vector_capable`); ``False``
-            makes every slot a scalar step.  Traces are bit-identical
-            either way.
     """
     state = MultiEngineState(
-        policy,
-        arrivals,
-        drain=drain,
-        max_drain_slots=max_drain_slots,
-        faults=faults,
-        vector=vector,
+        policy, arrivals, drain=drain, max_drain_slots=max_drain_slots, faults=faults
     )
+    return _run(state, "run_multi_session", "engine.multi", _multi_series)
+
+
+def _run(state, run_name: str, prefix: str, series):
+    """Run ``state`` to completion under the telemetry profile; observe the
+    trace (also the partial one a :class:`SimulationError` leaves) and emit
+    the run's summary.  ``series(trace)`` gives the per-slot queue depth
+    and allocation, the peak backlog and the run span's extra attributes.
+    """
     tele = get_telemetry()
     try:
-        with tele.profile("engine.run_multi_session") as timer:
+        with tele.profile("engine." + run_name) as timer:
             state.run()
             timer.slots = state.t
     except SimulationError:
         if tele.enabled:
-            _observe_multi(tele, state.finalize())
+            _observe(tele, prefix, *series(state.finalize())[:2])
         raise
     trace = state.finalize()
     if tele.enabled:
-        _observe_multi(tele, trace)
-        _emit_run_telemetry(
-            tele,
-            prefix="engine.multi",
-            run_name="run_multi_session",
-            slots=trace.slots,
-            horizon=trace.horizon,
-            changes=trace.change_count,
-            stage_starts=trace.stage_starts,
-            resets=trace.resets,
-            dropped=float(trace.dropped.sum()),
-            max_backlog=float(trace.backlog.sum(axis=1).max(initial=0.0)),
-            phase_boundaries=getattr(policy, "phase_boundaries", None),
-            k=trace.k,
-        )
+        depth, allocation, peak, attrs = series(trace)
+        _observe(tele, prefix, depth, allocation)
+        registry = tele.registry
+        registry.counter(prefix + ".runs").inc()
+        registry.counter(prefix + ".slots").inc(trace.slots)
+        registry.counter(prefix + ".changes").inc(trace.change_count)
+        registry.counter(prefix + ".stage_starts").inc(len(trace.stage_starts))
+        registry.counter(prefix + ".resets").inc(len(trace.resets))
+        registry.counter(prefix + ".dropped_bits").inc(float(trace.dropped.sum()))
+        registry.gauge(prefix + ".max_backlog").set(peak)
+        # Stage and phase spans come from the policy's (already
+        # maintained) event lists, not from slot-by-slot tracking.
+        tele.tracer.span(run_name, 0, trace.slots, kind="run", horizon=trace.horizon, **attrs)
+        _spans(tele, "stage", trace.stage_starts, trace.slots)
+        _spans(tele, "phase", getattr(state.policy, "phase_boundaries", ()), trace.slots)
     return trace
 
 
-def _observe_single(tele: Telemetry, trace: SingleSessionTrace) -> None:
+def _observe(tele: Telemetry, prefix: str, depth: np.ndarray, allocation: np.ndarray) -> None:
     """Per-slot queue depth and allocation histograms, in slot order."""
     registry = tele.registry
-    registry.histogram("engine.single.queue_depth").observe_many(trace.backlog)
-    registry.histogram("engine.single.allocation").observe_many(trace.allocation)
+    registry.histogram(prefix + ".queue_depth").observe_many(depth)
+    registry.histogram(prefix + ".allocation").observe_many(allocation)
+
+
+def _spans(tele: Telemetry, kind: str, starts, slots: int) -> None:
+    """One ``kind`` span from each start to the next (the last to ``slots``)."""
+    starts = list(starts)
+    for index, start in enumerate(starts):
+        end = starts[index + 1] if index + 1 < len(starts) else slots
+        tele.tracer.span(kind, start, end, kind=kind, index=index)
+
+
+def _single_series(trace: SingleSessionTrace) -> tuple:
+    return trace.backlog, trace.allocation, trace.max_backlog, {}
 
 
 def _session_sum(columns: np.ndarray) -> np.ndarray:
@@ -209,64 +190,14 @@ def _session_sum(columns: np.ndarray) -> np.ndarray:
     return total
 
 
-def _observe_multi(tele: Telemetry, trace: MultiSessionTrace) -> None:
-    """Per-slot total queue depth and allocation histograms, in slot order.
-
-    Sums run in session order as Python ``sum`` does, as a per-slot
-    sampler over the live queues and links would compute them.
-    """
-    registry = tele.registry
-    registry.histogram("engine.multi.queue_depth").observe_many(_session_sum(trace.backlog))
-    registry.histogram("engine.multi.allocation").observe_many(
+def _multi_series(trace: MultiSessionTrace) -> tuple:
+    """Totals over the sessions.  The per-slot sums run in session order as
+    Python ``sum`` does, as a per-slot sampler over the live queues and
+    links would compute them."""
+    allocation = (
         _session_sum(trace.regular_allocation)
         + _session_sum(trace.overflow_allocation)
         + trace.extra_allocation
     )
-
-
-def _emit_run_telemetry(
-    tele: Telemetry,
-    *,
-    prefix: str,
-    run_name: str,
-    slots: int,
-    horizon: int,
-    changes: int,
-    stage_starts: Sequence[int],
-    resets: Sequence[int],
-    dropped: float,
-    max_backlog: float,
-    phase_boundaries: Sequence[int] | None = None,
-    k: int | None = None,
-) -> None:
-    """Post-run summary metrics and stage/phase spans for one finished run.
-
-    Stage and phase spans are synthesized from the policy's (already
-    maintained) event lists instead of being tracked slot by slot.
-    """
-    registry = tele.registry
-    registry.counter(prefix + ".runs").inc()
-    registry.counter(prefix + ".slots").inc(slots)
-    registry.counter(prefix + ".changes").inc(changes)
-    registry.counter(prefix + ".stage_starts").inc(len(stage_starts))
-    registry.counter(prefix + ".resets").inc(len(resets))
-    registry.counter(prefix + ".dropped_bits").inc(dropped)
-    registry.gauge(prefix + ".max_backlog").set(max_backlog)
-
-    run_attrs = {"horizon": horizon}
-    if k is not None:
-        run_attrs["k"] = k
-    tele.tracer.span(run_name, 0, slots, kind="run", **run_attrs)
-    starts = list(stage_starts)
-    for index, start in enumerate(starts):
-        end = starts[index + 1] if index + 1 < len(starts) else slots
-        tele.tracer.span("stage", start, end, kind="stage", index=index)
-    if phase_boundaries:
-        boundaries = list(phase_boundaries)
-        for index, start in enumerate(boundaries):
-            end = (
-                boundaries[index + 1]
-                if index + 1 < len(boundaries)
-                else slots
-            )
-            tele.tracer.span("phase", start, end, kind="phase", index=index)
+    peak = float(trace.backlog.sum(axis=1).max(initial=0.0))
+    return _session_sum(trace.backlog), allocation, peak, {"k": trace.k}

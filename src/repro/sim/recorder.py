@@ -216,9 +216,6 @@ class MultiSessionTrace:
             (histogram_max_delay(h) for h in self.delay_histograms), default=0
         )
 
-    def session_max_delay(self, i: int) -> int:
-        return histogram_max_delay(self.delay_histograms[i])
-
     @property
     def merged_delay_histogram(self) -> dict[int, float]:
         return merge_histograms(self.delay_histograms)
@@ -244,24 +241,45 @@ class MultiSessionTrace:
         return float(self.delivered.sum())
 
 
-class SingleSessionRecorder:
+class _ColumnStore:
+    """Per-slot columns both recorders keep: lists a scalar step appends
+    to, and deferred bulk blocks :func:`_splice` puts in between at
+    finalize.  ``shapes`` gives each column's per-slot shape."""
+
+    def __init__(self, shapes: list[tuple]):
+        self._shapes = shapes
+        self._columns = tuple([] for _ in shapes)
+        #: Deferred bulk blocks ``(pos, values)`` for :func:`_splice`:
+        #: the bulk path never pays per-slot appends.
+        self._blocks: list[tuple[int, tuple]] = []
+
+    def _defer(self, *values) -> None:
+        """Defer a bulk block: one array (as long as the block) or
+        constant per column."""
+        self._blocks.append((len(self._columns[0]), values))
+
+    def _spliced(self) -> list[np.ndarray]:
+        return _splice(self._columns, self._blocks, self._shapes)
+
+
+class SingleSessionRecorder(_ColumnStore):
     """Accumulates per-slot data for a single-session run."""
 
     def __init__(self) -> None:
-        self._arrivals: list[float] = []
-        self._allocation: list[float] = []
-        self._delivered: list[float] = []
-        self._backlog: list[float] = []
-        self._dropped: list[float] = []
-        self._requested: list[float] = []
-        self._effective: list[float] = []
+        super().__init__([()] * 7)
+        (
+            self._arrivals,
+            self._allocation,
+            self._delivered,
+            self._backlog,
+            self._dropped,
+            self._requested,
+            self._effective,
+        ) = self._columns
         #: Bits-weighted delay histogram: the engine's queue folds every
         #: delivery into it as it serves (:meth:`BitQueue.serve
         #: <repro.network.queue.BitQueue.serve>` and ``replay``).
         self.histogram: dict[int, float] = {}
-        #: Deferred bulk slices ``(pos, columns)`` for :func:`_splice`:
-        #: the bulk path never pays per-slot appends.
-        self._blocks: list[tuple[int, tuple]] = []
 
     def record(
         self,
@@ -306,12 +324,7 @@ class SingleSessionRecorder:
         """
         if effective is None:
             effective = allocation
-        self._blocks.append(
-            (
-                len(self._arrivals),
-                (arrivals, allocation, delivered, backlog, dropped, allocation, effective),
-            )
-        )
+        self._defer(arrivals, allocation, delivered, backlog, dropped, allocation, effective)
 
     def finalize(
         self,
@@ -320,18 +333,7 @@ class SingleSessionRecorder:
         resets: list[int],
         horizon: int,
     ) -> SingleSessionTrace:
-        scalar = (
-            self._arrivals,
-            self._allocation,
-            self._delivered,
-            self._backlog,
-            self._dropped,
-            self._requested,
-            self._effective,
-        )
-        arrivals, allocation, delivered, backlog, dropped, requested, effective = (
-            _splice(scalar, self._blocks, [()] * 7)
-        )
+        arrivals, allocation, delivered, backlog, dropped, requested, effective = self._spliced()
         return SingleSessionTrace(
             arrivals=arrivals,
             allocation=allocation,
@@ -349,7 +351,7 @@ class SingleSessionRecorder:
         )
 
 
-class MultiSessionRecorder:
+class MultiSessionRecorder(_ColumnStore):
     """Accumulates per-slot data for a multi-session run.
 
     The delay histograms are not the recorder's: each
@@ -359,17 +361,18 @@ class MultiSessionRecorder:
     """
 
     def __init__(self, k: int):
+        super().__init__([(k,)] * 5 + [()] * 3)
         self.k = k
-        self._arrivals: list[list[float]] = []
-        self._regular: list[list[float]] = []
-        self._overflow: list[list[float]] = []
-        self._delivered: list[list[float]] = []
-        self._backlog: list[list[float]] = []
-        self._extra: list[float] = []
-        self._requested: list[float] = []
-        self._dropped: list[float] = []
-        #: Deferred slice blocks ``(pos, columns)`` for :func:`_splice`.
-        self._blocks: list[tuple[int, tuple]] = []
+        (
+            self._arrivals,
+            self._regular,
+            self._overflow,
+            self._delivered,
+            self._backlog,
+            self._extra,
+            self._requested,
+            self._dropped,
+        ) = self._columns
 
     def record(
         self,
@@ -417,12 +420,7 @@ class MultiSessionRecorder:
         """
         if requested_total is None:
             requested_total = sum(regular) + sum(overflow) + 0.0
-        self._blocks.append(
-            (
-                len(self._arrivals),
-                (arrivals, regular, overflow, delivered, backlog, 0.0, requested_total, 0.0),
-            )
-        )
+        self._defer(arrivals, regular, overflow, delivered, backlog, 0.0, requested_total, 0.0)
 
     def finalize(
         self,
@@ -433,19 +431,7 @@ class MultiSessionRecorder:
         horizon: int,
         delay_histograms: list[dict[int, float]],
     ) -> MultiSessionTrace:
-        scalar = (
-            self._arrivals,
-            self._regular,
-            self._overflow,
-            self._delivered,
-            self._backlog,
-            self._extra,
-            self._requested,
-            self._dropped,
-        )
-        arrivals, regular, overflow, delivered, backlog, extra, requested, dropped = (
-            _splice(scalar, self._blocks, [(self.k,)] * 5 + [()] * 3)
-        )
+        arrivals, regular, overflow, delivered, backlog, extra, requested, dropped = self._spliced()
         return MultiSessionTrace(
             arrivals=arrivals,
             regular_allocation=regular,

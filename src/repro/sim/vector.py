@@ -6,11 +6,15 @@ stage.  Between those events the policy's per-slot work is a pure
 function of the arrivals, and the queue's is a FIFO replay at a constant
 capacity.  This module exploits that:
 
-* :class:`EngineState` — the incremental single-session engine.  It owns
-  the queue/policy/recorder triple and exposes ``step(n_slots)`` so
-  callers can advance a simulation in bounded increments (streaming
-  ingestion via :meth:`feed`).  :func:`~repro.sim.engine.run_single_session`
-  is a thin wrapper over it.
+* One engine scaffold (``_Engine``) for one and for k sessions: the
+  ``step(n_slots)`` loop that lets callers advance a simulation in bounded
+  increments (slices where they apply, the scalar step elsewhere, the
+  drain tail under its cap) and the ``done``/``run`` bookkeeping.  Each
+  engine adds only its scalar slot body, its slices and its trace:
+  :class:`EngineState` (one session: it owns the queue, and takes
+  streaming ingestion via :meth:`~EngineState.feed`) and
+  :class:`MultiEngineState` (the policy owns the k sessions' queues).
+  The entry points in :mod:`repro.sim.engine` are thin wrappers over them.
 * **Policy-quiet slices**: a run of slots in which the policy provably
   keeps its allocation and runs no decision that reads the queue.  For
   :class:`SingleSessionOnline` in a stage, :meth:`StageKernel.scan
@@ -30,9 +34,6 @@ capacity.  This module exploits that:
   work is one :func:`~repro.network.queue.replay_fifo` call and its
   columns one ``record_keepup_block`` call; the event slot after it
   takes the ordinary scalar step, as does the drain tail.
-* :class:`MultiEngineState` — the incremental multi-session twin: it
-  owns the policy/recorder pair behind ``run_multi_session`` and exposes
-  the same ``step(n_slots)`` slicing contract.
 * **Session-major slices**: in Figures 4 and 5 a session's allocation
   changes only at its own *local events*: a phase end that is not a
   no-op for it (its regular queue above ``B_i^r·D_O``, or a non-zero
@@ -89,8 +90,11 @@ Exactness of a slice rests on "same float operations, same order":
   dropped, effective = granted); a multi-session slice records only
   slots no fault acts on.
 
-So traces are bit-identical to an all-scalar run (``vector=False``) by
-construction; the identity tests check it.
+So traces are bit-identical to an all-scalar run by construction.  The
+reference rule is the exact-type check in :func:`vector_capable` and
+:func:`multi_vector_capable`: an exact subclass of a policy takes the
+scalar step at every slot, so the identity tests build their all-scalar
+reference from a trivial subclass.
 """
 
 from __future__ import annotations
@@ -177,19 +181,6 @@ def _plane(policy) -> list[UnreliableLink]:
         links += (session.channels.regular_link, session.channels.overflow_link)
     links.append(policy.extra_link)
     return [link for link in links if isinstance(link, UnreliableLink)]
-
-
-def multi_local_changes(policy) -> list[tuple[int, str, object]]:
-    """Per-session link changes in change-time order (trace finalize)."""
-    local_changes = []
-    for session in policy.sessions:
-        channels = session.channels
-        for change in channels.regular_link.changes:
-            local_changes.append((session.index, "regular", change))
-        for change in channels.overflow_link.changes:
-            local_changes.append((session.index, "overflow", change))
-    local_changes.sort(key=lambda item: item[2].t)
-    return local_changes
 
 
 class _Column:
@@ -315,12 +306,117 @@ def _gallop(t: int, stop: int, advance, window: int) -> tuple[int, int]:
     return n, window
 
 
-class EngineState:
+class _Engine:
+    """The scaffold both engines share: init and drain-cap bookkeeping,
+    ``done``/``run`` and the ``step`` loop.
+
+    An engine adds its scalar slot body (:meth:`_begin`), its slices
+    (:meth:`_slice`) and ``finalize``, and names what the loop reads:
+    ``_rows`` (the arrival rows, indexed by slot), ``_drain_row`` (a drain
+    slot's arrivals), :meth:`_pending`, :attr:`backlog` and ``_sliced``
+    (the exact-type rule, :func:`vector_capable` and
+    :func:`multi_vector_capable`, admitted its policy).
+    """
+
+    #: Prefix of the once-per-``step`` telemetry.
+    _telemetry = "engine.stream"
+    #: What fails to drain, in the drain cap's error.
+    _queues = "queue"
+
+    def _start(self, drain: bool, max_drain_slots: int | None, faults, closed: bool) -> None:
+        self.drain = bool(drain)
+        self._max_drain_slots = max_drain_slots
+        self._faults = _FaultSchedule(faults)
+        self._faults.extend(self.horizon)
+        self.t = 0
+        self.closed = False
+        if closed:
+            self.close()
+
+    def close(self) -> None:
+        """No further arrivals: fixes the horizon and arms the drain cap
+        (default ``4 * horizon + 1000`` extra slots)."""
+        if self.closed:
+            return
+        self.closed = True
+        cap = self._max_drain_slots
+        self._cap = cap if cap is not None else 4 * self.horizon + 1000
+        self._limit = self.horizon + self._cap
+
+    @property
+    def done(self) -> bool:
+        """True when every ingested slot (and the drain tail) is simulated."""
+        if self.t < self.horizon or not self.closed:
+            return False
+        return not (self.drain and self._pending())
+
+    def run(self) -> None:
+        """Simulate to completion (closes the state first)."""
+        self.close()
+        while not self.done:
+            self.step(1 << 62)
+
+    def step(self, n_slots: int) -> int:
+        """Advance up to ``n_slots`` slots; return how many were simulated.
+
+        Stops early when the ingested arrivals are exhausted (feed more or
+        :meth:`close`) or the run is :attr:`done`.  Slicing a run into
+        arbitrary ``step`` calls never changes the resulting trace.
+        """
+        slot = self._begin()
+        rows = self._rows
+        horizon = self.horizon
+        sliced = self._sliced
+        processed = 0
+        t = self.t
+        try:
+            while processed < n_slots:
+                if t < horizon:
+                    if sliced:
+                        taken = self._slice(t, min(n_slots - processed, horizon - t, CHUNK))
+                        if taken:
+                            t += taken
+                            processed += taken
+                            continue
+                    slot(t, rows[t])
+                elif not self.closed:
+                    break
+                elif self.drain and self._pending():
+                    if t >= self._limit:
+                        raise SimulationError(
+                            f"{self._queues} failed to drain within {self._cap} extra "
+                            f"slots (backlog {self.backlog:.3f})"
+                        )
+                    slot(t, self._drain_row)
+                else:
+                    break
+                t += 1
+                processed += 1
+        finally:
+            self.t = t
+            self._end()
+            # Live-observatory surface: one guarded emission per step()
+            # call (never per slot), so the hot loop stays untouched and
+            # a telemetry-off run pays one attribute check.
+            tele = get_telemetry()
+            if tele.enabled and processed:
+                registry = tele.registry
+                registry.counter(self._telemetry + ".slots_advanced").inc(processed)
+                registry.gauge(self._telemetry + ".t").set(float(t))
+                registry.gauge(self._telemetry + ".backlog").set(self.backlog)
+        return processed
+
+    def _end(self) -> None:
+        """Undo what the scalar slot body left on the policy (``step``'s
+        ``finally``)."""
+
+
+class EngineState(_Engine):
     """Incremental single-session engine: advance in ``step(n_slots)`` bites.
 
     Traces are bit-identical regardless of how the run is sliced into
-    ``step`` calls — and, with ``vector`` enabled, regardless of where
-    policy-quiet slices begin and end.
+    ``step`` calls, and regardless of where policy-quiet slices begin and
+    end.
 
     Args:
         policy: the allocation policy (drives one
@@ -331,16 +427,16 @@ class EngineState:
             the queue empties.
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * horizon + 1000``, evaluated at :meth:`close` time).
-        queue_capacity: finite ingress buffer (None = unbounded).
+        queue_capacity: finite ingress buffer (None = unbounded; only an
+            unbounded queue takes policy-quiet slices).
         faults: a :class:`~repro.faults.plan.FaultPlan` (None = fault-free);
             its capacity and ingress factors fold into policy-quiet slices
             (module docstring).
-        vector: run policy-quiet slices where they apply
-            (:func:`vector_capable` policies with an unbounded queue);
-            ``False`` makes every slot a scalar step.
         closed: start closed (no further :meth:`feed`); the batch entry
             points use this.
     """
+
+    _drain_row = 0.0
 
     def __init__(
         self,
@@ -351,46 +447,32 @@ class EngineState:
         max_drain_slots: int | None = None,
         queue_capacity: float | None = None,
         faults: "FaultPlan | None" = None,
-        vector: bool = True,
         closed: bool = True,
     ):
         self.policy = policy
         self.queue = BitQueue("session", capacity=queue_capacity)
         self.recorder = SingleSessionRecorder()
-        self.drain = bool(drain)
-        self._max_drain_slots = max_drain_slots
         initial = arrival_array(arrivals, ndim=1)
         self._arrivals = _Column(initial)
-        self._values: list[float] = initial.tolist()
-        self._faults = _FaultSchedule(faults)
-        self._faults.extend(len(initial))
-        self.t = 0
-        self.closed = False
-
-        self._vector = vector and vector_capable(policy) and queue_capacity is None
-        self._kernel_policy = self._vector and type(policy) is SingleSessionOnline
+        self._rows: list[float] = initial.tolist()
+        self._sliced = vector_capable(policy) and queue_capacity is None
+        self._kernel_policy = type(policy) is SingleSessionOnline
         #: Galloping window of the next slice search; it survives a slice
         #: cut short by a ``step`` budget, not one ended by an event.
         self._window = _FIRST_WINDOW
-
-        if closed:
-            self.close()
-
-    # -- streaming surface -------------------------------------------------
+        self._start(drain, max_drain_slots, faults, closed)
 
     @property
     def horizon(self) -> int:
         """Arrival slots ingested so far."""
-        return len(self._values)
+        return len(self._rows)
 
     @property
-    def done(self) -> bool:
-        """True when every ingested slot (and the drain tail) is simulated."""
-        if self.t < self.horizon:
-            return False
-        if not self.closed:
-            return False
-        return not (self.drain and not self.queue.is_empty)
+    def backlog(self) -> float:
+        return self.queue.size
+
+    def _pending(self) -> bool:
+        return not self.queue.is_empty
 
     def feed(self, arrivals: Sequence[float] | np.ndarray) -> None:
         """Append more arrival slots (streaming ingestion)."""
@@ -399,43 +481,26 @@ class EngineState:
         chunk = arrival_array(arrivals, ndim=1)
         if chunk.size:
             self._arrivals.extend(chunk)
-            self._values.extend(chunk.tolist())
-            self._faults.extend(len(self._values))
+            self._rows.extend(chunk.tolist())
+            self._faults.extend(len(self._rows))
             tele = get_telemetry()
             if tele.enabled:
                 tele.registry.counter("engine.stream.fed_slots").inc(chunk.size)
                 tele.registry.gauge("engine.stream.horizon").set(
-                    float(len(self._values))
+                    float(len(self._rows))
                 )
 
-    def close(self) -> None:
-        """No further arrivals: fixes the horizon and arms the drain cap."""
-        if self.closed:
-            return
-        self.closed = True
-        horizon = self.horizon
-        cap = (
-            self._max_drain_slots
-            if self._max_drain_slots is not None
-            else 4 * horizon + 1000
-        )
-        self._cap = cap
-        self._limit = horizon + cap
+    #: Bound on the class itself, so each engine's ``step`` can be wrapped
+    #: (timed) on its own class.
+    step = _Engine.step
 
-    # -- the run loop ------------------------------------------------------
-
-    def step(self, n_slots: int) -> int:
-        """Advance up to ``n_slots`` slots; return how many were simulated.
-
-        Stops early when the ingested arrivals are exhausted (feed more or
-        :meth:`close`) or the run is :attr:`done`.  Slicing a run into
-        arbitrary ``step`` calls never changes the resulting trace.
-        """
+    def _begin(self):
+        """The scalar slot body ``slot(t, offered)`` for one ``step`` call,
+        over that call's hot locals; it also notes the policy's signaling
+        plane (its link, when unreliable) for :meth:`_slice`."""
         policy = self.policy
         queue = self.queue
         recorder = self.recorder
-        values = self._values
-        horizon = len(values)
         isfinite = math.isfinite
         decide = policy.decide
         push = queue.push
@@ -444,86 +509,45 @@ class EngineState:
         record = recorder.record
         faults = self._faults if self._faults.plan is not None else None
         link = policy.link
-        plane = link if isinstance(link, UnreliableLink) else None
-        processed = 0
-        t = self.t
-        try:
-            while processed < n_slots:
-                if t < horizon:
-                    if self._vector and (plane is None or plane.idle):
-                        taken = self._slice(t, min(n_slots - processed, horizon - t, CHUNK))
-                        if taken:
-                            t += taken
-                            processed += taken
-                            continue
-                    offered = values[t]
-                elif not self.closed:
-                    break
-                elif self.drain and not queue.is_empty:
-                    if t >= self._limit:
-                        raise SimulationError(
-                            f"queue failed to drain within {self._cap} extra "
-                            f"slots (backlog {queue.size:.3f})"
-                        )
-                    offered = 0.0
-                else:
-                    break
-                kept = offered
-                fault_dropped = 0.0
-                if faults is not None and offered > 0.0:
-                    keep = faults.ingress_at(t)
-                    if keep < 1.0:
-                        fault_dropped = offered * (1.0 - keep)
-                        kept = offered - fault_dropped
-                backlog = queue.size
-                lost = push(t, kept)
-                if plane is None:
-                    bandwidth = decide(t, kept, backlog)
-                else:
-                    plane.tick(t)
-                    decide(t, kept, backlog)
-                    plane.resend(t)
-                    bandwidth = plane.bandwidth
-                if not isfinite(bandwidth):
-                    raise SimulationError(
-                        f"policy returned non-finite bandwidth {bandwidth!r} at t={t}"
-                    )
-                if bandwidth < 0:
-                    raise SimulationError(
-                        f"policy returned negative bandwidth at t={t}"
-                    )
-                if faults is None:
-                    served = serve(t, bandwidth, histogram)
-                    record(t, offered, bandwidth, served, queue.size, dropped=lost)
-                else:
-                    # Link degradation: the wire serves less than granted.
-                    requested = link.requested
-                    effective = bandwidth * faults.capacity_at(t)
-                    served = serve(t, effective, histogram)
-                    record(
-                        t,
-                        offered,
-                        bandwidth,
-                        served,
-                        queue.size,
-                        dropped=lost + fault_dropped,
-                        requested=requested,
-                        effective=effective,
-                    )
-                t += 1
-                processed += 1
-        finally:
-            self.t = t
-            # Live-observatory surface: one guarded emission per step()
-            # call (never per slot), so the hot loop stays untouched and
-            # a telemetry-off run pays one attribute check.
-            tele = get_telemetry()
-            if tele.enabled and processed:
-                registry = tele.registry
-                registry.counter("engine.stream.slots_advanced").inc(processed)
-                registry.gauge("engine.stream.t").set(float(t))
-                registry.gauge("engine.stream.backlog").set(queue.size)
-        return processed
+        plane = self._plane = link if isinstance(link, UnreliableLink) else None
+
+        def slot(t: int, offered: float) -> None:
+            kept = offered
+            fault_dropped = 0.0
+            if faults is not None and offered > 0.0:
+                keep = faults.ingress_at(t)
+                if keep < 1.0:
+                    fault_dropped = offered * (1.0 - keep)
+                    kept = offered - fault_dropped
+            backlog = queue.size
+            lost = push(t, kept)
+            if plane is None:
+                bandwidth = decide(t, kept, backlog)
+            else:
+                plane.tick(t)
+                decide(t, kept, backlog)
+                plane.resend(t)
+                bandwidth = plane.bandwidth
+            if not isfinite(bandwidth):
+                raise SimulationError(
+                    f"policy returned non-finite bandwidth {bandwidth!r} at t={t}"
+                )
+            if bandwidth < 0:
+                raise SimulationError(f"policy returned negative bandwidth at t={t}")
+            if faults is None:
+                served = serve(t, bandwidth, histogram)
+                record(t, offered, bandwidth, served, queue.size, dropped=lost)
+            else:
+                # Link degradation: the wire serves less than granted.
+                requested = link.requested
+                effective = bandwidth * faults.capacity_at(t)
+                served = serve(t, effective, histogram)
+                record(
+                    t, offered, bandwidth, served, queue.size, dropped=lost + fault_dropped,
+                    requested=requested, effective=effective,
+                )
+
+        return slot
 
     def _slice(self, t: int, budget: int) -> int:
         """Commit the policy-quiet slice that starts at ``t``; return its
@@ -533,8 +557,11 @@ class EngineState:
         reads the queue.  A fault plan is part of the slice: the policy
         and the queue see the kept arrivals, and the queue work is one
         :func:`~repro.network.queue.replay_fifo` at the allocation times
-        each slot's capacity factor.
+        each slot's capacity factor.  A slice starts only on an idle
+        signaling plane.
         """
+        if self._plane is not None and not self._plane.idle:
+            return 0
         stop = t + budget
         policy = self.policy
         queue = self.queue
@@ -593,12 +620,6 @@ class EngineState:
             faults.served(allocation, t, t + n),
         )
         return n
-
-    def run(self) -> None:
-        """Simulate to completion (closes the state first)."""
-        self.close()
-        while not self.done:
-            self.step(1 << 62)
 
     def finalize(self) -> SingleSessionTrace:
         """Build the trace for the slots simulated so far."""
@@ -708,13 +729,12 @@ class _Lane:
         self.advance(at, fifo)
 
 
-class MultiEngineState:
+class MultiEngineState(_Engine):
     """Incremental multi-session engine: advance in ``step(n_slots)`` bites.
 
-    The multi-session twin of :class:`EngineState` and the implementation
-    behind ``run_multi_session``: traces are bit-identical regardless of
-    how the run is sliced into ``step`` calls — and, with ``vector``
-    enabled, regardless of where slices begin and end.
+    The implementation behind ``run_multi_session``: traces are
+    bit-identical regardless of how the run is sliced into ``step`` calls,
+    and regardless of where session-major slices begin and end.
 
     Args:
         policy: the multi-session policy (owns the queues).
@@ -729,10 +749,10 @@ class MultiEngineState:
             the policy.  The combined algorithm's global channel is served
             inside the policy and is not degraded.  Fault slots always
             take the scalar step.
-        vector: run session-major slices (module docstring) where they apply
-            (:func:`multi_vector_capable` policies); ``False`` makes every
-            slot a scalar step.
     """
+
+    _telemetry = "engine.stream.multi"
+    _queues = "queues"
 
     def __init__(
         self,
@@ -742,7 +762,6 @@ class MultiEngineState:
         drain: bool = True,
         max_drain_slots: int | None = None,
         faults: "FaultPlan | None" = None,
-        vector: bool = True,
     ):
         array = arrival_array(arrivals, ndim=2)
         horizon, k = array.shape
@@ -752,137 +771,86 @@ class MultiEngineState:
         self.k = k
         self.horizon = horizon
         self.recorder = MultiSessionRecorder(k)
-        self.drain = bool(drain)
-        self._arrivals = array
+        self._rows = array
+        self._drain_row = np.zeros(k)
         #: One contiguous row of arrivals per session, for the slices.
         self._by_session = np.ascontiguousarray(array.T)
-        self._zero = [0.0] * k
-        cap = max_drain_slots if max_drain_slots is not None else 4 * horizon + 1000
-        self._cap = cap
-        self._limit = horizon + cap
-        self._faults = _FaultSchedule(faults)
-        self._faults.extend(horizon)
-        self.t = 0
-        self._vector = vector and multi_vector_capable(policy)
+        self._sliced = multi_vector_capable(policy)
         #: The slot a slice last stopped before because it takes the
         #: scalar step (a RESET, or an event under the signaling plane).
         self._scalar_at = -1
+        self._start(drain, max_drain_slots, faults, closed=True)
 
     @property
-    def done(self) -> bool:
-        """True when every slot (and the drain tail) is simulated."""
-        if self.t < self.horizon:
-            return False
-        return not (self.drain and self.policy.total_backlog > 0)
+    def backlog(self) -> float:
+        return self.policy.total_backlog
 
-    def step(self, n_slots: int) -> int:
-        """Advance up to ``n_slots`` slots; return how many were simulated.
+    def _pending(self) -> bool:
+        return self.policy.total_backlog > 0
 
-        Slicing a run into arbitrary ``step`` calls never changes the
-        resulting trace.
-        """
+    #: Its own attribute, as in :class:`EngineState`.
+    step = _Engine.step
+
+    def _begin(self):
+        """The scalar slot body ``slot(t, row)`` for one ``step`` call; it
+        also notes the policy's signaling plane for :meth:`_slice`."""
         policy = self.policy
-        recorder = self.recorder
-        rows = self._arrivals
         horizon = self.horizon
         k = self.k
         sessions = policy.sessions
         policy_step = policy.step
-        record = recorder.record
+        record = self.recorder.record
         faults = self._faults if self._faults.plan is not None else None
-        plane = _plane(policy)
-        processed = 0
-        t = self.t
-        try:
-            while processed < n_slots:
-                if t < horizon:
-                    if (
-                        self._vector
-                        and t != self._scalar_at
-                        and (not plane or all(link.idle for link in plane))
-                    ):
-                        taken = self._slice(t, min(n_slots - processed, CHUNK), plane)
-                        if taken:
-                            t += taken
-                            processed += taken
-                            continue
-                    offered = rows[t].tolist()
-                elif self.drain and policy.total_backlog > 0:
-                    if t >= self._limit:
-                        raise SimulationError(
-                            f"queues failed to drain within {self._cap} extra "
-                            f"slots (backlog {policy.total_backlog:.3f})"
-                        )
-                    offered = self._zero
-                else:
-                    break
-                kept = offered
-                fault_dropped = 0.0
-                if faults is not None:
-                    factor = faults.capacity_at(t)
-                    for session in sessions:
-                        session.channels.capacity_factor = factor
-                    if t < horizon:
-                        keep = faults.ingress_at(t)
-                        if keep < 1.0:
-                            kept = [x * keep for x in offered]
-                            fault_dropped = sum(offered) - sum(kept)
-                for link in plane:
-                    link.tick(t)
-                delivered = policy_step(t, kept)
-                if len(delivered) != k:
-                    raise SimulationError(
-                        f"policy returned {len(delivered)} results for k={k} at t={t}"
-                    )
-                regular = [s.channels.regular_link.bandwidth for s in sessions]
-                overflow = [s.channels.overflow_link.bandwidth for s in sessions]
-                extra = (
-                    policy.extra_link.bandwidth
-                    if policy.extra_link is not None
-                    else 0.0
-                )
-                _require_finite((*regular, *overflow, extra), t)
-                backlogs = policy.session_backlogs()
-                record(
-                    t,
-                    offered,
-                    regular,
-                    overflow,
-                    delivered,
-                    backlogs,
-                    extra,
-                    requested_total=(
-                        policy.total_requested if faults is not None else None
-                    ),
-                    dropped=fault_dropped,
-                )
-                t += 1
-                processed += 1
-        finally:
-            self.t = t
-            if faults is not None:
-                # A mid-run SimulationError must not leak degraded capacity
-                # into the sessions' next run.
-                for session in sessions:
-                    session.channels.capacity_factor = 1.0
-            tele = get_telemetry()
-            if tele.enabled and processed:
-                registry = tele.registry
-                registry.counter("engine.stream.multi.slots_advanced").inc(
-                    processed
-                )
-                registry.gauge("engine.stream.multi.t").set(float(t))
-                registry.gauge("engine.stream.multi.backlog").set(
-                    policy.total_backlog
-                )
-        return processed
+        plane = self._plane = _plane(policy)
 
-    def _slice(self, t: int, budget: int, plane: list[UnreliableLink]) -> int:
+        def slot(t: int, row: np.ndarray) -> None:
+            offered = kept = row.tolist()
+            fault_dropped = 0.0
+            if faults is not None:
+                factor = faults.capacity_at(t)
+                for session in sessions:
+                    session.channels.capacity_factor = factor
+                if t < horizon:
+                    keep = faults.ingress_at(t)
+                    if keep < 1.0:
+                        kept = [x * keep for x in offered]
+                        fault_dropped = sum(offered) - sum(kept)
+            for link in plane:
+                link.tick(t)
+            delivered = policy_step(t, kept)
+            if len(delivered) != k:
+                raise SimulationError(
+                    f"policy returned {len(delivered)} results for k={k} at t={t}"
+                )
+            regular = [s.channels.regular_link.bandwidth for s in sessions]
+            overflow = [s.channels.overflow_link.bandwidth for s in sessions]
+            extra = policy.extra_link.bandwidth if policy.extra_link is not None else 0.0
+            _require_finite((*regular, *overflow, extra), t)
+            record(
+                t, offered, regular, overflow, delivered, policy.session_backlogs(), extra,
+                requested_total=policy.total_requested if faults is not None else None,
+                dropped=fault_dropped,
+            )
+
+        return slot
+
+    def _end(self) -> None:
+        if self._faults.plan is not None:
+            # A mid-run SimulationError must not leak degraded capacity
+            # into the sessions' next run.
+            for session in self.policy.sessions:
+                session.channels.capacity_factor = 1.0
+
+    def _slice(self, t: int, budget: int) -> int:
         """Advance the session-major slice that starts at ``t``, as the
         module docstring defines it; return its length (at most ``budget``;
-        0 when slot ``t`` needs the scalar step).  ``plane`` is idle at ``t``.
+        0 when slot ``t`` needs the scalar step).  A slice starts only on
+        an idle signaling plane.
         """
-        stop = min(self.horizon, t + budget)
+        plane = self._plane
+        if t == self._scalar_at or (plane and not all(link.idle for link in plane)):
+            return 0
+        stop = t + budget
         faulted = self._faults.plan is not None
         if faulted:
             hot = self._faults.next_hot(t)
@@ -912,7 +880,7 @@ class MultiEngineState:
         where the slice stops."""
         policy = self.policy
         fifo = policy.fifo
-        rows = self._arrivals
+        rows = self._rows
         edge = t  # no session replays past this slot
         while True:
             at = min(lane.pos for lane in lanes)
@@ -994,7 +962,7 @@ class MultiEngineState:
         ends = [block[0] for block in blocks[1:]] + [stop]
         for (start, regular, overflow, requested_total), end in zip(blocks, ends):
             self.recorder.record_keepup_block(
-                self._arrivals[start:end],
+                self._rows[start:end],
                 regular,
                 overflow,
                 requested_total,
@@ -1002,22 +970,21 @@ class MultiEngineState:
                 backlog[start - t : end - t],
             )
 
-    def run(self) -> None:
-        """Simulate to completion."""
-        while not self.done:
-            self.step(1 << 62)
-
     def finalize(self) -> MultiSessionTrace:
         """Build the trace for the slots simulated so far."""
         policy = self.policy
-        extra_changes = (
-            list(policy.extra_link.changes)
-            if policy.extra_link is not None
-            else []
-        )
+        # Per-session link changes in change-time order.
+        local_changes = []
+        for session in policy.sessions:
+            channels = session.channels
+            for kind, link in (
+                ("regular", channels.regular_link), ("overflow", channels.overflow_link)
+            ):
+                local_changes += [(session.index, kind, change) for change in link.changes]
+        local_changes.sort(key=lambda item: item[2].t)
         return self.recorder.finalize(
-            local_changes=multi_local_changes(policy),
-            extra_changes=extra_changes,
+            local_changes=local_changes,
+            extra_changes=list(policy.extra_link.changes) if policy.extra_link is not None else [],
             stage_starts=policy.stage_starts,
             resets=policy.resets,
             horizon=self.horizon,

@@ -511,16 +511,20 @@ def claim2_violations(margin: np.ndarray, queue: np.ndarray) -> np.ndarray:
 
 
 def _conserved_queue(
-    kept: np.ndarray, delivered: np.ndarray
+    kept: np.ndarray, delivered: np.ndarray, backlog: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The queue ``q(t) = q(t-1) + kept(t) - delivered(t)``, read as >= 0,
     and the mask of slots that clamped it.
 
     ``q`` may go below 0 by accumulated dust and is clamped at
     ``-_DUST·(t+1)``; a slot that clamps delivered bits the queue never
-    held.  Between clamps ``q`` is one ``np.add.accumulate`` over
-    ``[q, kept(t), -delivered(t), ...]``: the loop's floats, added left to
-    right.  After a clamp the span restarts at one slot and doubles.
+    held.  A slot whose ``q`` is not finite (a NaN or infinite input)
+    says nothing about the queue, so the next slot starts from the
+    recorded ``backlog`` there, or, where that is not finite either, from
+    the queue before the slot: every later slot is still checked.
+    Between clamps and non-finite slots ``q`` is one ``np.add.accumulate``
+    over ``[q, kept(t), -delivered(t), ...]``: the loop's floats, added
+    left to right.  After either the span restarts at one slot and doubles.
     """
     queue = np.empty(len(kept))
     clamps = np.zeros(len(kept), dtype=bool)
@@ -530,16 +534,24 @@ def _conserved_queue(
         steps = np.empty(2 * (stop - t) + 1)
         steps[0], steps[1::2], steps[2::2] = q, kept[t:stop], -delivered[t:stop]
         with np.errstate(invalid="ignore", over="ignore"):  # as Python floats do
-            run = np.add.accumulate(steps)[2::2]
+            totals = np.add.accumulate(steps)  # totals[2 * i]: q before slot t + i
+        run = totals[2::2]
         floor = -_DUST * np.arange(t + 1, stop + 1)
-        clamped = np.flatnonzero(run < floor)
-        span = 1 if clamped.size else min(2 * span, _REPLAY_BLOCK)
-        if clamped.size:
-            stop = t + int(clamped[0]) + 1
-            run[stop - t - 1] = floor[stop - t - 1]
-            clamps[stop - 1] = True
+        below = run < floor
+        broken = np.flatnonzero(below | ~np.isfinite(run))
+        span = 1 if broken.size else min(2 * span, _REPLAY_BLOCK)
+        if broken.size:
+            at = int(broken[0])
+            stop = t + at + 1
+            if below[at]:
+                run[at] = floor[at]
+                clamps[stop - 1] = True
         queue[t:stop] = run[: stop - t]
-        t, q = stop, float(queue[stop - 1])
+        q = float(queue[stop - 1])
+        if not math.isfinite(q):
+            recorded = float(backlog[stop - 1])
+            q = recorded if math.isfinite(recorded) else float(totals[2 * (stop - 1 - t)])
+        t = stop
     return np.where(queue < 0.0, 0.0, queue), clamps
 
 
@@ -555,7 +567,7 @@ def _conservation_faults(
     pass each later check; the gap is ``inf`` wherever ``finite`` is not
     set, which fails it here at its slot instead.
     """
-    derived, overdrawn = _conserved_queue(kept, delivered)
+    derived, overdrawn = _conserved_queue(kept, delivered, backlog)
     scale = np.maximum(1.0, np.abs(backlog))
     with np.errstate(invalid="ignore"):
         mismatch = np.where(finite, np.abs(derived - backlog) / scale, np.inf)
@@ -779,7 +791,8 @@ def certify_single(
         "nothing is served beyond the effective bandwidth"
         if bad.size == 0
         else f"{bad.size} slots break conservation",
-        margin=float(-mismatch.max(initial=0.0)) if bad.size else 0.0,
+        # The worst finite gap: a non-finite slot's is inf by construction.
+        margin=float(-mismatch[np.isfinite(mismatch)].max(initial=0.0)) if bad.size else 0.0,
         counterexamples=_collect(
             bad,
             lambda t: Counterexample(

@@ -18,6 +18,7 @@ from repro.params import OfflineConstraints
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.verify.oracle import min_changes_oracle
 from repro.verify.report import CertificateReport
+from tests.references import scalar_reference
 
 
 _SINGLE_ARRAYS = (
@@ -69,7 +70,7 @@ def vector_mismatch_single(
     """
     bulk = run_single_session(policy_factory(), arrivals, **engine_kwargs)
     scalar = run_single_session(
-        policy_factory(), arrivals, vector=False, **engine_kwargs
+        scalar_reference(policy_factory()), arrivals, **engine_kwargs
     )
     return _trace_mismatch(bulk, scalar, _SINGLE_ARRAYS)
 
@@ -80,7 +81,7 @@ def vector_mismatch_multi(
     """Multi-session bulk/scalar differential (see the single variant)."""
     bulk = run_multi_session(policy_factory(), arrivals, **engine_kwargs)
     scalar = run_multi_session(
-        policy_factory(), arrivals, vector=False, **engine_kwargs
+        scalar_reference(policy_factory()), arrivals, **engine_kwargs
     )
     return _trace_mismatch(bulk, scalar, _MULTI_ARRAYS)
 

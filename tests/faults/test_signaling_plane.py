@@ -59,6 +59,7 @@ from repro.params import OfflineConstraints
 from repro.sim.recorder import MultiSessionRecorder, SingleSessionRecorder
 from repro.sim.vector import EngineState, MultiEngineState
 from repro.traffic import generate_feasible_stream, generate_multi_feasible
+from tests.references import scalar_reference
 from tests.sim.test_pinned_engine import trace_digest
 from tests.strategies import FUZZ_EXAMPLES
 
@@ -276,9 +277,9 @@ def _reference_multi(policy, arrivals, plan, retry, out_links):
 
 def _installed_single(policy, arrivals, plan, retry, vector, budget, out_links):
     out_links += install_signaling(policy, plan, retry)
-    state = EngineState(
-        policy, arrivals, faults=plan, vector=vector, max_drain_slots=MAX_DRAIN
-    )
+    if not vector:
+        policy = scalar_reference(policy)
+    state = EngineState(policy, arrivals, faults=plan, max_drain_slots=MAX_DRAIN)
     while not state.done:
         state.step(budget)
     return state.finalize(), policy.link.requested_changes
@@ -286,9 +287,9 @@ def _installed_single(policy, arrivals, plan, retry, vector, budget, out_links):
 
 def _installed_multi(policy, arrivals, plan, retry, vector, budget, out_links):
     out_links += install_signaling(policy, plan, retry)
-    state = MultiEngineState(
-        policy, arrivals, faults=plan, vector=vector, max_drain_slots=MAX_DRAIN
-    )
+    if not vector:
+        policy = scalar_reference(policy)
+    state = MultiEngineState(policy, arrivals, faults=plan, max_drain_slots=MAX_DRAIN)
     while not state.done:
         state.step(budget)
     return state.finalize(), None

@@ -27,7 +27,11 @@ class QueueModel(RuleBasedStateMachine):
     def push(self, bits):
         self.queue.push(self.clock, bits)
         if bits > EPSILON:
-            self.shadow.append((self.clock, bits))
+            # Same-slot pushes share one chunk, as in the queue.
+            if self.shadow and self.shadow[-1][0] == self.clock:
+                self.shadow[-1] = (self.clock, self.shadow[-1][1] + bits)
+            else:
+                self.shadow.append((self.clock, bits))
             self.total_in += bits
 
     @rule(capacity=st.floats(min_value=0, max_value=150))
@@ -35,9 +39,10 @@ class QueueModel(RuleBasedStateMachine):
         histogram = {}
         served = self.queue.serve(self.clock, capacity, histogram)
         self.total_out += served
-        # Drain the shadow model FIFO by the same amount.
+        # Drain the shadow model FIFO by the same amount, down to exact
+        # zero: the queue serves sub-epsilon capacities too.
         remaining = served
-        while remaining > EPSILON and self.shadow:
+        while remaining > 0.0 and self.shadow:
             arrival, bits = self.shadow[0]
             take = min(bits, remaining)
             remaining -= take

@@ -6,11 +6,14 @@
 * :func:`naive_max_slope` — the O(n) max-slope query behind the hull;
 * :class:`CollectingProgress` — a progress sink that keeps every event;
 * :func:`check_stream_against_profile` — the single-session feasibility
-  check with a full report, whose verdict ``profile_serves`` must equal.
+  check with a full report, whose verdict ``profile_serves`` must equal;
+* :func:`scalar_reference` — a policy the engines step slot by slot, the
+  all-scalar reference the slice identity tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,3 +194,24 @@ def check_stream_against_profile(
         min_window_utilization=min_util,
         max_bandwidth_used=max_bw,
     )
+
+
+@functools.cache
+def _scalar_type(cls: type) -> type:
+    class Scalar(cls):
+        __slots__ = ()  # the same instance layout: ``__class__`` can be reassigned
+
+    Scalar.__name__ = Scalar.__qualname__ = f"Scalar{cls.__name__}"
+    return Scalar
+
+
+def scalar_reference(policy):
+    """``policy``, retyped as a trivial subclass of its class.
+
+    The engines slice only the exact policy types
+    (:func:`~repro.sim.vector.vector_capable`,
+    :func:`~repro.sim.vector.multi_vector_capable`), so a subclass takes
+    the scalar step at every slot: an all-scalar reference run.
+    """
+    policy.__class__ = _scalar_type(type(policy))
+    return policy

@@ -6,6 +6,7 @@ import pytest
 from repro.core.baselines import EqualSplitMultiSession, StaticAllocator
 from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import run_multi_session, run_single_session
+from repro.sim.recorder import histogram_max_delay
 from repro.verify.certificates import (
     TheoremBounds,
     certify_single,
@@ -89,8 +90,8 @@ class TestMultiSessionEngine:
         arrivals[0, 0] = 9.0  # session 0 gets a burst; each session owns 4/slot
         policy = EqualSplitMultiSession(2, offline_bandwidth=4.0)
         trace = run_multi_session(policy, arrivals)
-        assert trace.session_max_delay(0) == 2
-        assert trace.session_max_delay(1) == 0
+        assert histogram_max_delay(trace.delay_histograms[0]) == 2
+        assert histogram_max_delay(trace.delay_histograms[1]) == 0
 
 
 class _NonFinitePolicy(StaticAllocator):

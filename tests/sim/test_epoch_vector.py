@@ -1,8 +1,9 @@
 """Epoch allocators through every engine loop: bit-identity.
 
 MaxMinFairAllocator and PriorityTierAllocator are multi-vector capable
-(they bulk-commit quiet slots between epochs), so the all-scalar run
-(``vector=False``) and the default run must produce byte-identical traces — and slicing the run into
+(they bulk-commit quiet slots between epochs), so the all-scalar run (a
+:func:`~tests.references.scalar_reference` policy) and the default run
+must produce byte-identical traces — and slicing the run into
 arbitrary ``step(n_slots)`` chunks must be invisible too.  (The
 ``ThreeWay`` names date from when a third, general loop was compared.)  Fixed
 seeds cover smooth, bursty, overloaded, and dust-tailed streams.
@@ -17,6 +18,7 @@ from repro.core.maxminfair import MaxMinFairAllocator
 from repro.core.prioritytier import PriorityTierAllocator
 from repro.sim.engine import run_multi_session
 from repro.sim.vector import MultiEngineState, multi_vector_capable
+from tests.references import scalar_reference
 from tests.strategies import FUZZ_EXAMPLES, seeds
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -81,7 +83,7 @@ class TestEpochThreeWay:
     def test_three_way_identity(self, factory, shape):
         arrivals = _streams(47)[shape]
         vector = run_multi_session(factory(), arrivals)
-        scalar = run_multi_session(factory(), arrivals, vector=False)
+        scalar = run_multi_session(scalar_reference(factory()), arrivals)
         _assert_multi_identical(vector, scalar)
 
     @pytest.mark.parametrize("factory", FACTORIES)
@@ -91,7 +93,7 @@ class TestEpochThreeWay:
         rng = np.random.default_rng(seed)
         arrivals = rng.uniform(0.0, 6.0, size=(rng.integers(1, 80), 3))
         vector = run_multi_session(factory(), arrivals)
-        scalar = run_multi_session(factory(), arrivals, vector=False)
+        scalar = run_multi_session(scalar_reference(factory()), arrivals)
         _assert_multi_identical(vector, scalar)
 
 

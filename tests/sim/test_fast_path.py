@@ -1,6 +1,7 @@
-"""Engine path tests: bulk commits vs scalar steps (``vector=False``) are
-bit-identical — with telemetry on and under faults too — and the
-drain-slot cap behaves identically on both."""
+"""Engine path tests: bulk commits vs scalar steps (a
+:func:`~tests.references.scalar_reference` policy) are bit-identical —
+with telemetry on and under faults too — and the drain-slot cap behaves
+identically on both."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ from repro.obs import telemetry_session
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.sim.vector import multi_vector_capable, vector_capable
 from repro.traffic import generate_multi_feasible
+from tests.references import scalar_reference
+
+
+def _retyped(policy, vector: bool):
+    """``policy`` itself, or (``vector`` False) its all-scalar reference."""
+    return policy if vector else scalar_reference(policy)
 
 
 def _policy():
@@ -45,12 +52,12 @@ class TestSingleSessionBitIdentity:
     def test_fast_vs_general_loop(self):
         arrivals = _stream()
         bulk = run_single_session(_policy(), arrivals)
-        scalar = run_single_session(_policy(), arrivals, vector=False)
+        scalar = run_single_session(scalar_reference(_policy()), arrivals)
         _assert_single_identical(bulk, scalar)
 
     def test_fast_vs_instrumented(self):
         arrivals = _stream(seed=21)
-        plain = run_single_session(_policy(), arrivals, vector=False)
+        plain = run_single_session(scalar_reference(_policy()), arrivals)
         with telemetry_session():
             instrumented = run_single_session(_policy(), arrivals)
         _assert_single_identical(plain, instrumented)
@@ -61,14 +68,14 @@ class TestSingleSessionBitIdentity:
         assert vector_capable(_policy())
         bulk = run_single_session(_policy(), arrivals, faults=plan)
         assert bulk_commits, "fault-free stretches should still bulk-commit"
-        scalar = run_single_session(_policy(), arrivals, faults=plan, vector=False)
+        scalar = run_single_session(scalar_reference(_policy()), arrivals, faults=plan)
         _assert_single_identical(bulk, scalar)
 
     def test_no_drain_and_capacity(self):
         arrivals = _stream(horizon=500, seed=3)
         bulk = run_single_session(StaticAllocator(4.0), arrivals, drain=False)
         scalar = run_single_session(
-            StaticAllocator(4.0), arrivals, drain=False, vector=False
+            scalar_reference(StaticAllocator(4.0)), arrivals, drain=False
         )
         _assert_single_identical(bulk, scalar)
         assert bulk.slots == 500
@@ -81,12 +88,12 @@ class TestMultiSessionBitIdentity:
             3, offline_bandwidth=48, offline_delay=8, horizon=1200, seed=4
         )
 
-        def run(**kwargs):
-            policy = cls(3, offline_bandwidth=48, offline_delay=8)
-            return run_multi_session(policy, workload.arrivals, **kwargs)
+        def run(vector):
+            policy = _retyped(cls(3, offline_bandwidth=48, offline_delay=8), vector)
+            return run_multi_session(policy, workload.arrivals)
 
-        bulk = run()
-        scalar = run(vector=False)
+        bulk = run(True)
+        scalar = run(False)
         np.testing.assert_array_equal(
             bulk.regular_allocation, scalar.regular_allocation
         )
@@ -108,17 +115,18 @@ class TestMultiSessionBitIdentity:
 
         def run(vector):
             policy = PhasedMultiSession(3, offline_bandwidth=64, offline_delay=8)
-            assert multi_vector_capable(policy)
-            trace = run_multi_session(
-                policy, workload.arrivals, faults=plan, vector=vector, drain=False
-            )
+            policy = _retyped(policy, vector)
+            assert multi_vector_capable(policy) == vector
+            trace = run_multi_session(policy, workload.arrivals, faults=plan, drain=False)
             for session in policy.sessions:
                 assert session.channels.capacity_factor == 1.0
             return trace
 
         bulk = run(True)
         assert bulk_commits, "fault-free stretches should still bulk-commit"
+        commits = len(bulk_commits)
         scalar = run(False)
+        assert len(bulk_commits) == commits, "the scalar reference takes no slice"
         for name in ("regular_allocation", "overflow_allocation", "delivered",
                      "backlog", "requested_total", "dropped"):
             np.testing.assert_array_equal(getattr(bulk, name), getattr(scalar, name))
@@ -132,29 +140,25 @@ class TestDrainCap:
     def test_single_session_cap_trips(self, vector):
         with pytest.raises(SimulationError, match="failed to drain"):
             run_single_session(
-                StaticAllocator(1e-9), [100.0],
-                max_drain_slots=10, vector=vector,
+                _retyped(StaticAllocator(1e-9), vector), [100.0], max_drain_slots=10
             )
 
     @pytest.mark.parametrize("vector", [True, False])
     def test_multi_session_cap_trips(self, vector):
         policy = EqualSplitMultiSession(2, offline_bandwidth=1e-9)
         with pytest.raises(SimulationError, match="failed to drain"):
-            run_multi_session(
-                policy, [[50.0, 50.0]],
-                max_drain_slots=10, vector=vector,
-            )
+            run_multi_session(_retyped(policy, vector), [[50.0, 50.0]], max_drain_slots=10)
 
     @pytest.mark.parametrize("vector", [True, False])
     def test_zero_length_horizon_with_zero_cap(self, vector):
         """An empty horizon has nothing to drain: the cap never trips."""
         trace = run_single_session(
-            StaticAllocator(1.0), [], max_drain_slots=0, vector=vector
+            _retyped(StaticAllocator(1.0), vector), [], max_drain_slots=0
         )
         assert trace.slots == 0
         policy = EqualSplitMultiSession(2, offline_bandwidth=2.0)
         multi = run_multi_session(
-            policy, np.zeros((0, 2)), max_drain_slots=0, vector=vector
+            _retyped(policy, vector), np.zeros((0, 2)), max_drain_slots=0
         )
         assert multi.slots == 0
 
@@ -162,11 +166,10 @@ class TestDrainCap:
     def test_cap_exactly_sufficient(self, vector):
         # 10 units at 1/slot: 9 extra slots drain what the horizon started.
         trace = run_single_session(
-            StaticAllocator(1.0), [10.0], max_drain_slots=9, vector=vector
+            _retyped(StaticAllocator(1.0), vector), [10.0], max_drain_slots=9
         )
         assert trace.backlog[-1] == pytest.approx(0.0)
         with pytest.raises(SimulationError, match="failed to drain"):
             run_single_session(
-                StaticAllocator(1.0), [10.0],
-                max_drain_slots=8, vector=vector,
+                _retyped(StaticAllocator(1.0), vector), [10.0], max_drain_slots=8
             )

@@ -1,4 +1,4 @@
-"""Fault plans inside policy-quiet slices: bit-identity against ``vector=False``.
+"""Fault plans inside policy-quiet slices: bit-identity against the all-scalar run.
 
 A :class:`LinkDegradation` window changes only what the wire serves and an
 :class:`IngressDrop` only how many bits the policy is handed, so a faulted
@@ -24,6 +24,7 @@ from repro.sim import vector
 from repro.sim.engine import run_single_session
 from repro.sim.recorder import SingleSessionRecorder
 from repro.sim.vector import EngineState
+from tests.references import scalar_reference
 from tests.sim.test_slices import _assert_identical, _bursty, _policy, _reset_heavy
 from tests.strategies import FUZZ_EXAMPLES, seeds
 
@@ -37,7 +38,7 @@ def _both(arrivals, plan, policy=_policy, **kwargs):
     """The sliced and the all-scalar trace of one faulted run."""
     return (
         run_single_session(policy(), arrivals, faults=plan, **kwargs),
-        run_single_session(policy(), arrivals, faults=plan, vector=False, **kwargs),
+        run_single_session(scalar_reference(policy()), arrivals, faults=plan, **kwargs),
     )
 
 
@@ -67,7 +68,7 @@ class TestDegradationEdges:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_windows_on_slice_edges(self, seed, shift):
         arrivals = _bursty(seed, 2500)
-        events = _events(run_single_session(_policy(), arrivals, vector=False))
+        events = _events(run_single_session(scalar_reference(_policy()), arrivals))
         assert len(events) > 6
         windows = [
             LinkDegradation(max(0, a + shift), max(0, a + shift) + max(2, b - a), 0.5)
@@ -80,7 +81,7 @@ class TestDegradationEdges:
         # The galloping search from a slice start at ``s`` tries windows
         # ending at s + 32, s + 96, s + 224, ...
         arrivals = _bursty(7, 3000)
-        events = _events(run_single_session(_policy(), arrivals, vector=False))
+        events = _events(run_single_session(scalar_reference(_policy()), arrivals))
         edges = []
         for start in events[:12]:
             width, at = vector._FIRST_WINDOW, start + 1
@@ -121,7 +122,7 @@ class TestDegradationEdges:
         windows = [LinkDegradation(e, e + 25, 0.4) for e in feed_edges]
         windows += [LinkDegradation(max(0, e - 25), e, 0.7) for e in feed_edges]
         plan = FaultPlan(windows + [IngressDrop(p=0.05, fraction=0.6)], seed=seed)
-        reference = run_single_session(_policy(), arrivals, faults=plan, vector=False)
+        reference = run_single_session(scalar_reference(_policy()), arrivals, faults=plan)
         state = EngineState(_policy(), closed=False, faults=plan)
         at = 0
         for i, size in enumerate(feeds):
@@ -151,7 +152,7 @@ class TestDegradationShapes:
 
     def test_reset_drains_inside_a_window(self):
         arrivals = _reset_heavy(4, 6000)
-        scalar = run_single_session(_policy(), arrivals, vector=False)
+        scalar = run_single_session(scalar_reference(_policy()), arrivals)
         windows = [LinkDegradation(max(0, t - 20), t + 200, 0.6) for t in scalar.resets[::2]]
         assert windows
         sliced, scalar = _both(arrivals, FaultPlan(windows))

@@ -1,4 +1,4 @@
-"""Session-major slices are invisible: bit-identity against ``vector=False``.
+"""Session-major slices are invisible: bit-identity against the all-scalar run.
 
 A slice replays each session's queues with one
 :func:`~repro.network.queue.replay_fifo` call up to that session's own next local event (a phase end that is not a
@@ -27,6 +27,7 @@ from repro.sim import vector
 from repro.sim.engine import run_multi_session
 from repro.sim.vector import MultiEngineState, multi_vector_capable
 from repro.traffic.multi import generate_multi_feasible
+from tests.references import scalar_reference
 from tests.strategies import FUZZ_EXAMPLES, seeds
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -109,7 +110,7 @@ def _check(factory, arrivals, **kwargs):
     policy = factory()
     assert multi_vector_capable(policy)
     sliced = run_multi_session(policy, arrivals, **kwargs)
-    _assert_identical(sliced, run_multi_session(factory(), arrivals, vector=False, **kwargs))
+    _assert_identical(sliced, run_multi_session(scalar_reference(factory()), arrivals, **kwargs))
     return sliced, policy
 
 
@@ -211,6 +212,25 @@ class TestEpochIdentity:
         _check(factory(3, bool(rng.integers(2))), arrivals)
 
 
+class TestScalarReference:
+    """The all-scalar reference the identity tests compare against takes
+    no slice."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [_phased(2), _continuous(3), _max_min(), _priority()],
+        ids=["phased", "continuous", "max-min", "priority"],
+    )
+    def test_takes_no_slice(self, bulk_commits, factory):
+        arrivals = _blocks(factory().k, 400, seed=2)
+        reference = scalar_reference(factory())
+        assert not multi_vector_capable(reference)
+        run_multi_session(reference, arrivals, drain=False)
+        assert bulk_commits == []
+        run_multi_session(factory(), arrivals, drain=False)
+        assert bulk_commits
+
+
 class TestStepBudgets:
     """``step(n)`` budgets that end before, on and after a boundary."""
 
@@ -220,7 +240,7 @@ class TestStepBudgets:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_budget_relative_to_boundary(self, factory, offset):
         arrivals = _overload(factory().k, 600, seed=3)
-        reference = run_multi_session(factory(), arrivals, vector=False, drain=False)
+        reference = run_multi_session(scalar_reference(factory()), arrivals, drain=False)
         state = MultiEngineState(factory(), arrivals, drain=False)
         while not state.done:
             policy = state.policy
@@ -238,7 +258,7 @@ class TestStepBudgets:
     def test_budget_relative_to_reduce(self, fifo, offset):
         factory = _continuous(3, fifo)
         arrivals = _overload(3, 600, seed=3)
-        reference = run_multi_session(factory(), arrivals, vector=False, drain=False)
+        reference = run_multi_session(scalar_reference(factory()), arrivals, drain=False)
         state = MultiEngineState(factory(), arrivals, drain=False)
         while not state.done:
             dues = [state.policy.watch(i, state.t)[0] for i in range(3)]
@@ -255,7 +275,7 @@ class TestStepBudgets:
         k = int(rng.choice([1, 2, 8]))
         factory = _phased(k, fifo=bool(rng.integers(2)))
         arrivals = _blocks(k, 400, seed)
-        reference = run_multi_session(factory(), arrivals, vector=False)
+        reference = run_multi_session(scalar_reference(factory()), arrivals)
         state = MultiEngineState(factory(), arrivals)
         while not state.done:
             state.step(int(rng.integers(1, 3 * D_O)))
@@ -344,8 +364,8 @@ class TestTelemetryParity:
     @staticmethod
     def _observe(factory, arrivals, vector_on):
         with telemetry_session() as tele:
-            policy = factory()
-            run_multi_session(policy, arrivals, vector=vector_on, drain=False)
+            policy = factory() if vector_on else scalar_reference(factory())
+            run_multi_session(policy, arrivals, drain=False)
         counters = {
             name: value
             for name, value in tele.registry.snapshot()["counters"].items()

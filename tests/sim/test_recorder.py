@@ -98,5 +98,5 @@ class TestMultiSessionRecorder:
         assert trace.total_arrived == 4.0
         assert trace.max_total_allocation == pytest.approx(2 + 1 + 0.5 + 1.5)
         assert trace.completed_stages == 1
-        assert trace.session_max_delay(0) == 0
+        assert histogram_max_delay(trace.delay_histograms[0]) == 0
         assert trace.merged_delay_histogram == {0: 3.0}

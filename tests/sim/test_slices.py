@@ -1,4 +1,4 @@
-"""Policy-quiet slices are invisible: bit-identity against ``vector=False``.
+"""Policy-quiet slices are invisible: bit-identity against the all-scalar run.
 
 A slice advances Figure 3 (or a primed static allocation) through many
 slots with one :meth:`StageKernel.scan` search and one
@@ -21,6 +21,7 @@ from repro.faults import standard_plan
 from repro.sim import vector
 from repro.sim.engine import run_single_session
 from repro.sim.vector import EngineState
+from tests.references import scalar_reference
 from tests.strategies import FUZZ_EXAMPLES, seeds
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -74,7 +75,7 @@ class TestBacklogged:
         arrivals = _bursty(seed, horizon)
         _assert_identical(
             run_single_session(_policy(), arrivals),
-            run_single_session(_policy(), arrivals, vector=False),
+            run_single_session(scalar_reference(_policy()), arrivals),
         )
 
     @_SETTINGS
@@ -83,7 +84,7 @@ class TestBacklogged:
         arrivals = _reset_heavy(seed, horizon)
         _assert_identical(
             run_single_session(_policy(), arrivals),
-            run_single_session(_policy(), arrivals, vector=False),
+            run_single_session(scalar_reference(_policy()), arrivals),
         )
 
     @_SETTINGS
@@ -92,7 +93,7 @@ class TestBacklogged:
         arrivals = _bursty(seed, 1500)
         _assert_identical(
             run_single_session(StaticAllocator(bandwidth), arrivals, drain=False),
-            run_single_session(StaticAllocator(bandwidth), arrivals, drain=False, vector=False),
+            run_single_session(scalar_reference(StaticAllocator(bandwidth)), arrivals, drain=False),
         )
 
     def test_slices_cover_backlogged_slots(self, bulk_commits):
@@ -109,7 +110,7 @@ class TestGallopEdges:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_event_on_first_window_edge(self, monkeypatch, seed, shift):
         arrivals = _bursty(seed, 2000)
-        reference = run_single_session(_policy(), arrivals, vector=False)
+        reference = run_single_session(scalar_reference(_policy()), arrivals)
         # The first event after the first stage start, seen from the slot
         # where the first slice starts.
         start = reference.stage_starts[0] + 1
@@ -123,7 +124,7 @@ class TestGallopEdges:
     @given(seed=seeds, window=st.integers(1, 9))
     def test_dense_window_edges(self, seed, window):
         arrivals = _bursty(seed, 1200)
-        reference = run_single_session(_policy(), arrivals, vector=False)
+        reference = run_single_session(scalar_reference(_policy()), arrivals)
         previous = vector._FIRST_WINDOW
         vector._FIRST_WINDOW = window
         try:
@@ -141,7 +142,7 @@ class TestFeedStepSlicing:
     )
     def test_arbitrary_slicing(self, seed, feeds, steps):
         arrivals = _bursty(seed, sum(feeds))
-        reference = run_single_session(_policy(), arrivals, vector=False)
+        reference = run_single_session(scalar_reference(_policy()), arrivals)
         state = EngineState(_policy(), closed=False)
         at = 0
         for i, size in enumerate(feeds):
@@ -161,5 +162,5 @@ class TestFaults:
         plan = standard_plan(intensity, len(arrivals), seed=seed)
         _assert_identical(
             run_single_session(_policy(), arrivals, faults=plan),
-            run_single_session(_policy(), arrivals, faults=plan, vector=False),
+            run_single_session(scalar_reference(_policy()), arrivals, faults=plan),
         )

@@ -1,13 +1,14 @@
 """Vectorized engine tests: bit-identity against the scalar paths.
 
 The event-sliced fast-forward (:mod:`repro.sim.vector`) must be invisible
-in every recorded float: the vectorized run and the all-scalar run
-(``vector=False``) produce byte-identical traces.  These tests drive that
-equivalence over fixed edge cases (drain phases, zero horizons, dust
-accumulation) and randomized streams (hypothesis, with the budget driven
-by ``REPRO_FUZZ_EXAMPLES``), plus the exact-type gates
+in every recorded float: the vectorized run and the all-scalar run (a
+:func:`~tests.references.scalar_reference` policy, which the exact-type
+gates send down the scalar step) produce byte-identical traces.  These
+tests drive that equivalence over fixed edge cases (drain phases, zero
+horizons, dust accumulation) and randomized streams (hypothesis, with the
+budget driven by ``REPRO_FUZZ_EXAMPLES``), plus the exact-type gates
 (:func:`vector_capable`, :func:`multi_vector_capable`): a policy the gate
-turns away runs scalar steps and matches ``vector=False`` too.  (The
+turns away runs scalar steps and matches the reference too.  (The
 ``ThreeWay`` names date from when a third, general loop was compared as
 well.)
 """
@@ -25,6 +26,7 @@ from repro.core.single_session import SingleSessionOnline
 from repro.network.queue import EPSILON
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.sim.vector import multi_vector_capable, vector_capable
+from tests.references import scalar_reference
 from tests.strategies import FUZZ_EXAMPLES, arrival_streams
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -55,7 +57,7 @@ def _assert_three_way(arrivals, policy_factory=_policy):
     policy = policy_factory()
     assert vector_capable(policy)
     vector = run_single_session(policy, arrivals)
-    scalar = run_single_session(policy_factory(), arrivals, vector=False)
+    scalar = run_single_session(scalar_reference(policy_factory()), arrivals)
     _assert_single_identical(vector, scalar)
     return vector
 
@@ -82,7 +84,7 @@ class TestVectorCapability:
         arrivals = np.random.default_rng(9).poisson(6, 600).astype(float)
         default = run_single_session(policy(), arrivals)
         assert bulk_commits == []
-        _assert_single_identical(default, run_single_session(policy(), arrivals, vector=False))
+        _assert_single_identical(default, run_single_session(scalar_reference(policy()), arrivals))
 
     def test_vector_true_accepts_faults_and_telemetry(self, bulk_commits):
         from repro.faults import standard_plan
@@ -90,7 +92,7 @@ class TestVectorCapability:
 
         arrivals = np.full(300, 4.0)
         plan = standard_plan(0.3, 300, seed=1)
-        scalar = run_single_session(_policy(), arrivals, faults=plan, vector=False)
+        scalar = run_single_session(scalar_reference(_policy()), arrivals, faults=plan)
         with telemetry_session():
             vector = run_single_session(_policy(), arrivals, faults=plan)
         assert bulk_commits, "fault-free stretches should still slice"
@@ -102,8 +104,22 @@ class TestVectorCapability:
         assert bulk_commits == []
         _assert_single_identical(
             bounded,
-            run_single_session(_policy(), arrivals, queue_capacity=40.0, vector=False),
+            run_single_session(scalar_reference(_policy()), arrivals, queue_capacity=40.0),
         )
+
+    @pytest.mark.parametrize(
+        "policy",
+        [_policy, lambda: StaticAllocator(bandwidth=8.0)],
+        ids=["fig3", "static"],
+    )
+    def test_scalar_reference_takes_no_slice(self, bulk_commits, policy):
+        arrivals = np.random.default_rng(5).poisson(6, 400).astype(float)
+        reference = scalar_reference(policy())
+        assert not vector_capable(reference)
+        run_single_session(reference, arrivals)
+        assert bulk_commits == []
+        run_single_session(policy(), arrivals)
+        assert bulk_commits
 
     def test_vector_false_still_matches(self):
         arrivals = np.random.default_rng(5).poisson(6, 400).astype(float)
@@ -209,14 +225,14 @@ class TestMultiVector:
         policy = self._multi_policy()
         assert multi_vector_capable(policy)
         vector = run_multi_session(policy, arrivals)
-        scalar = run_multi_session(self._multi_policy(), arrivals, vector=False)
+        scalar = run_multi_session(scalar_reference(self._multi_policy()), arrivals)
         self._assert_multi_identical(vector, scalar)
 
     def test_multi_bursty(self):
         arrivals = np.random.default_rng(29).poisson(3, size=(1500, 3)).astype(float)
         policy = lambda: self._multi_policy(3)  # noqa: E731
         vector = run_multi_session(policy(), arrivals)
-        scalar = run_multi_session(policy(), arrivals, vector=False)
+        scalar = run_multi_session(scalar_reference(policy()), arrivals)
         self._assert_multi_identical(vector, scalar)
 
     def test_multi_incapable_takes_scalar_steps(self, bulk_commits):
@@ -228,7 +244,7 @@ class TestMultiVector:
         default = run_multi_session(policy(), arrivals)
         assert bulk_commits == []
         self._assert_multi_identical(
-            default, run_multi_session(policy(), arrivals, vector=False)
+            default, run_multi_session(scalar_reference(policy()), arrivals)
         )
 
 
@@ -277,7 +293,7 @@ class TestMultiExactTypeGate:
         assert bulk_commits == []
         assert logged.stepped == list(range(default.slots))
         TestMultiVector._assert_multi_identical(
-            default, run_multi_session(policy(), arrivals, vector=False)
+            default, run_multi_session(scalar_reference(policy()), arrivals)
         )
 
     def test_max_min_subclass_is_not_capable(self, bulk_commits):
@@ -289,7 +305,7 @@ class TestMultiExactTypeGate:
         default = run_multi_session(policy(), arrivals)
         assert bulk_commits == []
         TestMultiVector._assert_multi_identical(
-            default, run_multi_session(policy(), arrivals, vector=False)
+            default, run_multi_session(scalar_reference(policy()), arrivals)
         )
 
     def test_continuous_subclass_is_not_capable(self, bulk_commits):
@@ -302,5 +318,5 @@ class TestMultiExactTypeGate:
         default = run_multi_session(policy(), arrivals)
         assert bulk_commits == []
         TestMultiVector._assert_multi_identical(
-            default, run_multi_session(policy(), arrivals, vector=False)
+            default, run_multi_session(scalar_reference(policy()), arrivals)
         )

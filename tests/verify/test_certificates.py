@@ -284,6 +284,34 @@ class TestNonFiniteTracesFail:
         (check,) = [c for c in report.checks if c.name == "conservation"]
         assert 20 in [example.t for example in check.counterexamples]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_single_checks_every_slot_after_a_non_finite_one(self, value):
+        # The derived queue resumes from the recorded backlog after the
+        # non-finite slot, so a later slip is still found.
+        _, trace = _clean_trace()
+        assert trace.arrivals[10] > 0
+        trace.backlog[300] += 50.0
+        trace.arrivals[10] = value
+        report = certify_single(trace, single_session_bounds(_OFFLINE))
+        (check,) = [c for c in report.checks if c.name == "conservation"]
+        assert [example.t for example in check.counterexamples] == [10, 300]
+        assert check.detail == "2 slots break conservation"
+        # The margin is the worst finite gap: slot 300's.
+        backlog = trace.backlog[300]
+        assert check.margin == pytest.approx(-50.0 / backlog)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_multi_checks_every_slot_after_a_non_finite_one(self, value):
+        trace = _clean_multi_trace()
+        assert trace.arrivals[10, 0] > 0
+        trace.backlog[100, 0] += 50.0
+        trace.arrivals[10, 0] = value
+        report = certify_multi(trace, phased_bounds(32.0, 4, 2, feasible=False))
+        (check,) = [c for c in report.checks if c.name == "conservation"]
+        shown = [(c.t, int(c.values["session"])) for c in check.counterexamples]
+        assert shown == [(10, 0), (100, 0)]
+        assert check.detail == "2 (slot, session) pairs break conservation"
+
     def test_multi_opposite_infinities_fail_without_warnings(self):
         trace = _clean_multi_trace()
         trace.arrivals[20] = [np.inf, -np.inf]

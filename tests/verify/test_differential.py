@@ -129,7 +129,7 @@ class TestRawAndFaultedWorkloads:
 
 
 class TestFastPathDifferential:
-    """Bulk commits vs scalar steps (``vector=False``) must be bit-identical
+    """Bulk commits vs scalar steps (the all-scalar reference) must be bit-identical
     — any divergence is a bug."""
 
     @_FUZZ

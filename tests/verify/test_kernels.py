@@ -66,34 +66,21 @@ _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 # Oracles: the per-slot loops the kernels replaced, verbatim.
 
 
-def _conservation_oracle(kept, delivered):
-    slots = len(kept)
-    derived = np.empty(slots)
-    q = 0.0
-    for start in range(0, slots, _REPLAY_BLOCK):
-        stop = start + _REPLAY_BLOCK
-        block = []
-        pairs = zip(kept[start:stop].tolist(), delivered[start:stop].tolist())
-        for t, (k, d) in enumerate(pairs, start):
-            q = q + k - d
-            if q < 0.0:
-                q = max(q, -_DUST * (t + 1))  # tolerate accumulated dust only
-                block.append(max(q, 0.0))
-            else:  # max(q, 0.0) is q itself
-                block.append(q)
-        derived[start:stop] = block
-    return derived
-
-
-def _clamp_oracle(kept, delivered):
-    """Slots whose queue, before the clamp, is below the dust floor."""
-    clamps, q = [], 0.0
-    for t, (k, d) in enumerate(zip(kept.tolist(), delivered.tolist())):
-        q = q + k - d
-        if q < -_DUST * (t + 1):
+def _conservation_oracle(kept, delivered, backlog):
+    """The conserved queue (read as >= 0) and the slots that clamped it,
+    one slot at a time; after a non-finite slot q resumes from the
+    recorded backlog there, or from q before the slot."""
+    derived, clamps, q = [], [], 0.0
+    series = zip(kept.tolist(), delivered.tolist(), backlog.tolist())
+    for t, (k, d, b) in enumerate(series):
+        before, q = q, q + k - d
+        if q < -_DUST * (t + 1):  # tolerate accumulated dust only
             clamps.append(t)
             q = -_DUST * (t + 1)
-    return clamps
+        derived.append(max(q, 0.0) if q < 0.0 else q)  # max(q, 0.0) is q itself
+        if not math.isfinite(q):
+            q = b if math.isfinite(b) else before
+    return np.asarray(derived, dtype=float), clamps
 
 
 def _lindley_oracle(arrivals, capacities):
@@ -225,12 +212,12 @@ slot_values = st.one_of(
 
 
 @st.composite
-def series_pairs(draw, max_slots: int = 120):
-    """Two equal-length per-slot series mixing edge values and plain ones."""
+def series_pairs(draw, max_slots: int = 120, count: int = 2):
+    """``count`` (two) equal-length per-slot series mixing edge values and
+    plain ones."""
     slots = draw(st.integers(min_value=0, max_value=max_slots))
-    first = draw(st.lists(slot_values, min_size=slots, max_size=slots))
-    second = draw(st.lists(slot_values, min_size=slots, max_size=slots))
-    return np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    values = st.lists(slot_values, min_size=slots, max_size=slots)
+    return tuple(np.asarray(draw(values), dtype=float) for _ in range(count))
 
 
 @st.composite
@@ -251,17 +238,19 @@ def queue_pairs(draw, max_slots: int = 300):
 # Single-series kernels
 
 
-def _check_conservation(kept, delivered):
-    queue, clamps = _conserved_queue(kept, delivered)
-    _same(queue, _conservation_oracle(kept, delivered))
-    assert np.flatnonzero(clamps).tolist() == _clamp_oracle(kept, delivered)
+def _check_conservation(kept, delivered, backlog=None):
+    backlog = np.zeros(len(kept)) if backlog is None else backlog
+    queue, clamps = _conserved_queue(kept, delivered, backlog)
+    derived, clamped = _conservation_oracle(kept, delivered, backlog)
+    _same(queue, derived)
+    assert np.flatnonzero(clamps).tolist() == clamped
 
 
 class TestConservation:
     @_SETTINGS
-    @given(series_pairs())
-    def test_matches_oracle_on_edge_values(self, pair):
-        _check_conservation(*pair)
+    @given(series_pairs(count=3))
+    def test_matches_oracle_on_edge_values(self, series):
+        _check_conservation(*series)
 
     @_SETTINGS
     @given(queue_pairs())
@@ -270,7 +259,7 @@ class TestConservation:
         delivered, _, _ = _fifo_service_oracle(kept, capacity)
         # An honest trace, then one that over-delivers at random slots.
         _check_conservation(kept, delivered)
-        assert not _conserved_queue(kept, delivered)[1].any()
+        assert not _conserved_queue(kept, delivered, np.zeros(len(kept)))[1].any()
         tampered = delivered + np.where(np.arange(len(kept)) % 7 == 3, 1e-9, 0.0)
         _check_conservation(kept, tampered)
 
@@ -286,7 +275,7 @@ class TestConservation:
         _check_conservation(kept, delivered)
 
     def test_empty(self):
-        queue, clamps = _conserved_queue(np.array([]), np.array([]))
+        queue, clamps = _conserved_queue(np.array([]), np.array([]), np.array([]))
         assert queue.shape == clamps.shape == (0,)
 
 
@@ -503,9 +492,9 @@ def _single_rule_slips(trace):
     kept, delivered, backlog, finite = _multi_inputs(trace)
     slips = []
     for i in range(trace.k):
-        derived = _conservation_oracle(kept[:, i], delivered[:, i])
-        clamps = set(_clamp_oracle(kept[:, i], delivered[:, i]))
         recorded = backlog[:, i]
+        derived, clamped = _conservation_oracle(kept[:, i], delivered[:, i], recorded)
+        clamps = set(clamped)
         with np.errstate(invalid="ignore"):
             gap = np.abs(derived - recorded) / np.maximum(1.0, np.abs(recorded))
         for t in range(len(derived)):
@@ -742,4 +731,4 @@ def test_dust_floor_every_slot_fails_in_linear_work(monkeypatch, slots):
     # at each slot with 3 elements.
     assert add.elements <= 2 * _REPLAY_BLOCK + 1 + 3 * slots
     monkeypatch.undo()
-    _check_conservation(trace.arrivals, trace.delivered)
+    _check_conservation(trace.arrivals, trace.delivered, trace.backlog)

@@ -60,7 +60,7 @@ def certified_single_run(
     when the workload carries a certificate, e.g. came out of
     ``generate_feasible_stream``); ``feasible=False`` restricts to the
     unconditional accounting checks.  Extra ``engine_kwargs`` (``faults``,
-    ``vector``, ``queue_capacity``, ``drain``) pass through to
+    ``queue_capacity``, ``drain``) pass through to
     :func:`~repro.sim.engine.run_single_session`.
     """
     trace = run_single_session(

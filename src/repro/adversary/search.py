@@ -42,6 +42,10 @@ from repro.params import OfflineConstraints
 from repro.runner.cache import get_cache
 from repro.verify.oracle import RATIO_NO_STATEMENT, classify_ratio
 
+#: Every this-many-th hill-climb mutation starts from a random seed
+#: family instead of the incumbent.
+RESTART_EVERY = 7
+
 
 @dataclass(frozen=True)
 class AttackScore:
@@ -118,7 +122,6 @@ def score_single(
     candidate: AttackCandidate,
     offline: OfflineConstraints,
     *,
-    policy_factory=None,
     use_cache: bool = True,
 ) -> AttackScore:
     """Evaluate a single-session candidate against Figure 3.
@@ -127,13 +130,11 @@ def score_single(
     certificate (when a utilization constraint exists) and the DP oracle;
     ``opt_upper`` is the witness schedule's switch count — or, when the
     offline side is delay-only, the oracle's own witness (which is then a
-    genuinely feasible offline schedule).  ``policy_factory`` overrides
-    the engine policy (fresh instance per call); caching is skipped then,
-    since the policy configuration is not part of the cache key.
+    genuinely feasible offline schedule).
     """
 
     def compute() -> AttackScore:
-        policy = policy_factory() if policy_factory else default_policy(offline)
+        policy = default_policy(offline)
         trace, report, verdict = certified_attack_run(
             candidate.arrivals,
             offline,
@@ -170,7 +171,7 @@ def score_single(
             stages=trace.completed_stages,
         )
 
-    if not use_cache or policy_factory is not None:
+    if not use_cache:
         return compute()
     return _cached_score(
         {
@@ -343,7 +344,6 @@ def hill_climb(
     journal=None,
     tracker=None,
     keep_top: int = 8,
-    restart_every: int = 7,
 ) -> SearchResult:
     """Deterministic best-first search over attack candidates.
 
@@ -351,7 +351,7 @@ def hill_climb(
     ``i``'s randomness comes from ``default_rng([seed, i])`` and its
     parent is the best-scoring candidate so far, so the whole trajectory
     is a pure function of ``(initial, seed, budget)``.  Every
-    ``restart_every``-th mutation restarts from a random seed family
+    ``RESTART_EVERY``-th mutation restarts from a random seed family
     instead of the incumbent, which keeps one lucky family from starving
     the rest.  ``journal`` (a ``SweepJournal``) makes the run resumable;
     ``tracker`` (a ``ProgressTracker``) gets one ``job_done`` per
@@ -424,7 +424,7 @@ def hill_climb(
 
     for i in range(max(0, budget - len(initial))):
         rng = np.random.default_rng([seed, i])
-        if restart_every and (i + 1) % restart_every == 0:
+        if (i + 1) % RESTART_EVERY == 0:
             parent = initial[int(rng.integers(0, len(initial)))]
         else:
             parent = top[0][0]

@@ -3,8 +3,9 @@
 ``repro.arena`` is the tournament layer over the repo's policies: a
 fixed catalog of contestants and traffic models (:mod:`~repro.arena.
 catalog`), deterministic per-cell execution with certified
-competitive-ratio verdicts (:mod:`~repro.arena.cells`), resilient
-cached fan-out over the full grid (:mod:`~repro.arena.tournament`), and
+competitive-ratio verdicts (:mod:`~repro.arena.cells`), the full grid
+run as ``E-ARENA`` sweep points through the batch runner
+(:mod:`~repro.arena.tournament`), and
 a byte-stable ranked scorecard carrying a digest per cell
 (:mod:`~repro.arena.scorecard`).  ``repro arena`` is the CLI entry;
 ``E-ARENA`` is the registered experiment.
@@ -25,7 +26,13 @@ from repro.arena.catalog import (
     resolve_traffic,
     traffic_seed,
 )
-from repro.arena.cells import CELL_SCHEMA, Cell, cell_config, run_cell
+from repro.arena.cells import (
+    CELL_SCHEMA,
+    Cell,
+    cell_point,
+    run_cell,
+    run_cell_point,
+)
 from repro.arena.scorecard import (
     SCORECARD_SCHEMA,
     build_scorecard,
@@ -56,12 +63,13 @@ __all__ = [
     "TrafficSample",
     "TrafficSpec",
     "build_scorecard",
-    "cell_config",
+    "cell_point",
     "cell_rank_key",
     "render_scorecard",
     "resolve_policy",
     "resolve_traffic",
     "run_cell",
+    "run_cell_point",
     "run_tournament",
     "scorecard_json",
     "traffic_seed",

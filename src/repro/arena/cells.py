@@ -3,7 +3,8 @@
 A cell is the atomic unit of the arena: deterministic in ``(cell, k,
 horizon, seed, scale)`` and nothing else, so its payload can be cached
 content-addressed, journaled, recomputed in any worker process, and
-digest-verified wherever it resurfaces.
+digest-verified wherever it resurfaces.  :func:`cell_point` writes a
+cell as the ``E-ARENA`` sweep point that does all of this.
 
 Each payload carries the cell's metrics (change count, delays,
 delivery), the certified competitive-ratio verdict against the shared
@@ -42,7 +43,7 @@ from repro.verify import (
     min_changes_oracle,
 )
 
-#: Bump when the payload layout changes (invalidates arena cache keys).
+#: Version of the payload layout, recorded in every payload.
 CELL_SCHEMA = 1
 
 
@@ -65,20 +66,25 @@ class Cell:
         return f"{self.policy}/{self.traffic}/f{self.fault:g}"
 
 
-def cell_config(
-    cell: Cell, *, k: int, horizon: int, seed: int, scale: float
-) -> dict:
-    """Everything that influences the payload — the cache-key config."""
-    return {
-        "schema": CELL_SCHEMA,
-        "policy": cell.policy,
-        "traffic": cell.traffic,
-        "fault": cell.fault,
-        "k": k,
-        "horizon": horizon,
-        "seed": seed,
-        "scale": scale,
-    }
+def cell_point(cell: Cell, *, k: int, horizon: int) -> str:
+    """The cell as an ``E-ARENA`` sweep point: ``policy|traffic|fault|k|horizon``.
+
+    Seed and scale are part of every sweep point's cache key already;
+    the point carries the rest of what the payload depends on.
+    """
+    return "|".join(map(str, (cell.policy, cell.traffic, cell.fault, k, horizon)))
+
+
+def run_cell_point(point: str, *, seed: int, scale: float) -> dict:
+    """Run the cell that a :func:`cell_point` string names."""
+    policy, traffic, fault, k, horizon = point.split("|")
+    return run_cell(
+        Cell(policy, traffic, float(fault)),
+        k=int(k),
+        horizon=int(horizon),
+        seed=seed,
+        scale=scale,
+    )
 
 
 def _mean_delay(histogram: dict[int, float]) -> float:

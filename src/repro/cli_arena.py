@@ -6,10 +6,11 @@ fault-intensity cell deterministically and prints the ranked scorecard.
 journal; ``--resume`` replays journaled cells; ``--golden PATH`` compares
 the canonical scorecard bytes against a pinned fixture and exits
 non-zero on any drift (the regression mode the ``arena-smoke`` CI job
-runs).  Cells are cached content-addressed in the ``arena`` section when
-``REPRO_CACHE_DIR`` is set; ``--jobs N`` fans cells out to worker
-processes — the scorecard bytes are identical for every ``N`` and every
-cache temperature.
+runs).  Cells run as ``E-ARENA`` sweep points, cached content-addressed
+in the ``shards`` section when ``REPRO_CACHE_DIR`` is set (so a
+``repro report`` run warms them too); ``--jobs N`` fans cells out to
+worker processes — the scorecard bytes are identical for every ``N`` and
+every cache temperature.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.arena import (
     scorecard_json,
 )
 from repro.obs.live import serve_session
-from repro.obs.progress import ProgressTracker, progress_sink
+from repro.obs.progress import PROGRESS_MODES, ProgressTracker, progress_sink
 from repro.runner import SweepJournal, get_cache
 
 
@@ -116,7 +117,7 @@ def add_arena_parser(sub: argparse._SubParsersAction) -> None:
     )
     parser.add_argument(
         "--progress",
-        choices=("auto", "tty", "jsonl", "off"),
+        choices=PROGRESS_MODES,
         default="auto",
         help="live cell progress on stderr (default auto)",
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.adversary.campaign import ALGORITHMS, CampaignConfig, run_campaign
 from repro.adversary.corpus import load_corpus, replay_entry, save_corpus
 from repro.obs.live import serve_session
-from repro.obs.progress import ProgressTracker, progress_sink
+from repro.obs.progress import PROGRESS_MODES, ProgressTracker, progress_sink
 from repro.runner.resilience import SweepJournal
 
 
@@ -91,7 +91,7 @@ def add_attack_parser(sub: argparse._SubParsersAction) -> None:
     )
     parser.add_argument(
         "--progress",
-        choices=("auto", "tty", "jsonl", "off"),
+        choices=PROGRESS_MODES,
         default="auto",
         help="live search progress on stderr (default auto)",
     )

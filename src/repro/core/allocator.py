@@ -302,7 +302,3 @@ class RegularOverflowPolicy(MultiSessionPolicy):
     @property
     def total_regular(self) -> float:
         return sum(s.channels.regular_link.bandwidth for s in self.sessions)
-
-    @property
-    def total_overflow(self) -> float:
-        return sum(s.channels.overflow_link.bandwidth for s in self.sessions)

@@ -1,9 +1,11 @@
 """E-ARENA — the allocator tournament as a registered experiment.
 
-Each sweep point is one ``policy|traffic|fault`` cell of the arena grid
-(the batch runner fans cells out to workers exactly like the CLI's
-``--jobs``); assembly rebuilds the ranked scorecard from the cell
-payloads and re-checks the tournament's structural contracts:
+Each sweep point is one cell of the arena grid, written by
+:func:`~repro.arena.cells.cell_point` as ``policy|traffic|fault|k|horizon``.
+``repro arena`` runs its cells as the same points, so the two share
+shard-cache entries and journal keys.  Assembly rebuilds the ranked
+scorecard from the cell payloads and re-checks the tournament's
+structural contracts:
 
 * assembly is deterministic — building the scorecard twice from the same
   payloads yields identical canonical bytes;
@@ -18,7 +20,13 @@ payloads and re-checks the tournament's structural contracts:
 
 from __future__ import annotations
 
-from repro.arena import Cell, build_scorecard, run_cell, scorecard_json
+from repro.arena import (
+    Cell,
+    build_scorecard,
+    cell_point,
+    run_cell_point,
+    scorecard_json,
+)
 from repro.arena.catalog import MIN_HORIZON
 from repro.experiments.common import ExperimentResult, fmt, scaled
 from repro.experiments.registry import register_sweep
@@ -59,18 +67,17 @@ def _horizon(scale: float) -> int:
 def _points(seed: int = 0, scale: float = 1.0) -> list[str]:
     policies, traffic, faults = _grid(scale)
     return [
-        f"{p}|{t}|{f:g}" for p in policies for t in traffic for f in faults
+        cell_point(Cell(p, t, f), k=_K, horizon=_horizon(scale))
+        for p in policies
+        for t in traffic
+        for f in faults
     ]
 
 
 def _run_point(
     point: str, index: int, seed: int = 0, scale: float = 1.0
 ) -> dict:
-    policy, traffic, fault = point.split("|")
-    cell = Cell(policy=policy, traffic=traffic, fault=float(fault))
-    return run_cell(
-        cell, k=_K, horizon=_horizon(scale), seed=seed, scale=scale
-    )
+    return run_cell_point(point, seed=seed, scale=scale)
 
 
 def _cells(payloads: list[dict]) -> list[Cell]:

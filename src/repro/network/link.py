@@ -64,13 +64,6 @@ class Link:
         """Number of genuine allocation changes so far."""
         return len(self.changes)
 
-    @property
-    def last_change_t(self) -> int | None:
-        """Slot of the most recent genuine change (None before the first)."""
-        if not self.changes:
-            return None
-        return self.changes[-1].t
-
     def tick(self, t: int) -> None:
         """Advance link-internal state to slot ``t``.
 

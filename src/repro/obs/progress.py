@@ -326,6 +326,11 @@ class JsonlProgress:
         self.stream.flush()
 
 
+#: The ``--progress`` choices of every subcommand; ``off`` and ``none``
+#: are the same silent mode.
+PROGRESS_MODES = ("auto", "tty", "jsonl", "off", "none")
+
+
 def progress_sink(mode: str, stream=None):
     """Map a ``--progress`` CLI mode to a sink (None = no progress).
 

@@ -10,12 +10,14 @@
 * :mod:`repro.runner.batch` — process-parallel fan-out of experiments
   (and of independent sweep points inside shardable experiments) with
   deterministic, order-preserving result merging: ``repro report
-  --jobs N`` is byte-identical for every ``N``.
+  --jobs N`` is byte-identical for every ``N``.  Its
+  :class:`~repro.runner.batch.JobPlan` is the one sweep-point executor;
+  the arena tournament runs its cells through it as ``E-ARENA`` points.
 * :mod:`repro.runner.resilience` — the one job executor under the batch
-  runner and the arena tournament (in-process at ``--jobs 1``): per-shard retry budgets with exponential backoff
-  (:class:`RunPolicy`), crash recovery (pool rebuild + lost-shard
-  resubmission), per-run deadlines, structured quarantine
-  (:class:`FailedShard`), an append-only checkpoint journal
+  runner (in-process at ``--jobs 1``): per-shard retry budgets with
+  exponential backoff (:class:`RunPolicy`), crash recovery (pool
+  rebuild + lost-shard resubmission), per-run deadlines, structured
+  quarantine (:class:`FailedShard`), an append-only checkpoint journal
   (:class:`SweepJournal`, ``repro report --resume``), and a seeded
   chaos harness (:class:`ChaosPlan`) for tests.
 """

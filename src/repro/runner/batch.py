@@ -9,6 +9,12 @@ fan out one job per sweep point when ``jobs > 1``, so a single
 heavyweight sweep also saturates the pool.  At ``jobs == 1`` a sweep is
 one whole-experiment job, since in-process sharding buys nothing.
 
+:class:`JobPlan` is the one sweep-point executor: each point comes from
+the shard cache, then the journal, else from a point job, and the
+payloads merge in point order.  :func:`run_batch` plans its sweeps with
+it, and so does :func:`repro.arena.run_tournament`, whose cells are
+``E-ARENA`` points at every ``jobs``; the two share shard-cache entries.
+
 Determinism is the design constraint everything else serves:
 
 * job *payloads* are only primitives — ``(experiment_id, point, index,
@@ -62,6 +68,7 @@ from repro.runner.resilience import (
     ChaosPlan,
     FailedShard,
     Job,
+    ResilienceStats,
     RunPolicy,
     SweepJournal,
     _guarded,
@@ -232,7 +239,6 @@ def run_batch(
         registry.get(experiment_id)  # fail fast on unknown ids
 
     policy = policy if policy is not None else DEFAULT_POLICY
-    telemetry = get_telemetry().enabled
 
     cache = get_cache()
     report = BatchReport(
@@ -274,7 +280,7 @@ def run_batch(
     try:
         with signal_guard():
             _run_pending(
-                pending, seed, scale, jobs, cache, telemetry, policy,
+                pending, seed, scale, jobs, cache, policy,
                 chaos, log, report, computed,
                 tracker=tracker, cached_results=cached_results,
             )
@@ -312,13 +318,156 @@ def _fmt_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+class JobPlan:
+    """Jobs to run, and the payloads reused in their place, as one batch.
+
+    :meth:`points` plans a sweep's points for both :func:`run_batch` and
+    :func:`repro.arena.run_tournament`: each point comes from the shard
+    cache, then the journal, else from a point job.  :meth:`run` executes
+    the planned jobs through :func:`~repro.runner.resilience.run_resilient`
+    (in this process when ``jobs == 1``) and stores each computed payload
+    in the journal and, for a point, in the shard cache.  :meth:`payload`
+    reads any planned key back, so callers merge in their own point
+    order, never in completion order.
+    """
+
+    def __init__(self, cache: ContentCache | None, journal: SweepJournal | None):
+        self.cache = cache
+        self.journal = journal
+        self.work: list[Job] = []
+        self.reused: dict[str, dict] = {}  # key -> payload (cache or journal hit)
+        self.reused_labels: list[str] = []
+        self.from_cache = 0
+        self.from_journal = 0
+        self.worker_snapshots = 0
+        #: ``job.key -> (payload, snapshot)`` for every job that succeeded.
+        self.results: dict[str, tuple[dict, dict | None]] = {}
+
+    def journaled(self, key: str) -> bool:
+        return self.journal is not None and key in self.journal
+
+    def add(self, job: Job) -> None:
+        self.work.append(replace(job, seq=len(self.work)))
+
+    def reuse_journaled(self, key: str, label: str) -> None:
+        self.reused[key] = self.journal.get(key)
+        self.reused_labels.append(label)
+        self.from_journal += 1
+        obs_count("runner.resilience.resume_skips")
+
+    def points(
+        self,
+        experiment_id: str,
+        points: list,
+        seed: int,
+        scale: float,
+        labels: list[str] | None = None,
+    ) -> list[str]:
+        """Plan one sweep's points; return their keys in point order.
+
+        ``labels`` names each point in progress events (default
+        ``"<experiment_id>[<index>]"``).
+        """
+        if labels is None:
+            labels = [f"{experiment_id}[{index}]" for index in range(len(points))]
+        keys = []
+        for index, (point, label) in enumerate(zip(points, labels)):
+            key = _shard_key(experiment_id, point, index, seed, scale)
+            payload = (
+                self.cache.load_json("shards", key)
+                if self.cache is not None
+                else None
+            )
+            if payload is not None:
+                self.reused[key] = payload
+                self.reused_labels.append(label)
+                self.from_cache += 1
+            elif self.journaled(key):
+                self.reuse_journaled(key, label)
+            else:
+                self.add(Job(
+                    key=key, label=label, kind="point",
+                    experiment_id=experiment_id, seed=seed, scale=scale,
+                    index=index, point=point,
+                ))
+            keys.append(key)
+        return keys
+
+    def run(
+        self,
+        jobs: int,
+        policy: RunPolicy,
+        tracker: ProgressTracker | None = None,
+        chaos: ChaosPlan | None = None,
+    ) -> tuple[list[FailedShard], ResilienceStats]:
+        """Report the reused payloads to ``tracker``, then run the jobs."""
+        worker = (
+            (
+                str(self.cache.root) if self.cache is not None else None,
+                get_telemetry().enabled,
+            )
+            if jobs > 1
+            else None
+        )
+        if tracker is not None:
+            for label in self.reused_labels:
+                tracker.job_done(label, cached=True)
+
+        def submit(pool, job: Job, attempt: int):
+            return pool.submit(_run_job, job, attempt, chaos, worker)
+
+        def on_success(job: Job, payload: dict) -> None:
+            if self.journal is not None:
+                _guarded(self.journal.record, job.key, payload)
+            if self.cache is not None and job.kind == "point":
+                _guarded(self.cache.store_json, "shards", job.key, payload)
+
+        # Fold worker telemetry into the parent registry *as shards
+        # complete*, so a live scrape (``--serve``) sees counters move
+        # mid-sweep.  Completion order is safe for every commutative field
+        # (counters add, histogram buckets add, gauge ranges widen); only a
+        # gauge's last value is order-dependent, which the refold pass below
+        # re-asserts in submission order once the sweep is done.
+        parent_registry = get_telemetry().registry
+        base_totals = parent_registry.histogram_totals()
+
+        def on_snapshot(job: Job, snapshot: dict | None) -> None:
+            if snapshot is not None:
+                parent_registry.merge_snapshot(snapshot)
+                self.worker_snapshots += 1
+
+        self.results, failed, stats = run_resilient(
+            self.work, submit, policy, max_workers=jobs,
+            tracker=tracker, on_success=on_success, on_snapshot=on_snapshot,
+        )
+
+        # Deterministic refold in submission (seq) order of what completion
+        # order could change: gauge last-values and histogram float totals.
+        # The final registry state equals an end-only submission-order merge.
+        snapshots = [
+            self.results[job.key][1]
+            for job in self.work
+            if job.key in self.results and self.results[job.key][1] is not None
+        ]
+        for snapshot in snapshots:
+            parent_registry.refold_gauge_values(snapshot)
+        parent_registry.refold_histogram_totals(base_totals, snapshots)
+        return failed, stats
+
+    def payload(self, key: str) -> dict | None:
+        """A planned key's payload: reused or computed (None if it failed)."""
+        if key in self.reused:
+            return self.reused[key]
+        hit = self.results.get(key)
+        return hit[0] if hit is not None else None
+
+
 def _run_pending(
     pending: list[str],
     seed: int,
     scale: float,
     jobs: int,
     cache: ContentCache | None,
-    telemetry: bool,
     policy: RunPolicy,
     chaos: ChaosPlan | None,
     log: SweepJournal | None,
@@ -332,142 +481,55 @@ def _run_pending(
     A sweep whose every shard key is in the journal is assembled from
     its points.  Otherwise an experiment whose result key is in the
     journal is taken from it.  Otherwise a sweep with ``jobs > 1`` is
-    assembled from its points, and anything else is one whole-experiment
-    job.  Each point comes from the shard cache, then the journal, else
-    from its own job.  So a journal resumes at any ``jobs``, whichever
-    granularity wrote it.
+    assembled from its points (planned by :meth:`JobPlan.points`), and
+    anything else is one whole-experiment job.  So a journal resumes at
+    any ``jobs``, whichever granularity wrote it.
 
     ``jobs == 1`` never shards (in-process sharding buys nothing): one job
     per experiment keeps one progress event, one result-keyed journal
-    entry and one ``registry.run`` call per experiment.  Every job runs
-    through :func:`~repro.runner.resilience.run_resilient`, in-process
-    when ``jobs == 1``.
+    entry and one ``registry.run`` call per experiment.
     """
-    worker = (
-        (str(cache.root) if cache is not None else None, telemetry)
-        if jobs > 1
-        else None
-    )
-    sweeps: dict[str, list] = {}  # experiment id -> points, assembled here
-    work: list[Job] = []
-    reused: dict[str, dict] = {}  # key -> payload (cache or journal hit)
-    reused_labels: list[str] = []
-
-    def plan(job: Job) -> None:
-        work.append(replace(job, seq=len(work)))
-
-    def reuse(key: str, label: str, payload: dict, from_cache: bool) -> None:
-        reused[key] = payload
-        reused_labels.append(label)
-        if from_cache:
-            report.shard_cache_hits += 1
-        else:
-            report.journal_skips += 1
-            obs_count("runner.resilience.resume_skips")
-
-    def journaled(key: str) -> bool:
-        return log is not None and key in log
-
+    plan = JobPlan(cache, log)
+    sweeps: dict[str, list[str]] = {}  # experiment id -> its point keys
     for experiment_id in pending:
         spec = registry.sweep_spec(experiment_id)
         points = spec.points(seed, scale) if spec is not None else []
-        shards = [
-            (_shard_key(experiment_id, point, index, seed, scale), index, point)
-            for index, point in enumerate(points)
-        ]
         result_key = _result_key(experiment_id, seed, scale)
-        complete = bool(shards) and all(journaled(key) for key, _, _ in shards)
-        if not complete and journaled(result_key):
-            reuse(result_key, experiment_id, log.get(result_key), False)
-        elif complete or (shards and jobs > 1):
-            sweeps[experiment_id] = points
+        complete = bool(points) and all(
+            plan.journaled(_shard_key(experiment_id, point, index, seed, scale))
+            for index, point in enumerate(points)
+        )
+        if not complete and plan.journaled(result_key):
+            plan.reuse_journaled(result_key, experiment_id)
+        elif complete or (points and jobs > 1):
+            sweeps[experiment_id] = plan.points(experiment_id, points, seed, scale)
             report.shard_jobs += len(points)
-            for key, index, point in shards:
-                label = f"{experiment_id}[{index}]"
-                payload = (
-                    cache.load_json("shards", key)
-                    if cache is not None
-                    else None
-                )
-                if payload is not None:
-                    reuse(key, label, payload, from_cache=True)
-                elif journaled(key):
-                    reuse(key, label, log.get(key), from_cache=False)
-                else:
-                    plan(Job(
-                        key=key, label=label, kind="point",
-                        experiment_id=experiment_id, seed=seed, scale=scale,
-                        index=index, point=point,
-                    ))
         else:
-            plan(Job(
+            plan.add(Job(
                 key=result_key, label=experiment_id, kind="run",
                 experiment_id=experiment_id, seed=seed, scale=scale,
             ))
+    report.shard_cache_hits += plan.from_cache
+    report.journal_skips += plan.from_journal
 
     if tracker is not None:
         # Job granularity: one per shard/monolithic run, plus the cache
         # and journal hits (counted as instantly-completed work).
         tracker.total = (
-            len(work) + len(reused_labels) + len(cached_results or {})
+            len(plan.work) + len(plan.reused_labels) + len(cached_results or {})
         )
         tracker.start()
         for experiment_id in (cached_results or {}):
             tracker.job_done(experiment_id, cached=True)
-        for label in reused_labels:
-            tracker.job_done(label, cached=True)
 
-    def submit(pool, job: Job, attempt: int):
-        return pool.submit(_run_job, job, attempt, chaos, worker)
-
-    def on_success(job: Job, payload: dict) -> None:
-        if log is not None:
-            _guarded(log.record, job.key, payload)
-        if cache is not None and job.kind == "point":
-            _guarded(cache.store_json, "shards", job.key, payload)
-
-    # Fold worker telemetry into the parent registry *as shards
-    # complete*, so a live scrape (``--serve``) sees counters move
-    # mid-sweep.  Completion order is safe for every commutative field
-    # (counters add, histogram buckets add, gauge ranges widen); only a
-    # gauge's last value is order-dependent, which the refold pass below
-    # re-asserts in submission order once the sweep is done.
-    parent_registry = get_telemetry().registry
-    base_totals = parent_registry.histogram_totals()
-
-    def on_snapshot(job: Job, snapshot: dict | None) -> None:
-        if snapshot is not None:
-            parent_registry.merge_snapshot(snapshot)
-            report.worker_snapshots += 1
-
-    results, failed, stats = run_resilient(
-        work, submit, policy, max_workers=jobs,
-        tracker=tracker, on_success=on_success, on_snapshot=on_snapshot,
-    )
+    failed, stats = plan.run(jobs, policy, tracker=tracker, chaos=chaos)
     report.failed.extend(failed)
     report.retries += stats.retries
     report.timeouts += stats.timeouts
     report.crashes += stats.crashes
     report.corrupt_payloads += stats.corrupt_payloads
     report.pool_rebuilds += stats.pool_rebuilds
-
-    # Deterministic refold in submission (seq) order of what completion
-    # order could change: gauge last-values and histogram float totals.
-    # The final registry state equals an end-only submission-order merge.
-    snapshots = [
-        results[job.key][1]
-        for job in work
-        if job.key in results and results[job.key][1] is not None
-    ]
-    for snapshot in snapshots:
-        parent_registry.refold_gauge_values(snapshot)
-    parent_registry.refold_histogram_totals(base_totals, snapshots)
-
-    def payload_for(key: str) -> dict | None:
-        if key in reused:
-            return reused[key]
-        hit = results.get(key)
-        return hit[0] if hit is not None else None
+    report.worker_snapshots += plan.worker_snapshots
 
     # Assemble in request order; completion order never matters.
     incomplete = {shard.experiment_id for shard in report.failed}
@@ -475,11 +537,7 @@ def _run_pending(
         if experiment_id in incomplete:
             continue
         if experiment_id in sweeps:
-            points = sweeps[experiment_id]
-            payloads = [
-                payload_for(_shard_key(experiment_id, point, index, seed, scale))
-                for index, point in enumerate(points)
-            ]
+            payloads = [plan.payload(key) for key in sweeps[experiment_id]]
             if any(payload is None for payload in payloads):
                 continue  # lost to a sibling's strict abort — not assembled
             spec = registry.sweep_spec(experiment_id)
@@ -487,7 +545,7 @@ def _run_pending(
                 payloads, seed=seed, scale=scale
             )
         else:
-            raw = payload_for(_result_key(experiment_id, seed, scale))
+            raw = plan.payload(_result_key(experiment_id, seed, scale))
             if raw is None:
                 continue
             try:

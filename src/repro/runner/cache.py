@@ -9,14 +9,16 @@ argument, the cache schema version, and the package version — so a stale
 entry can never be returned: any change to the inputs or the code version
 changes the key, and the old entry is simply never looked up again.
 
-Three sections live under the cache root:
+Four sections live under the cache root:
 
 * ``workloads/`` — ``.npz`` arrays for single- and multi-session
   certified workloads (:func:`cached_feasible_stream`,
   :func:`cached_multi_feasible`).
 * ``results/`` — finished :class:`~repro.experiments.common.ExperimentResult`
   dumps, stored by the batch runner.
-* ``shards/`` — per-point payloads of shardable sweep experiments.
+* ``shards/`` — per-point payloads of shardable sweep experiments,
+  ``repro arena`` cells included (they are ``E-ARENA`` points).
+* ``adversary/`` — attack scores from ``repro attack``.
 
 The cache is *opt-in*: it activates only when ``REPRO_CACHE_DIR`` is set
 or the CLI passes ``--cache-dir``.  All writes are atomic
@@ -66,7 +68,7 @@ CACHE_SCHEMA = 2
 #: Environment variable naming the cache root (cache disabled when unset).
 CACHE_ENV = "REPRO_CACHE_DIR"
 
-_SECTIONS = ("workloads", "results", "shards", "adversary", "arena")
+_SECTIONS = ("workloads", "results", "shards", "adversary")
 
 #: Subdirectory corrupt entries are moved to (never a lookup target).
 QUARANTINE_DIR = "quarantine"

@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.arena import Cell, cell_config, run_cell
+from repro.arena import Cell, cell_point, run_cell
 from repro.errors import ConfigError
-from repro.runner.cache import ContentCache, payload_digest
+from repro.runner.batch import _shard_key
+from repro.runner.cache import payload_digest
+
+
+def _key(cell, *, k, horizon, seed, scale):
+    """The cache key of a tournament cell at grid index 0: an E-ARENA point."""
+    return _shard_key("E-ARENA", cell_point(cell, k=k, horizon=horizon), 0, seed, scale)
 
 
 class TestCellIdentity:
@@ -19,23 +25,31 @@ class TestCellIdentity:
             Cell("max-min", "uniform", 0.0),
             Cell("max-min", "smooth", 0.4),
         ]
-        base_cfg = cell_config(base, k=4, horizon=128, seed=0, scale=1.0)
+        base_key = _key(base, k=4, horizon=128, seed=0, scale=1.0)
         for other in variants:
-            assert cell_config(other, k=4, horizon=128, seed=0, scale=1.0) != base_cfg
+            assert _key(other, k=4, horizon=128, seed=0, scale=1.0) != base_key
         for kwargs in (
             dict(k=3, horizon=128, seed=0, scale=1.0),
             dict(k=4, horizon=256, seed=0, scale=1.0),
             dict(k=4, horizon=128, seed=1, scale=1.0),
             dict(k=4, horizon=128, seed=0, scale=0.5),
         ):
-            assert cell_config(base, **kwargs) != base_cfg
+            assert _key(base, **kwargs) != base_key
 
-    def test_cache_key_separates_cells(self, tmp_path):
-        cache = ContentCache(tmp_path)
-        cfg = dict(cell_config(Cell("max-min", "smooth", 0.0), k=4, horizon=128, seed=0, scale=1.0))
-        key = cache.key("arena-cell", cfg)
-        other = dict(cfg, seed=1)
-        assert cache.key("arena-cell", other) != key
+    def test_cache_key_separates_cells(self):
+        cell = Cell("max-min", "smooth", 0.0)
+        point = cell_point(cell, k=4, horizon=128)
+        assert point == "max-min|smooth|0.0|4|128"
+        key = _key(cell, k=4, horizon=128, seed=0, scale=1.0)
+        assert key == _shard_key("E-ARENA", point, 0, 0, 1.0)
+        other = Cell("max-min", "uniform", 0.0)
+        assert _key(other, k=4, horizon=128, seed=0, scale=1.0) != key
+
+    def test_point_round_trips_an_exact_fault(self):
+        # The point carries str(fault), so an intensity with more digits
+        # than a cell name shows still reaches run_cell exactly.
+        cell = Cell("max-min", "smooth", 0.123456789)
+        assert float(cell_point(cell, k=4, horizon=128).split("|")[2]) == cell.fault
 
 
 class TestRunCell:

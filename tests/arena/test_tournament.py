@@ -3,11 +3,18 @@ must all be invisible in the scorecard bytes."""
 
 import pytest
 
+import repro.arena.cells as arena_cells
 from repro.arena import TournamentConfig, run_tournament, scorecard_json
-from repro.arena import tournament
 from repro.errors import ConfigError
 from repro.obs.progress import ProgressTracker
-from repro.runner import ContentCache, RunPolicy, SweepJournal
+from repro.runner import (
+    ContentCache,
+    RunPolicy,
+    SweepJournal,
+    get_cache,
+    run_batch,
+    use_cache,
+)
 from tests.references import CollectingProgress
 
 _SMALL = dict(
@@ -147,7 +154,7 @@ class TestProgressAndRetries:
             **_EIGHT, run_policy=RunPolicy(max_attempts=2, base_backoff_s=0.0)
         )
         clean = run_tournament(config)
-        real = tournament.run_cell
+        real = arena_cells.run_cell
         failures = []
 
         def first_attempt_raises(cell, **kwargs):
@@ -156,10 +163,38 @@ class TestProgressAndRetries:
                 raise RuntimeError("first attempt fails")
             return real(cell, **kwargs)
 
-        monkeypatch.setattr(tournament, "run_cell", first_attempt_raises)
+        monkeypatch.setattr(arena_cells, "run_cell", first_attempt_raises)
         report, done = _tracked(config)
         assert failures == ["max-min/uniform/f0.4"]
         assert report.ok and report.computed == 8
         assert done.retries == 1
         assert done.completed == done.total == 8
         assert scorecard_json(report.scorecard) == scorecard_json(clean.scorecard)
+
+
+class TestOneExecutor:
+    def test_a_warm_report_cache_serves_the_tournament(self, tmp_path):
+        # E-ARENA's scale-0.3 grid, run point by point by the batch
+        # runner, is the same set of sweep points as this tournament.
+        cache = ContentCache(tmp_path)
+        previous = get_cache()
+        use_cache(cache)
+        try:
+            batch = run_batch(["E-ARENA"], scale=0.3, jobs=2)
+        finally:
+            use_cache(previous)
+        assert batch.ok and batch.shard_jobs == 12
+        config = TournamentConfig(
+            policies=("phased", "max-min", "priority-tier"),
+            traffic=("smooth", "uniform"),
+            faults=(0.0, 0.4),
+            k=4,
+            horizon=128,
+            seed=0,
+            scale=0.3,
+        )
+        warm = run_tournament(config, cache=cache)
+        cold = run_tournament(config)
+        assert warm.computed == 0 and warm.from_cache == 12
+        assert cold.computed == 12
+        assert scorecard_json(warm.scorecard) == scorecard_json(cold.scorecard)

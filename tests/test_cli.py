@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import argparse
+import io
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.progress import progress_sink
+
+
+def _progress_commands() -> list[str]:
+    """Every subcommand that takes ``--progress``."""
+    (sub,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sorted(
+        name
+        for name, parser in sub.choices.items()
+        if any("--progress" in a.option_strings for a in parser._actions)
+    )
 
 
 class TestParser:
@@ -19,6 +37,15 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_progress_commands_are_found(self):
+        assert _progress_commands() == ["arena", "attack", "report"]
+
+    @pytest.mark.parametrize("mode", ["off", "none"])
+    @pytest.mark.parametrize("command", _progress_commands())
+    def test_every_subcommand_accepts_both_silent_spellings(self, command, mode):
+        args = build_parser().parse_args([command, "--progress", mode])
+        assert progress_sink(args.progress, io.StringIO()) is None
 
 
 class TestMain:

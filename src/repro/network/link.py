@@ -87,7 +87,3 @@ class Link:
     def add(self, t: int, delta: float) -> bool:
         """Adjust the allocation by ``delta``; return True if it changed."""
         return self.set(t, self._bandwidth + delta)
-
-    def changes_in(self, t0: int, t1: int) -> int:
-        """Number of changes with ``t0 <= t < t1``."""
-        return sum(1 for c in self.changes if t0 <= c.t < t1)

@@ -14,13 +14,17 @@ all serve through it.  :func:`replay_fifo` is the one replay loop: it
 pushes and serves a regular queue, and optionally an overflow queue, for
 a run of slots at the per-slot float operations, which is the queue work
 of every engine slice (:mod:`repro.sim.vector`) and of
-:func:`~repro.analysis.feasibility.simulate_fifo_delay`.
+:func:`~repro.analysis.feasibility.simulate_fifo_delay`.  Its slot loop
+is pure Python: a slot that keeps up with its arrivals does only that,
+and a busy slot pushes, serves once per non-empty queue and runs only
+the stop tests that can fire there.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -32,10 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Bits below this threshold are treated as zero (floating-point dust).
 EPSILON = 1e-9
-
-#: Shortest keep-up stretch :func:`replay_fifo` commits with numpy;
-#: shorter ones cost less per slot than the numpy calls.
-KEEPUP_RUN = 32
 
 
 def serve_fifo(
@@ -167,10 +167,6 @@ class BitQueue:
         self._size = 0.0
         return moved
 
-    def peek_chunks(self) -> list[tuple[int, float]]:
-        """Snapshot of (arrival, bits) chunks, oldest first."""
-        return [(arrival, bits) for arrival, bits in self._chunks]
-
     def max_age(self, t: int) -> int:
         """Age in slots of the oldest queued bit (0 when empty)."""
         oldest = self.oldest_arrival
@@ -214,22 +210,28 @@ def replay_fifo(
     The replay stops early, and the lists returned are then shorter than
     ``arrivals``:
 
-    * ``until_empty``: before the first slot whose pre-push backlog is
-      ``<= EPSILON`` (the single-session RESET drain);
+    * ``until_empty``: at once if ``queue`` holds at most ``EPSILON``,
+      else after the first slot whose serve leaves it at most ``EPSILON``
+      (the single-session RESET drain);
     * ``phase=(first, period)``: before the push at the first of slots
-      ``first + m * period`` (Figure 4's phase ends) that finds ``queue``
-      above ``limit``;
+      ``first + m * period`` (``m >= 0``; Figure 4's phase ends) that finds
+      ``queue`` above ``limit``;
     * otherwise a finite ``limit``: before the first positive push that
-      would leave ``queue`` above it (Figure 5's TEST).
+      would leave ``queue`` above it (Figure 5's TEST; a push of dust,
+      which is not queued, leaves ``queue`` as it is).
 
-    While both queues are empty and a slot's arrivals are at or below its
-    capacity (and, for the push test, ``limit``), the slot delivers its own
-    arrivals at delay 0 (dust: nothing) and leaves the queues empty.
-    Stretches of at least :data:`KEEPUP_RUN` such slots are committed with
-    numpy (``np.add.accumulate`` sums in slot order, like the per-slot
-    fold); shorter runs and backlogged slots take the pure-Python loop.  A
-    stretch can start only where the replay starts or where a slot leaves
-    both queues empty, so only there does the loop look for one.
+    A slot *keeps up* when both queues are empty and its arrivals are at
+    or below its capacity (and, for the TEST, ``limit``): it delivers
+    them at delay 0 (dust: nothing) and leaves the queues empty, and no
+    stop can fire there (a phase end finds the queue empty; the TEST
+    finds it at most ``limit`` after the push).  A run of such slots adds
+    its arrivals to the delay-0 bin in a local, in slot order, and stores
+    the bin once, before the next serve.  A busy slot runs only the stop
+    tests that can fire: the phase end only when ``queue`` is above
+    ``limit`` before the push.  The session's ``bits_arrived`` and
+    ``bits_delivered`` are folded once, after the loop, slot by slot: a
+    dust slot adds ``+0.0``, which leaves the non-negative sums as they
+    are.
 
     ``arrivals`` and the capacities must be non-negative and not NaN (a
     NaN would slip through every test above); the engine validates them
@@ -243,154 +245,104 @@ def replay_fifo(
     if queue.capacity is not None or (overflow is not None and overflow.capacity is not None):
         raise ConfigError("replay needs an unbounded queue")
     arrivals = np.asarray(arrivals, dtype=float)
-    n = len(arrivals)
-    per_slot = not isinstance(capacity, (int, float))
-    if per_slot:
+    values = arrivals.tolist()
+    if isinstance(capacity, (int, float)):
+        caps = repeat(float(capacity))
+    else:
         capacity = np.asarray(capacity, dtype=float)
         if capacity.shape != arrivals.shape:
             raise ConfigError("arrivals and capacities must have equal length")
         caps = capacity.tolist()
-    else:
-        caps = [float(capacity)] * n
-    values = arrivals.tolist()
     pooled = overflow_capacity is None
-    due = -1  # index of the next phase end to read (-1: none)
-    period = 0
-    pushtest = False
-    # An empty slot keeps up with arrivals up to its gate: they fit the
-    # capacity and the TEST cannot fire.
-    gate, gates = capacity, caps
+    # The stop thresholds: a phase end stops above ``ends``, the TEST past
+    # ``cut`` and the drain at or below ``dry``.  Unused, they are math.inf
+    # and -1.0, which no backlog reaches.
+    ends = cut = math.inf
+    dry = -1.0
     if phase is not None:
-        due = phase[0] - t
-        period = phase[1]
-    elif limit < math.inf:
-        pushtest = True
-        gate = np.minimum(capacity, limit)
-        gates = gate.tolist() if per_slot else [float(gate)] * n
-    # Slots above the gate, then a sentinel: a keep-up stretch from empty
-    # queues runs to the next of them.  ``retry`` is the first slot worth
-    # another look for one.
-    if n >= KEEPUP_RUN and not until_empty:
-        loud = np.flatnonzero(arrivals > gate).tolist()
-        loud.append(n)
-        j = 0  # index into loud
-        retry = 0
+        ends = limit
+        first, period = phase
     else:
-        retry = n + 1  # no stretch fits
+        cut = limit
+    if until_empty:
+        dry = EPSILON
+        if queue._size <= EPSILON:
+            values = []
     r_chunks = queue._chunks
     r_size = queue._size
     o_chunks = overflow._chunks if overflow is not None else deque()
     o_size = overflow._size if overflow is not None else 0.0
     track = session is not None  # only a session keeps max_delay
-    if track:
-        arrived, total, worst = session.bits_arrived, session.bits_delivered, session.max_delay
-    else:
-        arrived, total, worst = 0.0, 0.0, 0
+    worst = session.max_delay if track else 0
     delivered: list[float] = []
     backlog: list[float] = []
-    if until_empty and r_size <= EPSILON:
-        n = 0
-    i = 0  # next slot (index into arrivals)
+    zero = None  # the delay-0 bin while a keep-up run folds into it
     try:
-        while i < n:
-            if i >= retry and not r_chunks and not o_chunks:
-                while loud[j] < i:
-                    j += 1
-                retry = loud[j]
-                if retry - i >= KEEPUP_RUN:
-                    quiet = arrivals[i:retry]
-                    served = np.where(quiet > EPSILON, quiet, 0.0)
-                    # Adding 0.0 leaves a sum unchanged, so one column-wise
-                    # running sum folds what the slots below fold one by one.
-                    sums = np.empty((retry - i + 1, 3))
-                    sums[0] = (arrived, total, histogram.get(0, 0.0))
-                    sums[1:, 0] = quiet
-                    sums[1:, 1] = served
-                    sums[1:, 2] = served
-                    arrived, total, first = np.add.accumulate(sums)[-1].tolist()
-                    if served.any():
-                        histogram[0] = first
-                    delivered += served.tolist()
-                    backlog += [0.0] * (retry - i)
-                    if 0 <= due < retry:
-                        due += (retry - due + period - 1) // period * period
-                    i = retry
-                    continue
-            for i in range(i, n):
-                bits = values[i]
-                if not r_chunks and not o_chunks and bits <= gates[i]:
-                    # The arrivals go out at delay 0 (dust: nothing) and the
-                    # queues stay empty; a phase end finds the queue empty.
-                    if i == due:
-                        due += period
-                    arrived += bits
-                    if bits > EPSILON:
-                        histogram[0] = histogram.get(0, 0.0) + bits
-                        total += bits
-                        delivered.append(bits)
-                    else:
-                        delivered.append(0.0)
-                    backlog.append(0.0)
-                    continue
-                if i == due:  # Figure 4's phase end reads the queue first
-                    if r_size > limit:
-                        n = i  # stop before this slot
-                        break
-                    due += period
-                elif pushtest and bits > 0 and (r_size + bits if bits > EPSILON else r_size) > limit:
-                    n = i
-                    break
-                slot = t + i
-                arrived += bits  # Session.push (adding 0.0 changes nothing)
-                if bits > EPSILON:  # BitQueue.push
-                    if r_chunks and r_chunks[-1][0] >= slot:
-                        if r_chunks[-1][0] > slot:
-                            raise SimulationError(
-                                f"push at t={slot} after chunk stamped {r_chunks[-1][0]}"
-                            )
-                        r_chunks[-1][1] += bits
-                    else:
-                        r_chunks.append([slot, bits])
-                    r_size += bits
-                remaining = caps[i]
-                served = 0.0
-                if o_chunks:  # the overflow queue's older bits go first
-                    share = remaining if pooled else overflow_capacity
-                    if track and share > 0.0 and slot - o_chunks[0][0] > worst:
-                        worst = slot - o_chunks[0][0]
-                    served, o_size = serve_fifo(o_chunks, o_size, slot, share, histogram)
-                    if pooled:  # float dust must not push the rest below zero
-                        remaining = max(0.0, remaining - served)
-                if r_chunks:
-                    if track and remaining > 0.0 and slot - r_chunks[0][0] > worst:
-                        worst = slot - r_chunks[0][0]
-                    second, r_size = serve_fifo(r_chunks, r_size, slot, remaining, histogram)
-                    served += second
-                total += served
-                delivered.append(served)
-                after = r_size if r_size > EPSILON else 0.0
-                backlog.append(after + o_size if o_size > EPSILON else after)
-                if until_empty and r_size <= EPSILON:
-                    i += 1
-                    n = i  # the next slot would find the queue drained
-                    break
-                if not r_chunks and not o_chunks and i + 1 >= retry:
-                    # Emptied: a keep-up stretch may start at the next slot;
-                    # the outer loop commits it.
-                    while loud[j] <= i:
-                        j += 1
-                    retry = loud[j]
-                    if retry - i > KEEPUP_RUN:
-                        i += 1
-                        retry = i
-                        break
-            else:
-                break
+        for bits, cap in zip(values, caps):
+            if not r_chunks and not o_chunks and bits <= cap and bits <= cut:
+                # Keep-up: the arrivals go out at delay 0 (dust: nothing).
+                if bits > EPSILON:
+                    if zero is None:
+                        zero = histogram.get(0, 0.0)
+                    zero += bits
+                    delivered.append(bits)
+                else:
+                    delivered.append(0.0)
+                backlog.append(0.0)
+                continue
+            if zero is not None:
+                histogram[0] = zero
+                zero = None
+            slot = t + len(delivered)  # only a busy slot needs its number
+            if r_size > ends and (slot - first) % period == 0 and slot >= first:
+                break  # Figure 4's phase end reads the queue before the push
+            if bits > EPSILON:  # BitQueue.push
+                if r_size + bits > cut:
+                    break  # Figure 5's TEST
+                if r_chunks and r_chunks[-1][0] >= slot:
+                    if r_chunks[-1][0] > slot:
+                        raise SimulationError(
+                            f"push at t={slot} after chunk stamped {r_chunks[-1][0]}"
+                        )
+                    r_chunks[-1][1] += bits
+                else:
+                    r_chunks.append([slot, bits])
+                r_size += bits
+            elif bits > 0.0 and r_size > cut:
+                break  # dust is not queued, but TEST still reads the queue
+            remaining = cap
+            served = 0.0
+            if o_chunks:  # the overflow queue's older bits go first
+                share = remaining if pooled else overflow_capacity
+                if track and share > 0.0 and slot - o_chunks[0][0] > worst:
+                    worst = slot - o_chunks[0][0]
+                served, o_size = serve_fifo(o_chunks, o_size, slot, share, histogram)
+                if pooled:  # float dust must not push the rest below zero
+                    remaining = max(0.0, remaining - served)
+            if r_chunks:
+                if track and remaining > 0.0 and slot - r_chunks[0][0] > worst:
+                    worst = slot - r_chunks[0][0]
+                second, r_size = serve_fifo(r_chunks, r_size, slot, remaining, histogram)
+                served += second
+            delivered.append(served)
+            after = r_size if r_size > EPSILON else 0.0
+            backlog.append(after + o_size if o_size > EPSILON else after)
+            if r_size <= dry:
+                break  # the RESET drain: the next slot would find it drained
     finally:
+        if zero is not None:
+            histogram[0] = zero
         queue._size = r_size
         if overflow is not None:
             overflow._size = o_size
         if track:
+            # Session.push and SessionChannels.serve, folded in slot order.
+            arrived = session.bits_arrived
+            for bits in values if len(values) == len(delivered) else values[: len(delivered)]:
+                arrived += bits
+            total = session.bits_delivered
+            for served in delivered:
+                total += served
             session.bits_arrived = arrived
             session.bits_delivered = total
             session.max_delay = worst

@@ -79,7 +79,9 @@ Exactness of a slice rests on "same float operations, same order":
   the per-slot ``push`` and ``serve`` float operations in the per-slot
   order, and it serves through the one serve kernel
   (:func:`~repro.network.queue.serve_fifo`), which folds each delivery
-  into the delay histogram as it is served;
+  into the delay histogram as it is served; the sums it defers (a
+  keep-up run's delay-0 bin, a session's ``bits_arrived`` and
+  ``bits_delivered``) are still added one slot at a time, in slot order;
   a session's floats depend only on its own arrivals and allocations,
   so replaying sessions one after another instead of slot by slot
   changes none of them;

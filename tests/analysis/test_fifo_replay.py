@@ -17,6 +17,7 @@ from repro.analysis.feasibility import simulate_fifo_delay
 from repro.errors import ConfigError, SimulationError
 from repro.network.queue import EPSILON, BitQueue, replay_fifo
 from tests.network.test_serve_oracle import fold, queue_serve
+from tests.references import queue_chunks
 from tests.strategies import FUZZ_EXAMPLES
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -129,7 +130,7 @@ class TestReplay:
         assert delivered == want_delivered
         assert backlog == want_backlog
         assert fast_hist == slow_hist
-        assert fast.peek_chunks() == slow.peek_chunks()
+        assert queue_chunks(fast) == queue_chunks(slow)
         assert fast.size == slow.size
         assert fast._size == slow._size
 
@@ -162,7 +163,7 @@ class TestReplay:
         assert delivered == want_delivered
         assert backlog == want_backlog
         assert fast_hist == slow_hist
-        assert fast.peek_chunks() == slow.peek_chunks()
+        assert queue_chunks(fast) == queue_chunks(slow)
 
     def test_a_split_leaving_dust_pops_the_chunk(self):
         """Serving all but < EPSILON of the head chunk pops it, as serve does."""
@@ -176,7 +177,7 @@ class TestReplay:
         assert fast_hist == slow_hist
         # Slot 2 serves the second chunk, not 5e-10 of dust left by slot 1.
         assert fast_hist[2] == 1.0
-        assert fast.peek_chunks() == slow.peek_chunks() == [(1, 1.0)]
+        assert queue_chunks(fast) == queue_chunks(slow) == [(1, 1.0)]
 
     def test_until_empty_stops_before_the_drained_slot(self):
         queue = BitQueue()

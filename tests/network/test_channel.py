@@ -12,6 +12,7 @@ from repro.network.channel import SessionChannels
 from repro.network.queue import EPSILON, replay_fifo
 from repro.network.session import Session
 from tests.network.test_serve_oracle import account, channels_serve, fold
+from tests.references import queue_chunks
 from tests.strategies import FUZZ_EXAMPLES
 
 
@@ -206,8 +207,8 @@ def _state(session):
         "arrived": session.bits_arrived.hex(),
         "delivered": session.bits_delivered.hex(),
         "max_delay": session.max_delay,
-        "regular": [(a, b.hex()) for a, b in channels.regular_queue.peek_chunks()],
-        "overflow": [(a, b.hex()) for a, b in channels.overflow_queue.peek_chunks()],
+        "regular": [(a, b.hex()) for a, b in queue_chunks(channels.regular_queue)],
+        "overflow": [(a, b.hex()) for a, b in queue_chunks(channels.overflow_queue)],
         "regular_size": channels.regular_queue._size.hex(),
         "overflow_size": channels.overflow_queue._size.hex(),
     }

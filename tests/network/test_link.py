@@ -40,10 +40,8 @@ class TestLink:
         assert link.change_count == 2
         assert not link.add(2, 0.0)
 
-    def test_changes_in_window(self):
+    def test_changes_are_recorded_in_slot_order(self):
         link = Link()
         for t in [0, 5, 10, 15]:
             link.set(t, t + 1.0)
-        assert link.changes_in(0, 6) == 2
-        assert link.changes_in(5, 16) == 3
-        assert link.changes_in(16, 100) == 0
+        assert [c.t for c in link.changes] == [0, 5, 10, 15]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.network.queue import EPSILON, BitQueue
+from tests.references import queue_chunks
 
 
 class TestBasics:
@@ -33,7 +34,7 @@ class TestBasics:
         q = BitQueue()
         with pytest.raises(ConfigError):
             q.push(0, float("nan"))
-        assert q.peek_chunks() == []
+        assert queue_chunks(q) == []
 
     def test_push_dust_ignored(self):
         q = BitQueue()
@@ -50,7 +51,7 @@ class TestBasics:
         q = BitQueue()
         q.push(2, 1)
         q.push(2, 2)
-        assert q.peek_chunks() == [(2, 3.0)]
+        assert queue_chunks(q) == [(2, 3.0)]
 
 
 class TestServe:
@@ -86,7 +87,7 @@ class TestServe:
         q = BitQueue()
         q.push(0, 10)
         q.serve(1, 4, {})
-        assert q.peek_chunks() == [(0, pytest.approx(6.0))]
+        assert queue_chunks(q) == [(0, pytest.approx(6.0))]
         histogram = {}
         q.serve(5, 100, histogram)
         assert max(histogram) == 5
@@ -105,14 +106,14 @@ class TestDrain:
         moved = a.drain_to(b)
         assert moved == 5
         assert a.is_empty
-        assert b.peek_chunks() == [(0, 2.0), (1, 3.0)]
+        assert queue_chunks(b) == [(0, 2.0), (1, 3.0)]
 
     def test_drain_preserves_order_with_existing(self):
         a, b = BitQueue("a"), BitQueue("b")
         b.push(0, 1)
         a.push(2, 1)
         a.drain_to(b)
-        assert [c[0] for c in b.peek_chunks()] == [0, 2]
+        assert [c[0] for c in queue_chunks(b)] == [0, 2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,6 +155,6 @@ def test_chunk_pop_dust_does_not_stall_drain():
     for t in range(4):
         q.push(t, 1.0)
         q.serve(t, 1.0 - dust, {})  # pops the chunk, strands `dust` bits
-    assert not q.peek_chunks()
+    assert not queue_chunks(q)
     assert q.is_empty
     assert q.size == 0.0

@@ -26,12 +26,18 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.network.channel import SessionChannels
-from repro.network.queue import EPSILON, KEEPUP_RUN, BitQueue, replay_fifo, serve_fifo
+from repro.network.queue import EPSILON, BitQueue, replay_fifo, serve_fifo
 from repro.network.session import Session
 from tests.network.test_channel import _build, _Case, _cases, replay_session
+from tests.references import queue_chunks
 from tests.strategies import FUZZ_EXAMPLES
 
 # -- the references: the two loops before the kernel ---------------------------
+
+#: Shortest keep-up stretch the references commit with numpy; shorter ones
+#: take their pure-Python loop.  The kernel has no such stretch, so the
+#: stretch-length cases below stay as inputs around this threshold.
+KEEPUP_RUN = 32
 
 
 def queue_replay(
@@ -362,8 +368,8 @@ def channels_replay(
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 
-#: Stretch lengths: short, and at and around KEEPUP_RUN, where the kernel
-#: switches from the per-slot loop to the numpy commit.
+#: Stretch lengths: short, and at and around KEEPUP_RUN, where the
+#: references switch from their per-slot loop to their numpy commit.
 _LENGTHS = st.one_of(
     st.integers(0, 12), st.sampled_from([KEEPUP_RUN - 1, KEEPUP_RUN, KEEPUP_RUN + 1, 80])
 )
@@ -401,7 +407,7 @@ def _per_slot(seed: int, n: int, capacity: float) -> np.ndarray:
 
 
 def _queue_state(queue: BitQueue) -> tuple:
-    return queue.peek_chunks(), queue._size, queue.size
+    return queue_chunks(queue), queue._size, queue.size
 
 
 def _session_state(session: Session) -> tuple:
@@ -582,6 +588,52 @@ class TestSession:
     def test_test_stop_reads_the_queue_after_the_push(self):
         case = _Case([], [], 1.0, 0.0, 0, 0, [1.0, 3.0, 9.0, 0.0], False)
         assert len(_assert_session(case, limit=8.0 + EPSILON)[0]) == 2
+
+    def test_a_phase_end_slot_before_first_does_not_stop(self):
+        # Slots t and t+4 are congruent to first = t+8 modulo 4, and the
+        # queue is above the limit throughout: only t+8 is a phase end.
+        case = _Case([], [(0, 20.0)], 0.0, 0.0, 1, 0, [0.0] * 12, False)
+        assert len(_assert_session(case, limit=4.0, phase=(8, 4))[0]) == 8
+
+    @pytest.mark.parametrize(
+        "queued, replayed", [(4.0, 4), (math.nextafter(4.0, math.inf), 0)]
+    )
+    def test_a_phase_end_stops_only_above_the_limit(self, queued, replayed):
+        case = _Case([], [(0, queued)], 0.0, 0.0, 1, 0, [0.0] * 4, False)
+        assert len(_assert_session(case, limit=4.0, phase=(0, 2))[0]) == replayed
+
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_a_phase_end_with_only_overflow_bits_does_not_stop(self, fifo):
+        # The overflow queue keeps the slots busy; the regular queue is
+        # empty at every phase end, so none stops, even at limit 0.
+        case = _Case([(0, 10.0)], [], 1.0, 0.0, 1, 0, [0.0, EPSILON / 2, 0.0] * 2, fifo)
+        assert len(_assert_session(case, limit=0.0, phase=(0, 1))[0]) == 6
+
+    @pytest.mark.parametrize("dust", [EPSILON / 2, EPSILON])
+    def test_a_dust_arrival_above_the_limit_fires_the_test(self, dust):
+        # The dust is not queued, but the TEST reads a queue already above
+        # the limit; an exact zero arrival runs no TEST.
+        case = _Case([], [(0, 10.0)], 0.0, 0.0, 1, 0, [0.0, dust, 1.0], False)
+        assert len(_assert_session(case, limit=4.0)[0]) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fifo", [False, True])
+    def test_eight_slot_replays_keep_the_session_counters(self, seed, fifo):
+        # The epoch allocators replay every session from one 8-slot epoch
+        # to the next: many short calls, each folding the counters.
+        rng = np.random.default_rng(seed)
+        case = _Case([(0, 6.0)], [(1, 3.0)], 4.0, 2, 0, 0, [], fifo)
+        kernel, t = _build(case)
+        reference, _ = _build(case)
+        for epoch in range(12):
+            pieces = [("quiet", 3), ("dust", 2), ("loud", 1), ("zero", 2)]
+            arrivals = _stream(seed * 100 + epoch, pieces, 4.0)
+            rng.shuffle(arrivals)
+            got = replay_session(kernel, t, arrivals, fifo)
+            want = channels_replay(reference.channels, t, arrivals, fifo, reference)
+            assert got == want
+            assert _session_state(kernel) == _session_state(reference)
+            t += 8
 
     @pytest.mark.parametrize("length", [KEEPUP_RUN - 1, KEEPUP_RUN, KEEPUP_RUN + 1])
     @pytest.mark.parametrize("fifo", [False, True])

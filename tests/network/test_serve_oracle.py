@@ -27,6 +27,7 @@ from repro.core.combined import CombinedMultiSession
 from repro.errors import ConfigError
 from repro.network.queue import EPSILON, BitQueue
 from repro.network.session import Session
+from tests.references import queue_chunks
 from tests.strategies import FUZZ_EXAMPLES
 
 # -- the oracles: the serve path before the kernel ----------------------------
@@ -163,12 +164,12 @@ def _capacity(capacity, queue: BitQueue) -> float:
     """Resolve a head-relative capacity against ``queue``."""
     if capacity not in _HEAD:
         return capacity
-    chunks = queue.peek_chunks()
+    chunks = queue_chunks(queue)
     return (chunks[0][1] if chunks else 1.0) + _HEAD[capacity]
 
 
 def _queue_state(queue: BitQueue) -> tuple:
-    return queue.peek_chunks(), queue._size, queue.size
+    return queue_chunks(queue), queue._size, queue.size
 
 
 def _session_state(session, histogram: dict[int, float]) -> tuple:

@@ -8,7 +8,9 @@
 * :func:`check_stream_against_profile` — the single-session feasibility
   check with a full report, whose verdict ``profile_serves`` must equal;
 * :func:`scalar_reference` — a policy the engines step slot by slot, the
-  all-scalar reference the slice identity tests compare against.
+  all-scalar reference the slice identity tests compare against;
+* :func:`queue_chunks` — a :class:`~repro.network.queue.BitQueue`'s
+  ``(arrival, bits)`` chunks, the queue state the FIFO tests compare.
 """
 
 from __future__ import annotations
@@ -215,3 +217,8 @@ def scalar_reference(policy):
     """
     policy.__class__ = _scalar_type(type(policy))
     return policy
+
+
+def queue_chunks(queue) -> list[tuple[int, float]]:
+    """Snapshot of ``queue``'s (arrival, bits) chunks, oldest first."""
+    return [(arrival, bits) for arrival, bits in queue._chunks]
